@@ -78,64 +78,55 @@ def ge_sum_sqrt(t: Fraction, a: Fraction, b: Fraction) -> bool:
     return s >= 0 and s * s >= 4 * a * b
 
 
-def ints_in_open(center: Fraction, radius_sq: Fraction, lo: int = 1) -> tuple[int, ...]:
-    """Integers >= lo strictly inside (center - r, center + r), r = sqrt(radius_sq).
-
-    radius_sq == 0 degenerates to the closed singleton {center} when the
-    center itself is an integer (the jitter-free case); the open interval
-    would otherwise be empty and the singleton is the intended region.
-    """
-    if radius_sq < 0:
-        raise ValueError("negative squared radius")
-    if radius_sq == 0:
-        if center.denominator == 1 and center >= lo:
-            return (int(center),)
-        return ()
-    r = math.sqrt(float(radius_sq))
-    first = max(lo, math.floor(float(center) - r) - 1)
-    last = math.ceil(float(center) + r) + 1
-    out = []
-    for k in range(first, last + 1):
-        d = Fraction(k) - center
-        if d * d < radius_sq:
-            out.append(k)
-    return tuple(out)
+def ints_in_open(center: Fraction, radius_sq: Fraction, lo: int = 1) -> range:
+    """Integers >= lo strictly inside (center - r, center + r), r = sqrt(radius_sq)."""
+    return multiples_in_open(1, center, radius_sq, lo)
 
 
 def multiples_in_open(step: int, center: Fraction, radius_sq: Fraction,
-                      lo: int = 1) -> tuple[int, ...]:
-    """Multiples of ``step`` (>= lo) strictly inside the open interval around center."""
+                      lo: int = 1) -> range:
+    """Positive multiples of ``step`` (>= lo) strictly within r of center.
+
+    The members form one run, found in O(1) exact tests: a member next to
+    the center, then the float estimates of both ends, corrected one step
+    at a time.  radius_sq == 0 degenerates to the closed singleton {center}
+    when the center itself is such a multiple (the jitter-free case); the
+    open interval would otherwise be empty and the singleton is the
+    intended region.
+    """
     if step < 1:
         raise ValueError("step must be a positive integer")
     if radius_sq < 0:
         raise ValueError("negative squared radius")
-    if radius_sq == 0:
-        if center.denominator == 1:
-            c = int(center)
-            if c >= lo and c % step == 0:
-                return (c,)
-        return ()
+
+    def inside(k: int) -> bool:
+        d = k * step - center
+        return d == 0 or d * d < radius_sq
+
+    kmin = max(1, -(-lo // step))
+    k = max(kmin, floor_frac(center / step))
+    if not inside(k):
+        k += 1
+        if not inside(k):
+            return range(0)
     r = math.sqrt(float(radius_sq))
-    kfirst = max((lo + step - 1) // step, math.floor((float(center) - r) / step) - 1)
-    klast = math.ceil((float(center) + r) / step) + 1
-    out = []
-    for k in range(max(kfirst, 1), klast + 1):
-        v = k * step
-        d = Fraction(v) - center
-        if d * d < radius_sq:
-            out.append(v)
-    return tuple(out)
+    first = max(kmin, min(k, math.ceil((float(center) - r) / step)))
+    last = max(k, math.floor((float(center) + r) / step))
+    while not inside(first):
+        first += 1
+    while first > kmin and inside(first - 1):
+        first -= 1
+    while not inside(last):
+        last -= 1
+    while inside(last + 1):
+        last += 1
+    return range(first * step, (last + 1) * step, step)
 
 
-def multiples_between(step: int, lo: Fraction, hi: Fraction) -> tuple[int, ...]:
-    """Multiples of ``step`` strictly inside (lo, hi), exactly."""
+def multiples_between(step: int, lo: Fraction, hi: Fraction) -> range:
+    """Positive multiples of ``step`` strictly inside (lo, hi), exactly."""
     if step < 1:
         raise ValueError("step must be a positive integer")
-    kfirst = floor_frac(lo / step)  # k*step <= lo for this k
-    klast = ceil_frac(hi / step)
-    out = []
-    for k in range(max(kfirst, 1), klast + 1):
-        v = Fraction(k * step)
-        if lo < v < hi:
-            out.append(k * step)
-    return tuple(out)
+    first = max(floor_frac(lo / step) + 1, 1)  # (first - 1) * step <= lo
+    stop = ceil_frac(hi / step)  # stop * step >= hi
+    return range(first * step, stop * step, step)

@@ -13,31 +13,28 @@ Noise sums are built from independent increments between window breakpoints
 law over overlapping windows is exact.  Segments covered by no window never
 influence any statistic and are skipped.
 
-The window layout is trial-independent, so it is laid out once per scheme.
-When every position fits in int64 the per-trial work is pure numpy; the
-variable-spacing scheme overflows int64, and falls back to Python integers
-for the handful of windows it has.
+The window layout is trial-independent, so it is planned once per scheme.
+Positions are int64 while they fit; the variable-spacing scheme overflows
+int64, and its handful of windows hold Python integers instead (see
+_layout.RegionTable), through the same numpy expressions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from ._exact import frac
+from ._layout import TraceDiagnostics, geometry_diagnostics
 from .channel import StateDistribution
-from .codec_compound import CompoundSchemeParams
-from .codec_gauss import GaussSchemeParams, _region_table
 
 # numpy's multinomial sampler takes an int64 trial count; beyond that we fall
 # back to a rounded-Gaussian sum whose distributional error is far below
 # anything a finite trial budget could see (Berry-Esseen ~ n**-0.5 < 1e-9).
 EXACT_SUM_MAX = 1 << 61
-
-_INT64_SAFE = 1 << 62
 
 
 def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) -> int:
@@ -61,89 +58,35 @@ def _nearest_int(q: Fraction) -> int:
     return (2 * q.numerator + q.denominator) // (2 * q.denominator)
 
 
-@dataclass(frozen=True, eq=False)
-class StreamGeometry:
-    """Message layout and window plan shared by the streamed trial loop."""
+class Plan:
+    """Trial-independent noise plan of a Gaussian-back-end scheme.
 
-    prefix_slots: tuple[int, ...]  # per message: slots before its burst
-    burst_slots: tuple[int, ...]  # per message: burst width in slots
-    amplitudes: tuple[float, ...]  # per message: burst amplitude
-    window_lens: tuple[int, ...]  # per region
-    regions: tuple[tuple[int, ...], ...]
-    threshold: float
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "_plan", _Plan(self))
-
-
-def geometry_from_gauss(params: GaussSchemeParams) -> StreamGeometry:
-    regions, _, _ = _region_table(params)
-    m = params.M
-    return StreamGeometry(
-        prefix_slots=tuple((i - 1) * params.N for i in range(1, m + 1)),
-        burst_slots=(params.B,) * m,
-        amplitudes=(params.x_star,) * m,
-        window_lens=(params.window_len,) * m,
-        regions=tuple(regions),
-        threshold=params.threshold,
-        eta=math.sqrt(params.eta2))
-
-
-def geometry_from_compound(params: CompoundSchemeParams) -> StreamGeometry:
-    m = params.M
-    return StreamGeometry(
-        prefix_slots=params.offsets,
-        burst_slots=params.widths,
-        amplitudes=tuple(params.amplitude(i) for i in range(1, m + 1)),
-        window_lens=params.window_lens,
-        regions=params.regions,
-        threshold=params.threshold,
-        eta=math.sqrt(params.eta2))
-
-
-class _Plan:
-    """Trial-independent window layout: breakpoints, segment scales, indices.
-
-    Windows are half-open sample ranges [start, end), flattened region by
-    region.  Increment j covers [points[j], points[j+1]); a window's noise is
-    the sum of the increments it spans, and only covered segments are drawn.
+    params is a codec_gauss.GaussSchemeParams or a
+    codec_compound.CompoundSchemeParams; the windows are its layout's
+    region table.  Window i spans the half-open sample range
+    [starts[i], ends[i] + 1).  Increment j covers [points[j], points[j+1]);
+    a window's noise is the sum of the increments it spans, and only
+    covered segments get a nonzero scale.
     """
 
-    def __init__(self, geom: StreamGeometry):
-        windows: list[tuple[int, int]] = []
-        owner: list[int] = []
-        for r, region in enumerate(geom.regions):
-            w = geom.window_lens[r]
-            for pos in region:
-                windows.append((pos, pos + w))
-                owner.append(r)
-        points = sorted({p for win in windows for p in win})
-        index = {p: i for i, p in enumerate(points)}
-        nseg = len(points) - 1
-        covered = np.zeros(nseg, dtype=bool)
-        for s, e in windows:
-            covered[index[s]:index[e]] = True
-        scale = np.zeros(nseg, dtype=np.float64)
-        for j in range(nseg):
-            if covered[j]:
-                scale[j] = math.sqrt(float(points[j + 1] - points[j])) * geom.eta
-
-        self.windows = windows
-        self.owner = np.asarray(owner, dtype=np.int64)
-        self.scale = scale
-        self.lo_idx = np.asarray([index[s] for s, _ in windows], dtype=np.int64)
-        self.hi_idx = np.asarray([index[e] for _, e in windows], dtype=np.int64)
-        self.region_bounds = np.concatenate(
-            ([0], np.cumsum([len(r) for r in geom.regions]))).astype(np.int64)
-        self.denom = np.asarray(
-            [math.sqrt(w) * geom.eta for w in geom.window_lens], dtype=np.float64)
-        self.amp = np.asarray(geom.amplitudes, dtype=np.float64)
-
-        self.vectorized = windows[-1][1] < _INT64_SAFE if windows else True
-        if self.vectorized:
-            self.starts = np.asarray([s for s, _ in windows], dtype=np.int64)
-            self.ends = np.asarray([e for _, e in windows], dtype=np.int64)
+    def __init__(self, params):
+        self.layout = params.layout
+        self.regions = params.layout.regions  # read by bench/tracer.py
+        self.table = table = params.layout.table
+        eta = math.sqrt(params.eta2)
+        points = np.unique(np.concatenate((table.starts, table.ends + 1)))
+        self.lo_idx = np.searchsorted(points, table.starts)
+        self.hi_idx = np.searchsorted(points, table.ends + 1)
+        depth = np.zeros(points.size, dtype=np.int64)
+        np.add.at(depth, self.lo_idx, 1)
+        np.add.at(depth, self.hi_idx, -1)
+        covered = np.cumsum(depth)[:-1] > 0
+        self.scale = np.where(
+            covered, np.sqrt(np.diff(points).astype(np.float64)) * eta, 0.0)
+        self.denom = np.sqrt(table.lens.astype(np.float64)) * eta
+        self.amplitudes = [params.amplitude(m)
+                           for m in range(1, params.layout.M + 1)]
+        self.threshold = params.threshold
 
     def noise_sums(self, rng: np.random.Generator) -> np.ndarray:
         inc = rng.normal(0.0, 1.0, size=self.scale.size) * self.scale
@@ -154,37 +97,21 @@ class _Plan:
 @dataclass(frozen=True)
 class StreamTrialResult:
     decoded: int | None
-    prefix_output: int  # output position right before the burst image
-    burst_output: int  # burst image width
+    diagnostics: TraceDiagnostics
+    fired: np.ndarray = field(compare=False)  # per window of the region table
 
 
-def stream_trial(geom: StreamGeometry, m: int, dist: StateDistribution,
+def stream_trial(plan: Plan, m: int, dist: StateDistribution,
                  rng: np.random.Generator) -> StreamTrialResult:
     """One encode/transmit/decode round without materializing the stream."""
-    if not (1 <= m <= len(geom.prefix_slots)):
-        raise ValueError(f"message {m} out of range")
-    a = sample_state_sum(dist, geom.prefix_slots[m - 1], rng)
-    g = sample_state_sum(dist, geom.burst_slots[m - 1], rng)
-    amp = geom.amplitudes[m - 1]
-    plan: _Plan = geom._plan
+    layout = plan.layout
+    layout.check_message(m)
+    a = sample_state_sum(dist, layout.prefix_slots[m - 1], rng)
+    g = sample_state_sum(dist, layout.burst_slots[m - 1], rng)
     noise = plan.noise_sums(rng)
-
-    if plan.vectorized:
-        lo = np.maximum(plan.starts, a + 1)
-        hi = np.minimum(plan.ends - 1, a + g)
-        overlap = np.maximum(hi - lo + 1, 0)
-        stats = (amp * overlap + noise) / plan.denom[plan.owner]
-        fired_win = stats >= geom.threshold
-        hits = [r + 1 for r in range(len(geom.regions))
-                if fired_win[plan.region_bounds[r]:plan.region_bounds[r + 1]].any()]
-    else:
-        fired = [False] * len(geom.regions)
-        for (s, e), r, nz in zip(plan.windows, plan.owner, noise):
-            ov = min(e - 1, a + g) - max(s, a + 1) + 1
-            signal = amp * float(ov) if ov > 0 else 0.0
-            if (signal + nz) / plan.denom[r] >= geom.threshold:
-                fired[r] = True
-        hits = [i + 1 for i, f in enumerate(fired) if f]
-
-    decoded = hits[0] if len(hits) == 1 else None
-    return StreamTrialResult(decoded=decoded, prefix_output=a, burst_output=g)
+    overlap = plan.table.overlaps(a, g)
+    signal = plan.amplitudes[m - 1] * overlap.astype(np.float64)
+    fired = (signal + noise) / plan.denom >= plan.threshold
+    return StreamTrialResult(
+        decoded=plan.table.decide(fired), fired=fired,
+        diagnostics=geometry_diagnostics(m, a, g, layout))

@@ -91,30 +91,6 @@ class StateDistribution:
         """Deterministic repetition: every symbol emitted exactly k times."""
         return cls(((int(k), 1.0),))
 
-    @classmethod
-    def from_pmf(cls, pmf, coverage: float = 1.0 - 1e-12,
-                 max_state: int = 1_000_000) -> "StateDistribution":
-        """Truncate an unbounded pmf over {0, 1, 2, ...} and renormalize.
-
-        States are accumulated in order until their mass reaches ``coverage``.
-        """
-        if not (0.0 < coverage <= 1.0):
-            raise ValueError("coverage must be in (0, 1]")
-        pairs = []
-        mass = 0.0
-        for k in range(max_state + 1):
-            p = float(pmf(k))
-            if p < 0:
-                raise ValueError(f"pmf({k}) = {p} is negative")
-            if p > 0:
-                pairs.append((k, p))
-                mass += p
-            if mass >= coverage:
-                break
-        else:
-            raise ValueError(f"coverage {coverage} not reached by state {max_state}")
-        return cls(tuple((k, p / mass) for k, p in pairs))
-
 
 @dataclass(frozen=True, eq=False)
 class StateSequence:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import codec_compound, codec_dmc, codec_gauss, harness, info
 from .channel import Dmc, GaussianNoise, back_end_from_dict, state_dist_from_dict
@@ -109,18 +109,9 @@ def _cmd_params(args) -> int:
             raise InvalidConfigError("scheme dmc expects a dmc channel file")
         params = codec_dmc.derive_params(args.M, args.epsilon, args.delta,
                                          _idc_from_args(args), back, args.x_star)
-        payload = asdict(params)
-        payload["codeword_len"] = params.codeword_len
-        payload["region_sizes"] = _region_sizes(
-            [codec_dmc.decision_region(m, params) for m in range(1, args.M + 1)])
     elif args.scheme == "gauss":
         params = codec_gauss.derive_params(args.M, args.epsilon, args.delta,
                                            _idc_from_args(args), args.eta2)
-        payload = asdict(params)
-        payload["codeword_len"] = params.codeword_len
-        payload["energy"] = params.energy
-        payload["region_sizes"] = _region_sizes(
-            [codec_gauss.decision_region(m, params) for m in range(1, args.M + 1)])
     else:
         if None in (args.mu1, args.mu2, args.sigma2):
             raise InvalidConfigError(
@@ -128,11 +119,16 @@ def _cmd_params(args) -> int:
         params = codec_compound.derive_params(args.M, args.epsilon, args.delta,
                                               args.mu1, args.mu2, args.sigma2,
                                               args.eta2)
-        payload = asdict(params)
-        payload["region_sizes"] = _region_sizes(payload.pop("regions"))
+    payload = asdict(replace(params, layout=None))
+    del payload["layout"]  # summarized, not dumped
+    payload["region_sizes"] = _region_sizes(params.layout.regions)
+    if args.scheme == "compound":
         payload["block_len"] = params.block_len
-        payload["energy"] = params.energy
         payload["schedule"] = asdict(codec_compound.schedule_diagnostics(params))
+    else:
+        payload["codeword_len"] = params.codeword_len
+    if args.scheme != "dmc":
+        payload["energy"] = params.energy
     _emit(payload, args.out)
     return 0
 

@@ -25,15 +25,16 @@ equivalent statistics instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _exact
-from .channel import ChannelOutput, StateSequence
+from ._layout import Drift, Layout
+from .codec_gauss import decode  # noqa: F401  (the Gaussian window-sum decoder)
 from .errors import InvalidConfigError
-from .rng import as_generator
 
 MAX_MATERIALIZED = 1 << 26  # refuse to allocate codewords beyond this many slots
 
@@ -53,11 +54,11 @@ class CompoundSchemeParams:
     widths: tuple[int, ...]  # B_m: burst slot counts
     spacings: tuple[int, ...]  # region grid step per message (index 0 unused)
     window_lens: tuple[int, ...]
-    regions: tuple[tuple[int, ...], ...]
+    layout: Layout = field(repr=False, compare=False)
 
     @property
     def block_len(self) -> int:
-        return self.offsets[-1] + self.widths[-1]
+        return self.layout.codeword_len
 
     @property
     def energy(self) -> float:
@@ -117,6 +118,11 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         offsets.append(n_m)
         widths.append(b_m)
         spacings.append(sp)
+    # amplitudes, slack and noise scales take these slot counts as floats
+    if max(offsets[-1], widths[-1]) > sys.float_info.max:
+        raise InvalidConfigError(
+            f"the burst schedule at M={M} overflows a float; the geometric "
+            "offsets outgrow every amplitude and window scale")
 
     window_lens = []
     for b_m in widths:
@@ -127,7 +133,7 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
                 f"burst width {b_m}")
         window_lens.append(w)
 
-    regions: list[tuple[int, ...]] = [(1,)]
+    regions = [range(1, 2)]
     for m in range(2, M + 1):
         n_m = offsets[m - 1]
         reg = _exact.multiples_between(spacings[m - 1],
@@ -138,6 +144,17 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
                 "overshoots the drift interval at this size")
         regions.append(reg)
 
+    # the open interval (lo_rate * n, hi_rate * n) as a ball around its middle
+    rate_window = Drift((lo_rate + hi_rate) / 2,
+                        spread_sq=((hi_rate - lo_rate) / 2) ** 2)
+    log2_m = math.log2(M)
+    layout = Layout(
+        codeword_len=offsets[-1] + widths[-1], prefix_slots=tuple(offsets),
+        burst_slots=tuple(widths),
+        prefix_drift=rate_window, burst_drift=rate_window,
+        window_lens=tuple(window_lens), regions=tuple(regions),
+        slack=tuple(n / log2_m for n in offsets))
+
     log_m = math.log(M)
     x_star = (1.0 + delta) * math.sqrt(eta2) * math.sqrt(
         (2.0 + delta) * log_m / float(lo_rate))
@@ -146,9 +163,9 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         M=M, epsilon=float(epsilon), delta=float(delta), mu1=float(mu1),
         mu2=float(mu2), sigma2=float(sigma2), eta2=float(eta2),
         x_star=x_star, threshold=threshold,
-        offsets=tuple(offsets), widths=tuple(widths),
-        spacings=tuple(spacings), window_lens=tuple(window_lens),
-        regions=tuple(regions))
+        offsets=layout.prefix_slots, widths=layout.burst_slots,
+        spacings=tuple(spacings), window_lens=layout.window_lens,
+        layout=layout)
 
 
 @dataclass(frozen=True)
@@ -179,8 +196,9 @@ def schedule_diagnostics(params: CompoundSchemeParams) -> ScheduleDiagnostics:
         reach = hi_rate * (params.offsets[m - 1] + params.widths[m - 1])
         if reach > lo_rate * params.offsets[m]:
             separate = False
-        last_end = params.regions[m - 1][-1] + params.window_lens[m - 1] - 1
-        if last_end >= params.regions[m][0]:
+        regions = params.layout.regions
+        last_end = regions[m - 1][-1] + params.window_lens[m - 1] - 1
+        if last_end >= regions[m][0]:
             disjoint = False
     return ScheduleDiagnostics(offsets_separate=separate,
                                windows_disjoint=disjoint)
@@ -195,9 +213,7 @@ def window_length(m: int, params: CompoundSchemeParams) -> int:
 
 def decision_region(m: int, params: CompoundSchemeParams) -> tuple[int, ...]:
     """Grid positions the burst of message m can drift to."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    return params.regions[m - 1]
+    return params.layout.region(m)
 
 
 def encode(m: int, params: CompoundSchemeParams,
@@ -214,105 +230,3 @@ def encode(m: int, params: CompoundSchemeParams,
     start = params.offsets[m - 1]
     x[start:start + params.widths[m - 1]] = params.amplitude(m)
     return x
-
-
-def decode(y: ChannelOutput | np.ndarray, params: CompoundSchemeParams,
-           seed=None) -> int | None:
-    """Unique-region rule with per-message window lengths.
-
-    The statistic for a window of region m is the window sum normalized by
-    sqrt(window_lens[m]) in unit-noise coordinates; nothing here depends on
-    the realized repetition rate.
-    """
-    samples = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
-    samples = samples.astype(np.float64, copy=False)
-    max_end = max(reg[-1] + params.window_lens[i]
-                  for i, reg in enumerate(params.regions)) - 1
-    if max_end > samples.size:
-        rng = as_generator(seed)
-        pad = rng.normal(0.0, math.sqrt(params.eta2), size=max_end - samples.size)
-        samples = np.concatenate([samples, pad])
-    cs = np.concatenate(([0.0], np.cumsum(samples)))
-    eta = math.sqrt(params.eta2)
-    hits = []
-    for m in range(1, params.M + 1):
-        w = params.window_lens[m - 1]
-        starts = np.asarray(params.regions[m - 1], dtype=np.int64)
-        stats = (cs[starts - 1 + w] - cs[starts - 1]) / (math.sqrt(w) * eta)
-        if np.any(stats >= params.threshold):
-            hits.append(m)
-    if len(hits) == 1:
-        return hits[0]
-    return None
-
-
-@dataclass(frozen=True)
-class TraceDiagnostics:
-    """Drift events and geometry for one realized timing trace.
-
-    The drift intervals are the rate-window ones: the prefix image must land
-    in ((mu1-delta)*N_m, (mu2+delta)*N_m) and the burst image width in the
-    matching interval for B_m.  full_burst_window_exists allows the analysis
-    slack of N_m / log2(M) samples.
-    """
-
-    prefix_drift_out: bool
-    burst_spread_out: bool
-    wrong_windows_all_zero: bool
-    full_burst_window_exists: bool
-    prefix_output: int
-    burst_output: int
-
-
-def trace_diagnostics(m: int, states: StateSequence,
-                      params: CompoundSchemeParams) -> TraceDiagnostics:
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    if len(states) != params.block_len:
-        raise ValueError("state trace length does not match the block")
-    n_m = params.offsets[m - 1]
-    b_m = params.widths[m - 1]
-    a = int(states.states[:n_m].sum())
-    g = int(states.states[n_m:n_m + b_m].sum())
-    return geometry_diagnostics(m, a, g, params)
-
-
-def geometry_diagnostics(m: int, prefix_output: int, burst_output: int,
-                         params: CompoundSchemeParams) -> TraceDiagnostics:
-    """Same evaluation from the two output-length sums alone."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    b_m = params.widths[m - 1]
-    n_m = params.offsets[m - 1]
-    a = int(prefix_output)
-    g = int(burst_output)
-
-    lo_rate = _exact.frac(params.mu1) - _exact.frac(params.delta)
-    hi_rate = _exact.frac(params.mu2) + _exact.frac(params.delta)
-    e3 = n_m > 0 and not (lo_rate * n_m < a < hi_rate * n_m)
-    e4 = not (lo_rate * b_m < g < hi_rate * b_m)
-
-    silent = True
-    for mm in range(1, params.M + 1):
-        if mm == m:
-            continue
-        w = params.window_lens[mm - 1]
-        for pos in params.regions[mm - 1]:
-            if pos <= a + g and pos + w - 1 >= a + 1:
-                silent = False
-                break
-        if not silent:
-            break
-    w = params.window_lens[m - 1]
-    slack = params.offsets[m - 1] / math.log2(params.M)
-    covered = False
-    if g > 0:
-        for pos in params.regions[m - 1]:
-            overlap = min(pos + w - 1, a + g) - max(pos, a + 1) + 1
-            if overlap >= w - slack:
-                covered = True
-                break
-    return TraceDiagnostics(
-        prefix_drift_out=e3, burst_spread_out=e4,
-        wrong_windows_all_zero=silent, full_burst_window_exists=covered,
-        prefix_output=a, burst_output=g)

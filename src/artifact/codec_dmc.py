@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import _exact
-from .channel import ChannelOutput, Dmc, StateDistribution, StateSequence
+from ._layout import Layout, guard_blocks
+from .channel import ChannelOutput, Dmc, StateDistribution
 from .errors import InvalidConfigError
 from .info import kl_divergence
 from .rng import as_generator
@@ -50,6 +50,17 @@ class GuardDiagnostics:
     wrong_windows_clear: bool
     wrong_windows_clear_jitter: bool
 
+    @classmethod
+    def evaluate(cls, N: int, B: int, mu: float, nu_sq: Fraction,
+                 beta_sq: Fraction) -> "GuardDiagnostics":
+        nmu = Fraction(N) * _exact.frac(mu)
+        clear = Fraction(N - B) * _exact.frac(mu)
+        return cls(
+            regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
+            wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
+            wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq,
+                                                          beta_sq))
+
 
 @dataclass(frozen=True)
 class DmcSchemeParams:
@@ -68,6 +79,7 @@ class DmcSchemeParams:
     nu: float
     window_len: int
     diagnostics: GuardDiagnostics
+    layout: Layout = field(repr=False, compare=False)
     threshold: float | None = None
 
     @property
@@ -76,14 +88,6 @@ class DmcSchemeParams:
 
     def with_threshold(self, tau: float) -> "DmcSchemeParams":
         return replace(self, threshold=float(tau))
-
-
-def _nu_sq(params) -> Fraction:
-    return (4 * params.M * params.N) * _exact.frac(params.sigma2) / _exact.frac(params.epsilon)
-
-
-def _beta_sq(params) -> Fraction:
-    return (4 * params.B) * _exact.frac(params.sigma2) / _exact.frac(params.epsilon)
 
 
 def derive_params(M: int, epsilon: float, delta: float,
@@ -145,18 +149,14 @@ def derive_params(M: int, epsilon: float, delta: float,
             "detection window collapsed; timing jitter is too large for "
             f"this configuration (B*mu={B * mu:.3f}, beta={math.sqrt(float(beta_sq)):.3f})")
 
-    nmu = Fraction(N) * _exact.frac(mu)
-    clear = Fraction(N - B) * _exact.frac(mu)
-    diagnostics = GuardDiagnostics(
-        regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
-        wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
-        wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq, beta_sq),
-    )
     return DmcSchemeParams(
         M=M, epsilon=float(epsilon), delta=float(delta), mu=float(mu),
         sigma2=float(sigma2), x_star=int(x_star), divergence=float(div),
         N=N, B=B, beta=math.sqrt(float(beta_sq)), nu=math.sqrt(float(nu_sq)),
-        window_len=window_len, diagnostics=diagnostics)
+        window_len=window_len,
+        diagnostics=GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq),
+        layout=guard_blocks(M, N, B, mu, nu_sq, beta_sq, window_len,
+                            step=1, slack=0))
 
 
 def encode(m: int, params: DmcSchemeParams) -> np.ndarray:
@@ -176,24 +176,7 @@ def decision_region(m: int, params: DmcSchemeParams) -> tuple[int, ...]:
     within nu of (m-1)*N*mu + 1.  With zero jitter the radius degenerates and
     the region is the single center point.
     """
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    if m == 1:
-        return (1,)
-    center = Fraction((m - 1) * params.N) * _exact.frac(params.mu) + 1
-    return _exact.ints_in_open(center, _nu_sq(params))
-
-
-@lru_cache(maxsize=32)
-def _region_table(params: DmcSchemeParams):
-    """All regions, flattened for vectorized testing: (starts, slice bounds)."""
-    regions = [decision_region(m, params) for m in range(1, params.M + 1)]
-    bounds = np.zeros(params.M + 1, dtype=np.int64)
-    for i, reg in enumerate(regions):
-        bounds[i + 1] = bounds[i] + len(reg)
-    starts = np.fromiter((p for reg in regions for p in reg), dtype=np.int64,
-                         count=int(bounds[-1]))
-    return regions, starts, bounds
+    return params.layout.region(m)
 
 
 def _llr_tables(params: DmcSchemeParams, channel: Dmc):
@@ -306,84 +289,13 @@ def decode(y: ChannelOutput | np.ndarray, params: DmcSchemeParams,
         raise InvalidConfigError("threshold not calibrated; run calibrate_threshold")
     symbols = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
     symbols = symbols.astype(np.int64, copy=False)
-    regions, starts, bounds = _region_table(params)
-    max_end = int(starts.max()) + params.window_len - 1
-    if max_end > symbols.size:
+    table = params.layout.table
+    if table.last_end > symbols.size:
         rng = as_generator(seed)
-        pad = rng.choice(channel.num_outputs, size=max_end - symbols.size,
+        pad = rng.choice(channel.num_outputs, size=table.last_end - symbols.size,
                          p=channel.w[0])
         symbols = np.concatenate([symbols, pad])
     llr, imp1, imp0 = _llr_tables(params, channel)
-    stats = _window_stats(symbols, starts, params.window_len, llr, imp1, imp0)
-    fired = stats >= params.threshold
-    hits = [m for m in range(1, params.M + 1)
-            if fired[bounds[m - 1]:bounds[m]].any()]
-    if len(hits) == 1:
-        return hits[0]
-    return None
-
-
-@dataclass(frozen=True)
-class TraceDiagnostics:
-    """What the realized timing states imply for one transmitted message.
-
-    prefix_drift_out / burst_spread_out flag the two drift events the scheme
-    budgets epsilon/4 each for.  When both are clear, the remaining fields
-    certify the geometric picture the error analysis relies on: every window
-    of a wrong region sees only idle symbols, and at least one window of the
-    right region sits entirely inside the burst image.
-    """
-
-    prefix_drift_out: bool
-    burst_spread_out: bool
-    wrong_windows_all_zero: bool
-    full_burst_window_exists: bool
-    prefix_output: int
-    burst_output: int
-
-
-def trace_diagnostics(m: int, states: StateSequence,
-                      params: DmcSchemeParams) -> TraceDiagnostics:
-    """Evaluate the drift events and window/burst geometry from a state trace."""
-    if len(states) != params.codeword_len:
-        raise ValueError("state trace length does not match the codeword")
-    prefix = (m - 1) * params.N
-    a = int(states.states[:prefix].sum())
-    g = int(states.states[prefix:prefix + params.B].sum())
-    return geometry_diagnostics(m, a, g, params)
-
-
-def geometry_diagnostics(m: int, prefix_output: int, burst_output: int,
-                         params: DmcSchemeParams) -> TraceDiagnostics:
-    """Same evaluation from the two output-length sums alone.
-
-    Every field of TraceDiagnostics is a function of where the burst image
-    lands, which is fully determined by the prefix output length and the
-    burst image width; the streamed simulator uses this entry point.
-    """
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    prefix = (m - 1) * params.N
-    a = int(prefix_output)
-    g = int(burst_output)
-
-    d = Fraction(a) - Fraction(prefix) * _exact.frac(params.mu)
-    e3 = not (d == 0 or d * d < _nu_sq(params))
-    db = Fraction(g) - Fraction(params.B) * _exact.frac(params.mu)
-    e4 = not (db == 0 or db * db < _beta_sq(params))
-
-    w = params.window_len
-    regions, starts, bounds = _region_table(params)
-    own = slice(int(bounds[m - 1]), int(bounds[m]))
-    others = np.concatenate([starts[:bounds[m - 1]], starts[bounds[m]:]])
-    if g == 0:
-        silent = True
-        covered = False
-    else:
-        silent = not np.any((others >= a + 2 - w) & (others <= a + g))
-        mine = starts[own]
-        covered = bool(np.any((mine >= a + 1) & (mine + w - 1 <= a + g)))
-    return TraceDiagnostics(
-        prefix_drift_out=e3, burst_spread_out=e4,
-        wrong_windows_all_zero=silent, full_burst_window_exists=covered,
-        prefix_output=a, burst_output=g)
+    stats = _window_stats(symbols, table.starts, params.window_len,
+                          llr, imp1, imp0)
+    return table.decide(stats >= params.threshold)

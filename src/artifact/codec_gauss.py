@@ -12,14 +12,14 @@ Positions are 1-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import _exact
-from .channel import ChannelOutput, StateDistribution, StateSequence
+from ._layout import Layout, guard_blocks
+from .channel import ChannelOutput, StateDistribution
 from .codec_dmc import GuardDiagnostics
 from .errors import InvalidConfigError
 from .rng import as_generator
@@ -42,6 +42,7 @@ class GaussSchemeParams:
     x_star: float  # physical burst amplitude, noise scale folded in
     threshold: float  # in unit-noise coordinates
     diagnostics: GuardDiagnostics
+    layout: Layout = field(repr=False, compare=False)
 
     @property
     def codeword_len(self) -> int:
@@ -52,13 +53,9 @@ class GaussSchemeParams:
         """Energy of every codeword: B * x_star^2."""
         return self.B * self.x_star ** 2
 
-
-def _nu_sq(params) -> Fraction:
-    return (4 * params.M * params.N) * _exact.frac(params.sigma2) / _exact.frac(params.epsilon)
-
-
-def _beta_sq(params) -> Fraction:
-    return (4 * params.B) * _exact.frac(params.sigma2) / _exact.frac(params.epsilon)
+    def amplitude(self, m: int) -> float:
+        """Burst amplitude of message m: x_star for every message."""
+        return self.x_star
 
 
 def derive_params(M: int, epsilon: float, delta: float,
@@ -113,25 +110,21 @@ def derive_params(M: int, epsilon: float, delta: float,
         (2.0 + delta) * log_m / (B * mu))
     threshold = math.sqrt((2.0 + delta) * log_m)
 
-    nmu = Fraction(N) * _exact.frac(mu)
-    clear = Fraction(N - B) * _exact.frac(mu)
-    diagnostics = GuardDiagnostics(
-        regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
-        wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
-        wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq, beta_sq),
-    )
-    params = GaussSchemeParams(
+    layout = guard_blocks(M, N, B, mu, nu_sq, beta_sq, window_len,
+                          step=spacing, slack=M / math.log2(M))
+    for m, region in enumerate(layout.regions, start=1):
+        if not region:
+            raise InvalidConfigError(
+                f"decision region for message {m} is empty; "
+                "the spacing grid misses the drift interval at this size")
+    return GaussSchemeParams(
         M=M, epsilon=float(epsilon), delta=float(delta), mu=float(mu),
         sigma2=float(sigma2), eta2=float(eta2), N=N, B=B,
         beta=math.sqrt(float(beta_sq)), nu=math.sqrt(float(nu_sq)),
         window_len=window_len, spacing=spacing, x_star=x_star,
-        threshold=threshold, diagnostics=diagnostics)
-    for m in range(2, M + 1):
-        if not decision_region(m, params):
-            raise InvalidConfigError(
-                f"decision region for message {m} is empty; "
-                "the spacing grid misses the drift interval at this size")
-    return params
+        threshold=threshold,
+        diagnostics=GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq),
+        layout=layout)
 
 
 def encode(m: int, params: GaussSchemeParams) -> np.ndarray:
@@ -146,23 +139,7 @@ def encode(m: int, params: GaussSchemeParams) -> np.ndarray:
 
 def decision_region(m: int, params: GaussSchemeParams) -> tuple[int, ...]:
     """Multiples of the spacing within nu of (m-1)*N*mu + 1 (message 1: just {1})."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    if m == 1:
-        return (1,)
-    center = Fraction((m - 1) * params.N) * _exact.frac(params.mu) + 1
-    return _exact.multiples_in_open(params.spacing, center, _nu_sq(params))
-
-
-@lru_cache(maxsize=32)
-def _region_table(params: GaussSchemeParams):
-    regions = [decision_region(m, params) for m in range(1, params.M + 1)]
-    bounds = np.zeros(params.M + 1, dtype=np.int64)
-    for i, reg in enumerate(regions):
-        bounds[i + 1] = bounds[i] + len(reg)
-    starts = np.fromiter((p for reg in regions for p in reg), dtype=np.int64,
-                         count=int(bounds[-1]))
-    return regions, starts, bounds
+    return params.layout.region(m)
 
 
 def correlate(window: np.ndarray, params: GaussSchemeParams) -> float:
@@ -174,89 +151,26 @@ def correlate(window: np.ndarray, params: GaussSchemeParams) -> float:
     return float(arr.sum()) / (math.sqrt(params.window_len) * math.sqrt(params.eta2))
 
 
-def decode(y: ChannelOutput | np.ndarray, params: GaussSchemeParams,
-           seed=None) -> int | None:
+def decode(y: ChannelOutput | np.ndarray, params, seed=None) -> int | None:
     """Unique-region rule over normalized window sums.
 
-    A window fires when its statistic reaches the threshold (ties go to the
-    burst).  Windows running past the received stream are completed with
-    fresh noise-only samples; pass a seed to pin that padding down.
+    Serves both Gaussian-back-end schemes: params is a GaussSchemeParams or
+    a codec_compound.CompoundSchemeParams.  A window's statistic is its sum
+    over sqrt(window length) in unit-noise coordinates, and it fires when
+    the statistic reaches the threshold (ties go to the burst).  Nothing
+    here depends on the realized repetition rate.  Windows running past
+    the received stream are completed with fresh noise-only samples; pass a
+    seed to pin that padding down.
     """
     samples = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
     samples = samples.astype(np.float64, copy=False)
-    regions, starts, bounds = _region_table(params)
-    max_end = int(starts.max()) + params.window_len - 1
-    if max_end > samples.size:
+    table = params.layout.table
+    eta = math.sqrt(params.eta2)
+    if table.last_end > samples.size:
         rng = as_generator(seed)
-        pad = rng.normal(0.0, math.sqrt(params.eta2), size=max_end - samples.size)
+        pad = rng.normal(0.0, eta, size=table.last_end - samples.size)
         samples = np.concatenate([samples, pad])
     cs = np.concatenate(([0.0], np.cumsum(samples)))
-    lo = starts - 1
-    stats = (cs[lo + params.window_len] - cs[lo]) / (
-        math.sqrt(params.window_len) * math.sqrt(params.eta2))
-    fired = stats >= params.threshold
-    hits = [m for m in range(1, params.M + 1)
-            if fired[bounds[m - 1]:bounds[m]].any()]
-    if len(hits) == 1:
-        return hits[0]
-    return None
-
-
-@dataclass(frozen=True)
-class TraceDiagnostics:
-    """Drift events and window/burst geometry implied by a state trace.
-
-    full_burst_window_exists here allows the slack the analysis allows: some
-    window of the right region overlaps the burst image in all but at most
-    M / log2(M) of its samples.
-    """
-
-    prefix_drift_out: bool
-    burst_spread_out: bool
-    wrong_windows_all_zero: bool
-    full_burst_window_exists: bool
-    prefix_output: int
-    burst_output: int
-
-
-def trace_diagnostics(m: int, states: StateSequence,
-                      params: GaussSchemeParams) -> TraceDiagnostics:
-    if len(states) != params.codeword_len:
-        raise ValueError("state trace length does not match the codeword")
-    prefix = (m - 1) * params.N
-    a = int(states.states[:prefix].sum())
-    g = int(states.states[prefix:prefix + params.B].sum())
-    return geometry_diagnostics(m, a, g, params)
-
-
-def geometry_diagnostics(m: int, prefix_output: int, burst_output: int,
-                         params: GaussSchemeParams) -> TraceDiagnostics:
-    """Same evaluation from the two output-length sums alone."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    prefix = (m - 1) * params.N
-    a = int(prefix_output)
-    g = int(burst_output)
-
-    d = Fraction(a) - Fraction(prefix) * _exact.frac(params.mu)
-    e3 = not (d == 0 or d * d < _nu_sq(params))
-    db = Fraction(g) - Fraction(params.B) * _exact.frac(params.mu)
-    e4 = not (db == 0 or db * db < _beta_sq(params))
-
-    w = params.window_len
-    regions, starts, bounds = _region_table(params)
-    others = np.concatenate([starts[:bounds[m - 1]], starts[bounds[m]:]])
-    if g == 0:
-        silent = True
-        covered = False
-    else:
-        silent = not np.any((others >= a + 2 - w) & (others <= a + g))
-        mine = starts[bounds[m - 1]:bounds[m]]
-        lo = np.maximum(mine, a + 1)
-        hi = np.minimum(mine + w - 1, a + g)
-        overlap = np.maximum(hi - lo + 1, 0)
-        covered = bool(np.any(overlap >= w - params.M / math.log2(params.M)))
-    return TraceDiagnostics(
-        prefix_drift_out=e3, burst_spread_out=e4,
-        wrong_windows_all_zero=silent, full_burst_window_exists=covered,
-        prefix_output=a, burst_output=g)
+    stats = (cs[table.ends] - cs[table.starts - 1]) / (
+        np.sqrt(table.lens.astype(np.float64)) * eta)
+    return table.decide(stats >= params.threshold)

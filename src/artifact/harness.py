@@ -6,6 +6,12 @@ Report with the observed error rate, a Wilson confidence interval, the
 deterministic per-codeword cost, and diagnostic tallies of the drift events
 the error analysis budgets for.
 
+Each back end has one trial path.  The Gaussian and compound schemes are
+streamed (_sparse.stream_trial), which is exact in law and never builds the
+received stream.  The DMC scheme has no streamed kernel: its trials run the
+materialising encode -> ids_channel -> decode pipeline, for codewords of at
+most DMC_MAX_SLOTS slots.
+
 Reproducibility contract: a report is a pure function of its config.  Every
 trial draws from its own seed spawned from base_seed, and results are merged
 in trial order, so the worker count never changes the numbers.
@@ -18,24 +24,39 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 from scipy.stats import norm as _norm
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
-from .channel import (Dmc, GaussianNoise, StateDistribution, ids_channel,
+from ._layout import trace_diagnostics
+from .channel import (Dmc, StateDistribution, ids_channel,
                       state_dist_from_dict, state_dist_to_dict)
 from .errors import InvalidConfigError
 from .rng import as_generator
 
-DIRECT_CAP_DEFAULT = 1 << 22  # largest stream the direct simulator will materialize
+DMC_MAX_SLOTS = 1 << 22  # longest codeword a DMC trial will materialize
 
 _SCHEMES = ("dmc", "gauss", "compound")
-_SIMULATIONS = ("auto", "direct", "sparse")
+_INT_FIELDS = ("M", "trials", "base_seed", "x_star", "calibration_trials",
+               "workers")
+_REAL_FIELDS = ("epsilon", "delta", "eta2", "confidence", "mu1", "mu2",
+                "sigma2_bound")
+_OPTIONAL_FIELDS = ("workers", "mu1", "mu2", "sigma2_bound")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -55,8 +76,6 @@ class ExperimentConfig:
     sigma2_bound: float | None = None
     message_selection: str | int = "uniform"  # or "exhaustive", or a fixed message
     calibration_trials: int = 4096
-    simulation: str = "auto"
-    direct_cap: int = DIRECT_CAP_DEFAULT
     confidence: float = 0.95
     workers: int | None = None  # None: take ARTIFACT_THREADS, default 1
 
@@ -64,27 +83,38 @@ class ExperimentConfig:
         if self.scheme not in _SCHEMES:
             raise InvalidConfigError(
                 f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        if self.simulation not in _SIMULATIONS:
-            raise InvalidConfigError(
-                f"unknown simulation mode {self.simulation!r}; "
-                f"expected one of {_SIMULATIONS}")
+        for names, ok, kind in ((_INT_FIELDS, _is_int, "an integer"),
+                                (_REAL_FIELDS, _is_real, "a finite number")):
+            for name in names:
+                value = getattr(self, name)
+                if not (ok(value) or value is None and name in _OPTIONAL_FIELDS):
+                    raise InvalidConfigError(
+                        f"{name} must be {kind}, got {value!r}")
         if self.trials < 1:
             raise InvalidConfigError("need at least one trial")
+        if self.base_seed < 0:
+            raise InvalidConfigError("base_seed must be nonnegative")
         if not isinstance(self.idc, StateDistribution):
             raise InvalidConfigError("idc must be a StateDistribution")
         if not (0.0 < self.confidence < 1.0):
             raise InvalidConfigError("confidence must sit strictly inside (0, 1)")
-        if self.direct_cap < 1:
-            raise InvalidConfigError("direct_cap must be positive")
-        if isinstance(self.message_selection, str):
-            if self.message_selection not in ("uniform", "exhaustive"):
-                raise InvalidConfigError(
-                    "message_selection must be uniform, exhaustive, or a message")
-        elif not (1 <= int(self.message_selection) <= self.M):
+        selection = self.message_selection
+        if not (_is_int(selection) or selection in ("uniform", "exhaustive")):
             raise InvalidConfigError(
-                f"fixed message {self.message_selection} outside 1..{self.M}")
-        if self.scheme == "dmc" and self.dmc is None:
-            raise InvalidConfigError("scheme 'dmc' needs a back-end channel")
+                "message_selection must be uniform, exhaustive, or a message")
+        if _is_int(selection) and not (1 <= selection <= self.M):
+            raise InvalidConfigError(
+                f"fixed message {selection} outside 1..{self.M}")
+        if self.scheme == "dmc":
+            if not isinstance(self.dmc, Dmc):
+                raise InvalidConfigError("scheme 'dmc' needs a back-end channel")
+            # the threshold is the floor(calibration_trials * epsilon/4)-th
+            # smallest statistic; at 0 it is the minimum, which bounds nothing
+            if self.calibration_trials * self.epsilon / 4 < 1:
+                raise InvalidConfigError(
+                    f"calibration_trials={self.calibration_trials} is too few "
+                    f"to calibrate a miss rate of epsilon/4: "
+                    "calibration_trials * epsilon / 4 must reach 1")
         if self.scheme == "compound" and None in (self.mu1, self.mu2,
                                                   self.sigma2_bound):
             raise InvalidConfigError(
@@ -92,16 +122,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise InvalidConfigError("an experiment config must be an object")
+        fields = cls.__dataclass_fields__
+        extra = set(d) - set(fields)
         if extra:
             raise InvalidConfigError(
                 f"unknown config keys: {', '.join(sorted(extra))}")
+        missing = [name for name, f in fields.items()
+                   if f.default is MISSING and name not in d]
+        if missing:
+            raise InvalidConfigError(
+                f"missing config keys: {', '.join(missing)}")
         kwargs = dict(d)
-        if "idc" not in kwargs:
+        if not isinstance(kwargs["idc"], dict):
             raise InvalidConfigError("config needs an idc state distribution")
         kwargs["idc"] = state_dist_from_dict(kwargs["idc"])
         if kwargs.get("dmc") is not None:
+            if not isinstance(kwargs["dmc"], dict):
+                raise InvalidConfigError("dmc must be an object with w and cost")
             kwargs["dmc"] = Dmc.from_dict(kwargs["dmc"])
         return cls(**kwargs)
 
@@ -113,7 +152,6 @@ class ExperimentConfig:
             "x_star": self.x_star, "eta2": self.eta2,
             "message_selection": self.message_selection,
             "calibration_trials": self.calibration_trials,
-            "simulation": self.simulation, "direct_cap": self.direct_cap,
             "confidence": self.confidence,
         }
         if self.dmc is not None:
@@ -135,7 +173,6 @@ class Report:
     error_ci_high: float
     codeword_cost: float  # deterministic input cost of every codeword
     rate_per_unit_cost: float  # log2(M) / codeword_cost
-    simulation: str
     wall_time_s: float
     diagnostics: dict
 
@@ -168,16 +205,11 @@ def wilson_interval(errors: int, trials: int,
 def derive_scheme_params(config: ExperimentConfig):
     """Scheme parameters for a config; the DMC threshold is left uncalibrated."""
     if config.scheme == "dmc":
-        if config.dmc is None:
-            raise InvalidConfigError("scheme dmc needs a dmc back end")
         return codec_dmc.derive_params(config.M, config.epsilon, config.delta,
                                        config.idc, config.dmc, config.x_star)
     if config.scheme == "gauss":
         return codec_gauss.derive_params(config.M, config.epsilon, config.delta,
                                          config.idc, config.eta2)
-    if None in (config.mu1, config.mu2, config.sigma2_bound):
-        raise InvalidConfigError(
-            "scheme compound needs mu1, mu2 and sigma2_bound")
     params = codec_compound.derive_params(
         config.M, config.epsilon, config.delta, config.mu1, config.mu2,
         config.sigma2_bound, config.eta2)
@@ -194,30 +226,6 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
     return float(params.energy)
 
 
-def _stream_length(config: ExperimentConfig, params) -> int:
-    return params.block_len if config.scheme == "compound" else params.codeword_len
-
-
-def _choose_simulation(config: ExperimentConfig, params) -> str:
-    length = _stream_length(config, params)
-    if config.scheme == "dmc":
-        if config.simulation == "sparse":
-            raise InvalidConfigError(
-                "no streamed simulator exists for the DMC back end")
-        if length > config.direct_cap:
-            raise InvalidConfigError(
-                f"codeword length {length} exceeds the direct cap "
-                f"{config.direct_cap}")
-        return "direct"
-    if config.simulation == "direct" and length > config.direct_cap:
-        raise InvalidConfigError(
-            f"stream length {length} exceeds the direct cap "
-            f"{config.direct_cap}; use simulation=sparse")
-    if config.simulation == "auto":
-        return "direct" if length <= config.direct_cap else "sparse"
-    return config.simulation
-
-
 @dataclass(frozen=True)
 class _TrialOutcome:
     error: bool
@@ -225,22 +233,7 @@ class _TrialOutcome:
     diag: object
 
 
-def _make_runner(config: ExperimentConfig, params, mode: str):
-    if mode == "sparse":
-        if config.scheme == "gauss":
-            geom = _sparse.geometry_from_gauss(params)
-            diag_fn = codec_gauss.geometry_diagnostics
-        else:
-            geom = _sparse.geometry_from_compound(params)
-            diag_fn = codec_compound.geometry_diagnostics
-
-        def run(m: int, ss) -> _TrialOutcome:
-            res = _sparse.stream_trial(geom, m, config.idc, as_generator(ss))
-            diag = diag_fn(m, res.prefix_output, res.burst_output, params)
-            return _TrialOutcome(res.decoded != m, res.decoded is None, diag)
-
-        return run
-
+def _make_runner(config: ExperimentConfig, params):
     if config.scheme == "dmc":
         def run(m: int, ss) -> _TrialOutcome:
             chan_ss, pad_ss = ss.spawn(2)
@@ -248,23 +241,17 @@ def _make_runner(config: ExperimentConfig, params, mode: str):
             y = ids_channel(x, config.idc, config.dmc, seed=chan_ss,
                             keep_trace=True)
             decoded = codec_dmc.decode(y, params, config.dmc, seed=pad_ss)
-            diag = codec_dmc.trace_diagnostics(m, y.idc_trace, params)
+            diag = trace_diagnostics(m, y.idc_trace, params.layout)
             return _TrialOutcome(decoded != m, decoded is None, diag)
 
         return run
 
-    if config.scheme == "gauss":
-        codec, noise = codec_gauss, GaussianNoise(config.eta2)
-    else:
-        codec, noise = codec_compound, GaussianNoise(config.eta2)
+    plan = _sparse.Plan(params)
 
     def run(m: int, ss) -> _TrialOutcome:
-        chan_ss, pad_ss = ss.spawn(2)
-        x = codec.encode(m, params)
-        y = ids_channel(x, config.idc, noise, seed=chan_ss, keep_trace=True)
-        decoded = codec.decode(y, params, seed=pad_ss)
-        diag = codec.trace_diagnostics(m, y.idc_trace, params)
-        return _TrialOutcome(decoded != m, decoded is None, diag)
+        res = _sparse.stream_trial(plan, m, config.idc, as_generator(ss))
+        return _TrialOutcome(res.decoded != m, res.decoded is None,
+                             res.diagnostics)
 
     return run
 
@@ -291,7 +278,10 @@ def run_trials(config: ExperimentConfig) -> Report:
     """Run the full experiment described by config.  Deterministic in config."""
     t0 = time.perf_counter()
     params = derive_scheme_params(config)
-    mode = _choose_simulation(config, params)
+    if config.scheme == "dmc" and params.codeword_len > DMC_MAX_SLOTS:
+        raise InvalidConfigError(
+            f"codeword length {params.codeword_len} exceeds {DMC_MAX_SLOTS}, "
+            "the most a DMC trial materializes")
 
     root = np.random.SeedSequence(config.base_seed)
     calib_ss, msg_ss, trial_root = root.spawn(3)
@@ -302,7 +292,7 @@ def run_trials(config: ExperimentConfig) -> Report:
 
     messages = _draw_messages(config, as_generator(msg_ss))
     seeds = trial_root.spawn(config.trials)
-    run = _make_runner(config, params, mode)
+    run = _make_runner(config, params)
 
     workers = _worker_count(config)
     if workers == 1:
@@ -338,14 +328,13 @@ def run_trials(config: ExperimentConfig) -> Report:
         error_rate=errors / config.trials, error_ci_low=lo, error_ci_high=hi,
         codeword_cost=cost,
         rate_per_unit_cost=math.log2(config.M) / cost,
-        simulation=mode, wall_time_s=time.perf_counter() - t0,
+        wall_time_s=time.perf_counter() - t0,
         diagnostics={"threshold": params.threshold, "guards": guards, **tallies})
 
 
 _SWEEP_REPORT_COLUMNS = (
     "valid", "error", "trials", "errors", "error_rate", "error_ci_low",
-    "error_ci_high", "codeword_cost", "rate_per_unit_cost", "simulation",
-    "wall_time_s")
+    "error_ci_high", "codeword_cost", "rate_per_unit_cost", "wall_time_s")
 
 
 def sweep(grid: dict) -> tuple[list[str], list[dict]]:
@@ -384,7 +373,7 @@ def sweep(grid: dict) -> tuple[list[str], list[dict]]:
                 error_ci_high=report.error_ci_high,
                 codeword_cost=report.codeword_cost,
                 rate_per_unit_cost=report.rate_per_unit_cost,
-                simulation=report.simulation, wall_time_s=report.wall_time_s)
+                wall_time_s=report.wall_time_s)
         rows.append(row)
     return columns, rows
 

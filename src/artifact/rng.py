@@ -21,7 +21,3 @@ def as_generator(seed=None) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn(seed, n: int) -> list[np.random.Generator]:
-    """n independent child generators, deterministic given the parent seed."""
-    return as_generator(seed).spawn(n)

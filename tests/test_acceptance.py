@@ -9,14 +9,15 @@ than being weakened until it fits.
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.stats import multinomial
 
-from artifact import _sparse, codec_dmc, codec_gauss, harness, info
+from artifact import _sparse, codec_dmc, harness, info
 from artifact import channel as ch
+from artifact._layout import trace_diagnostics
 from artifact import codec_compound as cc
 from artifact.channel import Dmc, StateDistribution
 from artifact.rng import as_generator
@@ -129,7 +130,7 @@ def q_tail(x: float) -> float:
 @dataclass(frozen=True)
 class TrialTally:
     error: bool  # the unique-region rule did not return the sent message
-    diag: object  # the codec's TraceDiagnostics for this trial
+    diag: object  # the layout's TraceDiagnostics for this trial
     own_fired: bool  # some window of the sent message's region fired
     wrong_fired: int  # windows outside the own region that fired
     wrong_windows: int  # windows outside the own region
@@ -142,8 +143,10 @@ def harness_trials(cfg: harness.ExperimentConfig):
     return zip((int(m) for m in messages), trial_root.spawn(cfg.trials))
 
 
-def tally(m: int, fired: np.ndarray, owner: np.ndarray, diag) -> TrialTally:
-    """Apply the unique-region rule to per-window firing flags."""
+def tally(m: int, fired: np.ndarray, bounds: np.ndarray, diag) -> TrialTally:
+    """Apply the unique-region rule to per-window firing flags; message k's
+    windows are the slice bounds[k-1]:bounds[k]."""
+    owner = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
     own = owner == m - 1
     hits = np.unique(owner[fired])
     decoded = int(hits[0]) + 1 if hits.size == 1 else None
@@ -151,51 +154,36 @@ def tally(m: int, fired: np.ndarray, owner: np.ndarray, diag) -> TrialTally:
                       int(fired[~own].sum()), int((~own).sum()))
 
 
-def streamed_tallies(cfg, params, geom, diag_fn) -> list[TrialTally]:
-    """Per-window tallies of the streamed trials (Gaussian back ends).
-
-    Mirrors _sparse.stream_trial draw for draw, so the decisions are the
-    ones a run_trials report with simulation="sparse" counts.
-    """
-    plan = geom._plan
+def streamed_tallies(cfg, params) -> list[TrialTally]:
+    """Per-window tallies of run_trials' own streamed trials (Gaussian back
+    ends): the same plan, messages and trial seeds."""
+    plan = _sparse.Plan(params)
     out = []
     for m, ss in harness_trials(cfg):
-        rng = as_generator(ss)
-        a = _sparse.sample_state_sum(cfg.idc, geom.prefix_slots[m - 1], rng)
-        g = _sparse.sample_state_sum(cfg.idc, geom.burst_slots[m - 1], rng)
-        noise = plan.noise_sums(rng)
-        if plan.vectorized:
-            overlap = np.maximum(np.minimum(plan.ends - 1, a + g)
-                                 - np.maximum(plan.starts, a + 1) + 1, 0)
-        else:
-            overlap = np.array([max(min(e - 1, a + g) - max(s, a + 1) + 1, 0)
-                                for s, e in plan.windows], dtype=np.float64)
-        stats = (geom.amplitudes[m - 1] * overlap + noise) / plan.denom[plan.owner]
-        out.append(tally(m, stats >= geom.threshold, plan.owner,
-                         diag_fn(m, a, g, params)))
+        res = _sparse.stream_trial(plan, m, cfg.idc, as_generator(ss))
+        out.append(tally(m, res.fired, plan.table.bounds, res.diagnostics))
     return out
 
 
 def dmc_tallies(cfg, params) -> list[TrialTally]:
     """Per-window tallies of run_trials' own materialised DMC trials."""
-    _, starts, bounds = codec_dmc._region_table(params)
-    owner = np.repeat(np.arange(cfg.M), np.diff(bounds))
+    table = params.layout.table
     llr, imp1, imp0 = codec_dmc._llr_tables(params, cfg.dmc)
-    span = int(starts.max()) + params.window_len - 1
     out = []
     for m, ss in harness_trials(cfg):
         chan_ss, pad_ss = ss.spawn(2)
         y = ch.ids_channel(codec_dmc.encode(m, params), cfg.idc, cfg.dmc,
                            seed=chan_ss, keep_trace=True)
         symbols = y.symbols.astype(np.int64)
-        if span > symbols.size:  # idle padding, drawn as codec_dmc.decode does
+        if table.last_end > symbols.size:  # idle padding, as decode draws it
             pad = as_generator(pad_ss).choice(
-                cfg.dmc.num_outputs, size=span - symbols.size, p=cfg.dmc.w[0])
+                cfg.dmc.num_outputs, size=table.last_end - symbols.size,
+                p=cfg.dmc.w[0])
             symbols = np.concatenate([symbols, pad])
-        stats = codec_dmc._window_stats(symbols, starts, params.window_len,
-                                        llr, imp1, imp0)
-        out.append(tally(m, stats >= params.threshold, owner,
-                         codec_dmc.trace_diagnostics(m, y.idc_trace, params)))
+        stats = codec_dmc._window_stats(symbols, table.starts,
+                                        params.window_len, llr, imp1, imp0)
+        out.append(tally(m, stats >= params.threshold, table.bounds,
+                         trace_diagnostics(m, y.idc_trace, params.layout)))
     return out
 
 
@@ -234,21 +222,12 @@ def test_criterion_05_gauss_monte_carlo():
     rate_want = 0.9 / (1.5 ** 2 * 2.5 * math.log(2.0))
     rate_ok = math.isclose(rep.rate_per_unit_cost, rate_want, rel_tol=1e-12)
 
-    # Tallies come from the streamed trials, which match the materialised
-    # ones in law; materialising 1.31M slots a trial again would double
-    # the run time.
-    streamed = harness.run_trials(replace(cfg, simulation="sparse"))
     params = harness.derive_scheme_params(cfg)
-    tallies = streamed_tallies(cfg, params, _sparse.geometry_from_gauss(params),
-                               codec_gauss.geometry_diagnostics)
-    n = cfg.trials
-    pooled = (rep.errors + streamed.errors) / (2 * n)
-    same_law = abs(rep.errors - streamed.errors) / n <= 3 * math.sqrt(
-        2 * pooled * (1 - pooled) / n)
+    tallies = streamed_tallies(cfg, params)
 
     # Own-region miss: on a calm trial some own window overlaps the burst
-    # image in all but M / log2(M) samples (codec_gauss.TraceDiagnostics),
-    # so it stays below threshold with probability at most miss_bound.
+    # image in all but M / log2(M) samples (the layout's slack), so it
+    # stays below threshold with probability at most miss_bound.
     # tau and x* follow the formulas in codec_gauss.derive_params' docstring
     # rather than params, so a fault in either moves the test, not the bound.
     tau = math.sqrt((2 + cfg.delta) * math.log(cfg.M))
@@ -267,13 +246,10 @@ def test_criterion_05_gauss_monte_carlo():
              "own-region miss within bound":
                  miss <= miss_bound + 3 * binom_se(miss_bound, len(calm)),
              "false alarms match Q(tau)": fa_ok,
-             "tallies reproduce streamed report":
-                 errors_of(tallies) == streamed.errors,
-             "streamed error matches report": same_law,
+             "tallies reproduce report": errors_of(tallies) == rep.errors,
              "rate identity": rate_ok},
-            f"error {rep.error_rate:.3f} (streamed {streamed.error_rate:.3f}), "
-            f"miss {miss:.3f} vs {miss_bound:.3f}, false alarms {fa_text}, "
-            f"rate {rep.rate_per_unit_cost:.6f}")
+            f"error {rep.error_rate:.3f}, miss {miss:.3f} vs {miss_bound:.3f}, "
+            f"false alarms {fa_text}, rate {rep.rate_per_unit_cost:.6f}")
 
 
 def test_criterion_06_dmc_monte_carlo():
@@ -321,7 +297,6 @@ def test_criterion_07_compound_robustness():
     trials = 800
     params = cc.derive_params(M=64, epsilon=0.25, delta=0.1,
                               mu1=0.8, mu2=1.1, sigma2=0.25)
-    geom = _sparse.geometry_from_compound(params)
     q = q_tail(math.sqrt((2 + 0.1) * math.log(64)))
     clauses = {}
     measured = {}
@@ -335,8 +310,7 @@ def test_criterion_07_compound_robustness():
         rep = harness.run_trials(cfg)
         assert harness.derive_scheme_params(cfg).offsets == params.offsets
         measured[mu] = rep.error_rate
-        tallies = streamed_tallies(cfg, params, geom,
-                                   cc.geometry_diagnostics)
+        tallies = streamed_tallies(cfg, params)
         fa_ok, fa_text = false_alarms(tallies, q)
         alarms.append(fa_text)
         clauses[f"mu={mu:.2f} tallies reproduce report"] = (

@@ -174,7 +174,7 @@ class SimulateTests(CliCase):
         self.assertEqual(payload["trials"], 30)
         self.assertIn("error_rate", payload)
         self.assertIn("diagnostics", payload)
-        self.assertEqual(payload["simulation"], "direct")
+        self.assertNotIn("simulation", payload)
         with open(out_path) as fh:
             self.assertEqual(json.load(fh)["trials"], 30)
 
@@ -193,6 +193,37 @@ class SimulateTests(CliCase):
             fh.write("{not json")
         rc, _, err = run_cli(["simulate", p])
         self.assertEqual(rc, 1)
+
+    def assert_one_line_error(self, experiment, word):
+        rc, out, err = run_cli(["simulate", experiment])
+        self.assertEqual(rc, 1)
+        self.assertEqual(out, "")
+        lines = err.strip().splitlines()
+        self.assertEqual(len(lines), 1, err)
+        self.assertTrue(lines[0].startswith("error:"), err)
+        self.assertIn(word, lines[0])
+
+    def test_simulate_rejects_removed_keys(self):
+        for key, value in (("simulation", "sparse"), ("direct_cap", 4096)):
+            self.assert_one_line_error(self.experiment(**{key: value}), key)
+
+    def test_simulate_rejects_string_trial_count(self):
+        self.assert_one_line_error(self.experiment(trials="5"), "trials")
+
+    def test_simulate_rejects_fractional_message_count(self):
+        self.assert_one_line_error(self.experiment(M=64.5), "M must be")
+
+    def test_simulate_rejects_float_overflowing_compound_layout(self):
+        # criterion 7's rate interval: the offsets pass 1.8e308 here
+        self.assert_one_line_error(self.write_json("exp.json", {
+            "scheme": "compound", "M": 752, "epsilon": 0.25, "delta": 0.1,
+            "mu1": 0.8, "mu2": 1.1, "sigma2_bound": 0.25, "trials": 1,
+            "base_seed": 1, "idc": {"deletion": {"d": 0.05}}}), "overflows")
+
+    def test_simulate_rejects_tiny_calibration_budget(self):
+        # 3 * 0.25 / 4 < 1: the threshold would be the minimum statistic
+        self.assert_one_line_error(self.experiment(calibration_trials=3),
+                                   "calibration_trials")
 
 
 class SweepTests(CliCase):

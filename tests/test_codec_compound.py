@@ -12,6 +12,7 @@ import unittest
 import numpy as np
 
 from artifact import codec_compound as cc
+from artifact._layout import geometry_diagnostics, trace_diagnostics
 from artifact.channel import StateDistribution, StateSequence, idc_apply, sample_states
 from artifact.errors import InvalidConfigError
 
@@ -70,7 +71,7 @@ class WideBandScheduleTests(unittest.TestCase):
         self.assertEqual(cc.decision_region(1, self.p), (1,))
         for m in (2, 3, 4):
             region = cc.decision_region(m, self.p)
-            self.assertEqual(region, self.p.regions[m - 1])
+            self.assertEqual(region, tuple(self.p.layout.regions[m - 1]))
             gap = self.p.spacings[m - 1]
             for v in region:
                 self.assertEqual(v % gap, 0)
@@ -133,19 +134,19 @@ class EqualRateScheduleTests(unittest.TestCase):
         lo = self.p.offsets[3]
         a = int(states.states[:lo].sum())
         g = int(states.states[lo:lo + self.p.widths[3]].sum())
-        self.assertEqual(cc.trace_diagnostics(m, states, self.p),
-                         cc.geometry_diagnostics(m, a, g, self.p))
+        self.assertEqual(trace_diagnostics(m, states, self.p.layout),
+                         geometry_diagnostics(m, a, g, self.p.layout))
 
     def test_clean_geometry_flags(self):
         m = 5
         a = self.p.offsets[4]      # realized rate exactly 1
         g = self.p.widths[4]
-        d = cc.geometry_diagnostics(m, a, g, self.p)
+        d = geometry_diagnostics(m, a, g, self.p.layout)
         self.assertFalse(d.prefix_drift_out)
         self.assertFalse(d.burst_spread_out)
         self.assertTrue(d.wrong_windows_all_zero)
         self.assertTrue(d.full_burst_window_exists)
-        gone = cc.geometry_diagnostics(m, a, 0, self.p)
+        gone = geometry_diagnostics(m, a, 0, self.p.layout)
         self.assertFalse(gone.full_burst_window_exists)
 
 

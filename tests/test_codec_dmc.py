@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from artifact import codec_dmc as cd
+from artifact._layout import geometry_diagnostics, trace_diagnostics
 from artifact.channel import Dmc, StateDistribution, StateSequence, ids_channel
 from artifact.errors import InvalidConfigError
 
@@ -220,34 +221,35 @@ def test_trace_matches_geometry(worked):
     m = 2
     a = int(states[:worked.N].sum())
     g = int(states[worked.N:worked.N + worked.B].sum())
-    assert cd.trace_diagnostics(m, seq, worked) == cd.geometry_diagnostics(
-        m, a, g, worked)
+    assert trace_diagnostics(m, seq, worked.layout) == geometry_diagnostics(
+        m, a, g, worked.layout)
 
 
 def test_drift_events_are_boundary_exact(worked):
     n = worked.N  # prefix of m=2; mu == 1 so drift == a - N
-    base = dict(m=2, burst_output=worked.B, params=worked)
-    assert not cd.geometry_diagnostics(prefix_output=n + 767, **base).prefix_drift_out
-    assert cd.geometry_diagnostics(prefix_output=n + 768, **base).prefix_drift_out
-    assert cd.geometry_diagnostics(prefix_output=n - 768, **base).prefix_drift_out
+    base = dict(m=2, burst_output=worked.B, layout=worked.layout)
+    assert not geometry_diagnostics(prefix_output=n + 767, **base).prefix_drift_out
+    assert geometry_diagnostics(prefix_output=n + 768, **base).prefix_drift_out
+    assert geometry_diagnostics(prefix_output=n - 768, **base).prefix_drift_out
     # burst spread: beta^2 = 60, so +-8 is out (64 >= 60) and +-7 is in
-    ok = cd.geometry_diagnostics(2, n, worked.B + 7, worked)
+    ok = geometry_diagnostics(2, n, worked.B + 7, worked.layout)
     assert not ok.burst_spread_out
-    assert cd.geometry_diagnostics(2, n, worked.B + 8, worked).burst_spread_out
+    assert geometry_diagnostics(2, n, worked.B + 8, worked.layout).burst_spread_out
 
 
 def test_clean_trace_certifies_geometry(worked):
-    d = cd.geometry_diagnostics(2, worked.N, worked.B, worked)
+    d = geometry_diagnostics(2, worked.N, worked.B, worked.layout)
     assert not d.prefix_drift_out and not d.burst_spread_out
     assert d.wrong_windows_all_zero
     assert d.full_burst_window_exists
     assert (d.prefix_output, d.burst_output) == (worked.N, worked.B)
-    gone = cd.geometry_diagnostics(2, worked.N, 0, worked)
+    gone = geometry_diagnostics(2, worked.N, 0, worked.layout)
     assert gone.wrong_windows_all_zero and not gone.full_burst_window_exists
 
 
 def test_geometry_rejects_bad_message(worked):
     with pytest.raises(ValueError):
-        cd.geometry_diagnostics(0, 10, 10, worked)
+        geometry_diagnostics(0, 10, 10, worked.layout)
     with pytest.raises(ValueError):
-        cd.trace_diagnostics(1, StateSequence(np.ones(3, dtype=np.int64)), worked)
+        trace_diagnostics(1, StateSequence(np.ones(3, dtype=np.int64)),
+                          worked.layout)

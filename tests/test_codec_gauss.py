@@ -18,6 +18,7 @@ import pytest
 from scipy import stats
 
 from artifact import codec_gauss as cg
+from artifact._layout import geometry_diagnostics, trace_diagnostics
 from artifact.channel import StateDistribution, StateSequence, idc_apply
 from artifact.errors import InvalidConfigError
 
@@ -158,18 +159,18 @@ def test_decode_padding_is_seeded():
 
 
 def test_geometry_diagnostics(worked):
-    clean = cg.geometry_diagnostics(2, 4608, 343, worked)
+    clean = geometry_diagnostics(2, 4608, 343, worked.layout)
     assert not clean.prefix_drift_out
     assert not clean.burst_spread_out
     assert clean.wrong_windows_all_zero
     assert clean.full_burst_window_exists
-    gone = cg.geometry_diagnostics(2, 4608, 0, worked)
+    gone = geometry_diagnostics(2, 4608, 0, worked.layout)
     assert gone.wrong_windows_all_zero and not gone.full_burst_window_exists
     # deletion(0.1) variance sits just under 0.09, so drift 1536 is outside
-    assert not cg.geometry_diagnostics(2, 4608 + 1535, 343, worked).prefix_drift_out
-    assert cg.geometry_diagnostics(2, 4608 + 1536, 343, worked).prefix_drift_out
+    assert not geometry_diagnostics(2, 4608 + 1535, 343, worked.layout).prefix_drift_out
+    assert geometry_diagnostics(2, 4608 + 1536, 343, worked.layout).prefix_drift_out
     with pytest.raises(ValueError):
-        cg.geometry_diagnostics(0, 1, 1, worked)
+        geometry_diagnostics(0, 1, 1, worked.layout)
 
 
 def test_trace_matches_geometry():
@@ -180,5 +181,5 @@ def test_trace_matches_geometry():
     prefix = (m - 1) * ps.N
     a = int(states.states[:prefix].sum())
     g = int(states.states[prefix:prefix + ps.B].sum())
-    assert cg.trace_diagnostics(m, states, ps) == cg.geometry_diagnostics(
-        m, a, g, ps)
+    assert trace_diagnostics(m, states, ps.layout) == geometry_diagnostics(
+        m, a, g, ps.layout)

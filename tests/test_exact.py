@@ -107,43 +107,70 @@ def test_ge_sum_sqrt_matches_floats_away_from_ties(t, a, b):
 def test_ints_in_open_basic():
     # (2.5, 7.5) around center 5 with r=2.5
     out = _exact.ints_in_open(Fraction(5), Fraction(25, 4))
-    assert out == (3, 4, 5, 6, 7)
+    assert tuple(out) == (3, 4, 5, 6, 7)
 
 
 def test_ints_in_open_excludes_endpoints():
     # r=2 around 5: 3 and 7 sit exactly on the boundary and stay out
     out = _exact.ints_in_open(Fraction(5), Fraction(4))
-    assert out == (4, 5, 6)
+    assert tuple(out) == (4, 5, 6)
 
 
 def test_ints_in_open_zero_radius_singleton():
-    assert _exact.ints_in_open(Fraction(9), Fraction(0)) == (9,)
-    assert _exact.ints_in_open(Fraction(19, 2), Fraction(0)) == ()
-    assert _exact.ints_in_open(Fraction(0), Fraction(0)) == ()  # below lo=1
+    assert tuple(_exact.ints_in_open(Fraction(9), Fraction(0))) == (9,)
+    assert tuple(_exact.ints_in_open(Fraction(19, 2), Fraction(0))) == ()
+    assert tuple(_exact.ints_in_open(Fraction(0), Fraction(0))) == ()  # below lo=1
 
 
 def test_ints_in_open_respects_lo():
     out = _exact.ints_in_open(Fraction(2), Fraction(16), lo=1)
-    assert out[0] == 1 and out == (1, 2, 3, 4, 5)
+    assert out[0] == 1 and tuple(out) == (1, 2, 3, 4, 5)
 
 
 def test_multiples_in_open():
     out = _exact.multiples_in_open(3, Fraction(10), Fraction(36))
     # open interval (4, 16): multiples of 3 are 6, 9, 12, 15
-    assert out == (6, 9, 12, 15)
-    assert _exact.multiples_in_open(3, Fraction(9), Fraction(0)) == (9,)
-    assert _exact.multiples_in_open(3, Fraction(10), Fraction(0)) == ()
+    assert tuple(out) == (6, 9, 12, 15)
+    assert tuple(_exact.multiples_in_open(3, Fraction(9), Fraction(0))) == (9,)
+    assert tuple(_exact.multiples_in_open(3, Fraction(10), Fraction(0))) == ()
 
 
 def test_multiples_between_big_integers():
     step = 10**20
     lo = Fraction(3 * 10**20)
     hi = Fraction(7 * 10**20)
-    assert _exact.multiples_between(step, lo, hi) == (4 * 10**20,
+    assert tuple(_exact.multiples_between(step, lo, hi)) == (4 * 10**20,
                                                       5 * 10**20,
                                                       6 * 10**20)
 
 
 def test_multiples_between_strictness():
-    assert _exact.multiples_between(5, Fraction(5), Fraction(20)) == (10, 15)
-    assert _exact.multiples_between(5, Fraction(4), Fraction(21)) == (5, 10, 15, 20)
+    assert tuple(_exact.multiples_between(5, Fraction(5), Fraction(20))) == (10, 15)
+    assert tuple(_exact.multiples_between(5, Fraction(4), Fraction(21))) == (5, 10, 15, 20)
+
+
+@given(st.integers(min_value=1, max_value=7),
+       st.fractions(min_value=-20, max_value=300, max_denominator=12),
+       st.fractions(min_value=0, max_value=2000, max_denominator=6),
+       st.integers(min_value=1, max_value=9))
+def test_multiples_in_open_matches_enumeration(step, center, radius_sq, lo):
+    want = tuple(v for v in range(step, 400, step)
+                 if v >= lo and (v == center or (v - center) ** 2 < radius_sq))
+    assert tuple(_exact.multiples_in_open(step, center, radius_sq, lo)) == want
+
+
+def test_multiples_in_open_exact_beyond_float_precision():
+    # at 1e20 a double is 16384 apart, so the float estimates of both ends
+    # miss by thousands of steps and the exact walk must find them
+    for frac_part in (Fraction(1, 3), Fraction(2, 3), Fraction(9000)):
+        center = Fraction(10**20) + frac_part
+        radius_sq = Fraction(10**6 + 1, 7) ** 2
+        for step in (1, 7):
+            got = _exact.multiples_in_open(step, center, radius_sq)
+
+            def inside(v):
+                return (v - center) ** 2 < radius_sq
+
+            assert got and got[0] % step == 0
+            assert inside(got[0]) and not inside(got[0] - step)
+            assert inside(got[-1]) and not inside(got[-1] + step)

@@ -1,5 +1,5 @@
-"""Experiment harness: reproducibility, simulation selection, sweeps,
-and the input/output cost identity check."""
+"""Experiment harness: reproducibility, agreement with the materialising
+pipeline, size limits, sweeps, and the input/output cost identity check."""
 
 import io
 import json
@@ -9,8 +9,10 @@ import os
 import numpy as np
 import pytest
 
-from artifact import harness
-from artifact.channel import Dmc, StateDistribution
+from artifact import _layout, harness
+from artifact import codec_compound as cc
+from artifact import codec_gauss as cg
+from artifact.channel import Dmc, GaussianNoise, StateDistribution, ids_channel
 from artifact.errors import InvalidConfigError
 
 
@@ -95,27 +97,53 @@ def test_small_message_count_floods_with_false_alarms():
     assert rep.diagnostics["full_burst_window_exists"] == 60
 
 
+def oracle_errors(cfg: harness.ExperimentConfig, seed: int) -> int:
+    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs."""
+    params = harness.derive_scheme_params(cfg)
+    codec = cg if cfg.scheme == "gauss" else cc
+    rng = np.random.default_rng(seed)
+    errors = 0
+    for _ in range(cfg.trials):
+        m = int(rng.integers(1, cfg.M + 1))
+        y = ids_channel(codec.encode(m, params), cfg.idc,
+                        GaussianNoise(cfg.eta2), seed=rng)
+        errors += codec.decode(y, params, seed=rng) != m
+    return errors
+
+
 def test_sparse_and_direct_agree_on_error_rate():
-    direct = harness.run_trials(compound_config(simulation="direct", trials=800))
-    stream = harness.run_trials(compound_config(simulation="sparse", trials=800))
-    assert direct.simulation == "direct" and stream.simulation == "sparse"
-    p1, p2 = direct.error_rate, stream.error_rate
-    pooled = (direct.errors + stream.errors) / 1600
-    se = math.sqrt(max(2 * pooled * (1 - pooled) / 800, 1e-12))
-    assert abs(p1 - p2) <= 4 * se
+    """run_trials streams every Gaussian trial; the materialising pipeline,
+    called directly, must give the same error rate within 4 two-sample SE."""
+    n = 800
+    # the gauss point sits near error 0.5, where the test has the most power
+    for cfg in (compound_config(trials=n),
+                gauss_config(M=32, delta=0.9, epsilon=0.5, trials=n)):
+        streamed = harness.run_trials(cfg).errors
+        direct = oracle_errors(cfg, seed=cfg.base_seed + 100)
+        pooled = (streamed + direct) / (2 * n)
+        se = math.sqrt(max(2 * pooled * (1 - pooled) / n, 1e-12))
+        assert abs(streamed - direct) / n <= 4 * se, (cfg.scheme, streamed,
+                                                      direct)
 
 
-def test_simulation_selection_rules():
-    assert harness.run_trials(dmc_config()).simulation == "direct"
-    with pytest.raises(InvalidConfigError):
-        harness.run_trials(dmc_config(simulation="sparse"))
-    big = compound_config(mu1=0.5, mu2=2.0, delta=0.0, M=16,
-                          sigma2_bound=0.25, trials=4)
-    assert harness.run_trials(big).simulation == "sparse"
-    with pytest.raises(InvalidConfigError):
-        harness.run_trials(compound_config(
-            mu1=0.5, mu2=2.0, delta=0.0, M=16, sigma2_bound=0.25,
-            trials=4, simulation="direct"))
+def test_oversized_dmc_config_rejected(monkeypatch):
+    # the streamed back ends have no size cap: this block is beyond 2**62
+    huge = compound_config(mu1=0.5, mu2=2.0, delta=0.0, M=32,
+                           sigma2_bound=0.25, trials=4)
+    assert harness.run_trials(huge).trials == 4
+
+    # M=1024 needs 16.8M-slot codewords; its regions hold ~10M positions,
+    # so the rejection must come before any window is laid out
+    def no_table(self, layout):
+        raise AssertionError("region table built for a rejected config")
+
+    monkeypatch.setattr(_layout.RegionTable, "__init__", no_table)
+    cfg = dmc_config(M=1024, idc=StateDistribution.deletion(0.1),
+                     dmc=Dmc.bsc(0.2), trials=1)
+    assert harness.derive_scheme_params(cfg).codeword_len \
+        > harness.DMC_MAX_SLOTS
+    with pytest.raises(InvalidConfigError, match="exceeds"):
+        harness.run_trials(cfg)
 
 
 def test_exhaustive_and_fixed_message_selection():
@@ -133,8 +161,14 @@ def test_config_validation():
         dmc_config(trials=0)
     with pytest.raises(InvalidConfigError):
         dmc_config(dmc=None)
-    with pytest.raises(InvalidConfigError):
-        gauss_config(simulation="quantum")
+    with pytest.raises(TypeError):
+        gauss_config(simulation="sparse")   # one trial path: no such field
+    for bad in (dict(trials="5"), dict(trials=True), dict(M=64.5),
+                dict(base_seed=-1), dict(epsilon=float("nan")),
+                dict(delta=float("inf")), dict(workers=1.5),
+                dict(calibration_trials=3)):
+        with pytest.raises(InvalidConfigError):
+            dmc_config(**bad)
     with pytest.raises(InvalidConfigError):
         compound_config(mu1=None)
     with pytest.raises(InvalidConfigError):
@@ -146,6 +180,10 @@ def test_from_dict_rejects_unknown_keys():
     d["typo_field"] = 1
     with pytest.raises(InvalidConfigError):
         harness.ExperimentConfig.from_dict(d)
+    for removed in ("simulation", "direct_cap"):
+        d = {**gauss_config().to_dict(), removed: 1}
+        with pytest.raises(InvalidConfigError, match=removed):
+            harness.ExperimentConfig.from_dict(d)
 
 
 def test_from_dict_round_trip():

@@ -1,0 +1,119 @@
+"""The message layout and the trace diagnostics shared by the three codecs.
+
+The property test draws small layouts of each scheme and random realized
+output lengths, and checks every diagnostic flag against a brute-force
+enumeration of windows in exact Fraction / Python-int arithmetic, written
+from each scheme's own definition of its drift events and coverage slack.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from artifact import codec_compound as cc
+from artifact import codec_dmc as cd
+from artifact import codec_gauss as cg
+from artifact._layout import geometry_diagnostics
+from artifact.channel import Dmc, StateDistribution
+from artifact.errors import InvalidConfigError
+
+unit = st.floats(min_value=0.05, max_value=0.95)
+
+
+@st.composite
+def scheme_params(draw):
+    scheme = draw(st.sampled_from(("dmc", "gauss", "compound")))
+    try:
+        if scheme == "compound":
+            mu1 = draw(st.floats(min_value=0.4, max_value=1.0))
+            return scheme, cc.derive_params(
+                M=draw(st.integers(4, 8)), epsilon=draw(unit),
+                delta=draw(st.floats(min_value=0.05, max_value=0.3)) * mu1,
+                mu1=mu1, mu2=mu1 + draw(st.floats(min_value=0.1, max_value=0.6)),
+                sigma2=0.25)
+        idc = StateDistribution.deletion(draw(st.floats(0.05, 0.6)))
+        if scheme == "gauss":
+            return scheme, cg.derive_params(
+                M=draw(st.integers(4, 12)), epsilon=draw(unit),
+                delta=draw(unit), idc=idc)
+        return scheme, cd.derive_params(
+            M=draw(st.integers(2, 12)), epsilon=draw(unit),
+            delta=draw(st.floats(0.1, 2.0)), idc=idc,
+            channel=Dmc.bsc(draw(st.floats(0.05, 0.3))), x_star=1)
+    except InvalidConfigError:
+        assume(False)
+
+
+def brute_flags(scheme, p, m, a, g):
+    """The four flags by definition, window by window."""
+    if scheme == "compound":
+        lo = Fraction(p.mu1) - Fraction(p.delta)
+        hi = Fraction(p.mu2) + Fraction(p.delta)
+        n, b, w = p.offsets[m - 1], p.widths[m - 1], p.window_lens
+        prefix_out = n > 0 and not (lo * n < a < hi * n)
+        burst_out = not (lo * b < g < hi * b)
+        slack = n / math.log2(p.M)
+    else:
+        mu, eps, s2 = Fraction(p.mu), Fraction(p.epsilon), Fraction(p.sigma2)
+        d = a - (m - 1) * p.N * mu
+        prefix_out = not (d == 0 or d * d < 4 * p.M * p.N * s2 / eps)
+        d = g - p.B * mu
+        burst_out = not (d == 0 or d * d < 4 * p.B * s2 / eps)
+        w = (p.window_len,) * p.M
+        slack = p.M / math.log2(p.M) if scheme == "gauss" else 0
+
+    def overlap(pos, k):
+        return min(pos + w[k - 1] - 1, a + g) - max(pos, a + 1) + 1
+
+    regions = {k: list(p.layout.regions[k - 1])
+               for k in range(1, p.M + 1)}
+    silent = all(overlap(pos, k) <= 0 for k in regions if k != m
+                 for pos in regions[k])
+    covered = g > 0 and any(max(overlap(pos, m), 0) >= w[m - 1] - slack
+                            for pos in regions[m])
+    return prefix_out, burst_out, silent, covered
+
+
+def output_length(drift, slots):
+    """An output length the run of slots can have (states 0..2), often one
+    next to an edge of its drift ball."""
+    center = float(drift.rate) * slots
+    r = math.sqrt(float(drift.radius_sq + drift.spread_sq * slots * slots))
+    edges = [min(max(0, math.floor(x) + k), 2 * slots)
+             for x in (center - r, center + r) for k in (-1, 0, 1)]
+    return st.one_of(st.integers(0, 2 * slots), st.sampled_from(edges))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scheme_params(), st.data())
+def test_diagnostics_match_window_enumeration(sp, data):
+    scheme, p = sp
+    lay = p.layout
+    m = data.draw(st.integers(1, p.M))
+    a = data.draw(output_length(lay.prefix_drift, lay.prefix_slots[m - 1]))
+    g = data.draw(output_length(lay.burst_drift, lay.burst_slots[m - 1]))
+    d = geometry_diagnostics(m, a, g, lay)
+    got = (d.prefix_drift_out, d.burst_spread_out, d.wrong_windows_all_zero,
+           d.full_burst_window_exists)
+    assert got == brute_flags(scheme, p, m, a, g)
+    assert (d.prefix_output, d.burst_output) == (a, g)
+
+
+def test_table_flattens_regions_in_message_order():
+    p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
+                         sigma2=0.25)   # positions beyond int64
+    t = p.layout.table
+    assert t.starts.dtype == object
+    assert list(t.starts) == [v for r in p.layout.regions for v in r]
+    assert list(t.ends - t.starts + 1) == [
+        p.window_lens[k] for k, r in enumerate(p.layout.regions) for _ in r]
+    fired = np.zeros(t.starts.size, dtype=bool)
+    assert t.decide(fired) is None
+    fired[t.bounds[4]] = True
+    assert t.decide(fired) == 5
+    fired[t.bounds[7] - 1] = True   # last window of message 7
+    assert t.decide(fired) is None

@@ -15,7 +15,7 @@ import pytest
 from artifact import _sparse as sp
 from artifact import codec_compound as cc
 from artifact import codec_gauss as cg
-from artifact.channel import StateDistribution, StateSequence, idc_apply
+from artifact.channel import StateDistribution, idc_apply, sample_states
 
 
 def test_zero_slots_sum_to_zero():
@@ -63,44 +63,50 @@ def equal_rate_params():
 
 def test_compound_geometry_mirrors_params():
     p = equal_rate_params()
-    g = sp.geometry_from_compound(p)
-    assert g.prefix_slots == p.offsets
-    assert g.burst_slots == p.widths
-    assert g.window_lens == p.window_lens
-    assert g.regions == p.regions
-    assert g.threshold == p.threshold
-    assert g.amplitudes == pytest.approx(
-        tuple(p.amplitude(m) for m in range(1, 9)))
+    lay = p.layout
+    assert lay.prefix_slots == p.offsets
+    assert lay.burst_slots == p.widths
+    assert lay.window_lens == p.window_lens
+    assert lay.codeword_len == p.block_len
+    plan = sp.Plan(p)
+    assert plan.threshold == p.threshold
+    assert plan.amplitudes == pytest.approx(
+        [p.amplitude(m) for m in range(1, 9)])
+    assert plan.denom == pytest.approx(np.sqrt(plan.table.lens.astype(float)))
 
 
 def test_gauss_geometry_mirrors_params():
     p = cg.derive_params(M=16, epsilon=0.25, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
-    g = sp.geometry_from_gauss(p)
-    assert g.prefix_slots == tuple((m - 1) * p.N for m in range(1, 17))
-    assert g.burst_slots == tuple([p.B] * 16)
-    assert set(g.amplitudes) == {p.x_star}
-    assert g.window_lens == tuple([p.window_len] * 16)
-    assert g.regions == tuple(cg.decision_region(m, p) for m in range(1, 17))
+    lay = p.layout
+    assert lay.prefix_slots == tuple((m - 1) * p.N for m in range(1, 17))
+    assert lay.burst_slots == tuple([p.B] * 16)
+    assert set(sp.Plan(p).amplitudes) == {p.x_star}
+    assert lay.window_lens == tuple([p.window_len] * 16)
+    assert tuple(map(tuple, lay.regions)) == tuple(
+        cg.decision_region(m, p) for m in range(1, 17))
+    assert cg.decision_region(2, p) == tuple(
+        v for v in range(1, p.codeword_len)
+        if v % p.spacing == 0 and abs(v - (p.N * p.mu + 1)) < p.nu)
 
 
 def test_stream_trial_reproducible_and_exact_sums():
     p = equal_rate_params()
-    g = sp.geometry_from_compound(p)
+    plan = sp.Plan(p)
     one = StateDistribution.constant(1)
-    r1 = sp.stream_trial(g, 3, one, np.random.default_rng(11))
-    r2 = sp.stream_trial(g, 3, one, np.random.default_rng(11))
+    r1 = sp.stream_trial(plan, 3, one, np.random.default_rng(11))
+    r2 = sp.stream_trial(plan, 3, one, np.random.default_rng(11))
     assert r1 == r2
     # constant states make both output sums certain
-    assert r1.prefix_output == p.offsets[2]
-    assert r1.burst_output == p.widths[2]
+    assert r1.diagnostics.prefix_output == p.offsets[2]
+    assert r1.diagnostics.burst_output == p.widths[2]
     assert r1.decoded in set(range(1, 9)) | {None}
 
 
 def test_stream_agrees_with_materialized_pipeline():
     """Same configuration, 3000 trials each way; decode outcome rates match."""
     p = equal_rate_params()
-    g = sp.geometry_from_compound(p)
+    plan = sp.Plan(p)
     idc = StateDistribution(((0, 0.15), (1, 0.7), (2, 0.15)))
     trials = 3000
 
@@ -108,7 +114,7 @@ def test_stream_agrees_with_materialized_pipeline():
     stream_err = 0
     for _ in range(trials):
         m = int(rng.integers(1, 9))
-        if sp.stream_trial(g, m, idc, rng).decoded != m:
+        if sp.stream_trial(plan, m, idc, rng).decoded != m:
             stream_err += 1
 
     rng = np.random.default_rng(9025)
@@ -116,7 +122,7 @@ def test_stream_agrees_with_materialized_pipeline():
     for _ in range(trials):
         m = int(rng.integers(1, 9))
         cw = cc.encode(m, p)
-        y = idc_apply(cw, StateSequence(rng.integers(0, 3, size=cw.size)))
+        y = idc_apply(cw, sample_states(idc, cw.size, seed=rng))
         y = y + rng.normal(0.0, 1.0, size=y.size)
         if cc.decode(y, p, seed=int(rng.integers(2**31))) != m:
             direct_err += 1
@@ -131,9 +137,8 @@ def test_big_int_schedule_runs_without_materializing():
     p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
                          sigma2=0.25)
     assert p.block_len > 2 ** 62     # far beyond any buffer
-    g = sp.geometry_from_compound(p)
-    res = sp.stream_trial(g, 30, StateDistribution.constant(1),
+    res = sp.stream_trial(sp.Plan(p), 30, StateDistribution.constant(1),
                           np.random.default_rng(3))
-    assert res.prefix_output == p.offsets[29]
-    assert res.burst_output == p.widths[29]
+    assert res.diagnostics.prefix_output == p.offsets[29]
+    assert res.diagnostics.burst_output == p.widths[29]
     assert res.decoded in set(range(1, 33)) | {None}
