@@ -132,6 +132,7 @@ class RegionTable:
         self.lens = np.repeat(self.region_lens, sizes)
         self.ends = self.starts + self.lens - 1
         self.bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        self.occupied = np.flatnonzero(self.count)  # messages with a window
 
     def overlaps(self, a: int, g: int, m: int | None = None) -> np.ndarray:
         """Samples each window shares with the burst image a+1 .. a+g: every
@@ -159,8 +160,12 @@ class RegionTable:
 
     def decide(self, fired: np.ndarray) -> int | None:
         """Unique-region rule: the one message with a firing window, else None."""
-        seen = np.concatenate(([0], np.cumsum(fired)))
-        hits = np.flatnonzero(seen[self.bounds[1:]] > seen[self.bounds[:-1]])
+        if not self.occupied.size:
+            return None
+        # reduceat over the occupied regions' first windows only: an empty
+        # region would otherwise read the one window at its bound
+        hit = np.logical_or.reduceat(fired, self.bounds[self.occupied])
+        hits = self.occupied[hit]
         return int(hits[0]) + 1 if hits.size == 1 else None
 
 

@@ -11,6 +11,7 @@ desynchronized stream symbol by symbol.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -311,18 +312,49 @@ def cost_of(x: np.ndarray, cost) -> float:
     return float(vec[arr.astype(np.int64, copy=False)].sum())
 
 
+def is_integer(value) -> bool:
+    """An integer of any kind, bools excluded (JSON true is not 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number of any kind, bools excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _shortcut(d: Mapping, form: str, key: str, ok, kind: str):
+    """d[form][key], checked to be an object holding a value of kind."""
+    spec = d[form]
+    if not (isinstance(spec, Mapping) and key in spec and ok(spec[key])):
+        raise InvalidConfigError(
+            f'{form} must be an object like {{"{key}": <{kind}>}}, got {spec!r}')
+    return spec[key]
+
+
 def state_dist_from_dict(d: Mapping) -> StateDistribution:
     """Build a state distribution from its JSON form.
 
     Accepted forms: {"support": [[k, p], ...]}, {"deletion": {"d": 0.1}},
     {"constant": {"value": 2}}.
     """
+    if not isinstance(d, Mapping):
+        raise InvalidConfigError(
+            f"a state distribution spec must be an object, got {d!r}")
     if "support" in d:
-        return StateDistribution(tuple((int(k), float(p)) for k, p in d["support"]))
+        pairs = d["support"]
+        if not (isinstance(pairs, (list, tuple)) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2
+                and is_integer(e[0]) and is_real(e[1]) for e in pairs)):
+            raise InvalidConfigError(
+                "support must be a list of [state, probability] pairs with "
+                f"integer states, got {pairs!r}")
+        return StateDistribution(tuple((int(k), float(p)) for k, p in pairs))
     if "deletion" in d:
-        return StateDistribution.deletion(float(d["deletion"]["d"]))
+        return StateDistribution.deletion(
+            float(_shortcut(d, "deletion", "d", is_real, "probability")))
     if "constant" in d:
-        return StateDistribution.constant(int(d["constant"]["value"]))
+        return StateDistribution.constant(
+            int(_shortcut(d, "constant", "value", is_integer, "integer")))
     raise InvalidConfigError(
         "state distribution spec needs one of: support, deletion, constant")
 

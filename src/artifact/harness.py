@@ -6,11 +6,13 @@ Report with the observed error rate, a Wilson confidence interval, the
 deterministic per-codeword cost, and diagnostic tallies of the drift events
 the error analysis budgets for.
 
-Each back end has one trial path.  The Gaussian and compound schemes are
-streamed (_sparse.stream_trial), which is exact in law and never builds the
-received stream.  The DMC scheme has no streamed kernel: its trials run the
-materialising encode -> ids_channel -> decode pipeline, for codewords of at
-most DMC_MAX_SLOTS slots.
+Every trial of every scheme is streamed (_sparse.stream_trial), which is
+exact in law and never builds the received stream; the materialising
+encode -> ids_channel -> decode pipeline is left to the tests as their
+oracle.  A trial's time and memory grow with the windows its decoder
+tests, and for the DMC scheme with the samples they cover, so configs
+over MAX_WINDOWS windows or MAX_LETTERS DMC letters are rejected before
+any table is built.
 
 Reproducibility contract: a report is a pure function of its config.  Every
 trial draws from its own seed spawned from base_seed, and results are merged
@@ -24,7 +26,6 @@ import csv
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,13 +35,13 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
-from ._layout import trace_diagnostics
-from .channel import (Dmc, StateDistribution, ids_channel,
+from .channel import (Dmc, StateDistribution, is_integer, is_real,
                       state_dist_from_dict, state_dist_to_dict)
 from .errors import InvalidConfigError
 from .rng import as_generator
 
-DMC_MAX_SLOTS = 1 << 22  # longest codeword a DMC trial will materialize
+MAX_WINDOWS = 1 << 22  # most windows a region table may hold
+MAX_LETTERS = 1 << 22  # most letters one DMC trial may draw
 
 _SCHEMES = ("dmc", "gauss", "compound")
 _INT_FIELDS = ("M", "trials", "base_seed", "x_star", "calibration_trials",
@@ -50,13 +51,8 @@ _REAL_FIELDS = ("epsilon", "delta", "eta2", "confidence", "mu1", "mu2",
 _OPTIONAL_FIELDS = ("workers", "mu1", "mu2", "sigma2_bound")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _is_finite(value) -> bool:
+    return is_real(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -83,8 +79,8 @@ class ExperimentConfig:
         if self.scheme not in _SCHEMES:
             raise InvalidConfigError(
                 f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        for names, ok, kind in ((_INT_FIELDS, _is_int, "an integer"),
-                                (_REAL_FIELDS, _is_real, "a finite number")):
+        for names, ok, kind in ((_INT_FIELDS, is_integer, "an integer"),
+                                (_REAL_FIELDS, _is_finite, "a finite number")):
             for name in names:
                 value = getattr(self, name)
                 if not (ok(value) or value is None and name in _OPTIONAL_FIELDS):
@@ -99,10 +95,11 @@ class ExperimentConfig:
         if not (0.0 < self.confidence < 1.0):
             raise InvalidConfigError("confidence must sit strictly inside (0, 1)")
         selection = self.message_selection
-        if not (_is_int(selection) or selection in ("uniform", "exhaustive")):
+        if not (is_integer(selection)
+                or selection in ("uniform", "exhaustive")):
             raise InvalidConfigError(
                 "message_selection must be uniform, exhaustive, or a message")
-        if _is_int(selection) and not (1 <= selection <= self.M):
+        if is_integer(selection) and not (1 <= selection <= self.M):
             raise InvalidConfigError(
                 f"fixed message {selection} outside 1..{self.M}")
         if self.scheme == "dmc":
@@ -233,20 +230,15 @@ class _TrialOutcome:
     diag: object
 
 
-def _make_runner(config: ExperimentConfig, params):
+def _make_plan(config: ExperimentConfig, params):
+    """The streamed-trial plan of a config's scheme."""
     if config.scheme == "dmc":
-        def run(m: int, ss) -> _TrialOutcome:
-            chan_ss, pad_ss = ss.spawn(2)
-            x = codec_dmc.encode(m, params)
-            y = ids_channel(x, config.idc, config.dmc, seed=chan_ss,
-                            keep_trace=True)
-            decoded = codec_dmc.decode(y, params, config.dmc, seed=pad_ss)
-            diag = trace_diagnostics(m, y.idc_trace, params.layout)
-            return _TrialOutcome(decoded != m, decoded is None, diag)
+        return _sparse.DmcPlan(params, config.dmc)
+    return _sparse.Plan(params)
 
-        return run
 
-    plan = _sparse.Plan(params)
+def _make_runner(config: ExperimentConfig, params):
+    plan = _make_plan(config, params)
 
     def run(m: int, ss) -> _TrialOutcome:
         res = _sparse.stream_trial(plan, m, config.idc, as_generator(ss))
@@ -274,14 +266,31 @@ def _worker_count(config: ExperimentConfig) -> int:
     return n
 
 
+def _check_plan_size(config: ExperimentConfig, layout) -> None:
+    """Reject a config whose trial plan would outgrow MAX_WINDOWS windows or,
+    for the DMC scheme, MAX_LETTERS letters a trial, from the regions'
+    ranges alone, before any window is laid out."""
+    windows = sum(len(r) for r in layout.regions)
+    if windows > MAX_WINDOWS:
+        raise InvalidConfigError(
+            f"the decision regions hold {windows} windows, which exceeds "
+            f"{MAX_WINDOWS}, the most a trial plan holds")
+    if config.scheme == "dmc":
+        # samples region r's windows cover, counting shared ones once per
+        # region: an upper bound on the letters a trial draws
+        letters = sum(min(len(r) * w, (len(r) - 1) * r.step + w)
+                      for r, w in zip(layout.regions, layout.window_lens) if r)
+        if letters > MAX_LETTERS:
+            raise InvalidConfigError(
+                f"a DMC trial would draw up to {letters} letters, which "
+                f"exceeds {MAX_LETTERS}")
+
+
 def run_trials(config: ExperimentConfig) -> Report:
     """Run the full experiment described by config.  Deterministic in config."""
     t0 = time.perf_counter()
     params = derive_scheme_params(config)
-    if config.scheme == "dmc" and params.codeword_len > DMC_MAX_SLOTS:
-        raise InvalidConfigError(
-            f"codeword length {params.codeword_len} exceeds {DMC_MAX_SLOTS}, "
-            "the most a DMC trial materializes")
+    _check_plan_size(config, params.layout)
 
     root = np.random.SeedSequence(config.base_seed)
     calib_ss, msg_ss, trial_root = root.spawn(3)

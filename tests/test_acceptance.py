@@ -17,7 +17,6 @@ from scipy.stats import multinomial
 
 from artifact import _sparse, codec_dmc, harness, info
 from artifact import channel as ch
-from artifact._layout import trace_diagnostics
 from artifact import codec_compound as cc
 from artifact.channel import Dmc, StateDistribution
 from artifact.rng import as_generator
@@ -155,35 +154,13 @@ def tally(m: int, fired: np.ndarray, bounds: np.ndarray, diag) -> TrialTally:
 
 
 def streamed_tallies(cfg, params) -> list[TrialTally]:
-    """Per-window tallies of run_trials' own streamed trials (Gaussian back
-    ends): the same plan, messages and trial seeds."""
-    plan = _sparse.Plan(params)
+    """Per-window tallies of run_trials' own streamed trials: the same plan,
+    messages and trial seeds."""
+    plan = harness._make_plan(cfg, params)
     out = []
     for m, ss in harness_trials(cfg):
         res = _sparse.stream_trial(plan, m, cfg.idc, as_generator(ss))
         out.append(tally(m, res.fired, plan.table.bounds, res.diagnostics))
-    return out
-
-
-def dmc_tallies(cfg, params) -> list[TrialTally]:
-    """Per-window tallies of run_trials' own materialised DMC trials."""
-    table = params.layout.table
-    llr, imp1, imp0 = codec_dmc._llr_tables(params, cfg.dmc)
-    out = []
-    for m, ss in harness_trials(cfg):
-        chan_ss, pad_ss = ss.spawn(2)
-        y = ch.ids_channel(codec_dmc.encode(m, params), cfg.idc, cfg.dmc,
-                           seed=chan_ss, keep_trace=True)
-        symbols = y.symbols.astype(np.int64)
-        if table.last_end > symbols.size:  # idle padding, as decode draws it
-            pad = as_generator(pad_ss).choice(
-                cfg.dmc.num_outputs, size=table.last_end - symbols.size,
-                p=cfg.dmc.w[0])
-            symbols = np.concatenate([symbols, pad])
-        stats = codec_dmc._window_stats(symbols, table.starts,
-                                        params.window_len, llr, imp1, imp0)
-        out.append(tally(m, stats >= params.threshold, table.bounds,
-                         trace_diagnostics(m, y.idc_trace, params.layout)))
     return out
 
 
@@ -263,7 +240,7 @@ def test_criterion_06_dmc_monte_carlo():
 
     params = harness.derive_scheme_params(cfg).with_threshold(
         rep.diagnostics["threshold"])
-    tallies = dmc_tallies(cfg, params)
+    tallies = streamed_tallies(cfg, params)
 
     # Exact law of one window's statistic over every letter multiset.
     combos = itertools.combinations_with_replacement(

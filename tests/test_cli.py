@@ -220,6 +220,12 @@ class SimulateTests(CliCase):
             "mu1": 0.8, "mu2": 1.1, "sigma2_bound": 0.25, "trials": 1,
             "base_seed": 1, "idc": {"deletion": {"d": 0.05}}}), "overflows")
 
+    def test_simulate_rejects_malformed_timing_specs(self):
+        for spec, word in (({"deletion": 5}, "deletion"),
+                           ({"constant": {"value": 2.5}}, "constant"),
+                           ({"support": [1, 2]}, "support")):
+            self.assert_one_line_error(self.experiment(idc=spec), word)
+
     def test_simulate_rejects_tiny_calibration_budget(self):
         # 3 * 0.25 / 4 < 1: the threshold would be the minimum statistic
         self.assert_one_line_error(self.experiment(calibration_trials=3),

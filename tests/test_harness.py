@@ -11,6 +11,7 @@ import pytest
 
 from artifact import _layout, harness
 from artifact import codec_compound as cc
+from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
 from artifact.channel import Dmc, GaussianNoise, StateDistribution, ids_channel
 from artifact.errors import InvalidConfigError
@@ -56,10 +57,12 @@ def test_reports_are_reproducible():
 
 
 def test_worker_count_does_not_change_results():
-    one = harness.run_trials(gauss_config(workers=1))
-    four = harness.run_trials(gauss_config(workers=4))
-    assert one.errors == four.errors
-    assert one.diagnostics == four.diagnostics
+    # threads share one plan per report
+    for config in (gauss_config, dmc_config):
+        one = harness.run_trials(config(workers=1))
+        four = harness.run_trials(config(workers=4))
+        assert one.errors == four.errors
+        assert one.diagnostics == four.diagnostics
 
 
 def test_worker_env_var_is_read(monkeypatch):
@@ -97,29 +100,41 @@ def test_small_message_count_floods_with_false_alarms():
     assert rep.diagnostics["full_burst_window_exists"] == 60
 
 
-def oracle_errors(cfg: harness.ExperimentConfig, seed: int) -> int:
-    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs."""
+def oracle_errors(cfg: harness.ExperimentConfig, threshold: float,
+                  seed: int) -> int:
+    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs;
+    the DMC scheme decodes at the given calibrated threshold."""
     params = harness.derive_scheme_params(cfg)
-    codec = cg if cfg.scheme == "gauss" else cc
+    if cfg.scheme == "dmc":
+        params = params.with_threshold(threshold)
+        codec, back_end, channel = cd, cfg.dmc, (cfg.dmc,)
+    else:
+        codec = cg if cfg.scheme == "gauss" else cc
+        back_end, channel = GaussianNoise(cfg.eta2), ()
     rng = np.random.default_rng(seed)
     errors = 0
     for _ in range(cfg.trials):
         m = int(rng.integers(1, cfg.M + 1))
-        y = ids_channel(codec.encode(m, params), cfg.idc,
-                        GaussianNoise(cfg.eta2), seed=rng)
-        errors += codec.decode(y, params, seed=rng) != m
+        y = ids_channel(codec.encode(m, params), cfg.idc, back_end, seed=rng)
+        errors += codec.decode(y, params, *channel, seed=rng) != m
     return errors
 
 
 def test_sparse_and_direct_agree_on_error_rate():
-    """run_trials streams every Gaussian trial; the materialising pipeline,
-    called directly, must give the same error rate within 4 two-sample SE."""
+    """run_trials streams every trial; the materialising pipeline, called
+    directly, must give the same error rate within 4 two-sample SE."""
     n = 800
-    # the gauss point sits near error 0.5, where the test has the most power
+    # the gauss and dmc points sit near error 0.5, where the test has the
+    # most power; the dmc one has random timing, so padding and drift count
     for cfg in (compound_config(trials=n),
-                gauss_config(M=32, delta=0.9, epsilon=0.5, trials=n)):
-        streamed = harness.run_trials(cfg).errors
-        direct = oracle_errors(cfg, seed=cfg.base_seed + 100)
+                gauss_config(M=32, delta=0.9, epsilon=0.5, trials=n),
+                dmc_config(M=32, delta=2.5, epsilon=0.5, trials=n,
+                           idc=StateDistribution.deletion(0.1),
+                           dmc=Dmc.bsc(0.2))):
+        report = harness.run_trials(cfg)
+        streamed = report.errors
+        direct = oracle_errors(cfg, report.diagnostics["threshold"],
+                               seed=cfg.base_seed + 100)
         pooled = (streamed + direct) / (2 * n)
         se = math.sqrt(max(2 * pooled * (1 - pooled) / n, 1e-12))
         assert abs(streamed - direct) / n <= 4 * se, (cfg.scheme, streamed,
@@ -127,23 +142,34 @@ def test_sparse_and_direct_agree_on_error_rate():
 
 
 def test_oversized_dmc_config_rejected(monkeypatch):
-    # the streamed back ends have no size cap: this block is beyond 2**62
+    # the streamed trials have no slot cap: this block is beyond 2**62
     huge = compound_config(mu1=0.5, mu2=2.0, delta=0.0, M=32,
                            sigma2_bound=0.25, trials=4)
     assert harness.run_trials(huge).trials == 4
 
-    # M=1024 needs 16.8M-slot codewords; its regions hold ~10M positions,
-    # so the rejection must come before any window is laid out
+    # M=1024 regions hold ~10M windows, so the rejection must come before
+    # any window is laid out
     def no_table(self, layout):
         raise AssertionError("region table built for a rejected config")
 
     monkeypatch.setattr(_layout.RegionTable, "__init__", no_table)
     cfg = dmc_config(M=1024, idc=StateDistribution.deletion(0.1),
                      dmc=Dmc.bsc(0.2), trials=1)
-    assert harness.derive_scheme_params(cfg).codeword_len \
-        > harness.DMC_MAX_SLOTS
+    windows = sum(map(len, harness.derive_scheme_params(cfg).layout.regions))
+    assert windows > harness.MAX_WINDOWS
     with pytest.raises(InvalidConfigError, match="exceeds"):
         harness.run_trials(cfg)
+    # a nearly useless burst letter stretches 64 windows over 83M samples,
+    # every one of which a DMC trial would draw
+    long = dmc_config(dmc=Dmc.bsc(0.499), trials=1)
+    assert sum(map(len, harness.derive_scheme_params(long).layout.regions)) \
+        == 64
+    with pytest.raises(InvalidConfigError, match="letters"):
+        harness.run_trials(long)
+    # the window cap holds for every scheme
+    monkeypatch.setattr(harness, "MAX_WINDOWS", 100)
+    with pytest.raises(InvalidConfigError, match="exceeds"):
+        harness.run_trials(gauss_config())
 
 
 def test_exhaustive_and_fixed_message_selection():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._layout import geometry_diagnostics
+from artifact._layout import Drift, Layout, RegionTable, geometry_diagnostics
 from artifact.channel import Dmc, StateDistribution
 from artifact.errors import InvalidConfigError
 
@@ -117,3 +117,28 @@ def test_table_flattens_regions_in_message_order():
     assert t.decide(fired) == 5
     fired[t.bounds[7] - 1] = True   # last window of message 7
     assert t.decide(fired) is None
+
+
+def cumsum_decide(fired, bounds):
+    """The unique-region rule by prefix counts of firing windows."""
+    seen = np.concatenate(([0], np.cumsum(fired)))
+    hits = np.flatnonzero(seen[bounds[1:]] > seen[bounds[:-1]])
+    return int(hits[0]) + 1 if hits.size == 1 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.data())
+def test_decide_matches_prefix_count_rule(sizes, data):
+    """Empty regions included: they never hit, wherever their bound sits."""
+    regions, start = [], 1
+    for n in sizes:
+        regions.append(range(start, start + n))
+        start += n + 3
+    M = len(sizes)
+    table = RegionTable(Layout(
+        codeword_len=start, prefix_slots=(0,) * M, burst_slots=(1,) * M,
+        prefix_drift=Drift(Fraction(1)), burst_drift=Drift(Fraction(1)),
+        window_lens=(2,) * M, regions=tuple(regions), slack=(0,) * M))
+    fired = np.array(data.draw(st.lists(st.booleans(), min_size=sum(sizes),
+                                        max_size=sum(sizes))), dtype=bool)
+    assert table.decide(fired) == cumsum_decide(fired, table.bounds)

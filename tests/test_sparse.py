@@ -14,8 +14,9 @@ import pytest
 
 from artifact import _sparse as sp
 from artifact import codec_compound as cc
+from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact.channel import StateDistribution, idc_apply, sample_states
+from artifact.channel import Dmc, StateDistribution, idc_apply, sample_states
 
 
 def test_zero_slots_sum_to_zero():
@@ -101,6 +102,64 @@ def test_stream_trial_reproducible_and_exact_sums():
     assert r1.diagnostics.prefix_output == p.offsets[2]
     assert r1.diagnostics.burst_output == p.widths[2]
     assert r1.decoded in set(range(1, 9)) | {None}
+
+
+def disjoint(starts, ends):
+    """Indices of a greedy run of pairwise disjoint windows."""
+    keep, reach = [], -1
+    for i in np.argsort(starts, kind="stable"):
+        if starts[i] > reach:
+            keep.append(i)
+            reach = ends[i]
+    return np.array(keep, dtype=np.int64)
+
+
+def test_dmc_letters_follow_burst_and_idle_rows():
+    """Letters follow W[x*] inside the burst image and W[0] outside it; a
+    letter a row gives probability 0 never appears under that row, and the
+    impossibility masks still force the window statistic to +-inf."""
+    p = cd.derive_params(
+        M=8, epsilon=0.5, delta=1.0, idc=StateDistribution.deletion(0.1),
+        channel=Dmc(np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]),
+                    np.array([0.0, 1.0])), x_star=1).with_threshold(0.0)
+    # derive_params refuses a burst letter idle cannot produce (infinite
+    # divergence), so the zero entries reach the plan through its channel
+    w = np.array([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
+    plan = sp.DmcPlan(p, Dmc(w, np.array([0.0, 1.0])))
+    t = plan.table
+    a, g = p.layout.regions[1].start - 1, 4 * p.window_len   # 4 windows' worth
+    inside = (t.starts > a) & (t.ends <= a + g)
+    outside = (t.ends <= a) | (t.starts > a + g)
+    picks = [np.flatnonzero(mask)[disjoint(t.starts[mask], t.ends[mask])]
+             for mask in (inside, outside)]
+    assert picks[0].size == 4
+
+    rng = np.random.default_rng(17)
+    totals = np.zeros((2, 3), dtype=np.int64)
+    forced = {math.inf: 0, -math.inf: 0}
+    for _ in range(1500):
+        counts = plan.letter_counts(a, g, rng)
+        assert (counts.sum(axis=0) == t.lens).all()
+        for k, pick in enumerate(picks):
+            totals[k] += counts[:, pick].sum(axis=1)
+        stats = cd._stats_from_counts(counts, *plan.llr_tables)
+        burst_only = (counts[2] > 0) & (counts[0] == 0)
+        assert (stats[counts[0] > 0] == -math.inf).all()
+        assert (stats[burst_only] == math.inf).all()
+        forced[math.inf] += int(burst_only.sum())
+        forced[-math.inf] += int((counts[0] > 0).sum())
+    assert min(forced.values()) > 0
+    assert totals[0, 0] == 0 and totals[1, 2] == 0   # impossible letters
+    for row, total in zip((w[1], w[0]), totals):
+        n = total.sum()
+        se = np.sqrt(row * (1 - row) / n)
+        assert (np.abs(total / n - row) <= 5 * se).all(), (total / n, row)
+
+    # the trial's verdicts are these statistics against the threshold
+    seeded = (np.random.default_rng(5), np.random.default_rng(5))
+    stats = cd._stats_from_counts(plan.letter_counts(a, g, seeded[0]),
+                                  *plan.llr_tables)
+    assert (plan.fired(2, a, g, seeded[1]) == (stats >= 0.0)).all()
 
 
 def test_stream_agrees_with_materialized_pipeline():
