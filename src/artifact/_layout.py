@@ -16,8 +16,9 @@ Positions are 1-based throughout.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,11 +41,26 @@ class Drift:
     rate: Fraction
     radius_sq: Fraction = Fraction(0)
     spread_sq: Fraction = Fraction(0)
+    # the test cleared of denominators, as Python integers (see out)
+    _ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rate = Fraction(self.rate)
+        radius, spread = Fraction(self.radius_sq), Fraction(self.spread_sq)
+        q2 = rate.denominator ** 2
+        object.__setattr__(self, "_ints", (
+            rate.numerator, rate.denominator,
+            radius.denominator * spread.denominator,
+            q2 * radius.numerator * spread.denominator,
+            q2 * spread.numerator * radius.denominator))
 
     def out(self, n: int, slots: int) -> bool:
-        d = n - self.rate * slots
-        return not (d == 0 or d * d < self.radius_sq
-                    + self.spread_sq * slots * slots)
+        # with d = n - (p/q) * slots, radius_sq = rn/rd, spread_sq = sn/sd:
+        # d*d < radius_sq + spread_sq * slots**2 exactly when
+        # (q*d)**2 * rd * sd < q*q * (rn * sd + sn * rd * slots**2)
+        p, q, scale, radius, spread = self._ints
+        qd = q * n - p * slots
+        return qd != 0 and qd * qd * scale >= radius + spread * slots * slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +125,10 @@ class RegionTable:
     """Every window of a layout, flattened region by region.
 
     Window i covers samples starts[i] .. ends[i], and message m's windows
-    are the slice bounds[m-1]:bounds[m]; first, step, count and region_lens
-    describe each message's region as the arithmetic progression it is.
-    Positions are int64 while they fit and Python ints (object arrays)
-    beyond, so the same expressions stay exact for the variable-spacing
-    scheme, whose positions outgrow int64.
+    are the slice bounds[m-1]:bounds[m].  Positions are int64 while they
+    fit and Python ints (object arrays) beyond, so the same expressions
+    stay exact for the variable-spacing scheme, whose positions outgrow
+    int64.
     """
 
     def __init__(self, layout: Layout):
@@ -123,50 +138,74 @@ class RegionTable:
                              in zip(regions, layout.window_lens) if r),
                             default=0)
         dtype = np.int64 if self.last_end < _INT64_SAFE else object
-        self.first = np.array([r.start for r in regions], dtype=dtype)
-        self.step = np.array([r.step for r in regions], dtype=dtype)
-        self.count = np.array(sizes, dtype=np.int64)
-        self.region_lens = np.array(layout.window_lens, dtype=dtype)
         self.starts = np.fromiter(itertools.chain.from_iterable(regions),
                                   dtype=dtype, count=sum(sizes))
-        self.lens = np.repeat(self.region_lens, sizes)
+        self.lens = np.repeat(np.array(layout.window_lens, dtype=dtype), sizes)
         self.ends = self.starts + self.lens - 1
         self.bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        self.occupied = np.flatnonzero(self.count)  # messages with a window
+        self.occupied = np.flatnonzero(sizes)  # messages with a window
+        # for contact: each region with its window length and first table
+        # index, and the nonempty ones sorted by first position, with the
+        # furthest window end of each prefix of that order
+        self._regions = list(zip(regions, layout.window_lens,
+                                 self.bounds.tolist()))
+        spans = sorted((region[0], region[-1] + w - 1, r)
+                       for r, (region, w, _) in enumerate(self._regions)
+                       if region)
+        self._firsts = [first for first, _, _ in spans]
+        self._reach = list(itertools.accumulate(
+            (end for _, end, _ in spans), max))
+        self._order = [r for _, _, r in spans]
 
-    def overlaps(self, a: int, g: int, m: int | None = None) -> np.ndarray:
-        """Samples each window shares with the burst image a+1 .. a+g: every
-        window, or message m's only."""
-        part = slice(None) if m is None else slice(self.bounds[m - 1],
-                                                   self.bounds[m])
+    def contact(self, a: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """The windows that share a sample with the burst image a+1 .. a+g,
+        as ascending table indices, and how many samples each shares.
+
+        Each region is an arithmetic progression, so its contact windows
+        are one run of consecutive indices, found exactly in integers.
+        Regions may overlap or come in any order (a layout failing its
+        guards is still accepted), so the search goes by the regions' own
+        spans, sorted by first position: it tests every region that starts
+        by the image's end, except a prefix of that order that ends wholly
+        before the image starts.
+        """
+        none = np.empty(0, dtype=np.int64)
+        if g <= 0:
+            return none, np.empty(0, dtype=self.starts.dtype)
         # clamping at last_end + 1 changes no overlap and keeps int64 safe
         top = self.last_end + 1
-        lo = np.maximum(self.starts[part], min(a + 1, top))
-        hi = np.minimum(self.ends[part], min(a + g, top))
-        return np.maximum(hi - lo + 1, 0)
-
-    def touched(self, a: int, g: int) -> np.ndarray:
-        """Per message: whether some window of its region shares a sample
-        with the burst image a+1 .. a+g.  O(M), whatever the window count."""
-        if g <= 0:
-            return np.zeros(self.count.size, dtype=bool)
-        top = self.last_end + 1
-        reach, image_end = min(a + 1, top), min(a + g, top)
-        # k: the first window of each region whose end reaches a+1
-        k = np.maximum(
-            -((self.first + self.region_lens - 1 - reach) // self.step), 0)
-        return ((k < self.count)
-                & (self.first + k * self.step <= image_end)).astype(bool)
+        lo, hi = min(a + 1, top), min(a + g, top)
+        runs = []
+        for r in self._order[bisect.bisect_left(self._reach, lo):
+                             bisect.bisect_right(self._firsts, hi)]:
+            region, w, base = self._regions[r]
+            first, step = region.start, region.step
+            # windows k0..k1: the first that ends at or after lo through
+            # the last that starts at or before hi
+            k0 = max(-((first + w - 1 - lo) // step), 0)
+            k1 = min((hi - first) // step, len(region) - 1)
+            if k0 <= k1:
+                runs.append((base + k0, base + k1 + 1))
+        idx = np.concatenate([np.arange(*run) for run in sorted(runs)]) \
+            if runs else none
+        return idx, np.minimum(self.ends[idx], hi) - np.maximum(
+            self.starts[idx], lo) + 1
 
     def decide(self, fired: np.ndarray) -> int | None:
         """Unique-region rule: the one message with a firing window, else None."""
+        decoded = int(self.decide_rows(fired[np.newaxis])[0])
+        return decoded or None
+
+    def decide_rows(self, fired: np.ndarray) -> np.ndarray:
+        """The unique-region rule for each row of fired (trials x windows):
+        the decoded message, or 0 where no region or several fired."""
         if not self.occupied.size:
-            return None
+            return np.zeros(fired.shape[0], dtype=np.int64)
         # reduceat over the occupied regions' first windows only: an empty
         # region would otherwise read the one window at its bound
-        hit = np.logical_or.reduceat(fired, self.bounds[self.occupied])
-        hits = self.occupied[hit]
-        return int(hits[0]) + 1 if hits.size == 1 else None
+        hit = np.logical_or.reduceat(fired, self.bounds[self.occupied], axis=1)
+        return np.where(hit.sum(axis=1) == 1,
+                        self.occupied[hit.argmax(axis=1)] + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -211,15 +250,23 @@ def geometry_diagnostics(m: int, prefix_output: int, burst_output: int,
     layout.check_message(m)
     a = int(prefix_output)
     g = int(burst_output)
-    table = layout.table
-    touched = table.touched(a, g)
-    touched[m - 1] = False
-    own = table.overlaps(a, g, m)
-    w = layout.window_lens[m - 1]
+    return contact_diagnostics(m, a, g, layout, *layout.table.contact(a, g))
+
+
+def contact_diagnostics(m: int, a: int, g: int, layout: Layout,
+                        idx: np.ndarray, overlap: np.ndarray
+                        ) -> TraceDiagnostics:
+    """The flags of geometry_diagnostics from the image's contact windows
+    (RegionTable.contact(a, g)): windows outside it overlap the image in
+    no sample."""
+    own = overlap[slice(*idx.searchsorted(layout.table.bounds[m - 1:m + 1]))]
+    need = layout.window_lens[m - 1] - layout.slack[m - 1]
+    # with need <= 0 every own window qualifies, in contact or not
+    full = g > 0 and (len(layout.regions[m - 1]) > 0 if need <= 0
+                      else own.size > 0 and bool(own.max() >= need))
     return TraceDiagnostics(
         prefix_drift_out=layout.prefix_drift.out(a, layout.prefix_slots[m - 1]),
         burst_spread_out=layout.burst_drift.out(g, layout.burst_slots[m - 1]),
-        wrong_windows_all_zero=not touched.any(),
-        full_burst_window_exists=g > 0 and bool(
-            (own >= w - layout.slack[m - 1]).any()),
+        wrong_windows_all_zero=own.size == idx.size,
+        full_burst_window_exists=full,
         prefix_output=a, burst_output=g)

@@ -199,14 +199,15 @@ def _llr_tables(params: DmcSchemeParams, channel: Dmc):
 def _stats_from_counts(counts: np.ndarray, llr, imp1, imp0) -> np.ndarray:
     """Combine per-letter window counts into LLR statistics.
 
-    counts[y, i] is how often letter y appears in window i.  The float
+    counts[y, ...] is how often letter y appears in each window (window i,
+    or window i of trial t at counts[y, t, i]).  The float
     accumulation order is fixed (ascending y), so two windows holding the
     same multiset of letters always produce bit-identical statistics; the
     calibrated threshold is a quantile of this very statistic and exact ties
     must stay ties.  Letters impossible under H0 force +inf, letters
     impossible under H1 force -inf, and -inf wins when both occur.
     """
-    stats = np.zeros(counts.shape[1], dtype=np.float64)
+    stats = np.zeros(counts.shape[1:], dtype=np.float64)
     for y in range(llr.size):
         if llr[y] != 0.0:
             stats += counts[y] * llr[y]

@@ -6,21 +6,27 @@ Report with the observed error rate, a Wilson confidence interval, the
 deterministic per-codeword cost, and diagnostic tallies of the drift events
 the error analysis budgets for.
 
-Every trial of every scheme is streamed (_sparse.stream_trial), which is
-exact in law and never builds the received stream; the materialising
-encode -> ids_channel -> decode pipeline is left to the tests as their
-oracle.  A trial's time and memory grow with the windows its decoder
-tests, and for the DMC scheme with the samples they cover, so configs
-over MAX_WINDOWS windows or MAX_LETTERS DMC letters are rejected before
-any table is built.
+Every trial of every scheme is streamed, which is exact in law and never
+builds the received stream; the materialising encode -> ids_channel ->
+decode pipeline is left to the tests as their oracle.  run_trials splits
+the trials, in order, into blocks of the plan's block_size, runs each
+block through _sparse.stream_trials (one worker thread per block at a
+time), and adds each block's counts into the report's tallies; no
+per-trial outcome is kept.  A trial's time and memory grow with the
+windows its decoder tests, and for the DMC scheme with the samples they
+cover, so configs over MAX_WINDOWS windows, or over MAX_LETTERS DMC
+letters a trial or a threshold calibration, are rejected before any table
+is built or letter drawn.
 
 Reproducibility contract: a report is a pure function of its config.  Every
-trial draws from its own seed spawned from base_seed, and results are merged
-in trial order, so the worker count never changes the numbers.
+trial draws from its own seed spawned from base_seed, and its outcome does
+not depend on the other trials of its block, so neither the block split
+nor the worker count changes the numbers.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import csv
 import itertools
@@ -41,7 +47,7 @@ from .errors import InvalidConfigError
 from .rng import as_generator
 
 MAX_WINDOWS = 1 << 22  # most windows a region table may hold
-MAX_LETTERS = 1 << 22  # most letters one DMC trial may draw
+MAX_LETTERS = 1 << 22  # most letters a DMC trial or calibration may draw
 
 _SCHEMES = ("dmc", "gauss", "compound")
 _INT_FIELDS = ("M", "trials", "base_seed", "x_star", "calibration_trials",
@@ -223,13 +229,6 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
     return float(params.energy)
 
 
-@dataclass(frozen=True)
-class _TrialOutcome:
-    error: bool
-    erased: bool  # decoder returned None rather than a wrong message
-    diag: object
-
-
 def _make_plan(config: ExperimentConfig, params):
     """The streamed-trial plan of a config's scheme."""
     if config.scheme == "dmc":
@@ -237,15 +236,53 @@ def _make_plan(config: ExperimentConfig, params):
     return _sparse.Plan(params)
 
 
-def _make_runner(config: ExperimentConfig, params):
-    plan = _make_plan(config, params)
+def _seed_streams(config: ExperimentConfig):
+    """(calibration, messages, trials): the three seed streams of a report."""
+    return np.random.SeedSequence(config.base_seed).spawn(3)
 
-    def run(m: int, ss) -> _TrialOutcome:
-        res = _sparse.stream_trial(plan, m, config.idc, as_generator(ss))
-        return _TrialOutcome(res.decoded != m, res.decoded is None,
-                             res.diagnostics)
 
-    return run
+def _trial_blocks(config: ExperimentConfig, size: int):
+    """(messages, trial seeds) of each block of at most size trials, in
+    trial order.  The seeds are spawned block by block, which gives every
+    trial the seed that one spawn of them all would (~400 bytes a trial
+    held only while its block runs)."""
+    _, msg_ss, trial_root = _seed_streams(config)
+    messages = _draw_messages(config, as_generator(msg_ss))
+    for i in range(0, config.trials, size):
+        block = messages[i:i + size]
+        yield block, trial_root.spawn(block.size)
+
+
+def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """pool.map(fn, items), in order, but with at most ahead items
+    submitted and not yet returned, so items are drawn as the work goes."""
+    pending = collections.deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+_FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
+          "full_burst_window_exists")
+_TALLIES = ("errors", "erasures", *_FLAGS, "drift_free", "drift_free_clean")
+
+
+def _block_tallies(messages: np.ndarray, block) -> dict[str, int]:
+    """The error count and the report tallies of one block of trials."""
+    out = dict.fromkeys(_TALLIES, 0)
+    out["errors"] = int((block.decoded != messages).sum())
+    out["erasures"] = int((block.decoded == 0).sum())
+    for d in block.diagnostics:
+        for key in _FLAGS:
+            out[key] += getattr(d, key)
+        if not (d.prefix_drift_out or d.burst_spread_out):
+            out["drift_free"] += 1
+            out["drift_free_clean"] += (d.wrong_windows_all_zero
+                                        and d.full_burst_window_exists)
+    return out
 
 
 def _draw_messages(config: ExperimentConfig, rng) -> np.ndarray:
@@ -268,8 +305,9 @@ def _worker_count(config: ExperimentConfig) -> int:
 
 def _check_plan_size(config: ExperimentConfig, layout) -> None:
     """Reject a config whose trial plan would outgrow MAX_WINDOWS windows or,
-    for the DMC scheme, MAX_LETTERS letters a trial, from the regions'
-    ranges alone, before any window is laid out."""
+    for the DMC scheme, whose trials or threshold calibration would draw
+    more than MAX_LETTERS letters, from the regions' ranges alone, before
+    any window is laid out."""
     windows = sum(len(r) for r in layout.regions)
     if windows > MAX_WINDOWS:
         raise InvalidConfigError(
@@ -284,6 +322,14 @@ def _check_plan_size(config: ExperimentConfig, layout) -> None:
             raise InvalidConfigError(
                 f"a DMC trial would draw up to {letters} letters, which "
                 f"exceeds {MAX_LETTERS}")
+        # calibration draws all its windows at once
+        w = layout.window_lens[0]
+        letters = config.calibration_trials * w
+        if letters > MAX_LETTERS:
+            raise InvalidConfigError(
+                f"threshold calibration would draw {letters} letters "
+                f"({config.calibration_trials} calibration_trials windows of "
+                f"{w}), which exceeds {MAX_LETTERS}")
 
 
 def run_trials(config: ExperimentConfig) -> Report:
@@ -292,48 +338,42 @@ def run_trials(config: ExperimentConfig) -> Report:
     params = derive_scheme_params(config)
     _check_plan_size(config, params.layout)
 
-    root = np.random.SeedSequence(config.base_seed)
-    calib_ss, msg_ss, trial_root = root.spawn(3)
     if config.scheme == "dmc":
         tau = codec_dmc.calibrate_threshold(
-            params, config.dmc, config.calibration_trials, seed=calib_ss)
+            params, config.dmc, config.calibration_trials,
+            seed=_seed_streams(config)[0])
         params = params.with_threshold(tau)
+    plan = _make_plan(config, params)
 
-    messages = _draw_messages(config, as_generator(msg_ss))
-    seeds = trial_root.spawn(config.trials)
-    run = _make_runner(config, params)
+    def run(block) -> dict[str, int]:
+        messages, seeds = block
+        return _block_tallies(messages, _sparse.stream_trials(
+            plan, messages, config.idc, seeds))
 
+    tallies = dict.fromkeys(_TALLIES, 0)
+
+    def add(parts) -> None:
+        for part in parts:
+            for key, count in part.items():
+                tallies[key] += count
+
+    blocks = _trial_blocks(config, plan.block_size)
     workers = _worker_count(config)
     if workers == 1:
-        outcomes = [run(int(m), ss) for m, ss in zip(messages, seeds)]
+        add(map(run, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, (int(m) for m in messages), seeds))
+            add(_lazy_map(pool, run, blocks, ahead=2 * workers))
 
-    errors = sum(o.error for o in outcomes)
+    errors = tallies.pop("errors")
     lo, hi = wilson_interval(errors, config.trials, config.confidence)
-    tallies = {
-        "erasures": sum(o.erased for o in outcomes),
-        "prefix_drift_out": sum(o.diag.prefix_drift_out for o in outcomes),
-        "burst_spread_out": sum(o.diag.burst_spread_out for o in outcomes),
-        "wrong_windows_all_zero": sum(o.diag.wrong_windows_all_zero
-                                      for o in outcomes),
-        "full_burst_window_exists": sum(o.diag.full_burst_window_exists
-                                        for o in outcomes),
-        "drift_free": sum(not (o.diag.prefix_drift_out or
-                               o.diag.burst_spread_out) for o in outcomes),
-        "drift_free_clean": sum(
-            not (o.diag.prefix_drift_out or o.diag.burst_spread_out)
-            and o.diag.wrong_windows_all_zero
-            and o.diag.full_burst_window_exists for o in outcomes),
-    }
     if config.scheme == "compound":
         guards = asdict(codec_compound.schedule_diagnostics(params))
     else:
         guards = asdict(params.diagnostics)
     cost = codeword_cost(config, params)
     return Report(
-        config=config, trials=config.trials, errors=int(errors),
+        config=config, trials=config.trials, errors=errors,
         error_rate=errors / config.trials, error_ci_low=lo, error_ci_high=hi,
         codeword_cost=cost,
         rate_per_unit_cost=math.log2(config.M) / cost,

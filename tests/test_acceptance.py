@@ -19,7 +19,6 @@ from artifact import _sparse, codec_dmc, harness, info
 from artifact import channel as ch
 from artifact import codec_compound as cc
 from artifact.channel import Dmc, StateDistribution
-from artifact.rng import as_generator
 
 
 def verdict(num: int, name: str, clauses: dict[str, bool], extra: str = ""):
@@ -123,7 +122,7 @@ def q_tail(x: float) -> float:
 # documented epsilon/4 shares, the own-region miss at its finite-M bound,
 # and the false alarms, the one term that shrinks only with M, against the
 # exact per-window tail.  The per-window tallies come from re-running the
-# trials with the harness's own seeds.
+# trials through the harness's own blocks and seeds.
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,6 @@ class TrialTally:
     own_fired: bool  # some window of the sent message's region fired
     wrong_fired: int  # windows outside the own region that fired
     wrong_windows: int  # windows outside the own region
-
-
-def harness_trials(cfg: harness.ExperimentConfig):
-    """(message, trial seed) pairs exactly as harness.run_trials draws them."""
-    _, msg_ss, trial_root = np.random.SeedSequence(cfg.base_seed).spawn(3)
-    messages = harness._draw_messages(cfg, as_generator(msg_ss))
-    return zip((int(m) for m in messages), trial_root.spawn(cfg.trials))
 
 
 def tally(m: int, fired: np.ndarray, bounds: np.ndarray, diag) -> TrialTally:
@@ -155,12 +147,14 @@ def tally(m: int, fired: np.ndarray, bounds: np.ndarray, diag) -> TrialTally:
 
 def streamed_tallies(cfg, params) -> list[TrialTally]:
     """Per-window tallies of run_trials' own streamed trials: the same plan,
-    messages and trial seeds."""
+    blocks, messages and trial seeds."""
     plan = harness._make_plan(cfg, params)
     out = []
-    for m, ss in harness_trials(cfg):
-        res = _sparse.stream_trial(plan, m, cfg.idc, as_generator(ss))
-        out.append(tally(m, res.fired, plan.table.bounds, res.diagnostics))
+    for ms, seeds in harness._trial_blocks(cfg, plan.block_size):
+        block = _sparse.stream_trials(plan, ms, cfg.idc, seeds)
+        out.extend(tally(int(m), fired, plan.table.bounds, diag)
+                   for m, fired, diag in zip(ms, block.fired,
+                                             block.diagnostics))
     return out
 
 

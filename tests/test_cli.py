@@ -226,6 +226,12 @@ class SimulateTests(CliCase):
                            ({"support": [1, 2]}, "support")):
             self.assert_one_line_error(self.experiment(idc=spec), word)
 
+    def test_simulate_rejects_oversized_calibration(self):
+        # 4096 calibration windows of 216,608 letters, nearly 7 GB
+        self.assert_one_line_error(self.experiment(
+            M=2, dmc={"w": [[0.501, 0.499], [0.499, 0.501]],
+                      "cost": [0.0, 1.0]}), "calibration")
+
     def test_simulate_rejects_tiny_calibration_budget(self):
         # 3 * 0.25 / 4 < 1: the threshold would be the minimum statistic
         self.assert_one_line_error(self.experiment(calibration_trials=3),

@@ -1,6 +1,7 @@
 """Experiment harness: reproducibility, agreement with the materialising
 pipeline, size limits, sweeps, and the input/output cost identity check."""
 
+import functools
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from artifact import _layout, harness
+from artifact import _layout, _sparse, harness
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
@@ -57,12 +58,29 @@ def test_reports_are_reproducible():
 
 
 def test_worker_count_does_not_change_results():
-    # threads share one plan per report
-    for config in (gauss_config, dmc_config):
+    # threads share one plan per report; criterion 7's compound trials are
+    # short, so its threads run blocks of many trials side by side
+    criterion_7 = functools.partial(
+        compound_config, M=64, delta=0.1, mu1=0.8, mu2=1.1, sigma2_bound=0.25,
+        idc=StateDistribution.deletion(0.05), trials=400)
+    for config in (gauss_config, dmc_config, criterion_7):
         one = harness.run_trials(config(workers=1))
         four = harness.run_trials(config(workers=4))
         assert one.errors == four.errors
         assert one.diagnostics == four.diagnostics
+    cfg = criterion_7()
+    plan = harness._make_plan(cfg, harness.derive_scheme_params(cfg))
+    assert 1 < plan.block_size < cfg.trials / 2
+
+
+def test_block_split_does_not_change_results(monkeypatch):
+    for config in (gauss_config, dmc_config, compound_config):
+        whole = harness.run_trials(config())
+        monkeypatch.setattr(_sparse, "BLOCK_CELLS", 1)   # blocks of one
+        ones = harness.run_trials(config())
+        monkeypatch.undo()
+        assert whole.to_dict() | {"wall_time_s": 0} \
+            == ones.to_dict() | {"wall_time_s": 0}
 
 
 def test_worker_env_var_is_read(monkeypatch):
@@ -166,6 +184,18 @@ def test_oversized_dmc_config_rejected(monkeypatch):
         == 64
     with pytest.raises(InvalidConfigError, match="letters"):
         harness.run_trials(long)
+    # the calibration draws calibration_trials windows at once: here 4096
+    # of 216,608 letters (887M), though a trial draws only two windows
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration ran for a rejected config")
+
+    monkeypatch.setattr(cd, "calibrate_threshold", no_calibration)
+    wide = dmc_config(M=2, dmc=Dmc.bsc(0.499), trials=1)
+    params = harness.derive_scheme_params(wide)
+    assert params.window_len == 216_608
+    assert 2 * params.window_len <= harness.MAX_LETTERS
+    with pytest.raises(InvalidConfigError, match="calibration"):
+        harness.run_trials(wide)
     # the window cap holds for every scheme
     monkeypatch.setattr(harness, "MAX_WINDOWS", 100)
     with pytest.raises(InvalidConfigError, match="exceeds"):

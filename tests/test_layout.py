@@ -4,6 +4,10 @@ The property test draws small layouts of each scheme and random realized
 output lengths, and checks every diagnostic flag against a brute-force
 enumeration of windows in exact Fraction / Python-int arithmetic, written
 from each scheme's own definition of its drift events and coverage slack.
+Two more check the pieces those flags are built from: the integer drift
+test against its Fraction definition, and the image contact of a region
+table against window enumeration on random layouts, overlapping, out of
+order and beyond int64 included.
 """
 
 import math
@@ -142,3 +146,77 @@ def test_decide_matches_prefix_count_rule(sizes, data):
     fired = np.array(data.draw(st.lists(st.booleans(), min_size=sum(sizes),
                                         max_size=sum(sizes))), dtype=bool)
     assert table.decide(fired) == cumsum_decide(fired, table.bounds)
+
+
+def fraction_out(drift, n, slots):
+    """Drift.out by its definition, in Fractions."""
+    d = n - drift.rate * slots
+    return not (d == 0 or d * d < drift.radius_sq
+                + drift.spread_sq * slots * slots)
+
+
+@st.composite
+def drift_cases(draw):
+    """A drift test and a run length, often with a ball whose edges are
+    integers: rate * slots an integer and its radius k, either way the
+    test spells a radius (the compound scheme's is all spread)."""
+    slots = draw(st.one_of(st.integers(0, 10**4), st.integers(0, 10**30)))
+    rate = draw(st.fractions(0, 3, max_denominator=10**6))
+    if draw(st.booleans()):
+        return Drift(rate, draw(st.fractions(0, 10**6, max_denominator=10**6)),
+                     draw(st.fractions(0, 1, max_denominator=10**6))), slots
+    q = draw(st.integers(1, 1000))
+    rate = Fraction(draw(st.integers(0, 3 * q)), q)
+    slots = q * draw(st.integers(1, 10**20))
+    k = draw(st.integers(0, 10**6))
+    if k and draw(st.booleans()):
+        return Drift(rate, spread_sq=Fraction(k, slots) ** 2), slots
+    return Drift(rate, Fraction(k * k)), slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(drift_cases(), st.data())
+def test_integer_drift_test_matches_fraction_definition(case, data):
+    drift, slots = case
+    center = drift.rate * slots
+    r = math.isqrt(math.floor(drift.radius_sq
+                              + drift.spread_sq * slots * slots))
+    edges = [math.floor(center) + k for k in (-r - 1, -r, -r + 1, 0, 1,
+                                              r - 1, r, r + 1, r + 2)]
+    n = data.draw(st.one_of(st.sampled_from(edges),
+                            st.integers(0, 2 * slots + 10)))
+    assert drift.out(n, slots) == fraction_out(drift, n, slots)
+
+
+@st.composite
+def region_tables(draw):
+    """A table over a few random regions, each an arithmetic progression
+    of windows of its own length: overlapping or not, in any order, some
+    empty, optionally shifted beyond int64."""
+    shift = draw(st.sampled_from((0, 1 << 70)))
+    regions, lens = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        first = draw(st.integers(1, 120))
+        step = draw(st.integers(1, 9))
+        count = draw(st.integers(0, 12))
+        regions.append(range(shift + first, shift + first + step * count,
+                             step))
+        lens.append(draw(st.integers(1, 15)))
+    M = len(regions)
+    table = RegionTable(Layout(
+        codeword_len=250, prefix_slots=(0,) * M, burst_slots=(1,) * M,
+        prefix_drift=Drift(Fraction(1)), burst_drift=Drift(Fraction(1)),
+        window_lens=tuple(lens), regions=tuple(regions), slack=(0,) * M))
+    return table, shift
+
+
+@settings(max_examples=400, deadline=None)
+@given(region_tables(), st.integers(-5, 260), st.integers(-2, 80))
+def test_contact_matches_window_enumeration(case, a, g):
+    table, shift = case
+    a += shift
+    want = [(i, min(end, a + g) - max(start, a + 1) + 1)
+            for i, (start, end) in enumerate(zip(table.starts, table.ends))]
+    want = [(i, ov) for i, ov in want if ov > 0 and g > 0]
+    idx, overlap = table.contact(a, g)
+    assert list(zip(idx.tolist(), overlap.tolist())) == want

@@ -8,6 +8,8 @@ two error rates may differ only by sampling noise.
 """
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from artifact import _sparse as sp
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
+from artifact._layout import guard_blocks
 from artifact.channel import Dmc, StateDistribution, idc_apply, sample_states
+from artifact.rng import as_generator
 
 
 def test_zero_slots_sum_to_zero():
@@ -138,7 +142,8 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     totals = np.zeros((2, 3), dtype=np.int64)
     forced = {math.inf: 0, -math.inf: 0}
     for _ in range(1500):
-        counts = plan.letter_counts(a, g, rng)
+        u = rng.random((1, plan.cells))
+        counts = plan.letter_counts(u, [(a, g)])[:, 0]
         assert (counts.sum(axis=0) == t.lens).all()
         for k, pick in enumerate(picks):
             totals[k] += counts[:, pick].sum(axis=1)
@@ -155,11 +160,12 @@ def test_dmc_letters_follow_burst_and_idle_rows():
         se = np.sqrt(row * (1 - row) / n)
         assert (np.abs(total / n - row) <= 5 * se).all(), (total / n, row)
 
-    # the trial's verdicts are these statistics against the threshold
-    seeded = (np.random.default_rng(5), np.random.default_rng(5))
-    stats = cd._stats_from_counts(plan.letter_counts(a, g, seeded[0]),
+    # a trial's verdicts are these statistics against the threshold
+    u = np.random.default_rng(5).random((1, plan.cells))
+    stats = cd._stats_from_counts(plan.letter_counts(u, [(a, g)]),
                                   *plan.llr_tables)
-    assert (plan.fired(2, a, g, seeded[1]) == (stats >= 0.0)).all()
+    fired = plan.fired([2], [(a, g)], [t.contact(a, g)], u)
+    assert (fired == (stats >= 0.0)).all()
 
 
 def test_stream_agrees_with_materialized_pipeline():
@@ -201,3 +207,71 @@ def test_big_int_schedule_runs_without_materializing():
     assert res.diagnostics.prefix_output == p.offsets[29]
     assert res.diagnostics.burst_output == p.widths[29]
     assert res.decoded in set(range(1, 33)) | {None}
+
+
+# trial timing: a burst of B slots leaves an empty image (g = 0) with
+# probability 0.8**B, and images land well off their design positions
+ERRATIC = StateDistribution(((0, 0.8), (1, 0.1), (4, 0.1)))
+
+
+def crowded(p, step, slack):
+    """p (a gauss or dmc scheme) laid out with guard blocks a third as long
+    and the same region radius, so its regions_disjoint guard fails."""
+    n = p.N // 3
+    nu_sq = Fraction(4 * p.M * p.N) * Fraction(p.sigma2) / Fraction(p.epsilon)
+    beta_sq = Fraction(4 * p.B) * Fraction(p.sigma2) / Fraction(p.epsilon)
+    assert not cd.GuardDiagnostics.evaluate(
+        n, p.B, p.mu, nu_sq, beta_sq).regions_disjoint
+    return replace(p, layout=guard_blocks(p.M, n, p.B, p.mu, nu_sq, beta_sq,
+                                          p.window_len, step, slack))
+
+
+def assert_block_is_its_trials(plan, dist, trials, seed):
+    """One block of trials against the same trials one at a time: the
+    fired arrays bit for bit, the decisions and the diagnostics."""
+    ms = np.random.default_rng(seed).integers(1, plan.layout.M + 1,
+                                              size=trials)
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    block = sp.stream_trials(plan, ms, dist, seeds)
+    assert block.fired.shape == (trials, plan.table.starts.size)
+    for t, (m, ss) in enumerate(zip(ms, seeds)):
+        one = sp.stream_trial(plan, int(m), dist, as_generator(ss))
+        assert np.array_equal(block.fired[t], one.fired)
+        assert (int(block.decoded[t]) or None) == one.decoded
+        assert block.diagnostics[t] == one.diagnostics
+    return block
+
+
+def test_block_equals_its_trials_one_at_a_time():
+    gauss = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
+                             idc=StateDistribution.deletion(0.2))
+    dmc = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
+                           idc=StateDistribution.deletion(0.1),
+                           channel=Dmc.bsc(0.2), x_star=1).with_threshold(1.0)
+    big = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
+                           sigma2=0.25)
+    plans = {
+        "gauss": sp.Plan(gauss),
+        "gauss, regions overlap": sp.Plan(
+            crowded(gauss, gauss.spacing, gauss.M / math.log2(gauss.M))),
+        "dmc": sp.DmcPlan(dmc, Dmc.bsc(0.2)),
+        "dmc, regions overlap": sp.DmcPlan(crowded(dmc, 1, 0), Dmc.bsc(0.2)),
+        "compound": sp.Plan(equal_rate_params()),
+        "compound beyond int64": sp.Plan(big),
+    }
+    assert plans["compound beyond int64"].table.starts.dtype == object
+    for k, (name, plan) in enumerate(plans.items()):
+        block = assert_block_is_its_trials(plan, ERRATIC, 64, seed=k)
+        diags = block.diagnostics
+        assert any(d.burst_output == 0 for d in diags), name
+        assert any(d.full_burst_window_exists for d in diags), name
+        if "overlap" in name:   # some image reaches windows of two regions
+            assert not all(d.wrong_windows_all_zero for d in diags), name
+
+
+def test_block_size_follows_the_cell_budget():
+    plan = sp.Plan(equal_rate_params())
+    assert plan.block_size == sp.BLOCK_CELLS // plan.cells > 1
+    gauss = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
+                             idc=StateDistribution.deletion(0.1))
+    assert sp.Plan(gauss).block_size == 1   # 48,961 increments a trial
