@@ -83,35 +83,46 @@ def ints_in_open(center: Fraction, radius_sq: Fraction, lo: int = 1) -> range:
     return multiples_in_open(1, center, radius_sq, lo)
 
 
-def multiples_in_open(step: int, center: Fraction, radius_sq: Fraction,
+def multiples_in_open(step: int, center: Fraction | tuple[int, int],
+                      radius_sq: Fraction | tuple[int, int],
                       lo: int = 1) -> range:
     """Positive multiples of ``step`` (>= lo) strictly within r of center.
 
+    center and radius_sq are exact rationals (Fractions or ints), or pairs
+    (numerator, denominator) with a positive denominator, which spare a
+    caller with many centers over one denominator a Fraction each.
+
     The members form one run, found in O(1) exact tests: a member next to
     the center, then the float estimates of both ends, corrected one step
-    at a time.  radius_sq == 0 degenerates to the closed singleton {center}
+    at a time.  Each test is cleared of denominators, so it runs in Python
+    integers.  radius_sq == 0 degenerates to the closed singleton {center}
     when the center itself is such a multiple (the jitter-free case); the
     open interval would otherwise be empty and the singleton is the
     intended region.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    if radius_sq < 0:
+    cn, cd = _ratio(center)
+    rn, rd = _ratio(radius_sq)
+    if rn < 0:
         raise ValueError("negative squared radius")
+    # with d = k*step - cn/cd:
+    # d*d < rn/rd  <=>  (k*step*cd - cn)**2 * rd < rn * cd**2
+    unit, bound = step * cd, rn * cd * cd
 
     def inside(k: int) -> bool:
-        d = k * step - center
-        return d == 0 or d * d < radius_sq
+        d = k * unit - cn
+        return d == 0 or d * d * rd < bound
 
     kmin = max(1, -(-lo // step))
-    k = max(kmin, floor_frac(center / step))
+    k = max(kmin, cn // unit)
     if not inside(k):
         k += 1
         if not inside(k):
             return range(0)
-    r = math.sqrt(float(radius_sq))
-    first = max(kmin, min(k, math.ceil((float(center) - r) / step)))
-    last = max(k, math.floor((float(center) + r) / step))
+    c, r = cn / cd, math.sqrt(rn / rd)
+    first = max(kmin, min(k, math.ceil((c - r) / step)))
+    last = max(k, math.floor((c + r) / step))
     while not inside(first):
         first += 1
     while first > kmin and inside(first - 1):
@@ -121,6 +132,16 @@ def multiples_in_open(step: int, center: Fraction, radius_sq: Fraction,
     while inside(last + 1):
         last += 1
     return range(first * step, (last + 1) * step, step)
+
+
+def _ratio(q) -> tuple[int, int]:
+    """(numerator, denominator) of a Fraction, an int or such a pair."""
+    if isinstance(q, tuple):
+        n, d = q
+        if d < 1:
+            raise ValueError("denominator must be positive")
+        return n, d
+    return q.numerator, q.denominator
 
 
 def multiples_between(step: int, lo: Fraction, hi: Fraction) -> range:

@@ -111,13 +111,15 @@ def guard_blocks(M: int, N: int, B: int, mu: float, nu_sq: Fraction,
     strays beta or more.
     """
     mu = _exact.frac(mu)
+    mn, md = mu.numerator, mu.denominator
     prefix = tuple(range(0, M * N, N))
     return Layout(
         codeword_len=M * N, prefix_slots=prefix, burst_slots=(B,) * M,
         prefix_drift=Drift(mu, nu_sq), burst_drift=Drift(mu, beta_sq),
         window_lens=(window_len,) * M,
         regions=(range(1, 2),) + tuple(
-            _exact.multiples_in_open(step, p * mu + 1, nu_sq) for p in prefix[1:]),
+            _exact.multiples_in_open(step, (p * mn + md, md), nu_sq)
+            for p in prefix[1:]),
         slack=(slack,) * M)
 
 
@@ -133,16 +135,22 @@ class RegionTable:
 
     def __init__(self, layout: Layout):
         regions = layout.regions
-        sizes = [len(r) for r in regions]
+        sizes = np.array([len(r) for r in regions], dtype=np.int64)
         self.last_end = max((r[-1] + w - 1 for r, w
                              in zip(regions, layout.window_lens) if r),
                             default=0)
         dtype = np.int64 if self.last_end < _INT64_SAFE else object
-        self.starts = np.fromiter(itertools.chain.from_iterable(regions),
-                                  dtype=dtype, count=sum(sizes))
+        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
+        # window k of a region starts at first + k * step; an empty region
+        # adds no window and a one-window region no step, so neither puts
+        # a value beyond the table's dtype into these arrays
+        first, step = np.array(
+            [(r.start, r.step if len(r) > 1 else 0) if r else (0, 0)
+             for r in regions], dtype=dtype).reshape(-1, 2).T
+        k = np.arange(self.bounds[-1]) - np.repeat(self.bounds[:-1], sizes)
+        self.starts = np.repeat(first, sizes) + np.repeat(step, sizes) * k
         self.lens = np.repeat(np.array(layout.window_lens, dtype=dtype), sizes)
         self.ends = self.starts + self.lens - 1
-        self.bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         self.occupied = np.flatnonzero(sizes)  # messages with a window
         # for contact: each region with its window length and first table
         # index, and the nonempty ones sorted by first position, with the

@@ -28,12 +28,15 @@ class StateDistribution:
     """Finite-support distribution of the repetition state.
 
     support holds (state, probability) pairs with integer states >= 0.
-    The mean and variance are computed once and exposed as fields.
+    The mean and variance, and the states and probabilities as read-only
+    arrays, are computed once and exposed as fields.
     """
 
     support: tuple[tuple[int, float], ...]
     mu: float = field(init=False)
     sigma2: float = field(init=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = []
@@ -63,14 +66,11 @@ class StateDistribution:
         second = math.fsum(k * k * p for k, p in pairs)
         object.__setattr__(self, "mu", mean)
         object.__setattr__(self, "sigma2", max(0.0, second - mean * mean))
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([k for k, _ in self.support], dtype=np.int64)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.support], dtype=np.float64)
+        values = np.array([k for k, _ in pairs], dtype=np.int64)
+        probabilities = np.array([p for _, p in pairs], dtype=np.float64)
+        for name, arr in (("values", values), ("probabilities", probabilities)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def max_state(self) -> int:

@@ -28,6 +28,21 @@ class StateDistributionTests(unittest.TestCase):
         self.assertEqual(channel.StateDistribution.deletion(0.0).support, ((1, 1.0),))
         self.assertEqual(channel.StateDistribution.deletion(1.0).support, ((0, 1.0),))
 
+    def test_arrays_are_built_once_and_read_only(self):
+        d = channel.StateDistribution(((2, 0.25), (0, 0.75)))
+        self.assertIs(d.values, d.values)
+        self.assertIs(d.probabilities, d.probabilities)
+        self.assertEqual(d.values.tolist(), [0, 2])   # in support order
+        self.assertEqual(d.probabilities.tolist(), [0.75, 0.25])
+        for arr in (d.values, d.probabilities):
+            with self.assertRaises(ValueError):
+                arr[0] = 1
+        # the arrays take no part in equality, hashing or repr
+        same = channel.StateDistribution(((0, 0.75), (2, 0.25)))
+        self.assertEqual(d, same)
+        self.assertEqual(hash(d), hash(same))
+        self.assertNotIn("values", repr(d))
+
     def test_constant_constructor(self):
         d = channel.StateDistribution.constant(2)
         self.assertEqual(d.mu, 2.0)

@@ -159,6 +159,28 @@ def test_multiples_in_open_matches_enumeration(step, center, radius_sq, lo):
     assert tuple(_exact.multiples_in_open(step, center, radius_sq, lo)) == want
 
 
+@given(st.integers(min_value=1, max_value=7),
+       st.fractions(min_value=-20, max_value=300, max_denominator=12),
+       st.fractions(min_value=0, max_value=2000, max_denominator=6),
+       st.integers(min_value=1, max_value=50),
+       st.integers(min_value=1, max_value=50))
+def test_multiples_in_open_takes_unreduced_pairs(step, center, radius_sq, j, k):
+    """A center or squared radius given as a (numerator, denominator) pair,
+    reduced or not, gives the region its Fraction gives."""
+    pairs = ((center.numerator * j, center.denominator * j),
+             (radius_sq.numerator * k, radius_sq.denominator * k))
+    want = _exact.multiples_in_open(step, center, radius_sq)
+    assert _exact.multiples_in_open(step, *pairs) == want
+    assert _exact.multiples_in_open(step, pairs[0], radius_sq) == want
+
+
+def test_multiples_in_open_rejects_bad_pairs():
+    with pytest.raises(ValueError):
+        _exact.multiples_in_open(1, (3, 0), Fraction(1))
+    with pytest.raises(ValueError):
+        _exact.multiples_in_open(1, Fraction(3), (-1, 2))
+
+
 def test_multiples_in_open_exact_beyond_float_precision():
     # at 1e20 a double is 16384 apart, so the float estimates of both ends
     # miss by thousands of steps and the exact walk must find them

@@ -99,13 +99,13 @@ def test_stream_trial_reproducible_and_exact_sums():
     p = equal_rate_params()
     plan = sp.Plan(p)
     one = StateDistribution.constant(1)
-    r1 = sp.stream_trial(plan, 3, one, np.random.default_rng(11))
-    r2 = sp.stream_trial(plan, 3, one, np.random.default_rng(11))
-    assert r1 == r2
+    r1 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
+    r2 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
+    assert r1.decoded == r2.decoded and r1.diagnostics == r2.diagnostics
     # constant states make both output sums certain
-    assert r1.diagnostics.prefix_output == p.offsets[2]
-    assert r1.diagnostics.burst_output == p.widths[2]
-    assert r1.decoded in set(range(1, 9)) | {None}
+    assert r1.diagnostics[0].prefix_output == p.offsets[2]
+    assert r1.diagnostics[0].burst_output == p.widths[2]
+    assert r1.decoded[0] in range(0, 9)   # 0: no unique region fired
 
 
 def disjoint(starts, ends):
@@ -179,7 +179,7 @@ def test_stream_agrees_with_materialized_pipeline():
     stream_err = 0
     for _ in range(trials):
         m = int(rng.integers(1, 9))
-        if sp.stream_trial(plan, m, idc, rng).decoded != m:
+        if sp.stream_trials(plan, [m], idc, [rng]).decoded[0] != m:
             stream_err += 1
 
     rng = np.random.default_rng(9025)
@@ -202,11 +202,11 @@ def test_big_int_schedule_runs_without_materializing():
     p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
                          sigma2=0.25)
     assert p.block_len > 2 ** 62     # far beyond any buffer
-    res = sp.stream_trial(sp.Plan(p), 30, StateDistribution.constant(1),
-                          np.random.default_rng(3))
-    assert res.diagnostics.prefix_output == p.offsets[29]
-    assert res.diagnostics.burst_output == p.widths[29]
-    assert res.decoded in set(range(1, 33)) | {None}
+    res = sp.stream_trials(sp.Plan(p), [30], StateDistribution.constant(1),
+                           [np.random.default_rng(3)])
+    assert res.diagnostics[0].prefix_output == p.offsets[29]
+    assert res.diagnostics[0].burst_output == p.widths[29]
+    assert res.decoded[0] in range(0, 33)   # 0: no unique region fired
 
 
 # trial timing: a burst of B slots leaves an empty image (g = 0) with
@@ -235,10 +235,10 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
     block = sp.stream_trials(plan, ms, dist, seeds)
     assert block.fired.shape == (trials, plan.table.starts.size)
     for t, (m, ss) in enumerate(zip(ms, seeds)):
-        one = sp.stream_trial(plan, int(m), dist, as_generator(ss))
-        assert np.array_equal(block.fired[t], one.fired)
-        assert (int(block.decoded[t]) or None) == one.decoded
-        assert block.diagnostics[t] == one.diagnostics
+        one = sp.stream_trials(plan, [int(m)], dist, [as_generator(ss)])
+        assert np.array_equal(block.fired[t], one.fired[0])
+        assert block.decoded[t] == one.decoded[0]
+        assert block.diagnostics[t] == one.diagnostics[0]
     return block
 
 
