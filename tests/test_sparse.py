@@ -101,7 +101,8 @@ def test_stream_trial_reproducible_and_exact_sums():
     one = StateDistribution.constant(1)
     r1 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
     r2 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
-    assert r1.decoded == r2.decoded and r1.diagnostics == r2.diagnostics
+    assert np.array_equal(r1.decoded, r2.decoded)
+    assert r1.diagnostics == r2.diagnostics
     # constant states make both output sums certain
     assert r1.diagnostics[0].prefix_output == p.offsets[2]
     assert r1.diagnostics[0].burst_output == p.widths[2]
