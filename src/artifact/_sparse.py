@@ -46,7 +46,6 @@ import numpy as np
 from . import codec_dmc
 from ._layout import TraceDiagnostics, contact_diagnostics
 from .channel import StateDistribution
-from .errors import InvalidConfigError
 from .rng import as_generator
 
 # numpy's multinomial sampler takes an int64 trial count; beyond that we fall
@@ -175,13 +174,10 @@ class DmcPlan(_TrialPlan):
     length.  A letter is drawn as Generator.choice draws it: with u
     uniform on [0, 1), the letter is at most y exactly when u < cdf[y].
     Zero-probability letters are never drawn, and the window counts are
-    exact integers, so statistics tie with the calibration's bit for bit.
+    exact integers, so statistics tie with the threshold's bit for bit.
     """
 
     def __init__(self, params, channel):
-        if params.threshold is None:
-            raise InvalidConfigError(
-                "threshold not calibrated; run calibrate_threshold")
         super().__init__(params)
         table = self.table
         size = table.last_end + 2
@@ -193,7 +189,7 @@ class DmcPlan(_TrialPlan):
         self.hi = self.lo + table.lens
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])
-        self.llr_tables = codec_dmc._llr_tables(params, channel)
+        self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
         rng.random(out=out)

@@ -176,10 +176,15 @@ class Dmc:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Dmc":
+        if not (isinstance(d, Mapping) and "w" in d and "cost" in d):
+            raise InvalidConfigError(
+                f"a dmc spec must be an object with w and cost, got {d!r}")
         try:
-            return cls(np.array(d["w"], dtype=float), np.array(d["cost"], dtype=float))
-        except KeyError as exc:
-            raise InvalidConfigError(f"dmc spec is missing key {exc}") from exc
+            w, cost = (np.array(d[key], dtype=float) for key in ("w", "cost"))
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                f"dmc w and cost must be arrays of numbers: {exc}") from exc
+        return cls(w, cost)
 
 
 @dataclass(frozen=True)
@@ -365,11 +370,11 @@ def state_dist_to_dict(dist: StateDistribution) -> dict:
 
 def back_end_from_dict(d: Mapping) -> BackEnd:
     """Build the memoryless back end from {"dmc": {...}} or {"gaussian": {...}}."""
+    if not isinstance(d, Mapping):
+        raise InvalidConfigError(f"a channel spec must be an object, got {d!r}")
     if "dmc" in d:
         return Dmc.from_dict(d["dmc"])
     if "gaussian" in d:
-        spec = d["gaussian"]
-        if "eta2" not in spec:
-            raise InvalidConfigError("gaussian spec needs eta2")
-        return GaussianNoise(float(spec["eta2"]))
+        return GaussianNoise(
+            float(_shortcut(d, "gaussian", "eta2", is_real, "variance")))
     raise InvalidConfigError("channel spec needs one of: dmc, gaussian")

@@ -39,10 +39,10 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_capacity(args) -> int:
     spec = _load_json(args.channel)
+    back = back_end_from_dict(spec)  # checks first that spec is an object
     mu = args.mu
     if mu is None and "idc" in spec:
         mu = state_dist_from_dict(spec["idc"]).mu
-    back = back_end_from_dict(spec)
     if isinstance(back, GaussianNoise):
         if mu is None:
             raise InvalidConfigError(
@@ -50,33 +50,25 @@ def _cmd_capacity(args) -> int:
         value = info.gaussian_capacity_per_unit_energy(mu, back.eta2)
         payload = {"kind": "gaussian", "mu": mu, "eta2": back.eta2,
                    "bits_per_unit_energy": value, "exact": True}
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"timing rate mu: {mu}")
-            print(f"noise variance eta2: {back.eta2}")
-            print(f"capacity per unit energy: {value:.6f} bits (exact)")
-        return 0
-
-    report = info.capacity_per_unit_cost(back)
-    payload = {"kind": "dmc", "bits_per_unit_cost": report.value,
-               "maximizing_symbol": report.maximizing_symbol,
-               "per_symbol_ratios": {str(sym): ratio for sym, ratio
-                                     in sorted(report.per_symbol_ratios.items())}}
-    if mu is not None:
-        bounds = info.ids_capacity_bounds(mu, back)
-        payload.update(mu=mu, timing_lower=bounds.lower, timing_upper=bounds.upper)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"capacity per unit cost: {report.value:.6f} bits")
-    print(f"maximizing letter: {report.maximizing_symbol}")
-    for sym, ratio in sorted(report.per_symbol_ratios.items()):
-        print(f"  letter {sym}: {ratio:.6f}")
-    if mu is not None:
-        print(f"timing rate mu: {mu}")
-        print(f"timing channel bounds: [{payload['timing_lower']:.6f}, "
-              f"{payload['timing_upper']:.6f}] bits per unit cost")
+        lines = [f"timing rate mu: {mu}", f"noise variance eta2: {back.eta2}",
+                 f"capacity per unit energy: {value:.6f} bits (exact)"]
+    else:
+        report = info.capacity_per_unit_cost(back)
+        ratios = sorted(report.per_symbol_ratios.items())
+        payload = {"kind": "dmc", "bits_per_unit_cost": report.value,
+                   "maximizing_symbol": report.maximizing_symbol,
+                   "per_symbol_ratios": {str(sym): r for sym, r in ratios}}
+        lines = [f"capacity per unit cost: {report.value:.6f} bits",
+                 f"maximizing letter: {report.maximizing_symbol}",
+                 *(f"  letter {sym}: {r:.6f}" for sym, r in ratios)]
+        if mu is not None:
+            bounds = info.ids_capacity_bounds(mu, back)
+            payload.update(mu=mu, timing_lower=bounds.lower,
+                           timing_upper=bounds.upper)
+            lines += [f"timing rate mu: {mu}",
+                      f"timing channel bounds: [{bounds.lower:.6f}, "
+                      f"{bounds.upper:.6f}] bits per unit cost"]
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
     return 0
 
 
@@ -124,7 +116,6 @@ def _cmd_params(args) -> int:
     payload["region_sizes"] = _region_sizes(params.layout.regions)
     if args.scheme == "compound":
         payload["block_len"] = params.block_len
-        payload["schedule"] = asdict(codec_compound.schedule_diagnostics(params))
     else:
         payload["codeword_len"] = params.codeword_len
     if args.scheme != "dmc":

@@ -40,6 +40,39 @@ MAX_MATERIALIZED = 1 << 26  # refuse to allocate codewords beyond this many slot
 
 
 @dataclass(frozen=True)
+class ScheduleDiagnostics:
+    """Exactly evaluated no-overlap inequalities for the burst schedule.
+
+    offsets_separate:  (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1} for
+                       every consecutive pair: the fastest possible image of
+                       burst m ends before the slowest possible start of
+                       burst m+1.
+    windows_disjoint:  the last window of every region ends before the first
+                       window of the next region begins.
+
+    Both hold by construction of the offset recursion; they are evaluated in
+    exact rational arithmetic rather than trusted.
+    """
+
+    offsets_separate: bool
+    windows_disjoint: bool
+
+
+def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
+                         hi_rate: Fraction) -> ScheduleDiagnostics:
+    """The schedule inequalities of a layout with rate window
+    [lo_rate, hi_rate] = [mu1 - delta, mu2 + delta]."""
+    offsets, widths, regions = (layout.prefix_slots, layout.burst_slots,
+                                layout.regions)
+    pairs = range(1, layout.M)
+    return ScheduleDiagnostics(
+        offsets_separate=all(hi_rate * (offsets[m - 1] + widths[m - 1])
+                             <= lo_rate * offsets[m] for m in pairs),
+        windows_disjoint=all(regions[m - 1][-1] + layout.window_lens[m - 1]
+                             <= regions[m][0] for m in pairs))
+
+
+@dataclass(frozen=True)
 class CompoundSchemeParams:
     M: int
     epsilon: float
@@ -54,6 +87,7 @@ class CompoundSchemeParams:
     widths: tuple[int, ...]  # B_m: burst slot counts
     spacings: tuple[int, ...]  # region grid step per message (index 0 unused)
     window_lens: tuple[int, ...]
+    diagnostics: ScheduleDiagnostics
     layout: Layout = field(repr=False, compare=False)
 
     @property
@@ -165,43 +199,8 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         x_star=x_star, threshold=threshold,
         offsets=layout.prefix_slots, widths=layout.burst_slots,
         spacings=tuple(spacings), window_lens=layout.window_lens,
+        diagnostics=schedule_diagnostics(layout, lo_rate, hi_rate),
         layout=layout)
-
-
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Exactly evaluated no-overlap inequalities for the burst schedule.
-
-    offsets_separate:  (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1} for
-                       every consecutive pair: the fastest possible image of
-                       burst m ends before the slowest possible start of
-                       burst m+1.
-    windows_disjoint:  the last window of every region ends before the first
-                       window of the next region begins.
-
-    Both hold by construction of the offset recursion; they are evaluated in
-    exact rational arithmetic rather than trusted.
-    """
-
-    offsets_separate: bool
-    windows_disjoint: bool
-
-
-def schedule_diagnostics(params: CompoundSchemeParams) -> ScheduleDiagnostics:
-    lo_rate = _exact.frac(params.mu1) - _exact.frac(params.delta)
-    hi_rate = _exact.frac(params.mu2) + _exact.frac(params.delta)
-    separate = True
-    disjoint = True
-    for m in range(1, params.M):
-        reach = hi_rate * (params.offsets[m - 1] + params.widths[m - 1])
-        if reach > lo_rate * params.offsets[m]:
-            separate = False
-        regions = params.layout.regions
-        last_end = regions[m - 1][-1] + params.window_lens[m - 1] - 1
-        if last_end >= regions[m][0]:
-            disjoint = False
-    return ScheduleDiagnostics(offsets_separate=separate,
-                               windows_disjoint=disjoint)
 
 
 def window_length(m: int, params: CompoundSchemeParams) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import _exact
 from ._layout import Layout, guard_blocks
@@ -25,6 +26,8 @@ from .channel import ChannelOutput, Dmc, StateDistribution
 from .errors import InvalidConfigError
 from .info import kl_divergence
 from .rng import as_generator
+
+MAX_MULTISETS = 1 << 22  # most letter count vectors exact_threshold sums over
 
 
 class Hypothesis(enum.IntEnum):
@@ -78,16 +81,13 @@ class DmcSchemeParams:
     beta: float
     nu: float
     window_len: int
+    threshold: float  # exact: see exact_threshold
     diagnostics: GuardDiagnostics
     layout: Layout = field(repr=False, compare=False)
-    threshold: float | None = None
 
     @property
     def codeword_len(self) -> int:
         return self.M * self.N
-
-    def with_threshold(self, tau: float) -> "DmcSchemeParams":
-        return replace(self, threshold=float(tau))
 
 
 def derive_params(M: int, epsilon: float, delta: float,
@@ -98,8 +98,8 @@ def derive_params(M: int, epsilon: float, delta: float,
     The burst length B targets (2+delta) * log2(M) / mu bits of discrimination
     against the idle hypothesis; the guard block N and the radii beta, nu are
     sized so that timing drift stays inside the regions except with
-    probability epsilon/2.  The detection threshold is left unset; see
-    calibrate_threshold.
+    probability epsilon/2.  The detection threshold is the exact one of
+    exact_threshold: a window's miss under the burst is at most epsilon/4.
     """
     if M < 2:
         raise InvalidConfigError(f"need at least 2 messages, got {M}")
@@ -154,6 +154,7 @@ def derive_params(M: int, epsilon: float, delta: float,
         sigma2=float(sigma2), x_star=int(x_star), divergence=float(div),
         N=N, B=B, beta=math.sqrt(float(beta_sq)), nu=math.sqrt(float(nu_sq)),
         window_len=window_len,
+        threshold=exact_threshold(channel, x_star, window_len, epsilon),
         diagnostics=GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq),
         layout=guard_blocks(M, N, B, mu, nu_sq, beta_sq, window_len,
                             step=1, slack=0))
@@ -179,14 +180,14 @@ def decision_region(m: int, params: DmcSchemeParams) -> tuple[int, ...]:
     return params.layout.region(m)
 
 
-def _llr_tables(params: DmcSchemeParams, channel: Dmc):
+def _llr_tables(channel: Dmc, x_star: int):
     """Per-output-letter log-likelihood ratios, with impossibility masks.
 
     imp1 marks letters the burst cannot produce (W(y|x*) == 0): any such
     letter forces the window verdict to -inf.  imp0 marks letters idle cannot
     produce; absent imp1 letters they force +inf.
     """
-    w1 = channel.w[params.x_star]
+    w1 = channel.w[x_star]
     w0 = channel.w[0]
     imp1 = w1 == 0.0
     imp0 = (w0 == 0.0) & ~imp1
@@ -203,8 +204,8 @@ def _stats_from_counts(counts: np.ndarray, llr, imp1, imp0) -> np.ndarray:
     or window i of trial t at counts[y, t, i]).  The float
     accumulation order is fixed (ascending y), so two windows holding the
     same multiset of letters always produce bit-identical statistics; the
-    calibrated threshold is a quantile of this very statistic and exact ties
-    must stay ties.  Letters impossible under H0 force +inf, letters
+    threshold is a value of this very statistic (exact_threshold) and exact
+    ties must stay ties.  Letters impossible under H0 force +inf, letters
     impossible under H1 force -inf, and -inf wins when both occur.
     """
     stats = np.zeros(counts.shape[1:], dtype=np.float64)
@@ -219,59 +220,97 @@ def _stats_from_counts(counts: np.ndarray, llr, imp1, imp0) -> np.ndarray:
 
 
 def _window_stats(symbols: np.ndarray, starts: np.ndarray, window_len: int,
-                  llr, imp1, imp0) -> np.ndarray:
+                  tables) -> np.ndarray:
     """LLR statistic for each 1-based window start, as a float array with infs.
 
     Letter counts come from integer cumulative sums, which are exact; no
-    float cancellation can creep in between calibration and decoding.
+    float cancellation can creep in between the threshold and decoding.
     """
     lo = starts - 1
     hi = lo + window_len
-    counts = np.empty((llr.size, starts.size), dtype=np.int64)
-    for y in range(llr.size):
+    counts = np.empty((tables[0].size, starts.size), dtype=np.int64)
+    for y in range(counts.shape[0]):
         cy = np.concatenate(([0], np.cumsum(symbols == y, dtype=np.int64)))
         counts[y] = cy[hi] - cy[lo]
-    return _stats_from_counts(counts, llr, imp1, imp0)
+    return _stats_from_counts(counts, *tables)
 
 
-def calibrate_threshold(params: DmcSchemeParams, channel: Dmc,
-                        calibration_trials: int = 4096, seed=None) -> float:
-    """Empirical detection threshold with missed detection at most epsilon/4.
+def _count_vectors(total: int, letters: int) -> np.ndarray:
+    """Every vector of letters nonnegative counts summing to total, one a
+    column of a (letters, C(total + letters - 1, letters - 1)) array."""
+    heads = np.zeros((0, 1), dtype=np.int32)
+    left = np.array([total], dtype=np.int32)
+    for _ in range(letters - 1):
+        reps = left + 1  # column j splits into one per next count 0..left[j]
+        count = (np.arange(reps.sum())
+                 - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int32)
+        heads = np.vstack((np.repeat(heads, reps, axis=1), count))
+        left = np.repeat(left, reps) - count
+    return np.vstack((heads, left))
 
-    Draws calibration windows under the burst hypothesis and returns the
-    largest cutoff tau such that the observed fraction of windows with
-    statistic strictly below tau stays within epsilon/4.  Larger tau means
-    fewer false alarms, so the quantile is taken from above.
+
+def _exact_mass(counts: np.ndarray, total: int, row: np.ndarray) -> Fraction:
+    """Exact probability that total letters drawn iid from row, normalised
+    (a float row sums to 1 only to rounding), have one of the count
+    vectors in the columns of counts."""
+    p = [Fraction(x) for x in row.tolist()]
+    mass = sum(math.factorial(total) // math.prod(map(math.factorial, c))
+               * math.prod(pk ** k for pk, k in zip(p, c))
+               for c in counts.T.tolist())
+    return mass / sum(p) ** total
+
+
+def exact_threshold(channel: Dmc, x_star: int, window_len: int,
+                    epsilon: float) -> float:
+    """The largest statistic value tau with P(stat < tau) <= epsilon/4 for a
+    window of window_len letters drawn from the burst row W[x_star].
+
+    The law sums the multinomial pmf over the letter count vectors a burst
+    window can hold, whose statistics come from _stats_from_counts and so
+    tie with trial statistics bit for bit.  Masses within a relative 1e-6
+    of epsilon/4 are decided again exactly.  Windows with more than
+    MAX_MULTISETS count vectors are rejected before any is built.
     """
-    if calibration_trials < 1:
-        raise ValueError("need at least one calibration window")
-    llr, imp1, imp0 = _llr_tables(params, channel)
-    rng = as_generator(seed)
-    w1 = channel.w[params.x_star]
-    outs = rng.choice(channel.num_outputs,
-                      size=(calibration_trials, params.window_len), p=w1)
-    counts = np.empty((llr.size, calibration_trials), dtype=np.int64)
-    for y in range(llr.size):
-        counts[y] = (outs == y).sum(axis=1)
-    stats = _stats_from_counts(counts, llr, imp1, imp0)
-    k = int(math.floor(calibration_trials * params.epsilon / 4.0))
-    return float(np.partition(stats, k)[k])
+    row = channel.w[x_star]
+    support = np.flatnonzero(row > 0.0)
+    vectors = math.comb(window_len + support.size - 1, support.size - 1)
+    if vectors > MAX_MULTISETS:
+        raise InvalidConfigError(
+            f"the exact threshold would enumerate {vectors} letter multisets "
+            f"of a {window_len}-letter window, which exceeds {MAX_MULTISETS}")
+    counts = _count_vectors(window_len, support.size)
+    # letters the burst cannot emit always count 0, which adds nothing
+    stats = _stats_from_counts(
+        counts, *(t[support] for t in _llr_tables(channel, x_star)))
+    p = row[support]
+    log_fact = gammaln(np.arange(window_len + 1) + 1.0)
+    log_pmf = (log_fact[window_len] - window_len * math.log(p.sum())
+               + sum(c * math.log(pk) - log_fact[c] for c, pk in zip(counts, p)))
+    order = np.argsort(stats, kind="stable")
+    stats = stats[order]
+    # below[j]: the mass of statistics under the j-th distinct value, rising
+    first = np.flatnonzero(np.concatenate(([True], stats[1:] != stats[:-1])))
+    below = np.concatenate(([0.0], np.cumsum(np.exp(log_pmf[order]))))[first]
+    # values before lo pass and from hi on fail beyond float doubt; the
+    # ones in between are decided exactly
+    lo, hi = np.searchsorted(below, epsilon / 4 * np.array([1 - 1e-6, 1 + 1e-6]))
+    while lo < hi and _exact_mass(counts[:, order[:first[lo]]], window_len,
+                                  p) <= Fraction(epsilon) / 4:
+        lo += 1
+    return float(stats[first[lo - 1]])
 
 
 def hypothesis_test(window: np.ndarray, params: DmcSchemeParams,
                     channel: Dmc) -> Hypothesis:
     """Single-window burst-versus-idle test.  Boundary ties go to H1."""
-    if params.threshold is None:
-        raise InvalidConfigError("threshold not calibrated; run calibrate_threshold")
     arr = np.asarray(window, dtype=np.int64)
     if arr.shape != (params.window_len,):
         raise ValueError(
             f"window must have exactly {params.window_len} symbols, got {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= channel.num_outputs):
         raise ValueError("window symbol outside the output alphabet")
-    llr, imp1, imp0 = _llr_tables(params, channel)
     stats = _window_stats(arr, np.array([1], dtype=np.int64), params.window_len,
-                          llr, imp1, imp0)
+                          _llr_tables(channel, params.x_star))
     return Hypothesis.H1 if stats[0] >= params.threshold else Hypothesis.H0
 
 
@@ -279,15 +318,13 @@ def decode(y: ChannelOutput | np.ndarray, params: DmcSchemeParams,
            channel: Dmc, seed=None) -> int | None:
     """Declare the unique message whose region contains a firing window.
 
-    Fires means the window statistic reaches the calibrated threshold.  If no
+    Fires means the window statistic reaches the threshold.  If no
     region fires, or more than one does, the decoder gives up and returns
     None (counted as an error by the harness).  Windows running past the end
     of the received stream are completed with fresh idle-channel draws, which
     is what a receiver sampling a silent channel would see; pass a seed to
     make that padding reproducible.
     """
-    if params.threshold is None:
-        raise InvalidConfigError("threshold not calibrated; run calibrate_threshold")
     symbols = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
     symbols = symbols.astype(np.int64, copy=False)
     table = params.layout.table
@@ -296,7 +333,6 @@ def decode(y: ChannelOutput | np.ndarray, params: DmcSchemeParams,
         pad = rng.choice(channel.num_outputs, size=table.last_end - symbols.size,
                          p=channel.w[0])
         symbols = np.concatenate([symbols, pad])
-    llr, imp1, imp0 = _llr_tables(params, channel)
     stats = _window_stats(symbols, table.starts, params.window_len,
-                          llr, imp1, imp0)
+                          _llr_tables(channel, params.x_star))
     return table.decide(stats >= params.threshold)

@@ -15,8 +15,7 @@ time), and adds each block's counts into the report's tallies; no
 per-trial outcome is kept.  A trial's time and memory grow with the
 windows its decoder tests, and for the DMC scheme with the samples they
 cover, so configs over MAX_WINDOWS windows, or over MAX_LETTERS DMC
-letters a trial or a threshold calibration, are rejected before any table
-is built or letter drawn.
+letters a trial, are rejected before any table is built or letter drawn.
 
 Reproducibility contract: a report is a pure function of its config.  Every
 trial draws from its own seed spawned from base_seed, and its outcome does
@@ -47,11 +46,10 @@ from .errors import InvalidConfigError
 from .rng import as_generator
 
 MAX_WINDOWS = 1 << 22  # most windows a region table may hold
-MAX_LETTERS = 1 << 22  # most letters a DMC trial or calibration may draw
+MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
 
 _SCHEMES = ("dmc", "gauss", "compound")
-_INT_FIELDS = ("M", "trials", "base_seed", "x_star", "calibration_trials",
-               "workers")
+_INT_FIELDS = ("M", "trials", "base_seed", "x_star", "workers")
 _REAL_FIELDS = ("epsilon", "delta", "eta2", "confidence", "mu1", "mu2",
                 "sigma2_bound")
 _OPTIONAL_FIELDS = ("workers", "mu1", "mu2", "sigma2_bound")
@@ -77,7 +75,6 @@ class ExperimentConfig:
     mu2: float | None = None
     sigma2_bound: float | None = None
     message_selection: str | int = "uniform"  # or "exhaustive", or a fixed message
-    calibration_trials: int = 4096
     confidence: float = 0.95
     workers: int | None = None  # None: take ARTIFACT_THREADS, default 1
 
@@ -108,16 +105,8 @@ class ExperimentConfig:
         if is_integer(selection) and not (1 <= selection <= self.M):
             raise InvalidConfigError(
                 f"fixed message {selection} outside 1..{self.M}")
-        if self.scheme == "dmc":
-            if not isinstance(self.dmc, Dmc):
-                raise InvalidConfigError("scheme 'dmc' needs a back-end channel")
-            # the threshold is the floor(calibration_trials * epsilon/4)-th
-            # smallest statistic; at 0 it is the minimum, which bounds nothing
-            if self.calibration_trials * self.epsilon / 4 < 1:
-                raise InvalidConfigError(
-                    f"calibration_trials={self.calibration_trials} is too few "
-                    f"to calibrate a miss rate of epsilon/4: "
-                    "calibration_trials * epsilon / 4 must reach 1")
+        if self.scheme == "dmc" and not isinstance(self.dmc, Dmc):
+            raise InvalidConfigError("scheme 'dmc' needs a back-end channel")
         if self.scheme == "compound" and None in (self.mu1, self.mu2,
                                                   self.sigma2_bound):
             raise InvalidConfigError(
@@ -142,8 +131,6 @@ class ExperimentConfig:
             raise InvalidConfigError("config needs an idc state distribution")
         kwargs["idc"] = state_dist_from_dict(kwargs["idc"])
         if kwargs.get("dmc") is not None:
-            if not isinstance(kwargs["dmc"], dict):
-                raise InvalidConfigError("dmc must be an object with w and cost")
             kwargs["dmc"] = Dmc.from_dict(kwargs["dmc"])
         return cls(**kwargs)
 
@@ -154,7 +141,6 @@ class ExperimentConfig:
             "base_seed": self.base_seed, "idc": state_dist_to_dict(self.idc),
             "x_star": self.x_star, "eta2": self.eta2,
             "message_selection": self.message_selection,
-            "calibration_trials": self.calibration_trials,
             "confidence": self.confidence,
         }
         if self.dmc is not None:
@@ -206,7 +192,7 @@ def wilson_interval(errors: int, trials: int,
 
 
 def derive_scheme_params(config: ExperimentConfig):
-    """Scheme parameters for a config; the DMC threshold is left uncalibrated."""
+    """Scheme parameters for a config."""
     if config.scheme == "dmc":
         return codec_dmc.derive_params(config.M, config.epsilon, config.delta,
                                        config.idc, config.dmc, config.x_star)
@@ -237,7 +223,8 @@ def _make_plan(config: ExperimentConfig, params):
 
 
 def _seed_streams(config: ExperimentConfig):
-    """(calibration, messages, trials): the three seed streams of a report."""
+    """(unused, messages, trials): the seed streams of a report.  Stream 0
+    is unused, but stays so that message and trial seeds do not move."""
     return np.random.SeedSequence(config.base_seed).spawn(3)
 
 
@@ -305,9 +292,9 @@ def _worker_count(config: ExperimentConfig) -> int:
 
 def _check_plan_size(config: ExperimentConfig, layout) -> None:
     """Reject a config whose trial plan would outgrow MAX_WINDOWS windows or,
-    for the DMC scheme, whose trials or threshold calibration would draw
-    more than MAX_LETTERS letters, from the regions' ranges alone, before
-    any window is laid out."""
+    for the DMC scheme, whose trials would draw more than MAX_LETTERS
+    letters, from the regions' ranges alone, before any window is laid
+    out."""
     windows = sum(len(r) for r in layout.regions)
     if windows > MAX_WINDOWS:
         raise InvalidConfigError(
@@ -322,14 +309,6 @@ def _check_plan_size(config: ExperimentConfig, layout) -> None:
             raise InvalidConfigError(
                 f"a DMC trial would draw up to {letters} letters, which "
                 f"exceeds {MAX_LETTERS}")
-        # calibration draws all its windows at once
-        w = layout.window_lens[0]
-        letters = config.calibration_trials * w
-        if letters > MAX_LETTERS:
-            raise InvalidConfigError(
-                f"threshold calibration would draw {letters} letters "
-                f"({config.calibration_trials} calibration_trials windows of "
-                f"{w}), which exceeds {MAX_LETTERS}")
 
 
 def run_trials(config: ExperimentConfig) -> Report:
@@ -337,12 +316,6 @@ def run_trials(config: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     params = derive_scheme_params(config)
     _check_plan_size(config, params.layout)
-
-    if config.scheme == "dmc":
-        tau = codec_dmc.calibrate_threshold(
-            params, config.dmc, config.calibration_trials,
-            seed=_seed_streams(config)[0])
-        params = params.with_threshold(tau)
     plan = _make_plan(config, params)
 
     def run(block) -> dict[str, int]:
@@ -367,10 +340,7 @@ def run_trials(config: ExperimentConfig) -> Report:
 
     errors = tallies.pop("errors")
     lo, hi = wilson_interval(errors, config.trials, config.confidence)
-    if config.scheme == "compound":
-        guards = asdict(codec_compound.schedule_diagnostics(params))
-    else:
-        guards = asdict(params.diagnostics)
+    guards = asdict(params.diagnostics)
     cost = codeword_cost(config, params)
     return Report(
         config=config, trials=config.trials, errors=errors,

@@ -232,8 +232,7 @@ def test_criterion_06_dmc_monte_carlo():
     clean = rep.diagnostics["drift_free_clean"]
     cond = clean / drift_free if drift_free else 0.0
 
-    params = harness.derive_scheme_params(cfg).with_threshold(
-        rep.diagnostics["threshold"])
+    params = harness.derive_scheme_params(cfg)
     tallies = streamed_tallies(cfg, params)
 
     # Exact law of one window's statistic over every letter multiset.
@@ -242,7 +241,7 @@ def test_criterion_06_dmc_monte_carlo():
     counts = np.array([np.bincount(c, minlength=cfg.dmc.num_outputs)
                        for c in combos])
     stats = codec_dmc._stats_from_counts(
-        counts.T, *codec_dmc._llr_tables(params, cfg.dmc))
+        counts.T, *codec_dmc._llr_tables(cfg.dmc, params.x_star))
     fires = stats >= params.threshold
     miss = float(multinomial.pmf(counts, params.window_len,
                                  cfg.dmc.w[params.x_star])[~fires].sum())
@@ -338,8 +337,8 @@ def test_criterion_10_geometry_guards_report_clean():
     d = harness.derive_scheme_params(dmc_cfg).diagnostics
     checks["dmc M=64"] = (d.regions_disjoint and d.wrong_windows_clear
                           and d.wrong_windows_clear_jitter)
-    sched = cc.schedule_diagnostics(cc.derive_params(
-        M=64, epsilon=0.25, delta=0.1, mu1=0.8, mu2=1.1, sigma2=0.25))
+    sched = cc.derive_params(M=64, epsilon=0.25, delta=0.1, mu1=0.8, mu2=1.1,
+                             sigma2=0.25).diagnostics
     checks["compound M=64"] = (sched.offsets_separate and
                                sched.windows_disjoint)
     verdict(10, "spacing inequalities all hold", checks)

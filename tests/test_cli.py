@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 import unittest
+from unittest import mock
 
 from artifact.cli import main
 
@@ -85,6 +86,18 @@ class CapacityTests(CliCase):
         self.assertEqual(rc, 1)
         self.assertTrue(err.strip())
 
+    def test_malformed_channel_specs(self):
+        for spec in ({"gaussian": 5}, {"dmc": [1, 2]},
+                     {"gaussian": {"eta2": [1]}}, 5, "dmc"):
+            with self.subTest(spec=spec):
+                rc, out, err = run_cli(
+                    ["capacity", self.write_json("bad.json", spec)])
+                self.assertEqual(rc, 1)
+                self.assertEqual(out, "")
+                lines = err.strip().splitlines()
+                self.assertEqual(len(lines), 1, err)
+                self.assertTrue(lines[0].startswith("error:"), err)
+
     def test_bad_usage_exits_2(self):
         with self.assertRaises(SystemExit) as ctx:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -131,7 +144,7 @@ class ParamsTests(CliCase):
         self.assertEqual(payload["offsets"][:3], [0, 16, 160])
         self.assertEqual(payload["widths"][:3], [4, 24, 240])
         self.assertIn("block_len", payload)
-        self.assertIn("schedule", payload)
+        self.assertTrue(payload["diagnostics"]["offsets_separate"])
         self.assertNotIn("regions", payload)   # summarized, not dumped
 
     def test_dmc_without_channel_is_invalid(self):
@@ -204,7 +217,8 @@ class SimulateTests(CliCase):
         self.assertIn(word, lines[0])
 
     def test_simulate_rejects_removed_keys(self):
-        for key, value in (("simulation", "sparse"), ("direct_cap", 4096)):
+        for key, value in (("simulation", "sparse"), ("direct_cap", 4096),
+                           ("calibration_trials", 3)):
             self.assert_one_line_error(self.experiment(**{key: value}), key)
 
     def test_simulate_rejects_string_trial_count(self):
@@ -226,16 +240,19 @@ class SimulateTests(CliCase):
                            ({"support": [1, 2]}, "support")):
             self.assert_one_line_error(self.experiment(idc=spec), word)
 
-    def test_simulate_rejects_oversized_calibration(self):
-        # 4096 calibration windows of 216,608 letters, nearly 7 GB
-        self.assert_one_line_error(self.experiment(
-            M=2, dmc={"w": [[0.501, 0.499], [0.499, 0.501]],
-                      "cost": [0.0, 1.0]}), "calibration")
+    def test_simulate_rejects_oversized_multiset_enumeration(self):
+        # windows of 5,804 letters from three: 16.9M letter multisets
+        fail = mock.patch("artifact.codec_dmc._count_vectors",
+                          side_effect=AssertionError("enumerated"))
+        with fail as enumerate_:
+            self.assert_one_line_error(self.experiment(
+                M=2, dmc={"w": [[0.34, 0.33, 0.33], [0.33, 0.33, 0.34]],
+                          "cost": [0.0, 1.0]}), "multisets")
+        enumerate_.assert_not_called()
 
-    def test_simulate_rejects_tiny_calibration_budget(self):
-        # 3 * 0.25 / 4 < 1: the threshold would be the minimum statistic
-        self.assert_one_line_error(self.experiment(calibration_trials=3),
-                                   "calibration_trials")
+    def test_simulate_rejects_malformed_dmc_matrix(self):
+        self.assert_one_line_error(self.experiment(
+            dmc={"w": {"a": 1}, "cost": [0, 1]}), "dmc")
 
 
 class SweepTests(CliCase):

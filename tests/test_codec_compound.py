@@ -58,7 +58,7 @@ class WideBandScheduleTests(unittest.TestCase):
                                self.p.widths[1] / self.p.widths[0], places=9)
 
     def test_schedule_diagnostics_clean(self):
-        d = cc.schedule_diagnostics(self.p)
+        d = self.p.diagnostics
         self.assertTrue(d.offsets_separate)
         self.assertTrue(d.windows_disjoint)
 

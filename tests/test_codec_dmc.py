@@ -6,10 +6,14 @@ variance 1/4, binary back end with exactly one bit of divergence); every
 number below was checked by hand against the defining formulas.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artifact import codec_dmc as cd
 from artifact._layout import geometry_diagnostics, trace_diagnostics
@@ -120,22 +124,95 @@ def tiny_params() -> cd.DmcSchemeParams:
                             channel=one_bit_channel(), x_star=1)
 
 
-def test_threshold_gate():
-    p = tiny_params()
-    with pytest.raises(InvalidConfigError):
-        cd.hypothesis_test(np.ones(p.window_len, dtype=np.int64), p,
-                           one_bit_channel())
-    with pytest.raises(InvalidConfigError):
-        cd.decode(np.zeros(4 * p.N, dtype=np.int64), p, one_bit_channel())
+def statistic_law(channel: Dmc, x_star: int, window_len: int) -> dict:
+    """Exact law of one window's statistic under the burst, by brute force
+    over every letter multiset: {statistic: probability as a Fraction}.
+    The row is normalised exactly, as a float row sums to 1 only to
+    rounding."""
+    row = [Fraction(x) for x in channel.w[x_star].tolist()]
+    total = sum(row)
+    tables = cd._llr_tables(channel, x_star)
+    law: dict = {}
+    for combo in itertools.combinations_with_replacement(
+            range(channel.num_outputs), window_len):
+        counts = np.bincount(combo, minlength=channel.num_outputs)
+        mass = Fraction(math.factorial(window_len))
+        for y, k in enumerate(counts.tolist()):
+            mass *= row[y] ** k / math.factorial(k)
+        if mass:
+            stat = float(cd._stats_from_counts(counts[:, None], *tables)[0])
+            law[stat] = law.get(stat, 0) + mass / total ** window_len
+    return law
+
+
+def miss_below(law: dict, tau: float) -> Fraction:
+    return sum((mass for stat, mass in law.items() if stat < tau), Fraction(0))
+
+
+def brute_threshold(channel: Dmc, x_star: int, window_len: int,
+                    epsilon: float) -> float:
+    law = statistic_law(channel, x_star, window_len)
+    return max(v for v in law if miss_below(law, v) <= Fraction(epsilon) / 4)
+
+
+weights = st.one_of(st.just(0.0), st.integers(1, 4).map(float),
+                    st.floats(0.01, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 3).flatmap(
+           lambda k: st.lists(st.lists(weights, min_size=k, max_size=k),
+                              min_size=2, max_size=2)),
+       window_len=st.integers(1, 8),
+       epsilon=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
+                         st.floats(0.001, 0.999)))
+def test_exact_threshold_matches_brute_force(rows, window_len, epsilon):
+    """On small random channels, zero entries and exact ties at epsilon/4
+    (dyadic rows and epsilon) included, exact_threshold is the largest
+    statistic value whose exact miss stays within epsilon/4."""
+    w = np.array(rows)
+    assume((w.sum(axis=1) > 0).all())
+    channel = Dmc(w / w.sum(axis=1, keepdims=True), np.array([0.0, 1.0]))
+    assert cd.exact_threshold(channel, 1, window_len, epsilon) \
+        == brute_threshold(channel, 1, window_len, epsilon)
+
+
+def test_exact_threshold_keeps_the_miss_budget():
+    # A sampled quantile put tau at 12.0 for 32 of 200 seeds here; the exact
+    # miss there breaks the epsilon/4 budget, while the exact tau keeps it.
+    ch = Dmc.bsc(0.2)
+    p = cd.derive_params(M=32, epsilon=0.5, delta=2.5,
+                         idc=StateDistribution.deletion(0.1), channel=ch,
+                         x_star=1)
+    assert p.threshold == 8.0
+    law = statistic_law(ch, 1, p.window_len)
+    budget = Fraction(p.epsilon) / 4
+    assert miss_below(law, 8.0) <= budget < miss_below(law, 12.0)
+    assert float(miss_below(law, 12.0)) == pytest.approx(0.1298, abs=1e-4)
+
+
+def test_multiset_cap_rejects_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("count vectors built for a rejected config")
+
+    monkeypatch.setattr(cd, "_count_vectors", no_enumeration)
+    three = Dmc(np.array([[0.34, 0.33, 0.33], [0.33, 0.33, 0.34]]),
+                np.array([0.0, 1.0]))
+    # C(2894 + 2, 2) multisets fit under the cap, C(2895 + 2, 2) do not
+    assert math.comb(2896, 2) <= cd.MAX_MULTISETS < math.comb(2897, 2)
+    with pytest.raises(InvalidConfigError, match="multisets"):
+        cd.exact_threshold(three, 1, 2895, 0.25)
+    # a letter the burst cannot emit does not count
+    with pytest.raises(AssertionError, match="count vectors"):
+        cd.exact_threshold(Dmc(np.array([[0.5, 0.5, 0.0], [0.4, 0.6, 0.0]]),
+                               np.array([0.0, 1.0])), 1, 10_000, 0.25)
 
 
 def test_boundary_tie_fires():
     ch = one_bit_channel()
     p = tiny_params()
-    tau = cd.calibrate_threshold(p, ch, calibration_trials=256, seed=7)
     # burst output is deterministic here, so the threshold is the full stat
-    assert tau == float(p.window_len)
-    p = p.with_threshold(tau)
+    assert p.threshold == float(p.window_len)
     w = p.window_len
     assert cd.hypothesis_test(np.ones(w, dtype=np.int64), p, ch) is cd.Hypothesis.H1
     # a zero is impossible under the burst: statistic drops to -inf
@@ -153,8 +230,6 @@ def test_calibration_miss_budget_holds_out_of_sample():
     p = cd.derive_params(M=64, epsilon=0.25, delta=0.5,
                          idc=StateDistribution.deletion(0.1), channel=ch,
                          x_star=1)
-    tau = cd.calibrate_threshold(p, ch, calibration_trials=4096, seed=5)
-    p = p.with_threshold(tau)
     rng = np.random.default_rng(6)
     fresh = rng.choice(2, size=(4000, p.window_len), p=ch.w[1])
     misses = sum(
@@ -167,7 +242,6 @@ def test_calibration_miss_budget_holds_out_of_sample():
 def test_decode_unique_hit_rule():
     ch = one_bit_channel()
     p = tiny_params()
-    p = p.with_threshold(float(p.window_len))
     n, b = p.N, p.B
     two_bursts = np.zeros(4 * n, dtype=np.int64)
     two_bursts[:2 * b] = 1                     # bursts of regions 1 and 2
@@ -181,7 +255,6 @@ def test_decode_unique_hit_rule():
 def test_decode_pads_short_streams():
     ch = one_bit_channel()
     p = tiny_params()
-    p = p.with_threshold(float(p.window_len))
     full = np.zeros(4 * p.N, dtype=np.int64)
     full[:p.B] = 1
     assert cd.decode(full, p, ch) == 1
@@ -199,7 +272,6 @@ def test_seeded_round_trip_batch():
     idc = StateDistribution.constant(1)
     p = cd.derive_params(M=64, epsilon=0.25, delta=0.5, idc=idc, channel=ch,
                          x_star=1)
-    p = p.with_threshold(cd.calibrate_threshold(p, ch, 4096, seed=11))
     correct = wrong = erased = 0
     for m in range(1, 65):
         y = ids_channel(cd.encode(m, p), idc, ch, seed=100 + m)

@@ -118,13 +118,10 @@ def test_small_message_count_floods_with_false_alarms():
     assert rep.diagnostics["full_burst_window_exists"] == 60
 
 
-def oracle_errors(cfg: harness.ExperimentConfig, threshold: float,
-                  seed: int) -> int:
-    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs;
-    the DMC scheme decodes at the given calibrated threshold."""
+def oracle_errors(cfg: harness.ExperimentConfig, seed: int) -> int:
+    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs."""
     params = harness.derive_scheme_params(cfg)
     if cfg.scheme == "dmc":
-        params = params.with_threshold(threshold)
         codec, back_end, channel = cd, cfg.dmc, (cfg.dmc,)
     else:
         codec = cg if cfg.scheme == "gauss" else cc
@@ -151,8 +148,7 @@ def test_sparse_and_direct_agree_on_error_rate():
                            dmc=Dmc.bsc(0.2))):
         report = harness.run_trials(cfg)
         streamed = report.errors
-        direct = oracle_errors(cfg, report.diagnostics["threshold"],
-                               seed=cfg.base_seed + 100)
+        direct = oracle_errors(cfg, seed=cfg.base_seed + 100)
         pooled = (streamed + direct) / (2 * n)
         se = math.sqrt(max(2 * pooled * (1 - pooled) / n, 1e-12))
         assert abs(streamed - direct) / n <= 4 * se, (cfg.scheme, streamed,
@@ -184,17 +180,17 @@ def test_oversized_dmc_config_rejected(monkeypatch):
         == 64
     with pytest.raises(InvalidConfigError, match="letters"):
         harness.run_trials(long)
-    # the calibration draws calibration_trials windows at once: here 4096
-    # of 216,608 letters (887M), though a trial draws only two windows
-    def no_calibration(*args, **kwargs):
-        raise AssertionError("calibration ran for a rejected config")
+    # the exact threshold sums over the letter multisets of a window: a
+    # three-letter channel this weak has windows of 5,804 letters, so
+    # C(5,806, 2) = 16.9M multisets, though a trial draws only two windows
+    def no_enumeration(*args):
+        raise AssertionError("multisets enumerated for a rejected config")
 
-    monkeypatch.setattr(cd, "calibrate_threshold", no_calibration)
-    wide = dmc_config(M=2, dmc=Dmc.bsc(0.499), trials=1)
-    params = harness.derive_scheme_params(wide)
-    assert params.window_len == 216_608
-    assert 2 * params.window_len <= harness.MAX_LETTERS
-    with pytest.raises(InvalidConfigError, match="calibration"):
+    monkeypatch.setattr(cd, "_count_vectors", no_enumeration)
+    wide = dmc_config(M=2, trials=1, dmc=Dmc(
+        np.array([[0.34, 0.33, 0.33], [0.33, 0.33, 0.34]]),
+        np.array([0.0, 1.0])))
+    with pytest.raises(InvalidConfigError, match="5804-letter window"):
         harness.run_trials(wide)
     # the window cap holds for every scheme
     monkeypatch.setattr(harness, "MAX_WINDOWS", 100)
@@ -219,10 +215,11 @@ def test_config_validation():
         dmc_config(dmc=None)
     with pytest.raises(TypeError):
         gauss_config(simulation="sparse")   # one trial path: no such field
+    with pytest.raises(TypeError):
+        dmc_config(calibration_trials=3)    # exact threshold: no such field
     for bad in (dict(trials="5"), dict(trials=True), dict(M=64.5),
                 dict(base_seed=-1), dict(epsilon=float("nan")),
-                dict(delta=float("inf")), dict(workers=1.5),
-                dict(calibration_trials=3)):
+                dict(delta=float("inf")), dict(workers=1.5)):
         with pytest.raises(InvalidConfigError):
             dmc_config(**bad)
     with pytest.raises(InvalidConfigError):
@@ -236,7 +233,7 @@ def test_from_dict_rejects_unknown_keys():
     d["typo_field"] = 1
     with pytest.raises(InvalidConfigError):
         harness.ExperimentConfig.from_dict(d)
-    for removed in ("simulation", "direct_cap"):
+    for removed in ("simulation", "direct_cap", "calibration_trials"):
         d = {**gauss_config().to_dict(), removed: 1}
         with pytest.raises(InvalidConfigError, match=removed):
             harness.ExperimentConfig.from_dict(d)

@@ -123,10 +123,10 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     """Letters follow W[x*] inside the burst image and W[0] outside it; a
     letter a row gives probability 0 never appears under that row, and the
     impossibility masks still force the window statistic to +-inf."""
-    p = cd.derive_params(
+    p = replace(cd.derive_params(
         M=8, epsilon=0.5, delta=1.0, idc=StateDistribution.deletion(0.1),
         channel=Dmc(np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]),
-                    np.array([0.0, 1.0])), x_star=1).with_threshold(0.0)
+                    np.array([0.0, 1.0])), x_star=1), threshold=0.0)
     # derive_params refuses a burst letter idle cannot produce (infinite
     # divergence), so the zero entries reach the plan through its channel
     w = np.array([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
@@ -246,9 +246,10 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
 def test_block_equals_its_trials_one_at_a_time():
     gauss = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                              idc=StateDistribution.deletion(0.2))
-    dmc = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
-                           idc=StateDistribution.deletion(0.1),
-                           channel=Dmc.bsc(0.2), x_star=1).with_threshold(1.0)
+    dmc = replace(cd.derive_params(M=8, epsilon=0.5, delta=1.0,
+                                   idc=StateDistribution.deletion(0.1),
+                                   channel=Dmc.bsc(0.2), x_star=1),
+                  threshold=1.0)
     big = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
                            sigma2=0.25)
     plans = {
