@@ -217,8 +217,7 @@ class SimulateTests(CliCase):
         self.assertIn(word, lines[0])
 
     def test_simulate_rejects_removed_keys(self):
-        for key, value in (("simulation", "sparse"), ("direct_cap", 4096),
-                           ("calibration_trials", 3)):
+        for key, value in (("simulation", "sparse"), ("direct_cap", 4096)):
             self.assert_one_line_error(self.experiment(**{key: value}), key)
 
     def test_simulate_rejects_string_trial_count(self):
@@ -249,6 +248,11 @@ class SimulateTests(CliCase):
                 M=2, dmc={"w": [[0.34, 0.33, 0.33], [0.33, 0.33, 0.34]],
                           "cost": [0.0, 1.0]}), "multisets")
         enumerate_.assert_not_called()
+
+    def test_simulate_rejects_tiny_calibration_budget(self):
+        # the threshold is exact now: calibration_trials is an unknown key
+        self.assert_one_line_error(self.experiment(calibration_trials=3),
+                                   "calibration_trials")
 
     def test_simulate_rejects_malformed_dmc_matrix(self):
         self.assert_one_line_error(self.experiment(
