@@ -144,10 +144,16 @@ def _ratio(q) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def multiples_between(step: int, lo: Fraction, hi: Fraction) -> range:
-    """Positive multiples of ``step`` strictly inside (lo, hi), exactly."""
+def multiples_between(step: int, lo: Fraction | tuple[int, int],
+                      hi: Fraction | tuple[int, int]) -> range:
+    """Positive multiples of ``step`` strictly inside (lo, hi), exactly.
+
+    lo and hi are exact rationals (Fractions or ints), or pairs
+    (numerator, denominator) with a positive denominator.
+    """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    first = max(floor_frac(lo / step) + 1, 1)  # (first - 1) * step <= lo
-    stop = ceil_frac(hi / step)  # stop * step >= hi
+    (ln, ld), (hn, hd) = _ratio(lo), _ratio(hi)
+    first = max(ln // (ld * step) + 1, 1)  # (first - 1) * step <= lo
+    stop = -(-hn // (hd * step))  # stop * step >= hi
     return range(first * step, stop * step, step)

@@ -164,6 +164,10 @@ class RegionTable:
         self._reach = list(itertools.accumulate(
             (end for _, end, _ in spans), max))
         self._order = [r for _, _, r in spans]
+        # no two regions share a sample: each region starts past the
+        # furthest end of the regions that start before it
+        self.disjoint = all(first > reach for first, reach
+                            in zip(self._firsts[1:], self._reach))
 
     def contact(self, a: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """The windows that share a sample with the burst image a+1 .. a+g,

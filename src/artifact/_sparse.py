@@ -9,26 +9,37 @@ decoder's padding included, is idle.  What a window reads is then
 independent from sample to sample, and a plan turns (a, g) into the
 windows that fire:
 
-* Gaussian back ends (Plan): joint noise sums over the windows, built from
-  independent increments between window breakpoints (white noise
-  restricted to disjoint segments is independent), plus the burst
-  amplitude times each window's overlap with the image.
+* Gaussian back ends whose regions share no sample (WindowPlan): one
+  standard normal per window.  A region's windows are an arithmetic
+  progression, so their joint noise sums have a Toeplitz covariance
+  (the samples two windows share), and each region's normals are
+  coloured with its Cholesky factor.  harness._make_plan picks this plan
+  whenever the regions are disjoint, none holds more than
+  MAX_FACTOR_WINDOWS windows and every factor exists.
+* Gaussian back ends, any layout (Plan): joint noise sums over the
+  windows, built from independent increments between window breakpoints
+  (white noise restricted to disjoint segments is independent).  It is
+  the plan for layouts whose regions overlap, as a layout failing its
+  guards may, whose regions are long (small epsilon, jittery timing), or
+  whose factor fails.
 * DMC back end (DmcPlan): one letter per sample some window covers, drawn
   from the burst row of W inside the image and from the idle row outside,
   and counted per window.
 
-Samples covered by no window never influence any statistic and are
-skipped.  The window layout is trial-independent, so it is planned once
-per scheme.  Positions are int64 while they fit; the variable-spacing
-scheme overflows int64, and its handful of windows hold Python integers
-instead (see _layout.RegionTable), through the same numpy expressions.
+Both Gaussian plans add the burst amplitude times each window's overlap
+with the image.  Samples covered by no window never influence any
+statistic and are skipped.  The window layout is trial-independent, so it
+is planned once per scheme.  Positions are int64 while they fit; the
+variable-spacing scheme overflows int64, and its handful of windows hold
+Python integers instead (see _layout.RegionTable), through the same numpy
+expressions.
 
 Trials run in blocks (stream_trials).  Each trial of a block draws from
 its own generator, in a fixed order: a, then g, then its row of the plan's
-noise increments or letter uniforms.  Everything after the draws is one
-numpy pass over the block: cumulative sums along the rows (accumulated in
-row order, so bit for bit the sums of each trial alone), window
-statistics, the threshold and the unique-region rule.  Per trial there is
+normals or letter uniforms.  Everything after the draws is one numpy pass
+over the block: the window statistics (cumulative sums along the rows, or
+one matmul per trial and factor, so bit for bit those of each trial
+alone), the threshold and the unique-region rule.  Per trial there is
 one image-contact pass (RegionTable.contact), the windows the burst image
 touches, which carries the Gaussian signal and fixes the geometry flags.
 A block holds at most BLOCK_CELLS drawn numbers, so long trials run one at
@@ -44,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec_dmc
-from ._layout import TraceDiagnostics, contact_diagnostics
+from ._layout import _INT64_SAFE, TraceDiagnostics, contact_diagnostics
 from .channel import StateDistribution
 from .rng import as_generator
 
@@ -55,6 +66,11 @@ EXACT_SUM_MAX = 1 << 61
 # most numbers one block of trials draws, so that a block array (128 KiB)
 # stays in a core's cache and a block adds no measurable peak memory
 BLOCK_CELLS = 1 << 14
+# most windows a region may hold for WindowPlan: colouring costs n
+# multiply-adds a window and its factor n * n floats, against one normal
+# and a cumulative sum a window more for Plan, which is the faster from
+# about 500 windows a region (one core, OpenBLAS)
+MAX_FACTOR_WINDOWS = 256
 
 
 def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) -> int:
@@ -99,21 +115,56 @@ class _TrialPlan:
         return max(1, BLOCK_CELLS // self.cells)
 
 
-class Plan(_TrialPlan):
-    """Trial-independent noise plan of a Gaussian-back-end scheme.
+class _GaussPlan(_TrialPlan):
+    """What both Gaussian plans share: one standard normal per drawn cell,
+    each message's burst amplitude, and each window's noise deviation
+    eta * sqrt(len), by which its statistic is normalised.
+
+    statistics(ms, contacts, draws) gives the block's normalised
+    window statistics; a window fires when its statistic reaches the
+    threshold.
+    """
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.eta = math.sqrt(params.eta2)
+        self.denom = np.sqrt(self.table.lens.astype(np.float64)) * self.eta
+        self.amplitudes = np.array([params.amplitude(m)
+                                    for m in range(1, params.layout.M + 1)])
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+
+    def signal(self, ms, contacts):
+        """(rows, cols, values): the burst adds amplitude * overlap on the
+        windows its image touches, and on no other."""
+        sizes = [idx.size for idx, _ in contacts]
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        cols = np.concatenate([idx for idx, _ in contacts])
+        amplitude = np.repeat(self.amplitudes[np.asarray(ms) - 1], sizes)
+        return rows, cols, amplitude * np.concatenate(
+            [overlap for _, overlap in contacts]).astype(np.float64)
+
+    def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:
+        return self.statistics(ms, contacts, draws) >= self.threshold
+
+
+class Plan(_GaussPlan):
+    """Segment plan of a Gaussian-back-end scheme: serves every layout.
 
     params is a codec_gauss.GaussSchemeParams or a
     codec_compound.CompoundSchemeParams; the windows are its layout's
     region table.  Window i spans the half-open sample range
     [starts[i], ends[i] + 1).  Increment j covers [points[j], points[j+1]);
     a window's noise is the sum of the increments it spans, and only
-    covered segments get a nonzero scale.
+    covered segments get a nonzero scale.  Windows of different regions
+    may share samples, as they do in a layout that fails its guards, so
+    this is the plan for such layouts; WindowPlan serves the rest.
     """
 
     def __init__(self, params):
         super().__init__(params)
         table = self.table
-        eta = math.sqrt(params.eta2)
         # the distinct breakpoints and each window's indices into them, by
         # one sort: a breakpoint's index is the count of distinct values
         # before it.  Stable, because starts and ends are each nearly
@@ -133,31 +184,113 @@ class Plan(_TrialPlan):
                  - np.bincount(self.hi_idx, minlength=points.size))
         covered = np.cumsum(depth)[:-1] > 0
         self.scale = np.where(
-            covered, np.sqrt(np.diff(points).astype(np.float64)) * eta, 0.0)
+            covered, np.sqrt(np.diff(points).astype(np.float64)) * self.eta,
+            0.0)
         self.cells = self.scale.size
-        self.denom = np.sqrt(table.lens.astype(np.float64)) * eta
-        self.amplitudes = np.array([params.amplitude(m)
-                                    for m in range(1, params.layout.M + 1)])
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.standard_normal(out=out)
-
-    def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:
+    def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
         n = draws.shape[0]
         cum = np.zeros((n, self.cells + 1))
         np.cumsum(draws * self.scale, axis=1, out=cum[:, 1:])
         # np.take, not cum[:, idx]: a third of the time on a one-row block
         stat = (np.take(cum, self.hi_idx, axis=1)
                 - np.take(cum, self.lo_idx, axis=1))
-        # the burst adds amplitude * overlap on the windows it touches only
-        sizes = [idx.size for idx, _ in contacts]
-        rows = np.repeat(np.arange(n), sizes)
-        cols = np.concatenate([idx for idx, _ in contacts])
-        amplitude = np.repeat(self.amplitudes[np.asarray(ms) - 1], sizes)
-        stat[rows, cols] += amplitude * np.concatenate(
-            [overlap for _, overlap in contacts]).astype(np.float64)
+        rows, cols, signal = self.signal(ms, contacts)
+        stat[rows, cols] += signal
         stat /= self.denom
-        return stat >= self.threshold
+        return stat
+
+
+def window_overlaps(n: int, steps, lens) -> np.ndarray:
+    """Samples shared by windows k and l of a region of n equal windows,
+    max(0, w - s * |k - l|), for each region's step s and length w: shape
+    (len(steps), n, n), exact integers, int64 where they fit and Python
+    ints beyond (in floats, w - s * d would cancel catastrophically)."""
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if max(lens) >= _INT64_SAFE or max(steps) * n >= _INT64_SAFE:
+        d = d.astype(object)
+    dtype = d.dtype
+    s = np.array(steps, dtype=dtype).reshape(-1, 1, 1)
+    w = np.array(lens, dtype=dtype).reshape(-1, 1, 1)
+    return np.maximum(w - s * d, 0)
+
+
+class WindowPlan(_GaussPlan):
+    """Window plan of a Gaussian-back-end scheme whose regions are disjoint.
+
+    A trial draws one standard normal per window, in table order.  A
+    region is an arithmetic progression of n windows of w samples, step s,
+    so the noise sums of its windows have covariance
+    eta2 * max(0, w - s * |k - l|), and regions that share no sample are
+    independent.  Each region's normals are coloured with the Cholesky
+    factor L of its correlation matrix (the overlaps over w): its
+    statistics are L z plus the burst's signal over eta * sqrt(w).
+    Regions of one size n share one batched Cholesky call and one matmul,
+    and those with the same ratio s / w share one factor; the call raises
+    np.linalg.LinAlgError if any block is not positive definite.  Distinct
+    window starts make every block positive definite, but a step tiny
+    against the window length can defeat it in floats; harness._make_plan
+    then keeps the segment Plan, as it does for a layout this plan does
+    not serve.
+
+    blocks lists, per region size n, (windows, shape, factor): the table
+    indices of those regions' windows, a slice when they are consecutive;
+    the shape of their draws, (regions, n) under one shared factor or
+    (regions, 1, n) under one factor a region; and the factor or factors
+    transposed, so that one matmul colours the block's rows.  The matmul
+    runs one product a trial, with the same operands however many trials
+    the block holds, so a block's statistics are bit for bit those of its
+    trials one at a time.
+    """
+
+    @staticmethod
+    def serves(layout) -> bool:
+        """Whether no two regions share a sample and none holds more than
+        MAX_FACTOR_WINDOWS windows."""
+        return layout.table.disjoint and max(
+            map(len, layout.regions)) <= MAX_FACTOR_WINDOWS
+
+    def __init__(self, params):
+        super().__init__(params)
+        layout, bounds = self.layout, self.table.bounds.tolist()
+        self.cells = bounds[-1]
+        # per window count n: the first window of each such region, the
+        # distinct (s, w) in lowest terms (s / w fixes the correlations),
+        # and which of them each region has
+        sizes: dict[int, tuple[list[int], dict, list[int]]] = {}
+        for region, w, first in zip(layout.regions, layout.window_lens,
+                                    bounds):
+            n = len(region)
+            if n:
+                s = region.step if n > 1 else 0
+                g = math.gcd(s, w)
+                firsts, keys, which = sizes.setdefault(n, ([], {}, []))
+                firsts.append(first)
+                which.append(keys.setdefault((s // g, w // g), len(keys)))
+        self.blocks = []
+        for n, (firsts, keys, which) in sizes.items():
+            steps, lens = zip(*keys)
+            corr = window_overlaps(n, steps, lens).astype(np.float64)
+            corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
+            factors = np.linalg.cholesky(corr).transpose(0, 2, 1)
+            idx = (np.array(firsts)[:, None] + np.arange(n)).ravel()
+            if idx[-1] - idx[0] + 1 == idx.size:
+                idx = slice(int(idx[0]), int(idx[-1]) + 1)
+            # one shared factor, or one per region
+            self.blocks.append(
+                (idx, (len(firsts), n), np.ascontiguousarray(factors[0]))
+                if len(keys) == 1 else
+                (idx, (len(firsts), 1, n), factors[which]))
+
+    def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        n = draws.shape[0]
+        stat = np.empty_like(draws)
+        for idx, shape, factor in self.blocks:
+            stat[:, idx] = np.matmul(draws[:, idx].reshape(n, *shape),
+                                     factor).reshape(n, -1)
+        rows, cols, signal = self.signal(ms, contacts)
+        stat[rows, cols] += signal / self.denom[cols]
+        return stat
 
 
 def _cdf(row: np.ndarray) -> np.ndarray:

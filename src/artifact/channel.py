@@ -179,6 +179,7 @@ class Dmc:
         if not (isinstance(d, Mapping) and "w" in d and "cost" in d):
             raise InvalidConfigError(
                 f"a dmc spec must be an object with w and cost, got {d!r}")
+        _check_keys(d, ("w", "cost"), "dmc")
         try:
             w, cost = (np.array(d[key], dtype=float) for key in ("w", "cost"))
         except (TypeError, ValueError) as exc:
@@ -327,12 +328,30 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_keys(spec: Mapping, allowed, what: str) -> None:
+    """Reject keys of spec outside allowed, so a misspelt one never passes."""
+    extra = sorted(map(str, set(spec) - set(allowed)))
+    if extra:
+        raise InvalidConfigError(f"unknown {what} keys: {', '.join(extra)}")
+
+
+def _form(d: Mapping, forms: tuple[str, ...], what: str) -> str | None:
+    """The one key of forms that d holds, None for none of them."""
+    present = [form for form in forms if form in d]
+    if len(present) > 1:
+        raise InvalidConfigError(
+            f"{what} spec holds {' and '.join(present)}; give exactly one")
+    return present[0] if present else None
+
+
 def _shortcut(d: Mapping, form: str, key: str, ok, kind: str):
-    """d[form][key], checked to be an object holding a value of kind."""
+    """d[form][key], checked to be an object holding a value of kind and
+    nothing else."""
     spec = d[form]
     if not (isinstance(spec, Mapping) and key in spec and ok(spec[key])):
         raise InvalidConfigError(
             f'{form} must be an object like {{"{key}": <{kind}>}}, got {spec!r}')
+    _check_keys(spec, (key,), form)
     return spec[key]
 
 
@@ -345,7 +364,12 @@ def state_dist_from_dict(d: Mapping) -> StateDistribution:
     if not isinstance(d, Mapping):
         raise InvalidConfigError(
             f"a state distribution spec must be an object, got {d!r}")
-    if "support" in d:
+    form = _form(d, ("support", "deletion", "constant"), "state distribution")
+    if form is None:
+        raise InvalidConfigError(
+            "state distribution spec needs one of: support, deletion, constant")
+    _check_keys(d, (form,), "state distribution")
+    if form == "support":
         pairs = d["support"]
         if not (isinstance(pairs, (list, tuple)) and all(
                 isinstance(e, (list, tuple)) and len(e) == 2
@@ -354,14 +378,11 @@ def state_dist_from_dict(d: Mapping) -> StateDistribution:
                 "support must be a list of [state, probability] pairs with "
                 f"integer states, got {pairs!r}")
         return StateDistribution(tuple((int(k), float(p)) for k, p in pairs))
-    if "deletion" in d:
+    if form == "deletion":
         return StateDistribution.deletion(
             float(_shortcut(d, "deletion", "d", is_real, "probability")))
-    if "constant" in d:
-        return StateDistribution.constant(
-            int(_shortcut(d, "constant", "value", is_integer, "integer")))
-    raise InvalidConfigError(
-        "state distribution spec needs one of: support, deletion, constant")
+    return StateDistribution.constant(
+        int(_shortcut(d, "constant", "value", is_integer, "integer")))
 
 
 def state_dist_to_dict(dist: StateDistribution) -> dict:
@@ -369,12 +390,18 @@ def state_dist_to_dict(dist: StateDistribution) -> dict:
 
 
 def back_end_from_dict(d: Mapping) -> BackEnd:
-    """Build the memoryless back end from {"dmc": {...}} or {"gaussian": {...}}."""
+    """Build the memoryless back end from {"dmc": {...}} or {"gaussian": {...}}.
+
+    A channel file may also hold the timing process under "idc", which
+    this function leaves to its caller.
+    """
     if not isinstance(d, Mapping):
         raise InvalidConfigError(f"a channel spec must be an object, got {d!r}")
-    if "dmc" in d:
+    form = _form(d, ("dmc", "gaussian"), "channel")
+    if form is None:
+        raise InvalidConfigError("channel spec needs one of: dmc, gaussian")
+    _check_keys(d, (form, "idc"), "channel")
+    if form == "dmc":
         return Dmc.from_dict(d["dmc"])
-    if "gaussian" in d:
-        return GaussianNoise(
-            float(_shortcut(d, "gaussian", "eta2", is_real, "variance")))
-    raise InvalidConfigError("channel spec needs one of: dmc, gaussian")
+    return GaussianNoise(
+        float(_shortcut(d, "gaussian", "eta2", is_real, "variance")))

@@ -65,9 +65,12 @@ def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
     offsets, widths, regions = (layout.prefix_slots, layout.burst_slots,
                                 layout.regions)
     pairs = range(1, layout.M)
+    # hi_rate * x <= lo_rate * y, cleared of the (positive) denominators
+    hi = hi_rate.numerator * lo_rate.denominator
+    lo = lo_rate.numerator * hi_rate.denominator
     return ScheduleDiagnostics(
-        offsets_separate=all(hi_rate * (offsets[m - 1] + widths[m - 1])
-                             <= lo_rate * offsets[m] for m in pairs),
+        offsets_separate=all(hi * (offsets[m - 1] + widths[m - 1])
+                             <= lo * offsets[m] for m in pairs),
         windows_disjoint=all(regions[m - 1][-1] + layout.window_lens[m - 1]
                              <= regions[m][0] for m in pairs))
 
@@ -135,17 +138,24 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
             "mu2 - mu1 + 2*delta must be positive or every burst after the "
             "first is empty; widen delta or the rate interval")
 
+    # the recursions in Python integers: each rate as (numerator,
+    # denominator), each floor or ceiling of a ratio one integer division
+    ln, ld = lo_rate.numerator, lo_rate.denominator
+    hn, hd = hi_rate.numerator, hi_rate.denominator
+    sn, sd = span.numerator, span.denominator
+    qn, qd = log2m.numerator, log2m.denominator
     offsets = [0]
-    widths = [_exact.floor_frac(log2m)]
+    widths = [qn // qd]
     spacings = [0]
     for m in range(2, M + 1):
-        n_m = _exact.ceil_frac(hi_rate * (offsets[-1] + widths[-1]) / lo_rate)
-        b_m = _exact.floor_frac(span * n_m)
+        # ceil(hi_rate * (N_{m-1} + B_{m-1}) / lo_rate)
+        n_m = -((-hn * ld * (offsets[-1] + widths[-1])) // (hd * ln))
+        b_m = sn * n_m // sd
         if b_m < 1:
             raise InvalidConfigError(
                 f"burst width for message {m} came out empty (N_{m}={n_m}); "
                 "the rate window mu2 - mu1 + 2*delta is too narrow at this M")
-        sp = _exact.floor_frac(Fraction(n_m) / log2m)
+        sp = n_m * qd // qn
         if sp < 1:
             raise InvalidConfigError(
                 f"region grid for message {m} collapsed below one position")
@@ -160,7 +170,7 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
 
     window_lens = []
     for b_m in widths:
-        w = _exact.floor_frac(lo_rate * b_m)
+        w = ln * b_m // ld
         if w < 1:
             raise InvalidConfigError(
                 "detection window collapsed; mu1 - delta is too small for "
@@ -170,8 +180,8 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
     regions = [range(1, 2)]
     for m in range(2, M + 1):
         n_m = offsets[m - 1]
-        reg = _exact.multiples_between(spacings[m - 1],
-                                       lo_rate * n_m + 1, hi_rate * n_m + 1)
+        reg = _exact.multiples_between(spacings[m - 1], (ln * n_m + ld, ld),
+                                       (hn * n_m + hd, hd))
         if not reg:
             raise InvalidConfigError(
                 f"decision region for message {m} is empty; the grid step "

@@ -28,6 +28,8 @@ from .info import kl_divergence
 from .rng import as_generator
 
 MAX_MULTISETS = 1 << 22  # most letter count vectors exact_threshold sums over
+# count vectors exact_threshold turns into statistics and log pmf at a time
+_SLICE = 1 << 16
 
 
 class Hypothesis(enum.IntEnum):
@@ -280,20 +282,47 @@ def exact_threshold(channel: Dmc, x_star: int, window_len: int,
             f"of a {window_len}-letter window, which exceeds {MAX_MULTISETS}")
     counts = _count_vectors(window_len, support.size)
     # letters the burst cannot emit always count 0, which adds nothing
-    stats = _stats_from_counts(
-        counts, *(t[support] for t in _llr_tables(channel, x_star)))
+    tables = tuple(t[support] for t in _llr_tables(channel, x_star))
     p = row[support]
     log_fact = gammaln(np.arange(window_len + 1) + 1.0)
-    log_pmf = (log_fact[window_len] - window_len * math.log(p.sum())
-               + sum(c * math.log(pk) - log_fact[c] for c, pk in zip(counts, p)))
+    scale = log_fact[window_len] - window_len * math.log(p.sum())
+    # statistics and log pmf a slice of count vectors at a time, so their
+    # scratch arrays stay small; both are elementwise, so no bit depends
+    # on the slicing.  The count vectors are then freed, and rebuilt only
+    # if the exact test below needs them.
+    stats, log_pmf = np.empty(counts.shape[1]), np.empty(counts.shape[1])
+    for i in range(0, counts.shape[1], _SLICE):
+        part = counts[:, i:i + _SLICE]
+        stats[i:i + _SLICE] = _stats_from_counts(part, *tables)
+        log_pmf[i:i + _SLICE] = scale + sum(
+            c * math.log(pk) - log_fact[c] for c, pk in zip(part, p))
+    del counts, log_fact, part
     order = np.argsort(stats, kind="stable")
     stats = stats[order]
-    # below[j]: the mass of statistics under the j-th distinct value, rising
-    first = np.flatnonzero(np.concatenate(([True], stats[1:] != stats[:-1])))
-    below = np.concatenate(([0.0], np.cumsum(np.exp(log_pmf[order]))))[first]
+    mass = log_pmf[order]
+    del log_pmf
+    np.exp(mass, out=mass)
+    np.cumsum(mass, out=mass)
+    # the j-th distinct value starts at sorted position first[j], and
+    # below[j], rising, is the mass of the statistics under it
+    new = np.empty(stats.size, dtype=bool)
+    new[0] = True
+    np.not_equal(stats[1:], stats[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    del new
+    below = np.empty(first.size)
+    below[0] = 0.0
+    # in place, and mode="clip" (every index is in range), so that take
+    # makes no scratch copy
+    first -= 1
+    np.take(mass, first[1:], out=below[1:], mode="clip")
+    first += 1
+    del mass
     # values before lo pass and from hi on fail beyond float doubt; the
     # ones in between are decided exactly
     lo, hi = np.searchsorted(below, epsilon / 4 * np.array([1 - 1e-6, 1 + 1e-6]))
+    if lo < hi:
+        counts = _count_vectors(window_len, support.size)
     while lo < hi and _exact_mass(counts[:, order[:first[lo]]], window_len,
                                   p) <= Fraction(epsilon) / 4:
         lo += 1

@@ -8,7 +8,10 @@ the error analysis budgets for.
 
 Every trial of every scheme is streamed, which is exact in law and never
 builds the received stream; the materialising encode -> ids_channel ->
-decode pipeline is left to the tests as their oracle.  run_trials splits
+decode pipeline is left to the tests as their oracle.  The Gaussian back
+ends draw one normal per window when their regions share no sample and
+are short (_sparse.WindowPlan), and one per segment between window
+breakpoints otherwise (_sparse.Plan).  run_trials splits
 the trials, in order, into blocks of the plan's block_size, runs each
 block through _sparse.stream_trials (one worker thread per block at a
 time), and adds each block's counts into the report's tallies; no
@@ -216,9 +219,16 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
 
 
 def _make_plan(config: ExperimentConfig, params):
-    """The streamed-trial plan of a config's scheme."""
+    """The streamed-trial plan of a config's scheme: for the Gaussian back
+    ends the window plan when it serves the layout and every region's
+    covariance factors, else the segment plan."""
     if config.scheme == "dmc":
         return _sparse.DmcPlan(params, config.dmc)
+    if _sparse.WindowPlan.serves(params.layout):
+        try:
+            return _sparse.WindowPlan(params)
+        except np.linalg.LinAlgError:
+            pass
     return _sparse.Plan(params)
 
 

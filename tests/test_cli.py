@@ -98,6 +98,31 @@ class CapacityTests(CliCase):
                 self.assertEqual(len(lines), 1, err)
                 self.assertTrue(lines[0].startswith("error:"), err)
 
+    def test_unknown_nested_channel_keys(self):
+        bsc = {"w": [[0.8, 0.2], [0.2, 0.8]], "cost": [0.0, 1.0]}
+        idc = {"deletion": {"d": 0.1}}
+        for spec, word in (
+                ({"dmc": dict(bsc, extra=1)}, "dmc keys: extra"),
+                ({"gaussian": {"eta2": 1.0, "eta": 1}}, "gaussian keys: eta"),
+                ({"dmc": bsc, "gaussian": {"eta2": 1.0}}, "exactly one"),
+                ({"dmc": bsc, "idc": idc, "mu": 0.5}, "channel keys: mu"),
+                ({"gaussian": {"eta2": 1.0},
+                  "idc": {"deletion": {"d": 0.1, "e": 1}}},
+                 "deletion keys: e")):
+            with self.subTest(spec=spec):
+                rc, out, err = run_cli(
+                    ["capacity", self.write_json("bad.json", spec)])
+                self.assertEqual(rc, 1)
+                self.assertEqual(out, "")
+                lines = err.strip().splitlines()
+                self.assertEqual(len(lines), 1, err)
+                self.assertTrue(lines[0].startswith("error:"), err)
+                self.assertIn(word, lines[0])
+        # the timing process beside the back end is part of a channel file
+        rc, out, _ = run_cli(["capacity", self.write_json("ok.json", {
+            "gaussian": {"eta2": 1.0}, "idc": idc})])
+        self.assertEqual(rc, 0)
+
     def test_bad_usage_exits_2(self):
         with self.assertRaises(SystemExit) as ctx:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -257,6 +282,20 @@ class SimulateTests(CliCase):
     def test_simulate_rejects_malformed_dmc_matrix(self):
         self.assert_one_line_error(self.experiment(
             dmc={"w": {"a": 1}, "cost": [0, 1]}), "dmc")
+
+    def test_simulate_rejects_unknown_nested_keys(self):
+        bsc = {"w": [[0.99, 0.01], [0.01, 0.99]], "cost": [0.0, 1.0]}
+        for over, word in (
+                ({"dmc": dict(bsc, extra=1)}, "keys: extra"),
+                ({"idc": {"deletion": {"d": 0.1, "x": 2}}},
+                 "deletion keys: x"),
+                ({"idc": {"constant": {"value": 1, "v": 1}}},
+                 "constant keys: v"),
+                ({"idc": {"deletion": {"d": 0.1}, "typo": 1}}, "keys: typo"),
+                ({"idc": {"support": [[1, 1.0]],
+                          "deletion": {"d": 0.1}}}, "exactly one")):
+            with self.subTest(over=over):
+                self.assert_one_line_error(self.experiment(**over), word)
 
 
 class SweepTests(CliCase):

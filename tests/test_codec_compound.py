@@ -166,6 +166,30 @@ class RecursionPropertyTests(unittest.TestCase):
                 self.assertLess(p.offsets[m], need + 1)
                 self.assertEqual(p.widths[m], int(span * p.offsets[m]))
 
+    def test_offsets_separate_at_equality(self):
+        """hi_rate * (N_m + B_m) <= lo_rate * N_{m+1} holds at equality and
+        fails one slot short of it."""
+        from dataclasses import replace
+        from fractions import Fraction
+        layout = equal_rate().layout
+        lo, hi = Fraction(1, 2), Fraction(3, 4)
+        # N_2 = 3/2 * (N_1 + B_1) exactly, and so on down the schedule:
+        # each width makes N_m + B_m even
+        offsets, widths = [0], []
+        for m in range(layout.M):
+            widths.append(4 + offsets[-1] % 2)
+            if m + 1 < layout.M:
+                offsets.append(3 * (offsets[-1] + widths[-1]) // 2)
+        tight = replace(layout, prefix_slots=tuple(offsets),
+                        burst_slots=tuple(widths))
+        self.assertTrue(cc.schedule_diagnostics(tight, lo, hi).offsets_separate)
+        for m in range(1, layout.M):
+            short = list(offsets)
+            short[m] -= 1
+            self.assertFalse(cc.schedule_diagnostics(
+                replace(tight, prefix_slots=tuple(short)), lo, hi
+            ).offsets_separate)
+
     def test_validation(self):
         good = dict(M=8, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25, sigma2=0.25)
         for patch in (dict(M=3), dict(mu1=0.0), dict(mu1=2.0, mu2=0.5),

@@ -151,6 +151,22 @@ def test_multiples_between_strictness():
 
 @given(st.integers(min_value=1, max_value=7),
        st.fractions(min_value=-20, max_value=300, max_denominator=12),
+       st.fractions(min_value=-20, max_value=300, max_denominator=12),
+       st.integers(min_value=1, max_value=5))
+def test_multiples_between_matches_enumeration(step, lo, hi, scale):
+    """Fractions, ints and unreduced (numerator, denominator) pairs give
+    the positive multiples of step strictly between lo and hi."""
+    want = tuple(v for v in range(step, 400, step) if lo < v < hi)
+    pairs = ((lo.numerator * scale, lo.denominator * scale),
+             (hi.numerator * scale, hi.denominator * scale))
+    assert tuple(_exact.multiples_between(step, lo, hi)) == want
+    assert tuple(_exact.multiples_between(step, *pairs)) == want
+    if lo.denominator == hi.denominator == 1:
+        assert tuple(_exact.multiples_between(step, int(lo), int(hi))) == want
+
+
+@given(st.integers(min_value=1, max_value=7),
+       st.fractions(min_value=-20, max_value=300, max_denominator=12),
        st.fractions(min_value=0, max_value=2000, max_denominator=6),
        st.integers(min_value=1, max_value=9))
 def test_multiples_in_open_matches_enumeration(step, center, radius_sq, lo):

@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from artifact import _sparse as sp
+from artifact import harness
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
@@ -227,6 +229,75 @@ def crowded(p, step, slack):
                                           p.window_len, step, slack))
 
 
+def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
+    """The window plan serves every Gaussian layout whose regions share no
+    sample, hold at most MAX_FACTOR_WINDOWS windows and whose covariance
+    blocks factor; the segment plan the rest."""
+    def config(scheme, **kw):
+        base = dict(scheme=scheme, epsilon=0.5, delta=0.5, trials=1,
+                    base_seed=0, idc=StateDistribution.deletion(0.2))
+        return harness.ExperimentConfig(**(base | kw))
+
+    gauss = config("gauss", M=8)
+    gauss_params = harness.derive_scheme_params(gauss)
+    criterion_7 = config("compound", M=64, epsilon=0.25, delta=0.1, mu1=0.8,
+                         mu2=1.1, sigma2_bound=0.25,
+                         idc=StateDistribution.deletion(0.05))
+    for cfg, params in ((gauss, gauss_params),
+                        (criterion_7, harness.derive_scheme_params(criterion_7))):
+        assert params.layout.table.disjoint
+        assert type(harness._make_plan(cfg, params)) is sp.WindowPlan
+    overlap = crowded(gauss_params, gauss_params.spacing,
+                      gauss_params.M / math.log2(gauss_params.M))
+    assert not overlap.layout.table.disjoint
+    assert type(harness._make_plan(gauss, overlap)) is sp.Plan
+    dmc = config("dmc", M=8, dmc=Dmc.bsc(0.2))
+    assert type(harness._make_plan(
+        dmc, harness.derive_scheme_params(dmc))) is sp.DmcPlan
+
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    assert type(harness._make_plan(gauss, gauss_params)) is sp.Plan
+
+    # regions of 960 windows: no factor is built
+    def unused(a):
+        raise AssertionError("factored a region too long for the window plan")
+
+    monkeypatch.setattr(np.linalg, "cholesky", unused)
+    long = config("gauss", M=16, epsilon=0.1,
+                  idc=StateDistribution(((0, 0.5), (2, 0.5))))
+    long_params = harness.derive_scheme_params(long)
+    assert long_params.layout.table.disjoint
+    assert max(map(len, long_params.layout.regions)) == 960
+    assert type(harness._make_plan(long, long_params)) is sp.Plan
+
+
+def test_region_table_disjoint_reads_the_sorted_spans():
+    p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
+                         idc=StateDistribution.deletion(0.2))
+    regions = p.layout.regions
+    assert p.layout.table.disjoint
+
+    def table(*regs):
+        return replace(p.layout, regions=regs).table
+
+    w = p.window_len
+    one, two = regions[1], regions[2]
+    # two touching regions share no sample; one sample more and they do
+    before = range(two.start - w - 3 * one.step, two.start - w + 1, one.step)
+    assert table(regions[0], before, two, *regions[3:]).disjoint
+    shared = range(before.start + 1, before.stop + 1, one.step)
+    assert not table(regions[0], shared, two, *regions[3:]).disjoint
+    # spans are sorted by first position, whatever the message order
+    assert not table(regions[0], two, shared, *regions[3:]).disjoint
+    assert table(regions[0], two, before, *regions[3:]).disjoint
+    # a region inside the span of an earlier, longer one
+    inner = range(two.start + 1, two.start + 2)
+    assert not table(regions[0], inner, two, *regions[3:]).disjoint
+
+
 def assert_block_is_its_trials(plan, dist, trials, seed):
     """One block of trials against the same trials one at a time: the
     fired arrays bit for bit, the decisions and the diagnostics."""
@@ -260,8 +331,17 @@ def test_block_equals_its_trials_one_at_a_time():
         "dmc, regions overlap": sp.DmcPlan(crowded(dmc, 1, 0), Dmc.bsc(0.2)),
         "compound": sp.Plan(equal_rate_params()),
         "compound beyond int64": sp.Plan(big),
+        "gauss, window plan": sp.WindowPlan(gauss),
+        "compound, window plan": sp.WindowPlan(equal_rate_params()),
+        "compound beyond int64, window plan": sp.WindowPlan(big),
     }
     assert plans["compound beyond int64"].table.starts.dtype == object
+    # the window plans' blocks: gathered and sliced windows, shared and
+    # per-region factors
+    blocks = [b for name, plan in plans.items() if "window" in name
+              for b in plan.blocks]
+    assert {isinstance(idx, slice) for idx, _, _ in blocks} == {True, False}
+    assert {factor.ndim for _, _, factor in blocks} == {2, 3}
     for k, (name, plan) in enumerate(plans.items()):
         block = assert_block_is_its_trials(plan, ERRATIC, 64, seed=k)
         diags = block.diagnostics
@@ -272,8 +352,126 @@ def test_block_equals_its_trials_one_at_a_time():
 
 
 def test_block_size_follows_the_cell_budget():
-    plan = sp.Plan(equal_rate_params())
-    assert plan.block_size == sp.BLOCK_CELLS // plan.cells > 1
+    for plan in (sp.Plan(equal_rate_params()),
+                 sp.WindowPlan(equal_rate_params())):
+        assert plan.block_size == sp.BLOCK_CELLS // plan.cells > 1
+    # the window plan draws one number a window
+    assert sp.WindowPlan(criterion_7_params()).block_size == 84
     gauss = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
                              idc=StateDistribution.deletion(0.1))
     assert sp.Plan(gauss).block_size == 1   # 48,961 increments a trial
+    window = sp.WindowPlan(gauss)
+    assert window.cells == window.table.starts.size == 24481
+    assert window.block_size == 1
+
+
+def criterion_7_params():
+    """The layout of criterion 7, whose decoder is blind to the timing."""
+    return cc.derive_params(M=64, mu1=0.8, mu2=1.1, delta=0.1, epsilon=0.25,
+                            sigma2=0.25)
+
+
+def exact_correlation(starts, ends):
+    """Samples two windows share over the window length, from the window
+    positions alone, in Python integers and then one rounding each."""
+    starts, ends = [int(v) for v in starts], [int(v) for v in ends]
+    w = ends[0] - starts[0] + 1
+    return np.array([[float(Fraction(max(0, min(e, f) - max(s, t) + 1), w))
+                      for t, f in zip(starts, ends)]
+                     for s, e in zip(starts, ends)])
+
+
+@pytest.mark.parametrize("name", ["gauss 64", "gauss 256", "gauss 1024",
+                                  "gauss 4096", "criterion 7",
+                                  "compound beyond int64"])
+def test_window_factors_match_exact_overlaps(name):
+    """L L^T equals the exact overlap matrix over w, to 1e-12 of its unit
+    diagonal, for every region; every window is coloured exactly once."""
+    if name.startswith("gauss"):
+        p = cg.derive_params(M=int(name.split()[1]), epsilon=0.2, delta=0.5,
+                             idc=StateDistribution.deletion(0.1))
+    elif name == "criterion 7":
+        p = criterion_7_params()
+    else:
+        p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
+                             sigma2=0.25)
+        assert p.layout.table.starts.dtype == object
+    plan = sp.WindowPlan(p)
+    table = plan.table
+    served = np.zeros(plan.cells, dtype=np.int64)
+    for idx, shape, factor in plan.blocks:
+        # each region's window table indices, one row a region
+        regions = np.arange(plan.cells)[idx].reshape(shape[0], shape[-1])
+        served[regions] += 1
+        starts = table.starts[regions].astype(object)
+        ends = table.ends[regions].astype(object)
+        if factor.ndim == 2:
+            # a shared factor: every region is a progression whose step
+            # over window length is the first region's, so the first
+            # region's exact matrix stands for all of them
+            lens = ends[:, 0] - starts[:, 0] + 1
+            steps = starts[:, 1:2] - starts[:, :1] if shape[-1] > 1 \
+                else np.zeros((len(lens), 1), dtype=object)
+            assert (np.diff(starts, axis=1) == steps).all()
+            assert (ends - starts + 1 == lens[:, np.newaxis]).all()
+            assert (steps[:, 0] * lens[0] == steps[0, 0] * lens).all()
+            factors = factor.T[np.newaxis]
+            starts, ends = starts[:1], ends[:1]
+        else:
+            factors = factor.transpose(0, 2, 1)
+        for low, s, e in zip(factors, starts, ends):
+            assert (low == np.tril(low)).all()
+            assert np.abs(low @ low.T - exact_correlation(s, e)).max() \
+                <= 1e-12
+    assert (served == 1).all()
+
+
+def test_window_overlaps_are_exact_integers():
+    small = sp.window_overlaps(4, [3, 1], [7, 2])
+    assert small.dtype == np.int64
+    assert small[0].tolist() == [[7, 4, 1, 0], [4, 7, 4, 1], [1, 4, 7, 4],
+                                 [0, 1, 4, 7]]
+    assert small[1].tolist() == [[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1],
+                                 [0, 0, 1, 2]]
+    # beyond int64, w - s * d in floats would lose the small overlaps
+    s, w = 3 * 10 ** 30, 10 ** 31 + 1
+    big = sp.window_overlaps(5, [s], [w])
+    assert big.dtype == object
+    assert big[0, 0].tolist() == [w, w - s, w - 2 * s, w - 3 * s, 0]
+    assert big[0, 0, 3] == 10 ** 30 + 1
+
+
+def box_m_pvalue(x: np.ndarray, y: np.ndarray) -> float:
+    """Box's M test that two Gaussian samples (rows) share one covariance,
+    with its chi-square approximation."""
+    p = x.shape[1]
+    n = np.array([x.shape[0], y.shape[0]])
+    covs = [np.cov(x, rowvar=False), np.cov(y, rowvar=False)]
+    pooled = ((n[0] - 1) * covs[0] + (n[1] - 1) * covs[1]) / (n.sum() - 2)
+    logdet = [np.linalg.slogdet(c)[1] for c in covs]
+    m = ((n.sum() - 2) * np.linalg.slogdet(pooled)[1]
+         - sum((k - 1) * d for k, d in zip(n, logdet)))
+    c = ((2 * p * p + 3 * p - 1) / (6 * (p + 1))
+         * (sum(1 / (k - 1) for k in n) - 1 / (n.sum() - 2)))
+    return float(chi2.sf((1 - c) * m, p * (p + 1) / 2))
+
+
+def test_window_statistics_share_the_segment_covariance():
+    """The window plan's noise-only statistics against the segment plan's
+    on one small layout: 20 windows, twelve heavily overlapping ones of
+    one region and eight of the next; Box's M at alpha = 0.001, fixed
+    before the test was run."""
+    p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
+                         idc=StateDistribution.deletion(0.2))
+    assert p.window_len == 4 * p.spacing    # neighbours share 3/4
+    bounds = p.layout.table.bounds
+    pick = np.r_[bounds[1]:bounds[1] + 12, bounds[2]:bounds[2] + 8]
+    samples = []
+    for plan, seed in ((sp.WindowPlan(p), 41), (sp.Plan(p), 42)):
+        rng = np.random.default_rng(seed)
+        trials = 4000
+        none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        draws = rng.standard_normal((trials, plan.cells))
+        stat = plan.statistics([1] * trials, [none] * trials, draws)
+        samples.append(stat[:, pick])
+    assert box_m_pvalue(*samples) > 0.001
