@@ -4,8 +4,10 @@ Every scheme sends message m as a silent prefix of prefix_slots[m] slots
 followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
-a Layout; the region table, the trace diagnostics, the materialising
-decoders and the streamed simulator all read it.
+a Layout; the encoder, the region table, the trace diagnostics, the
+materialising decoders and the streamed simulator all read it.  The two
+equal-block schemes build theirs, drift budget included, with
+guard_blocks.
 
 Each scheme's error analysis budgets for two drift events: the output
 length of the prefix, or the width of the burst image, falling outside an
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -26,8 +29,10 @@ import numpy as np
 
 from . import _exact
 from .channel import StateSequence
+from .errors import InvalidConfigError
 
 _INT64_SAFE = 1 << 62
+MAX_MATERIALIZED = 1 << 26  # refuse to allocate codewords beyond this many slots
 
 
 @dataclass(frozen=True)
@@ -93,27 +98,94 @@ class Layout:
         self.check_message(m)
         return tuple(self.regions[m - 1])
 
+    def encode(self, m: int, level) -> np.ndarray:
+        """Codeword of message m: level in its burst slots, 0 elsewhere,
+        in level's dtype (an int letter: int64, a float amplitude:
+        float64).  Codewords over MAX_MATERIALIZED slots are refused
+        before any is allocated."""
+        self.check_message(m)
+        if self.codeword_len > MAX_MATERIALIZED:
+            raise InvalidConfigError(
+                f"codeword length {self.codeword_len} exceeds the "
+                f"materialization cap {MAX_MATERIALIZED}; use the streaming "
+                "simulator in the harness instead")
+        x = np.zeros(self.codeword_len, dtype=np.asarray(level).dtype)
+        start = self.prefix_slots[m - 1]
+        x[start:start + self.burst_slots[m - 1]] = level
+        return x
+
     @cached_property
     def table(self) -> RegionTable:
         return RegionTable(self)
 
 
-def guard_blocks(M: int, N: int, B: int, mu: float, nu_sq: Fraction,
-                 beta_sq: Fraction, window_len: int, step: int,
-                 slack: float) -> Layout:
-    """Layout of the equal-block schemes (codec_dmc, codec_gauss).
+@dataclass(frozen=True)
+class GuardDiagnostics:
+    """Exactly evaluated spacing inequalities behind an equal-block layout.
+
+    regions_disjoint:            N*mu >= 3*nu (regions cannot touch)
+    wrong_windows_clear:         (N-B)*mu >= 2*nu (windows of earlier regions
+                                 cannot reach the burst image)
+    wrong_windows_clear_jitter:  (N-B)*mu >= 2*nu + beta (same for later
+                                 regions, burst spread included)
+
+    Configs failing these are reported, not rejected; the error guarantees
+    simply do not apply to them.
+    """
+
+    regions_disjoint: bool
+    wrong_windows_clear: bool
+    wrong_windows_clear_jitter: bool
+
+    @classmethod
+    def evaluate(cls, N: int, B: int, mu: float, nu_sq: Fraction,
+                 beta_sq: Fraction) -> GuardDiagnostics:
+        nmu = Fraction(N) * _exact.frac(mu)
+        clear = Fraction(N - B) * _exact.frac(mu)
+        return cls(
+            regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
+            wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
+            wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq,
+                                                          beta_sq))
+
+
+def guard_block_len(M: int, mu: float, sigma2: float, epsilon: float) -> int:
+    """Guard-block length N = ceil(36*M*sigma2 / (mu^2 * epsilon)) of the
+    equal-block schemes: 0 for deterministic timing."""
+    return _exact.ceil_frac((36 * M) * _exact.frac(sigma2)
+                            / (_exact.frac(mu) ** 2 * _exact.frac(epsilon)))
+
+
+def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
+                 epsilon: float, step: int, slack: float
+                 ) -> tuple[Layout, GuardDiagnostics]:
+    """Layout of the equal-block schemes (codec_dmc, codec_gauss), with the
+    spacing inequalities it meets.
 
     Message m puts its burst of B slots at the start of the m-th block of N
     slots, so its image should start right after (m-1)*N*mu output
-    samples.  Region m holds the multiples of step within nu of
-    (m-1)*N*mu + 1 (message 1: just position 1).  The prefix output drifts
-    when it strays nu or more from its mean, the burst image width when it
-    strays beta or more.
+    samples.  The radii nu^2 = 4*M*N*sigma2/epsilon and beta^2 =
+    4*B*sigma2/epsilon make each drift event, by Chebyshev, at most
+    epsilon/4 likely: the prefix output straying nu or more from its mean,
+    or the burst image width straying beta or more.  Region m holds the
+    multiples of step within nu of (m-1)*N*mu + 1 (message 1: just
+    position 1), and every window is floor(B*mu - beta) samples long.
     """
-    mu = _exact.frac(mu)
+    if B > N:
+        raise InvalidConfigError(
+            f"burst (B={B}) does not fit in the guard block (N={N})")
+    mu, noise = _exact.frac(mu), _exact.frac(sigma2) / _exact.frac(epsilon)
+    beta_sq = (4 * B) * noise
+    nu_sq = (4 * M * N) * noise
+    window_len = _exact.floor_minus_sqrt(B * mu, beta_sq)
+    if window_len < 1:
+        raise InvalidConfigError(
+            "detection window collapsed; timing jitter is too large for "
+            f"this configuration (B*mu={float(B * mu):.3f}, "
+            f"beta={math.sqrt(beta_sq):.3f})")
     mn, md = mu.numerator, mu.denominator
     prefix = tuple(range(0, M * N, N))
-    return Layout(
+    layout = Layout(
         codeword_len=M * N, prefix_slots=prefix, burst_slots=(B,) * M,
         prefix_drift=Drift(mu, nu_sq), burst_drift=Drift(mu, beta_sq),
         window_lens=(window_len,) * M,
@@ -121,6 +193,7 @@ def guard_blocks(M: int, N: int, B: int, mu: float, nu_sq: Fraction,
             _exact.multiples_in_open(step, (p * mn + md, md), nu_sq)
             for p in prefix[1:]),
         slack=(slack,) * M)
+    return layout, GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq)
 
 
 class RegionTable:

@@ -105,7 +105,6 @@ class _TrialPlan:
 
     def __init__(self, params):
         self.layout = params.layout
-        self.regions = params.layout.regions  # read by bench/tracer.py
         self.table = params.layout.table
         self.threshold = params.threshold
 

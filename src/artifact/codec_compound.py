@@ -17,8 +17,8 @@ interval.  No share of epsilon is set aside for drift, and the error bound
 is asymptotic only: error at most epsilon is promised as M grows, with no
 bound at any finite M.
 
-Block length grows geometrically in M, so codewords are only materialized
-on request and within an explicit cap; the experiment harness streams the
+Block length grows geometrically in M, so only small codewords can be
+materialized (Layout.encode caps them); the experiment harness streams the
 equivalent statistics instead.
 """
 
@@ -29,14 +29,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _exact
 from ._layout import Drift, Layout
 from .codec_gauss import decode  # noqa: F401  (the Gaussian window-sum decoder)
 from .errors import InvalidConfigError
-
-MAX_MATERIALIZED = 1 << 26  # refuse to allocate codewords beyond this many slots
 
 
 @dataclass(frozen=True)
@@ -211,31 +207,3 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         spacings=tuple(spacings), window_lens=layout.window_lens,
         diagnostics=schedule_diagnostics(layout, lo_rate, hi_rate),
         layout=layout)
-
-
-def window_length(m: int, params: CompoundSchemeParams) -> int:
-    """Samples per detection window for message m: floor((mu1-delta) * B_m)."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    return params.window_lens[m - 1]
-
-
-def decision_region(m: int, params: CompoundSchemeParams) -> tuple[int, ...]:
-    """Grid positions the burst of message m can drift to."""
-    return params.layout.region(m)
-
-
-def encode(m: int, params: CompoundSchemeParams,
-           max_len: int = MAX_MATERIALIZED) -> np.ndarray:
-    """Materialize the codeword for message m (only sensible for small M)."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    t = params.block_len
-    if t > max_len:
-        raise InvalidConfigError(
-            f"block length {t} exceeds the materialization cap {max_len}; "
-            "use the streaming simulator in the harness instead")
-    x = np.zeros(t, dtype=np.float64)
-    start = params.offsets[m - 1]
-    x[start:start + params.widths[m - 1]] = params.amplitude(m)
-    return x

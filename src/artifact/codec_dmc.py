@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _exact
-from ._layout import Layout, guard_blocks
+from ._layout import GuardDiagnostics, Layout, guard_block_len, guard_blocks
 from .channel import ChannelOutput, Dmc, StateDistribution
 from .errors import InvalidConfigError
 from .info import kl_divergence
@@ -35,36 +35,6 @@ _SLICE = 1 << 16
 class Hypothesis(enum.IntEnum):
     H0 = 0  # window reads like idle channel
     H1 = 1  # window reads like the burst
-
-
-@dataclass(frozen=True)
-class GuardDiagnostics:
-    """Exactly evaluated spacing inequalities behind the decoder's geometry.
-
-    regions_disjoint:            N*mu >= 3*nu (regions cannot touch)
-    wrong_windows_clear:         (N-B)*mu >= 2*nu (windows of earlier regions
-                                 cannot reach the burst image)
-    wrong_windows_clear_jitter:  (N-B)*mu >= 2*nu + beta (same for later
-                                 regions, burst spread included)
-
-    Configs failing these are reported, not rejected; the error guarantees
-    simply do not apply to them.
-    """
-
-    regions_disjoint: bool
-    wrong_windows_clear: bool
-    wrong_windows_clear_jitter: bool
-
-    @classmethod
-    def evaluate(cls, N: int, B: int, mu: float, nu_sq: Fraction,
-                 beta_sq: Fraction) -> "GuardDiagnostics":
-        nmu = Fraction(N) * _exact.frac(mu)
-        clear = Fraction(N - B) * _exact.frac(mu)
-        return cls(
-            regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
-            wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
-            wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq,
-                                                          beta_sq))
 
 
 @dataclass(frozen=True)
@@ -131,55 +101,19 @@ def derive_params(M: int, epsilon: float, delta: float,
     if B < 1:
         raise InvalidConfigError(
             f"burst length came out empty (B={B}); increase M or delta")
-    if sigma2 == 0.0:
-        # Deterministic timing: the drift-control formula degenerates to
-        # N = 0, but the codeword layout still needs one burst per block.
-        N = B
-    else:
-        N = _exact.ceil_frac(
-            (36 * M) * _exact.frac(sigma2)
-            / (_exact.frac(mu) ** 2 * _exact.frac(epsilon)))
-        if B > N:
-            raise InvalidConfigError(
-                f"burst (B={B}) does not fit in the guard block (N={N})")
-
-    beta_sq = (4 * B) * _exact.frac(sigma2) / _exact.frac(epsilon)
-    nu_sq = (4 * M * N) * _exact.frac(sigma2) / _exact.frac(epsilon)
-    window_len = _exact.floor_minus_sqrt(Fraction(B) * _exact.frac(mu), beta_sq)
-    if window_len < 1:
-        raise InvalidConfigError(
-            "detection window collapsed; timing jitter is too large for "
-            f"this configuration (B*mu={B * mu:.3f}, beta={math.sqrt(float(beta_sq)):.3f})")
-
+    # deterministic timing gives N = 0, but the codeword layout still
+    # needs one burst per block
+    N = guard_block_len(M, mu, sigma2, epsilon) or B
+    layout, diagnostics = guard_blocks(M, N, B, mu, sigma2, epsilon,
+                                       step=1, slack=0)
+    window_len = layout.window_lens[0]
     return DmcSchemeParams(
         M=M, epsilon=float(epsilon), delta=float(delta), mu=float(mu),
         sigma2=float(sigma2), x_star=int(x_star), divergence=float(div),
-        N=N, B=B, beta=math.sqrt(float(beta_sq)), nu=math.sqrt(float(nu_sq)),
-        window_len=window_len,
+        N=N, B=B, beta=math.sqrt(layout.burst_drift.radius_sq),
+        nu=math.sqrt(layout.prefix_drift.radius_sq), window_len=window_len,
         threshold=exact_threshold(channel, x_star, window_len, epsilon),
-        diagnostics=GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq),
-        layout=guard_blocks(M, N, B, mu, nu_sq, beta_sq, window_len,
-                            step=1, slack=0))
-
-
-def encode(m: int, params: DmcSchemeParams) -> np.ndarray:
-    """Codeword for message m: B copies of the burst letter at slot (m-1)N + 1."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    x = np.zeros(params.codeword_len, dtype=np.int64)
-    start = (m - 1) * params.N
-    x[start:start + params.B] = params.x_star
-    return x
-
-
-def decision_region(m: int, params: DmcSchemeParams) -> tuple[int, ...]:
-    """Candidate output positions for message m.
-
-    Message 1 is anchored at position 1; message m >= 2 owns every integer
-    within nu of (m-1)*N*mu + 1.  With zero jitter the radius degenerates and
-    the region is the single center point.
-    """
-    return params.layout.region(m)
+        diagnostics=diagnostics, layout=layout)
 
 
 def _llr_tables(channel: Dmc, x_star: int):

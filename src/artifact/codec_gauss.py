@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._layout import Layout, guard_blocks
+from ._layout import GuardDiagnostics, Layout, guard_block_len, guard_blocks
 from .channel import ChannelOutput, StateDistribution
-from .codec_dmc import GuardDiagnostics
 from .errors import InvalidConfigError
 from .rng import as_generator
 
@@ -65,11 +64,10 @@ def derive_params(M: int, epsilon: float, delta: float,
     B grows like sqrt(M * N) * sigma / mu, which balances the energy spent
     per burst slot against the timing jitter; the amplitude then makes the
     total energy (1+delta)^2 * (2+delta) * eta2 * ln(M) / mu regardless of
-    the rounding of B.  The region radius nu and the burst spread beta use
-    the codec_dmc formulas, nu^2 = 4*M*N*sigma2/epsilon and beta^2 =
-    4*B*sigma2/epsilon, so by Chebyshev each drift event (prefix output
-    off its mean by nu or more, burst image width off its mean by beta or
-    more) has probability at most epsilon/4.  Requires jittery timing
+    the rounding of B.  N, the region radius nu, the burst spread beta and
+    the window follow the DMC scheme's drift budget (_layout.guard_blocks),
+    so each drift event has probability at most epsilon/4.  The spacing
+    floor(M / log2 M) is at least 2 for M >= 4.  Requires jittery timing
     (sigma2 > 0): with deterministic timing the burst-length formula
     collapses to zero.
     """
@@ -85,33 +83,21 @@ def derive_params(M: int, epsilon: float, delta: float,
     if not (mu > 0):
         raise InvalidConfigError("timing process never emits anything (mu == 0)")
 
-    N = _exact.ceil_frac((36 * M) * _exact.frac(sigma2)
-                         / (_exact.frac(mu) ** 2 * _exact.frac(epsilon)))
+    N = guard_block_len(M, mu, sigma2, epsilon)
     B = _exact.floor_sqrt_frac(
         (M * N) * _exact.frac(sigma2) / _exact.frac(mu) ** 2)
     if B < 1:
         raise InvalidConfigError(
             "burst length came out empty; the scheme needs timing jitter "
             f"(sigma2={sigma2}) and a larger M to have anything to detect")
-    if B > N:
-        raise InvalidConfigError(f"burst (B={B}) does not fit in the guard block (N={N})")
     spacing = _exact.floor_frac(Fraction(M) / _exact.frac(math.log2(M)))
-    if spacing < 1:
-        raise InvalidConfigError("region spacing collapsed below one position")
-
-    beta_sq = (4 * B) * _exact.frac(sigma2) / _exact.frac(epsilon)
-    nu_sq = (4 * M * N) * _exact.frac(sigma2) / _exact.frac(epsilon)
-    window_len = _exact.floor_minus_sqrt(Fraction(B) * _exact.frac(mu), beta_sq)
-    if window_len < 1:
-        raise InvalidConfigError("detection window collapsed; jitter too large")
-
     log_m = math.log(M)
     x_star = (1.0 + delta) * math.sqrt(eta2) * math.sqrt(
         (2.0 + delta) * log_m / (B * mu))
     threshold = math.sqrt((2.0 + delta) * log_m)
 
-    layout = guard_blocks(M, N, B, mu, nu_sq, beta_sq, window_len,
-                          step=spacing, slack=M / math.log2(M))
+    layout, diagnostics = guard_blocks(M, N, B, mu, sigma2, epsilon,
+                                       step=spacing, slack=M / math.log2(M))
     for m, region in enumerate(layout.regions, start=1):
         if not region:
             raise InvalidConfigError(
@@ -120,26 +106,10 @@ def derive_params(M: int, epsilon: float, delta: float,
     return GaussSchemeParams(
         M=M, epsilon=float(epsilon), delta=float(delta), mu=float(mu),
         sigma2=float(sigma2), eta2=float(eta2), N=N, B=B,
-        beta=math.sqrt(float(beta_sq)), nu=math.sqrt(float(nu_sq)),
-        window_len=window_len, spacing=spacing, x_star=x_star,
-        threshold=threshold,
-        diagnostics=GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq),
-        layout=layout)
-
-
-def encode(m: int, params: GaussSchemeParams) -> np.ndarray:
-    """Real-valued codeword for message m."""
-    if not (1 <= m <= params.M):
-        raise ValueError(f"message {m} outside 1..{params.M}")
-    x = np.zeros(params.codeword_len, dtype=np.float64)
-    start = (m - 1) * params.N
-    x[start:start + params.B] = params.x_star
-    return x
-
-
-def decision_region(m: int, params: GaussSchemeParams) -> tuple[int, ...]:
-    """Multiples of the spacing within nu of (m-1)*N*mu + 1 (message 1: just {1})."""
-    return params.layout.region(m)
+        beta=math.sqrt(layout.burst_drift.radius_sq),
+        nu=math.sqrt(layout.prefix_drift.radius_sq),
+        window_len=layout.window_lens[0], spacing=spacing, x_star=x_star,
+        threshold=threshold, diagnostics=diagnostics, layout=layout)
 
 
 def correlate(window: np.ndarray, params: GaussSchemeParams) -> float:

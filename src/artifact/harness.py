@@ -374,10 +374,14 @@ def sweep(grid: dict) -> tuple[list[str], list[dict]]:
     and the error message, never an exception.  An empty axis yields an empty
     table.
     """
-    if "base" not in grid:
-        raise InvalidConfigError("sweep grid needs a base config under 'base'")
+    if not isinstance(grid, dict):
+        raise InvalidConfigError("a sweep grid must be a JSON object")
+    if not isinstance(grid.get("base"), dict):
+        raise InvalidConfigError(
+            "sweep grid needs a base config object under 'base'")
     axes = grid.get("axes", {})
-    if not isinstance(axes, dict):
+    if not (isinstance(axes, dict)
+            and all(isinstance(v, list) for v in axes.values())):
         raise InvalidConfigError("axes must map config fields to value lists")
     names = list(axes)
     columns = ["point", *names, *_SWEEP_REPORT_COLUMNS]

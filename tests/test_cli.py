@@ -325,6 +325,23 @@ class SweepTests(CliCase):
         self.assertEqual(rc, 0)
         self.assertTrue(out.splitlines()[0].startswith("point"))
 
+    def test_sweep_rejects_malformed_grids(self):
+        base = {"scheme": "gauss", "M": 16, "epsilon": 0.25, "delta": 0.5,
+                "trials": 5, "base_seed": 3, "idc": {"deletion": {"d": 0.2}}}
+        for grid, word in ((5, "JSON object"),
+                           ({"base": 5}, "base"),
+                           ({"base": base, "axes": {"M": 64}}, "lists"),
+                           ({"base": base, "axes": {"M": "abc"}}, "lists")):
+            with self.subTest(grid=grid):
+                rc, out, err = run_cli(
+                    ["sweep", self.write_json("grid.json", grid)])
+                self.assertEqual(rc, 1)
+                self.assertEqual(out, "")
+                lines = err.strip().splitlines()
+                self.assertEqual(len(lines), 1, err)
+                self.assertTrue(lines[0].startswith("error:"), err)
+                self.assertIn(word, lines[0])
+
 
 class VerifyCostTests(CliCase):
     def experiment(self, idc):

@@ -65,12 +65,12 @@ class WideBandScheduleTests(unittest.TestCase):
     def test_materialization_cap(self):
         self.assertGreater(self.p.block_len, 10 ** 15)
         with self.assertRaises(InvalidConfigError):
-            cc.encode(2, self.p)
+            self.p.layout.encode(2, self.p.amplitude(2))
 
     def test_regions_snap_to_spacing(self):
-        self.assertEqual(cc.decision_region(1, self.p), (1,))
+        self.assertEqual(self.p.layout.region(1), (1,))
         for m in (2, 3, 4):
-            region = cc.decision_region(m, self.p)
+            region = self.p.layout.region(m)
             self.assertEqual(region, tuple(self.p.layout.regions[m - 1]))
             gap = self.p.spacings[m - 1]
             for v in region:
@@ -78,7 +78,7 @@ class WideBandScheduleTests(unittest.TestCase):
 
     def test_window_length_accessor(self):
         for m in (1, 2, 5):
-            self.assertEqual(cc.window_length(m, self.p),
+            self.assertEqual(self.p.layout.window_lens[m - 1],
                              self.p.window_lens[m - 1])
 
 
@@ -92,7 +92,7 @@ class EqualRateScheduleTests(unittest.TestCase):
         self.assertEqual(self.p.block_len, 3951 + 2370)
 
     def test_encode_layout(self):
-        cw = cc.encode(3, self.p)
+        cw = self.p.layout.encode(3, self.p.amplitude(3))
         self.assertEqual(cw.size, self.p.block_len)
         lo = self.p.offsets[2]
         width = self.p.widths[2]
@@ -100,12 +100,13 @@ class EqualRateScheduleTests(unittest.TestCase):
         self.assertEqual(np.count_nonzero(cw), width)
         for bad in (0, 9):
             with self.assertRaises(ValueError):
-                cc.encode(bad, self.p)
+                self.p.layout.encode(bad, self.p.x_star)
 
     def test_round_trip_all_messages_zero_noise(self):
         states = StateSequence(np.ones(self.p.block_len, dtype=np.int64))
         for m in range(1, 9):
-            y = idc_apply(cc.encode(m, self.p), states)
+            cw = self.p.layout.encode(m, self.p.amplitude(m))
+            y = idc_apply(cw, states)
             self.assertEqual(cc.decode(y, self.p, seed=m), m)
 
     def test_round_trip_with_jitter_zero_noise(self):
@@ -114,7 +115,8 @@ class EqualRateScheduleTests(unittest.TestCase):
         idc = StateDistribution(((0, 0.15), (1, 0.7), (2, 0.15)))
         states = sample_states(idc, self.p.block_len, seed=2718)
         for m in (1, 4, 8):
-            y = idc_apply(cc.encode(m, self.p), states)
+            cw = self.p.layout.encode(m, self.p.amplitude(m))
+            y = idc_apply(cw, states)
             self.assertEqual(cc.decode(y, self.p, seed=m), m)
 
     def test_all_zero_stream_erases(self):

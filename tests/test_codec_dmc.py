@@ -49,8 +49,8 @@ def test_worked_example_constants(worked):
 
 
 def test_worked_example_regions(worked):
-    assert cd.decision_region(1, worked) == (1,)
-    r2 = cd.decision_region(2, worked)
+    assert worked.layout.region(1) == (1,)
+    r2 = worked.layout.region(2)
     assert r2[0] == 1538 and r2[-1] == 3072 and len(r2) == 1535
     assert 2305 in r2                # the drift-free landing spot
     assert worked.diagnostics == cd.GuardDiagnostics(True, True, True)
@@ -59,21 +59,22 @@ def test_worked_example_regions(worked):
 def test_regions_pairwise_disjoint(worked):
     seen: set[int] = set()
     for m in range(1, 6):
-        r = set(cd.decision_region(m, worked))
+        r = set(worked.layout.region(m))
         assert not (r & seen)
         seen |= r
 
 
 def test_encode_layout(worked):
-    cw = cd.encode(3, worked)
+    cw = worked.layout.encode(3, worked.x_star)
     assert cw.size == worked.codeword_len
+    assert cw.dtype == np.int64
     burst = slice(2 * worked.N, 2 * worked.N + worked.B)
     assert cw[burst].tolist() == [1] * worked.B
     assert int(cw.sum()) == worked.B
     with pytest.raises(ValueError):
-        cd.encode(0, worked)
+        worked.layout.encode(0, worked.x_star)
     with pytest.raises(ValueError):
-        cd.encode(65, worked)
+        worked.layout.encode(65, worked.x_star)
 
 
 def test_zero_jitter_collapses_spacing():
@@ -81,13 +82,13 @@ def test_zero_jitter_collapses_spacing():
                          idc=StateDistribution.constant(1),
                          channel=one_bit_channel(), x_star=1)
     assert p.N == p.B and p.nu == 0.0 and p.window_len == p.B
-    assert [cd.decision_region(m, p) for m in (1, 2, 3)] == [(1,), (8,), (15,)]
+    assert [p.layout.region(m) for m in (1, 2, 3)] == [(1,), (8,), (15,)]
     # doubling states shifts every landing spot by the realized rate
     p2 = cd.derive_params(M=4, epsilon=0.25, delta=0.5,
                           idc=StateDistribution.constant(2),
                           channel=one_bit_channel(), x_star=1)
     assert p2.window_len == 2 * p2.B
-    assert [cd.decision_region(m, p2) for m in (1, 2, 3)] == [(1,), (5,), (9,)]
+    assert [p2.layout.region(m) for m in (1, 2, 3)] == [(1,), (5,), (9,)]
 
 
 def test_noiseless_burst_letter_rejected():
@@ -274,7 +275,7 @@ def test_seeded_round_trip_batch():
                          x_star=1)
     correct = wrong = erased = 0
     for m in range(1, 65):
-        y = ids_channel(cd.encode(m, p), idc, ch, seed=100 + m)
+        y = ids_channel(p.layout.encode(m, p.x_star), idc, ch, seed=100 + m)
         got = cd.decode(y, p, ch, seed=200 + m)
         if got == m:
             correct += 1

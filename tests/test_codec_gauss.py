@@ -18,7 +18,8 @@ import pytest
 from scipy import stats
 
 from artifact import codec_gauss as cg
-from artifact._layout import geometry_diagnostics, trace_diagnostics
+from artifact._layout import (MAX_MATERIALIZED, geometry_diagnostics,
+                              trace_diagnostics)
 from artifact.channel import StateDistribution, StateSequence, idc_apply
 from artifact.errors import InvalidConfigError
 
@@ -63,29 +64,45 @@ def test_threshold_tail_bound(worked):
 
 
 def test_regions(worked):
-    assert cg.decision_region(1, worked) == (1,)
-    r2 = cg.decision_region(2, worked)
+    assert worked.layout.region(1) == (1,)
+    r2 = worked.layout.region(2)
     assert r2[0] == 3104 and r2[-1] == 6144 and len(r2) == 96
     assert all(v % worked.spacing == 0 for v in r2)
     assert len(r2) <= 2 * worked.nu / worked.spacing + 1
     taken: set[int] = set()
     for m in range(1, 5):
-        r = set(cg.decision_region(m, worked))
+        r = set(worked.layout.region(m))
         assert not (r & taken)
         taken |= r
 
 
 def test_encode_layout(worked):
-    cw = cg.encode(5, worked)
+    cw = worked.layout.encode(5, worked.amplitude(5))
     assert cw.size == worked.codeword_len
+    assert cw.dtype == np.float64
     lo = 4 * worked.N
     burst = cw[lo:lo + worked.B]
     assert np.all(burst == worked.x_star)
     assert np.count_nonzero(cw) == worked.B
     with pytest.raises(ValueError):
-        cg.encode(0, worked)
+        worked.layout.encode(0, worked.x_star)
     with pytest.raises(ValueError):
-        cg.encode(worked.M + 1, worked)
+        worked.layout.encode(worked.M + 1, worked.x_star)
+
+
+def test_encode_refuses_codewords_over_the_cap(monkeypatch):
+    """The worked configuration at M = 4096 has 335,544,320 slots, 2.5 GiB
+    of float64: refused before any array is allocated."""
+    p = cg.derive_params(M=4096, epsilon=0.2, delta=0.5,
+                         idc=StateDistribution.deletion(0.1))
+    assert p.codeword_len == 335_544_320 > MAX_MATERIALIZED
+
+    def unallocated(*args, **kwargs):
+        raise AssertionError("allocated a codeword over the cap")
+
+    monkeypatch.setattr(np, "zeros", unallocated)
+    with pytest.raises(InvalidConfigError, match="materialization cap"):
+        p.layout.encode(1, p.amplitude(1))
 
 
 def test_zero_jitter_rejected():
@@ -133,7 +150,7 @@ def test_noise_free_round_trip_with_random_jitter():
     ps = small_params()
     rng = np.random.default_rng(42)
     for m in range(1, 5):
-        cw = cg.encode(m, ps)
+        cw = ps.layout.encode(m, ps.amplitude(m))
         states = StateSequence(rng.integers(0, 2, size=cw.size))
         y = idc_apply(cw, states)
         assert cg.decode(y, ps, seed=m) == m

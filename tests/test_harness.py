@@ -130,7 +130,9 @@ def oracle_errors(cfg: harness.ExperimentConfig, seed: int) -> int:
     errors = 0
     for _ in range(cfg.trials):
         m = int(rng.integers(1, cfg.M + 1))
-        y = ids_channel(codec.encode(m, params), cfg.idc, back_end, seed=rng)
+        level = params.x_star if codec is cd else params.amplitude(m)
+        y = ids_channel(params.layout.encode(m, level), cfg.idc, back_end,
+                        seed=rng)
         errors += codec.decode(y, params, *channel, seed=rng) != m
     return errors
 

@@ -14,13 +14,15 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._layout import Drift, Layout, RegionTable, geometry_diagnostics
+from artifact._layout import (Drift, Layout, RegionTable, geometry_diagnostics,
+                              guard_blocks)
 from artifact.channel import Dmc, StateDistribution
 from artifact.errors import InvalidConfigError
 
@@ -122,6 +124,19 @@ def test_table_flattens_regions_in_message_order():
     fired[t.bounds[7] - 1] = True   # last window of message 7
     assert t.decide(fired) is None
 
+
+
+def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window():
+    # sigma2 = 1/4, epsilon = 1/2: beta^2 = 2*B, so the window is
+    # floor(B - sqrt(2*B)) at mu = 1
+    layout, guards = guard_blocks(4, 6, 6, 1.0, 0.25, 0.5, step=1, slack=0)
+    assert layout.window_lens == (2,) * 4   # B = N fits: floor(6 - sqrt(12))
+    assert layout.prefix_slots == (0, 6, 12, 18)
+    assert not guards.regions_disjoint
+    with pytest.raises(InvalidConfigError, match="does not fit"):
+        guard_blocks(4, 6, 7, 1.0, 0.25, 0.5, step=1, slack=0)
+    with pytest.raises(InvalidConfigError, match="window collapsed"):
+        guard_blocks(4, 6, 2, 1.0, 0.25, 0.5, step=1, slack=0)
 
 def cumsum_decide(fired, bounds):
     """The unique-region rule by prefix counts of firing windows."""

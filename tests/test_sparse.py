@@ -20,7 +20,8 @@ from artifact import harness
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._layout import guard_blocks
+from artifact._exact import multiples_in_open
+from artifact._layout import GuardDiagnostics
 from artifact.channel import Dmc, StateDistribution, idc_apply, sample_states
 from artifact.rng import as_generator
 
@@ -91,8 +92,8 @@ def test_gauss_geometry_mirrors_params():
     assert set(sp.Plan(p).amplitudes) == {p.x_star}
     assert lay.window_lens == tuple([p.window_len] * 16)
     assert tuple(map(tuple, lay.regions)) == tuple(
-        cg.decision_region(m, p) for m in range(1, 17))
-    assert cg.decision_region(2, p) == tuple(
+        p.layout.region(m) for m in range(1, 17))
+    assert p.layout.region(2) == tuple(
         v for v in range(1, p.codeword_len)
         if v % p.spacing == 0 and abs(v - (p.N * p.mu + 1)) < p.nu)
 
@@ -189,7 +190,7 @@ def test_stream_agrees_with_materialized_pipeline():
     direct_err = 0
     for _ in range(trials):
         m = int(rng.integers(1, 9))
-        cw = cc.encode(m, p)
+        cw = p.layout.encode(m, p.amplitude(m))
         y = idc_apply(cw, sample_states(idc, cw.size, seed=rng))
         y = y + rng.normal(0.0, 1.0, size=y.size)
         if cc.decode(y, p, seed=int(rng.integers(2**31))) != m:
@@ -221,12 +222,16 @@ def crowded(p, step, slack):
     """p (a gauss or dmc scheme) laid out with guard blocks a third as long
     and the same region radius, so its regions_disjoint guard fails."""
     n = p.N // 3
-    nu_sq = Fraction(4 * p.M * p.N) * Fraction(p.sigma2) / Fraction(p.epsilon)
-    beta_sq = Fraction(4 * p.B) * Fraction(p.sigma2) / Fraction(p.epsilon)
-    assert not cd.GuardDiagnostics.evaluate(
-        n, p.B, p.mu, nu_sq, beta_sq).regions_disjoint
-    return replace(p, layout=guard_blocks(p.M, n, p.B, p.mu, nu_sq, beta_sq,
-                                          p.window_len, step, slack))
+    nu_sq = p.layout.prefix_drift.radius_sq
+    assert not GuardDiagnostics.evaluate(
+        n, p.B, p.mu, nu_sq, p.layout.burst_drift.radius_sq).regions_disjoint
+    prefix = range(0, p.M * n, n)
+    regions = (range(1, 2),) + tuple(
+        multiples_in_open(step, k * Fraction(p.mu) + 1, nu_sq)
+        for k in prefix[1:])
+    return replace(p, layout=replace(
+        p.layout, codeword_len=p.M * n, prefix_slots=tuple(prefix),
+        regions=regions, slack=(slack,) * p.M))
 
 
 def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
