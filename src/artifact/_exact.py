@@ -78,11 +78,6 @@ def ge_sum_sqrt(t: Fraction, a: Fraction, b: Fraction) -> bool:
     return s >= 0 and s * s >= 4 * a * b
 
 
-def ints_in_open(center: Fraction, radius_sq: Fraction, lo: int = 1) -> range:
-    """Integers >= lo strictly inside (center - r, center + r), r = sqrt(radius_sq)."""
-    return multiples_in_open(1, center, radius_sq, lo)
-
-
 def multiples_in_open(step: int, center: Fraction | tuple[int, int],
                       radius_sq: Fraction | tuple[int, int],
                       lo: int = 1) -> range:

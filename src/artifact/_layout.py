@@ -278,19 +278,26 @@ class RegionTable:
 
     def decide(self, fired: np.ndarray) -> int | None:
         """Unique-region rule: the one message with a firing window, else None."""
-        decoded = int(self.decide_rows(fired[np.newaxis])[0])
-        return decoded or None
+        return int(self.decide_rows(self.region_counts(fired[None]))[0]) or None
 
-    def decide_rows(self, fired: np.ndarray) -> np.ndarray:
-        """The unique-region rule for each row of fired (trials x windows):
-        the decoded message, or 0 where no region or several fired."""
-        if not self.occupied.size:
-            return np.zeros(fired.shape[0], dtype=np.int64)
+    def region_counts(self, fired: np.ndarray) -> np.ndarray:
+        """The firing windows of each message's region, for each row of
+        fired (trials x windows): trials x M, int32."""
         # reduceat over the occupied regions' first windows only: an empty
         # region would otherwise read the one window at its bound
-        hit = np.logical_or.reduceat(fired, self.bounds[self.occupied], axis=1)
-        return np.where(hit.sum(axis=1) == 1,
-                        self.occupied[hit.argmax(axis=1)] + 1, 0)
+        counts = np.add.reduceat(fired, self.bounds[self.occupied], axis=1,
+                                 dtype=np.int32)
+        if self.occupied.size == self.bounds.size - 1:
+            return counts
+        out = np.zeros((fired.shape[0], self.bounds.size - 1), dtype=np.int32)
+        out[:, self.occupied] = counts
+        return out
+
+    def decide_rows(self, counts: np.ndarray) -> np.ndarray:
+        """The unique-region rule for each row of region_counts: the
+        decoded message, or 0 where no region or several fired."""
+        hit = counts > 0
+        return np.where(hit.sum(axis=1) == 1, hit.argmax(axis=1) + 1, 0)
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,7 @@ class TrialBlock:
     decoded: np.ndarray  # per trial: the decoded message, 0 for none
     diagnostics: tuple[TraceDiagnostics, ...]  # per trial
     fired: np.ndarray  # trials x windows of the region table
+    region_fired: np.ndarray  # trials x messages: firing windows per region
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
@@ -385,5 +386,7 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         contacts.append(contact)
         diagnostics.append(contact_diagnostics(m, a, g, layout, *contact))
     fired = plan.fired(ms, images, contacts, draws)
-    return TrialBlock(decoded=table.decide_rows(fired),
-                      diagnostics=tuple(diagnostics), fired=fired)
+    counts = table.region_counts(fired)
+    return TrialBlock(decoded=table.decide_rows(counts),
+                      diagnostics=tuple(diagnostics), fired=fired,
+                      region_fired=counts)

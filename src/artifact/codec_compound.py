@@ -120,10 +120,12 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         raise InvalidConfigError(f"need 0 < mu1 <= mu2, got [{mu1}, {mu2}]")
     if not (0.0 <= delta < mu1):
         raise InvalidConfigError(f"delta must sit in [0, mu1), got {delta}")
-    if not (sigma2 >= 0.0):
-        raise InvalidConfigError(f"variance bound must be nonnegative, got {sigma2}")
-    if not (eta2 > 0.0):
-        raise InvalidConfigError(f"noise variance must be positive, got {eta2}")
+    if not (0.0 <= sigma2 < math.inf):
+        raise InvalidConfigError(
+            f"variance bound must be nonnegative and finite, got {sigma2}")
+    if not (0.0 < eta2 < math.inf):
+        raise InvalidConfigError(
+            f"noise variance must be positive and finite, got {eta2}")
 
     log2m = _exact.frac(math.log2(M))
     lo_rate = _exact.frac(mu1) - _exact.frac(delta)
@@ -155,14 +157,15 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         if sp < 1:
             raise InvalidConfigError(
                 f"region grid for message {m} collapsed below one position")
+        # amplitudes, slack and noise scales take these slot counts as
+        # floats; offsets and widths only grow, so stop at the first too big
+        if max(n_m, b_m) > sys.float_info.max:
+            raise InvalidConfigError(
+                f"the burst schedule at M={M} overflows a float; the "
+                "geometric offsets outgrow every amplitude and window scale")
         offsets.append(n_m)
         widths.append(b_m)
         spacings.append(sp)
-    # amplitudes, slack and noise scales take these slot counts as floats
-    if max(offsets[-1], widths[-1]) > sys.float_info.max:
-        raise InvalidConfigError(
-            f"the burst schedule at M={M} overflows a float; the geometric "
-            "offsets outgrow every amplitude and window scale")
 
     window_lens = []
     for b_m in widths:

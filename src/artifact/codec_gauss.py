@@ -77,8 +77,9 @@ def derive_params(M: int, epsilon: float, delta: float,
         raise InvalidConfigError(f"epsilon must be in (0, 1), got {epsilon}")
     if not (0.0 < delta < 1.0):
         raise InvalidConfigError(f"delta must be in (0, 1), got {delta}")
-    if not (eta2 > 0.0):
-        raise InvalidConfigError(f"noise variance must be positive, got {eta2}")
+    if not (0.0 < eta2 < math.inf):
+        raise InvalidConfigError(
+            f"noise variance must be positive and finite, got {eta2}")
     mu, sigma2 = idc.mu, idc.sigma2
     if not (mu > 0):
         raise InvalidConfigError("timing process never emits anything (mu == 0)")

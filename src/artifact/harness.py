@@ -3,8 +3,8 @@
 One ExperimentConfig describes a full experiment: scheme, problem size,
 timing process, back end, trial budget and seed.  run_trials produces a
 Report with the observed error rate, a Wilson confidence interval, the
-deterministic per-codeword cost, and diagnostic tallies of the drift events
-the error analysis budgets for.
+deterministic per-codeword cost, and tallies of the error budget: drift
+events, own-region misses and false alarms.
 
 Every trial of every scheme is streamed, which is exact in law and never
 builds the received stream; the materialising encode -> ids_channel ->
@@ -213,9 +213,17 @@ def derive_scheme_params(config: ExperimentConfig):
 
 
 def codeword_cost(config: ExperimentConfig, params) -> float:
+    """The input cost of every codeword; a free codeword is rejected, since
+    its rate per unit cost is undefined."""
     if config.scheme == "dmc":
-        return params.B * float(config.dmc.cost[params.x_star])
-    return float(params.energy)
+        cost = params.B * float(config.dmc.cost[params.x_star])
+    else:
+        cost = float(params.energy)
+    if not cost > 0.0:
+        raise InvalidConfigError(
+            f"every codeword costs {cost}, so its rate per unit cost is "
+            "undefined; give the burst letter a positive cost")
+    return cost
 
 
 def _make_plan(config: ExperimentConfig, params):
@@ -232,18 +240,13 @@ def _make_plan(config: ExperimentConfig, params):
     return _sparse.Plan(params)
 
 
-def _seed_streams(config: ExperimentConfig):
-    """(unused, messages, trials): the seed streams of a report.  Stream 0
-    is unused, but stays so that message and trial seeds do not move."""
-    return np.random.SeedSequence(config.base_seed).spawn(3)
-
-
 def _trial_blocks(config: ExperimentConfig, size: int):
     """(messages, trial seeds) of each block of at most size trials, in
     trial order.  The seeds are spawned block by block, which gives every
     trial the seed that one spawn of them all would (~400 bytes a trial
     held only while its block runs)."""
-    _, msg_ss, trial_root = _seed_streams(config)
+    # stream 0 is unused; it stays so that message and trial seeds hold
+    _, msg_ss, trial_root = np.random.SeedSequence(config.base_seed).spawn(3)
     messages = _draw_messages(config, as_generator(msg_ss))
     for i in range(0, config.trials, size):
         block = messages[i:i + size]
@@ -264,21 +267,33 @@ def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
 
 _FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
           "full_burst_window_exists")
-_TALLIES = ("errors", "erasures", *_FLAGS, "drift_free", "drift_free_clean")
+_TALLIES = ("errors", "erasures", *_FLAGS, "drift_free", "drift_free_clean",
+            "drift_free_own_missed", "quiet_false_alarms",
+            "quiet_false_alarms_sq", "quiet_wrong_windows")
 
 
-def _block_tallies(messages: np.ndarray, block) -> dict[str, int]:
-    """The error count and the report tallies of one block of trials."""
+def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
+    """The error count and the report tallies of one block of trials;
+    message m owns the windows bounds[m-1]:bounds[m] of the region table."""
     out = dict.fromkeys(_TALLIES, 0)
     out["errors"] = int((block.decoded != messages).sum())
     out["erasures"] = int((block.decoded == 0).sum())
-    for d in block.diagnostics:
+    own = block.region_fired[np.arange(messages.size), messages - 1]
+    wrong = block.region_fired.sum(axis=1) - own
+    others = bounds[-1] - bounds[messages] + bounds[messages - 1]
+    for d, own_fired, alarms, windows in zip(
+            block.diagnostics, own.tolist(), wrong.tolist(), others.tolist()):
         for key in _FLAGS:
             out[key] += getattr(d, key)
         if not (d.prefix_drift_out or d.burst_spread_out):
             out["drift_free"] += 1
             out["drift_free_clean"] += (d.wrong_windows_all_zero
                                         and d.full_burst_window_exists)
+            out["drift_free_own_missed"] += own_fired == 0
+        if d.wrong_windows_all_zero:
+            out["quiet_false_alarms"] += alarms
+            out["quiet_false_alarms_sq"] += alarms * alarms
+            out["quiet_wrong_windows"] += windows
     return out
 
 
@@ -325,33 +340,26 @@ def run_trials(config: ExperimentConfig) -> Report:
     """Run the full experiment described by config.  Deterministic in config."""
     t0 = time.perf_counter()
     params = derive_scheme_params(config)
+    cost = codeword_cost(config, params)
     _check_plan_size(config, params.layout)
     plan = _make_plan(config, params)
 
     def run(block) -> dict[str, int]:
         messages, seeds = block
         return _block_tallies(messages, _sparse.stream_trials(
-            plan, messages, config.idc, seeds))
+            plan, messages, config.idc, seeds), plan.table.bounds)
 
-    tallies = dict.fromkeys(_TALLIES, 0)
-
-    def add(parts) -> None:
-        for part in parts:
-            for key, count in part.items():
-                tallies[key] += count
-
+    tallies = collections.Counter()  # keys in _TALLIES order
     blocks = _trial_blocks(config, plan.block_size)
     workers = _worker_count(config)
-    if workers == 1:
-        add(map(run, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            add(_lazy_map(pool, run, blocks, ahead=2 * workers))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for part in (map(run, blocks) if workers == 1 else
+                     _lazy_map(pool, run, blocks, ahead=2 * workers)):
+            tallies.update(part)
 
     errors = tallies.pop("errors")
     lo, hi = wilson_interval(errors, config.trials, config.confidence)
     guards = asdict(params.diagnostics)
-    cost = codeword_cost(config, params)
     return Report(
         config=config, trials=config.trials, errors=errors,
         error_rate=errors / config.trials, error_ci_low=lo, error_ci_high=hi,

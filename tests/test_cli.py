@@ -179,6 +179,21 @@ class ParamsTests(CliCase):
         self.assertEqual(rc, 1)
         self.assertTrue(err.strip())
 
+    def test_non_finite_variances_are_invalid(self):
+        gauss = ["--scheme", "gauss", "--M", "256", "--epsilon", "0.2",
+                 "--delta", "0.5", "--deletion", "0.1", "--eta2", "inf"]
+        compound = ["--scheme", "compound", "--M", "16", "--epsilon", "0.25",
+                    "--delta", "0", "--mu1", "0.5", "--mu2", "2.0",
+                    "--sigma2", "inf", "--constant", "1"]
+        for argv, word in ((gauss, "noise variance"),
+                           (compound, "variance bound")):
+            with self.subTest(scheme=argv[1]):
+                rc, out, err = run_cli(["params", *argv])
+                self.assertEqual(rc, 1)
+                self.assertEqual(out, "")
+                self.assertEqual(len(err.strip().splitlines()), 1, err)
+                self.assertIn(word, err)
+
     def test_compound_without_rates_is_invalid(self):
         rc, _, err = run_cli(["params", "--scheme", "compound", "--M", "8",
                               "--epsilon", "0.25", "--delta", "0",
@@ -258,6 +273,11 @@ class SimulateTests(CliCase):
             "mu1": 0.8, "mu2": 1.1, "sigma2_bound": 0.25, "trials": 1,
             "base_seed": 1, "idc": {"deletion": {"d": 0.05}}}), "overflows")
 
+    def test_simulate_rejects_a_free_burst_letter(self):
+        self.assert_one_line_error(self.experiment(
+            dmc={"w": [[0.99, 0.01], [0.01, 0.99]], "cost": [0.0, 0.0]}),
+            "costs 0.0")
+
     def test_simulate_rejects_malformed_timing_specs(self):
         for spec, word in (({"deletion": 5}, "deletion"),
                            ({"constant": {"value": 2.5}}, "constant"),
@@ -324,6 +344,19 @@ class SweepTests(CliCase):
         rc, out, _ = run_cli(["sweep", grid])
         self.assertEqual(rc, 0)
         self.assertTrue(out.splitlines()[0].startswith("point"))
+
+    def test_sweep_marks_a_free_burst_letter_invalid(self):
+        base = {"scheme": "dmc", "M": 64, "epsilon": 0.25, "delta": 0.5,
+                "trials": 5, "base_seed": 7, "idc": {"constant": {"value": 1}},
+                "dmc": {"w": [[0.99, 0.01], [0.01, 0.99]],
+                        "cost": [0.0, 0.0]}}
+        grid = self.write_json("grid.json", {"base": base, "axes": {}})
+        rc, out, err = run_cli(["sweep", grid])
+        self.assertEqual(rc, 0, err)
+        lines = out.splitlines()
+        self.assertEqual(len(lines), 2)
+        self.assertIn("False", lines[1])
+        self.assertIn("costs 0.0", lines[1])
 
     def test_sweep_rejects_malformed_grids(self):
         base = {"scheme": "gauss", "M": 16, "epsilon": 0.25, "delta": 0.5,

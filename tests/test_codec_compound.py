@@ -201,6 +201,13 @@ class RecursionPropertyTests(unittest.TestCase):
             with self.assertRaises(InvalidConfigError):
                 cc.derive_params(**{**good, **patch})
 
+    def test_huge_message_count_rejected_at_the_first_overflow(self):
+        # the offsets pass the largest float near M = 752; the check runs
+        # step by step, so M = 10**6 is refused after as few steps
+        with self.assertRaisesRegex(InvalidConfigError, "overflows a float"):
+            cc.derive_params(M=10**6, epsilon=0.25, delta=0.1, mu1=0.8,
+                             mu2=1.1, sigma2=0.25)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -106,24 +106,24 @@ def test_ge_sum_sqrt_matches_floats_away_from_ties(t, a, b):
 
 def test_ints_in_open_basic():
     # (2.5, 7.5) around center 5 with r=2.5
-    out = _exact.ints_in_open(Fraction(5), Fraction(25, 4))
+    out = _exact.multiples_in_open(1, Fraction(5), Fraction(25, 4))
     assert tuple(out) == (3, 4, 5, 6, 7)
 
 
 def test_ints_in_open_excludes_endpoints():
     # r=2 around 5: 3 and 7 sit exactly on the boundary and stay out
-    out = _exact.ints_in_open(Fraction(5), Fraction(4))
+    out = _exact.multiples_in_open(1, Fraction(5), Fraction(4))
     assert tuple(out) == (4, 5, 6)
 
 
 def test_ints_in_open_zero_radius_singleton():
-    assert tuple(_exact.ints_in_open(Fraction(9), Fraction(0))) == (9,)
-    assert tuple(_exact.ints_in_open(Fraction(19, 2), Fraction(0))) == ()
-    assert tuple(_exact.ints_in_open(Fraction(0), Fraction(0))) == ()  # below lo=1
+    assert tuple(_exact.multiples_in_open(1, Fraction(9), Fraction(0))) == (9,)
+    assert tuple(_exact.multiples_in_open(1, Fraction(19, 2), Fraction(0))) == ()
+    assert tuple(_exact.multiples_in_open(1, Fraction(0), Fraction(0))) == ()  # below lo=1
 
 
 def test_ints_in_open_respects_lo():
-    out = _exact.ints_in_open(Fraction(2), Fraction(16), lo=1)
+    out = _exact.multiples_in_open(1, Fraction(2), Fraction(16), lo=1)
     assert out[0] == 1 and tuple(out) == (1, 2, 3, 4, 5)
 
 

@@ -157,6 +157,47 @@ def test_sparse_and_direct_agree_on_error_rate():
                                                       direct)
 
 
+def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
+    """The report's error count and budget tallies, recounted trial by
+    trial from stream_trials' window verdicts, with the unique-region rule
+    applied to the owners of the firing windows."""
+    plan = harness._make_plan(cfg, harness.derive_scheme_params(cfg))
+    bounds = plan.table.bounds
+    owner = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    out = dict.fromkeys(("errors", "drift_free_own_missed",
+                         "quiet_false_alarms", "quiet_false_alarms_sq",
+                         "quiet_wrong_windows"), 0)
+    for ms, seeds in harness._trial_blocks(cfg, 1):
+        block = _sparse.stream_trials(plan, ms, cfg.idc, seeds)
+        m, fired, d = int(ms[0]), block.fired[0], block.diagnostics[0]
+        own = owner == m - 1
+        hits = np.unique(owner[fired])
+        out["errors"] += not (hits.size == 1 and hits[0] == m - 1)
+        if not (d.prefix_drift_out or d.burst_spread_out):
+            out["drift_free_own_missed"] += not fired[own].any()
+        if d.wrong_windows_all_zero:
+            wrong = int(fired[~own].sum())
+            out["quiet_false_alarms"] += wrong
+            out["quiet_false_alarms_sq"] += wrong * wrong
+            out["quiet_wrong_windows"] += int((~own).sum())
+    return out
+
+
+def test_report_tallies_match_a_per_trial_recount():
+    for cfg in (dmc_config(M=16, delta=2.5, epsilon=0.9, dmc=Dmc.bsc(0.2),
+                           idc=StateDistribution.deletion(0.2)),
+                gauss_config(),
+                compound_config(delta=0.2, idc=StateDistribution(
+                    ((0, 0.75), (4, 0.25))))):
+        rep = harness.run_trials(cfg)
+        d = {**rep.diagnostics, "errors": rep.errors}
+        got = recount(cfg)
+        assert got == {key: d[key] for key in got}
+    # the jittery compound timing has drift events and trials on which
+    # wrong windows touch the burst image, so both filters are at work
+    assert max(d["drift_free"], d["wrong_windows_all_zero"]) < cfg.trials
+
+
 def test_oversized_dmc_config_rejected(monkeypatch):
     # the streamed trials have no slot cap: this block is beyond 2**62
     huge = compound_config(mu1=0.5, mu2=2.0, delta=0.0, M=32,
