@@ -121,13 +121,19 @@ class Layout:
 
 @dataclass(frozen=True)
 class GuardDiagnostics:
-    """Exactly evaluated spacing inequalities behind an equal-block layout.
+    """The inequalities behind an equal-block layout: its spacing, exactly
+    evaluated, and its window length against the coverage slack.
 
     regions_disjoint:            N*mu >= 3*nu (regions cannot touch)
     wrong_windows_clear:         (N-B)*mu >= 2*nu (windows of earlier regions
                                  cannot reach the burst image)
     wrong_windows_clear_jitter:  (N-B)*mu >= 2*nu + beta (same for later
                                  regions, burst spread included)
+    window_exceeds_slack:        w > slack (a window longer than the
+                                 samples it may miss; otherwise every own
+                                 window counts as covering the burst, and
+                                 full_burst_window_exists certifies
+                                 nothing)
 
     Configs failing these are reported, not rejected; the error guarantees
     simply do not apply to them.
@@ -136,17 +142,21 @@ class GuardDiagnostics:
     regions_disjoint: bool
     wrong_windows_clear: bool
     wrong_windows_clear_jitter: bool
+    window_exceeds_slack: bool
 
     @classmethod
     def evaluate(cls, N: int, B: int, mu: float, nu_sq: Fraction,
-                 beta_sq: Fraction) -> GuardDiagnostics:
+                 beta_sq: Fraction, window_len: int,
+                 slack: float) -> GuardDiagnostics:
         nmu = Fraction(N) * _exact.frac(mu)
         clear = Fraction(N - B) * _exact.frac(mu)
         return cls(
             regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
             wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
             wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq,
-                                                          beta_sq))
+                                                          beta_sq),
+            # as contact_diagnostics compares need = w - slack
+            window_exceeds_slack=window_len - slack > 0)
 
 
 def guard_block_len(M: int, mu: float, sigma2: float, epsilon: float) -> int:
@@ -193,7 +203,8 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
             _exact.multiples_in_open(step, (p * mn + md, md), nu_sq)
             for p in prefix[1:]),
         slack=(slack,) * M)
-    return layout, GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq)
+    return layout, GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq,
+                                             window_len, slack)
 
 
 class RegionTable:

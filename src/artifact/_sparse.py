@@ -15,7 +15,18 @@ windows that fire:
   (the samples two windows share), and each region's normals are
   coloured with its Cholesky factor.  harness._make_plan picks this plan
   whenever the regions are disjoint, none holds more than
-  MAX_FACTOR_WINDOWS windows and every factor exists.
+  MAX_FACTOR_WINDOWS windows and every factor exists, unless the sieve
+  serves the layout too.
+* The same layouts, long and quiet (SievePlan): full coloured draws only
+  for the sent message's region and the regions the burst image touches;
+  every other region reads noise alone, and an exact union sieve draws
+  its firing pattern from one uniform, plus, with probability
+  n * Q(tau), one proposal of n normals (see SievePlan).  A trial's cost
+  then follows the regions and the regions that may fire, not the
+  windows.  harness._make_plan picks it when the layout has at least
+  SIEVE_MIN_WINDOWS windows, so that a full draw would fill a block
+  alone, and every region has n * Q(tau) < 1, the sieve's own condition:
+  the Gaussian scheme from M = 102 at criterion 5's parameters.
 * Gaussian back ends, any layout (Plan): joint noise sums over the
   windows, built from independent increments between window breakpoints
   (white noise restricted to disjoint segments is independent).  It is
@@ -26,7 +37,7 @@ windows that fire:
   from the burst row of W inside the image and from the idle row outside,
   and counted per window.
 
-Both Gaussian plans add the burst amplitude times each window's overlap
+The Gaussian plans add the burst amplitude times each window's overlap
 with the image.  Samples covered by no window never influence any
 statistic and are skipped.  The window layout is trial-independent, so it
 is planned once per scheme.  Positions are int64 while they fit; the
@@ -36,15 +47,16 @@ expressions.
 
 Trials run in blocks (stream_trials).  Each trial of a block draws from
 its own generator, in a fixed order: a, then g, then its row of the plan's
-normals or letter uniforms.  Everything after the draws is one numpy pass
-over the block: the window statistics (cumulative sums along the rows, or
-one matmul per trial and factor, so bit for bit those of each trial
-alone), the threshold and the unique-region rule.  Per trial there is
-one image-contact pass (RegionTable.contact), the windows the burst image
-touches, which carries the Gaussian signal and fixes the geometry flags.
-A block holds at most BLOCK_CELLS drawn numbers, so long trials run one at
-a time and short ones share their numpy calls; no result depends on how
-the trials are split into blocks.
+normals or letter uniforms, or the sieve's draws.  Per trial there is one
+image-contact pass (RegionTable.contact), the windows the burst image
+touches, before the row is drawn; it carries the Gaussian signal, tells
+the sieve which regions to draw in full, and fixes the geometry flags.
+Everything after the draws is one numpy pass over the block: the window
+statistics (cumulative sums along the rows, or one matmul per trial and
+factor, so bit for bit those of each trial alone), the threshold and the
+unique-region rule.  A block holds at most BLOCK_CELLS row cells, so long
+trials run one at a time and short ones share their numpy calls; no
+result depends on how the trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import codec_dmc
 from ._layout import _INT64_SAFE, TraceDiagnostics, contact_diagnostics
@@ -71,6 +84,13 @@ BLOCK_CELLS = 1 << 14
 # and a cumulative sum a window more for Plan, which is the faster from
 # about 500 windows a region (one core, OpenBLAS)
 MAX_FACTOR_WINDOWS = 256
+# fewest windows for which harness._make_plan picks SievePlan: from here a
+# full draw fills a block of BLOCK_CELLS alone, so the window plan has no
+# numpy calls to share between trials.  Short layouts share them: criterion
+# 7 (193 windows, 84 trials a block) ran 60-67 us a trial with the window
+# plan and 88-103 us sieved (2 cores).  A constant, not block_size, so that
+# a block split never changes the plan.
+SIEVE_MIN_WINDOWS = BLOCK_CELLS // 2 + 1
 
 
 def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) -> int:
@@ -94,8 +114,10 @@ def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) 
 class _TrialPlan:
     """What every plan shares: the layout, its region table and threshold.
 
-    A trial draws cells numbers: draw(rng, row) fills its row of a block
-    array.  fired(ms, images, contacts, draws) turns a block's rows, with
+    A trial has a row of cells numbers in a block array: draw(rng, row, m,
+    contact) fills it for a trial that sends m and whose burst image has
+    that contact (RegionTable.contact), one draw a cell except in the
+    sieve.  fired(ms, images, contacts, draws) turns a block's rows, with
     each trial's message, burst image (a, g) and image contact, into
     window verdicts, trials x windows.  Plans keep no scratch buffers, so
     threaded blocks can share one.
@@ -110,14 +132,15 @@ class _TrialPlan:
 
     @property
     def block_size(self) -> int:
-        """Trials a block holds: as many as draw BLOCK_CELLS numbers."""
+        """Trials a block holds: as many as fill BLOCK_CELLS cells."""
         return max(1, BLOCK_CELLS // self.cells)
 
 
 class _GaussPlan(_TrialPlan):
-    """What both Gaussian plans share: one standard normal per drawn cell,
-    each message's burst amplitude, and each window's noise deviation
-    eta * sqrt(len), by which its statistic is normalised.
+    """What the Gaussian plans share: one standard normal per cell (the
+    sieve draws its own), each message's burst amplitude, and each
+    window's noise deviation eta * sqrt(len), by which its statistic is
+    normalised.
 
     statistics(ms, contacts, draws) gives the block's normalised
     window statistics; a window fires when its statistic reaches the
@@ -131,7 +154,8 @@ class _GaussPlan(_TrialPlan):
         self.amplitudes = np.array([params.amplitude(m)
                                     for m in range(1, params.layout.M + 1)])
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+    def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
+             contact) -> None:
         rng.standard_normal(out=out)
 
     def signal(self, ms, contacts):
@@ -253,25 +277,31 @@ class WindowPlan(_GaussPlan):
         super().__init__(params)
         layout, bounds = self.layout, self.table.bounds.tolist()
         self.cells = bounds[-1]
-        # per window count n: the first window of each such region, the
+        # per window count n: each such region and its first window, the
         # distinct (s, w) in lowest terms (s / w fixes the correlations),
         # and which of them each region has
-        sizes: dict[int, tuple[list[int], dict, list[int]]] = {}
-        for region, w, first in zip(layout.regions, layout.window_lens,
-                                    bounds):
+        sizes: dict[int, tuple[list[int], list[int], dict, list[int]]] = {}
+        for r, (region, w, first) in enumerate(zip(
+                layout.regions, layout.window_lens, bounds)):
             n = len(region)
             if n:
                 s = region.step if n > 1 else 0
                 g = math.gcd(s, w)
-                firsts, keys, which = sizes.setdefault(n, ([], {}, []))
+                regions, firsts, keys, which = sizes.setdefault(
+                    n, ([], [], {}, []))
+                regions.append(r)
                 firsts.append(first)
                 which.append(keys.setdefault((s // g, w // g), len(keys)))
         self.blocks = []
-        for n, (firsts, keys, which) in sizes.items():
+        # per window count: its regions, which (s, w) each has, and the
+        # factors (transposed) and correlation matrices of those
+        self.classes = []
+        for n, (regions, firsts, keys, which) in sizes.items():
             steps, lens = zip(*keys)
             corr = window_overlaps(n, steps, lens).astype(np.float64)
             corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
             factors = np.linalg.cholesky(corr).transpose(0, 2, 1)
+            self.classes.append((regions, which, factors, corr))
             idx = (np.array(firsts)[:, None] + np.arange(n)).ravel()
             if idx[-1] - idx[0] + 1 == idx.size:
                 idx = slice(int(idx[0]), int(idx[-1]) + 1)
@@ -290,6 +320,107 @@ class WindowPlan(_GaussPlan):
         rows, cols, signal = self.signal(ms, contacts)
         stat[rows, cols] += signal / self.denom[cols]
         return stat
+
+
+class SievePlan(WindowPlan):
+    """Window plan that draws only the regions the burst image touches and
+    the regions that may fire.
+
+    A region the image does not touch reads noise alone: its statistics X
+    are N(0, C), C its correlation matrix (unit diagonal), and each of its
+    n windows fires with probability q = Q(tau).  When n * q < 1 its
+    firing pattern is drawn exactly, mostly without its n normals, by a
+    union sieve: the mixture proposal of Owen, Maximov and Chertkov's
+    ALOE sampler (Electron. J. Statist. 13, 2019).  One uniform makes the
+    region a proposal with probability n * q.  A proposal picks a window k
+    uniformly, draws X_k from the normal tail beyond tau, -ndtri(q * u)
+    with u in (0, 1], and the rest given X_k as Y + C[:, k] (X_k - Y_k)
+    with Y = L z.  It keeps X with probability 1 / c, c the number of
+    windows at or above tau, and otherwise leaves the region silent.  The
+    proposal density is n q * sum_k (1 / n) phi_C(x) 1{x_k >= tau} / q =
+    c(x) phi_C(x), so X is kept with density phi_C(x) 1{c(x) >= 1}: a
+    region fires exactly as under a full draw, up to float rounding, with
+    no importance weights.
+
+    A trial draws, after a and g: the normals of its full regions (the
+    regions the image touches, and the sent message's) in table order;
+    one uniform a region of the table; then, for the proposals in region
+    order, their window indices, tail uniforms and keep uniforms, and
+    their normals.  Its row holds the full regions' statistics, burst
+    signal included, each kept proposal's X, and -inf, below any
+    threshold, in every other window.  Nothing a trial draws or computes
+    touches another row, so a block equals its trials one at a time.
+    """
+
+    @staticmethod
+    def serves(params) -> bool:
+        """Whether the window plan serves params' layout, it has at least
+        SIEVE_MIN_WINDOWS windows, and every region has n * Q(tau) < 1."""
+        layout = params.layout
+        return (WindowPlan.serves(layout)
+                and layout.table.bounds[-1] >= SIEVE_MIN_WINDOWS
+                and max(map(len, layout.regions))
+                * float(ndtr(-params.threshold)) < 1)
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.q = float(ndtr(-self.threshold))
+        self.sizes = np.diff(self.table.bounds)
+        self.propose = self.sizes * self.q  # per region: P(proposal)
+        if self.propose.max() >= 1:
+            raise ValueError("the sieve needs n * Q(tau) < 1 in every region")
+        # per window: its region
+        self.owner = np.repeat(np.arange(self.sizes.size), self.sizes)
+        # per region: its factor transposed and its correlation matrix
+        # (None for an empty region), views into the window plan's arrays
+        self.region_factors = [None] * self.sizes.size
+        for regions, which, factors, corr in self.classes:
+            for r, key in zip(regions, which):
+                self.region_factors[r] = (factors[key], corr[key])
+        # per region: its first window and window count, as Python ints
+        self.spans = list(zip(self.table.bounds[:-1].tolist(),
+                              self.sizes.tolist()))
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
+             contact) -> None:
+        tau, spans, factors = self.threshold, self.spans, self.region_factors
+        idx, overlap = contact
+        out.fill(-np.inf)
+        full = sorted({m - 1, *self.owner[idx].tolist()})
+        z = rng.standard_normal(int(self.sizes[full].sum()))
+        at = 0
+        for r in full:
+            first, n = spans[r]
+            if n:
+                out[first:first + n] = z[at:at + n] @ factors[r][0]
+                at += n
+        out[idx] += (self.amplitudes[m - 1] * overlap.astype(np.float64)
+                     / self.denom[idx])
+        proposals = rng.random(len(spans)) < self.propose
+        proposals[full] = False
+        regions = np.flatnonzero(proposals)
+        if not regions.size:
+            return
+        sizes = self.sizes[regions]
+        ks = rng.integers(sizes).tolist()
+        tails = np.maximum(-ndtri(self.q * (1.0 - rng.random(regions.size))),
+                           tau).tolist()
+        keeps = rng.random(regions.size).tolist()
+        z = rng.standard_normal(int(sizes.sum()))
+        at = 0
+        for r, k, tail, keep in zip(regions.tolist(), ks, tails, keeps):
+            first, n = spans[r]
+            factor, corr = factors[r]
+            y = z[at:at + n] @ factor
+            at += n
+            x = y + corr[k] * (tail - y[k])
+            x[k] = tail
+            if keep * np.count_nonzero(x >= tau) < 1.0:
+                out[first:first + n] = x
+
+    def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        """The rows of draws, which draw filled with the statistics."""
+        return draws
 
 
 def _cdf(row: np.ndarray) -> np.ndarray:
@@ -323,7 +454,8 @@ class DmcPlan(_TrialPlan):
         self.burst_cdf = _cdf(channel.w[params.x_star])
         self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+    def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
+             contact) -> None:
         rng.random(out=out)
 
     def letter_counts(self, u: np.ndarray, images) -> np.ndarray:
@@ -363,6 +495,7 @@ class TrialBlock:
     diagnostics: tuple[TraceDiagnostics, ...]  # per trial
     fired: np.ndarray  # trials x windows of the region table
     region_fired: np.ndarray  # trials x messages: firing windows per region
+    approximate_sums: int  # trials that drew a rounded-Gaussian state sum
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
@@ -375,13 +508,18 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     ms = [int(m) for m in ms]
     draws = np.empty((len(ms), plan.cells))
     images, contacts, diagnostics = [], [], []
+    # sample_state_sum's rounded-Gaussian path: random states and a run of
+    # more than EXACT_SUM_MAX slots
+    approximate, random_states = 0, len(dist.support) > 1
     for m, seed, row in zip(ms, seeds, draws, strict=True):
         layout.check_message(m)
+        approximate += random_states and max(
+            prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
         rng = as_generator(seed)
         a = sample_state_sum(dist, prefix[m - 1], rng)
         g = sample_state_sum(dist, burst[m - 1], rng)
-        plan.draw(rng, row)
         contact = table.contact(a, g)
+        plan.draw(rng, row, m, contact)
         images.append((a, g))
         contacts.append(contact)
         diagnostics.append(contact_diagnostics(m, a, g, layout, *contact))
@@ -389,4 +527,4 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     counts = table.region_counts(fired)
     return TrialBlock(decoded=table.decide_rows(counts),
                       diagnostics=tuple(diagnostics), fired=fired,
-                      region_fired=counts)
+                      region_fired=counts, approximate_sums=approximate)

@@ -3,15 +3,26 @@
 One ExperimentConfig describes a full experiment: scheme, problem size,
 timing process, back end, trial budget and seed.  run_trials produces a
 Report with the observed error rate, a Wilson confidence interval, the
-deterministic per-codeword cost, and tallies of the error budget: drift
-events, own-region misses and false alarms.
+deterministic per-codeword cost, tallies of the error budget (drift
+events, own-region misses and false alarms) and the count of trials whose
+timing-state sums were drawn from the rounded Gaussian
+(approximate_state_sums; see _sparse.sample_state_sum).
 
 Every trial of every scheme is streamed, which is exact in law and never
 builds the received stream; the materialising encode -> ids_channel ->
 decode pipeline is left to the tests as their oracle.  The Gaussian back
 ends draw one normal per window when their regions share no sample and
 are short (_sparse.WindowPlan), and one per segment between window
-breakpoints otherwise (_sparse.Plan).  run_trials splits
+breakpoints otherwise (_sparse.Plan).  Layouts the window plan serves
+that also hold at least _sparse.SIEVE_MIN_WINDOWS windows, in regions of
+n windows with n * Q(tau) < 1, get _sparse.SievePlan: a trial draws a and
+g, the normals of the sent message's region and of the regions the burst
+image touches, one uniform a region, and then, for the regions that
+uniform made proposals, their window indices, tail uniforms and keep
+uniforms, and their normals.  Each region fires exactly as under a full
+draw (the proposal density is c(x) phi_C(x) for c(x) firing windows,
+kept with probability 1 / c), so reports keep their law, not their
+numbers, against the window plan.  run_trials splits
 the trials, in order, into blocks of the plan's block_size, runs each
 block through _sparse.stream_trials (one worker thread per block at a
 time), and adds each block's counts into the report's tallies; no
@@ -227,14 +238,18 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
 
 
 def _make_plan(config: ExperimentConfig, params):
-    """The streamed-trial plan of a config's scheme: for the Gaussian back
-    ends the window plan when it serves the layout and every region's
-    covariance factors, else the segment plan."""
+    """The streamed-trial plan of a config's scheme.  For the Gaussian back
+    ends: when the window plan serves the layout and every region's
+    covariance factors, the sieve if it serves the layout too (long
+    layouts whose regions rarely fire), else the window plan; otherwise
+    the segment plan."""
     if config.scheme == "dmc":
         return _sparse.DmcPlan(params, config.dmc)
     if _sparse.WindowPlan.serves(params.layout):
+        plan = (_sparse.SievePlan if _sparse.SievePlan.serves(params)
+                else _sparse.WindowPlan)
         try:
-            return _sparse.WindowPlan(params)
+            return plan(params)
         except np.linalg.LinAlgError:
             pass
     return _sparse.Plan(params)
@@ -269,7 +284,8 @@ _FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
           "full_burst_window_exists")
 _TALLIES = ("errors", "erasures", *_FLAGS, "drift_free", "drift_free_clean",
             "drift_free_own_missed", "quiet_false_alarms",
-            "quiet_false_alarms_sq", "quiet_wrong_windows")
+            "quiet_false_alarms_sq", "quiet_wrong_windows",
+            "approximate_state_sums")
 
 
 def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
@@ -278,6 +294,7 @@ def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
     out = dict.fromkeys(_TALLIES, 0)
     out["errors"] = int((block.decoded != messages).sum())
     out["erasures"] = int((block.decoded == 0).sum())
+    out["approximate_state_sums"] = block.approximate_sums
     own = block.region_fired[np.arange(messages.size), messages - 1]
     wrong = block.region_fired.sum(axis=1) - own
     others = bounds[-1] - bounds[messages] + bounds[messages - 1]

@@ -53,7 +53,7 @@ def test_worked_example_regions(worked):
     r2 = worked.layout.region(2)
     assert r2[0] == 1538 and r2[-1] == 3072 and len(r2) == 1535
     assert 2305 in r2                # the drift-free landing spot
-    assert worked.diagnostics == cd.GuardDiagnostics(True, True, True)
+    assert worked.diagnostics == cd.GuardDiagnostics(True, True, True, True)
 
 
 def test_regions_pairwise_disjoint(worked):

@@ -190,6 +190,21 @@ def test_geometry_diagnostics(worked):
         geometry_diagnostics(0, 1, 1, worked.layout)
 
 
+def test_guard_record_flags_a_window_within_the_slack(worked):
+    """With w <= slack every own window counts as covering the burst, so
+    full_burst_window_exists certifies nothing; window_exceeds_slack says
+    so.  Slack M / log2 M = 32 at M = 256."""
+    assert worked.diagnostics.window_exceeds_slack      # w = 316
+    calm = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
+                            idc=StateDistribution.deletion(0.002))
+    assert calm.window_len == 5
+    assert not calm.diagnostics.window_exceeds_slack
+    # an image on message 1's window alone still reads as covered for 2
+    vacuous = geometry_diagnostics(2, 0, calm.B, calm.layout)
+    assert not vacuous.wrong_windows_all_zero
+    assert vacuous.full_burst_window_exists
+
+
 def test_trace_matches_geometry():
     ps = small_params()
     rng = np.random.default_rng(9)

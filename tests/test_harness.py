@@ -184,9 +184,14 @@ def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
 
 
 def test_report_tallies_match_a_per_trial_recount():
+    sieved = gauss_config(M=256, epsilon=0.2,
+                          idc=StateDistribution.deletion(0.1), trials=40)
+    assert type(harness._make_plan(
+        sieved, harness.derive_scheme_params(sieved))) is _sparse.SievePlan
     for cfg in (dmc_config(M=16, delta=2.5, epsilon=0.9, dmc=Dmc.bsc(0.2),
                            idc=StateDistribution.deletion(0.2)),
                 gauss_config(),
+                sieved,
                 compound_config(delta=0.2, idc=StateDistribution(
                     ((0, 0.75), (4, 0.25))))):
         rep = harness.run_trials(cfg)
@@ -360,3 +365,21 @@ def test_cost_equivalence_random_states_within_tolerance():
 def test_cost_equivalence_needs_dmc_scheme():
     with pytest.raises(InvalidConfigError):
         harness.verify_cost_equivalence(gauss_config())
+
+
+def test_report_counts_approximate_state_sums():
+    """Criterion 7's later messages have more prefix slots than the exact
+    multinomial sum takes, so under random timing their prefix output is
+    drawn from the rounded Gaussian; constant timing sums exactly."""
+    criterion_7 = functools.partial(
+        compound_config, M=64, delta=0.1, mu1=0.8, mu2=1.1, sigma2_bound=0.25,
+        idc=StateDistribution.deletion(0.05), trials=20)
+    layout = harness.derive_scheme_params(criterion_7()).layout
+    assert layout.prefix_slots[63] > _sparse.EXACT_SUM_MAX \
+        >= max(layout.prefix_slots[1], layout.burst_slots[1])
+    for over, want in (({"message_selection": 64}, 20),
+                       ({"message_selection": 2}, 0),
+                       ({"message_selection": 64,
+                         "idc": StateDistribution.constant(1)}, 0)):
+        rep = harness.run_trials(criterion_7(**over))
+        assert rep.diagnostics["approximate_state_sums"] == want, over

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.special import ndtr
+from scipy.stats import chi2, chi2_contingency
 
 from artifact import _sparse as sp
 from artifact import harness
@@ -224,7 +225,8 @@ def crowded(p, step, slack):
     n = p.N // 3
     nu_sq = p.layout.prefix_drift.radius_sq
     assert not GuardDiagnostics.evaluate(
-        n, p.B, p.mu, nu_sq, p.layout.burst_drift.radius_sq).regions_disjoint
+        n, p.B, p.mu, nu_sq, p.layout.burst_drift.radius_sq,
+        p.window_len, slack).regions_disjoint
     prefix = range(0, p.M * n, n)
     regions = (range(1, 2),) + tuple(
         multiples_in_open(step, k * Fraction(p.mu) + 1, nu_sq)
@@ -237,7 +239,9 @@ def crowded(p, step, slack):
 def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     """The window plan serves every Gaussian layout whose regions share no
     sample, hold at most MAX_FACTOR_WINDOWS windows and whose covariance
-    blocks factor; the segment plan the rest."""
+    blocks factor, and the sieve those of them with at least
+    SIEVE_MIN_WINDOWS windows and n * Q(tau) < 1 in every region; the
+    segment plan the rest."""
     def config(scheme, **kw):
         base = dict(scheme=scheme, epsilon=0.5, delta=0.5, trials=1,
                     base_seed=0, idc=StateDistribution.deletion(0.2))
@@ -248,10 +252,27 @@ def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     criterion_7 = config("compound", M=64, epsilon=0.25, delta=0.1, mu1=0.8,
                          mu2=1.1, sigma2_bound=0.25,
                          idc=StateDistribution.deletion(0.05))
-    for cfg, params in ((gauss, gauss_params),
-                        (criterion_7, harness.derive_scheme_params(criterion_7))):
+    # criterion 5's parameters: 4,839 windows at M = 64, 24,481 at 256
+    gauss_64, gauss_256 = (config("gauss", M=m, epsilon=0.2,
+                                  idc=StateDistribution.deletion(0.1))
+                           for m in (64, 256))
+    params_256 = harness.derive_scheme_params(gauss_256)
+    # tau = 2 puts n * Q(tau) = 96 * 0.023 above 1 in the 96-window regions
+    often = replace(params_256, threshold=2.0)
+    for cfg, params, plan in (
+            (gauss, gauss_params, sp.WindowPlan),
+            (criterion_7, harness.derive_scheme_params(criterion_7),
+             sp.WindowPlan),
+            (gauss_64, harness.derive_scheme_params(gauss_64), sp.WindowPlan),
+            (gauss_256, params_256, sp.SievePlan),
+            (gauss_256, often, sp.WindowPlan)):
         assert params.layout.table.disjoint
-        assert type(harness._make_plan(cfg, params)) is sp.WindowPlan
+        assert type(harness._make_plan(cfg, params)) is plan
+    assert params_256.layout.table.bounds[-1] >= sp.SIEVE_MIN_WINDOWS \
+        > harness.derive_scheme_params(gauss_64).layout.table.bounds[-1]
+    assert 96 * ndtr(-often.threshold) >= 1
+    with pytest.raises(ValueError, match="Q"):
+        sp.SievePlan(often)
     overlap = crowded(gauss_params, gauss_params.spacing,
                       gauss_params.M / math.log2(gauss_params.M))
     assert not overlap.layout.table.disjoint
@@ -339,6 +360,7 @@ def test_block_equals_its_trials_one_at_a_time():
         "gauss, window plan": sp.WindowPlan(gauss),
         "compound, window plan": sp.WindowPlan(equal_rate_params()),
         "compound beyond int64, window plan": sp.WindowPlan(big),
+        "gauss, sieve": sp.SievePlan(gauss),
     }
     assert plans["compound beyond int64"].table.starts.dtype == object
     # the window plans' blocks: gathered and sliced windows, shared and
@@ -354,6 +376,9 @@ def test_block_equals_its_trials_one_at_a_time():
         assert any(d.full_burst_window_exists for d in diags), name
         if "overlap" in name:   # some image reaches windows of two regions
             assert not all(d.wrong_windows_all_zero for d in diags), name
+    # the sieve adds the signal of overlaps held as Python ints
+    assert_block_is_its_trials(sp.SievePlan(big), ERRATIC, 64,
+                               seed=len(plans))
 
 
 def test_block_size_follows_the_cell_budget():
@@ -480,3 +505,48 @@ def test_window_statistics_share_the_segment_covariance():
         stat = plan.statistics([1] * trials, [none] * trials, draws)
         samples.append(stat[:, pick])
     assert box_m_pvalue(*samples) > 0.001
+
+
+def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row: 0 if no window lo..hi-1 fires, else 1 + the eighth of the
+    region holding the first that does."""
+    hit = fired[:, lo:hi]
+    return np.where(hit.any(axis=1), 1 + hit.argmax(axis=1) * 8 // (hi - lo),
+                    0)
+
+
+def test_sieve_fires_as_the_window_plan():
+    """The sieve against the full draw, on gauss M = 16 with tau lowered
+    to 2.3, so that a region of 38 or 39 windows is a proposal with
+    probability n * Q(tau) = 0.41-0.42.  Every trial sends message 2 under
+    constant timing, so only its own region sees the burst.  Three
+    chi-square two-sample tests at alpha = 0.001 each, fixed before the
+    test was run: over the noise-only regions, their firing windows (0..6,
+    7 or more) and the eighth of the region holding their first firing
+    window (or none); over the own region, drawn in full, the same
+    eighth.  One category a region and trial: the regions are
+    independent."""
+    p = replace(cg.derive_params(M=16, epsilon=0.5, delta=0.5,
+                                 idc=StateDistribution.deletion(0.2)),
+                threshold=2.3)
+    assert 0.3 <= max(map(len, p.layout.regions)) * ndtr(-2.3) <= 0.5
+    bounds = p.layout.table.bounds
+    trials, one = 8000, StateDistribution.constant(1)
+    tables = [[], [], []]
+    for plan, seed in ((sp.SievePlan(p), 61), (sp.WindowPlan(p), 62)):
+        seeds = np.random.SeedSequence(seed).spawn(trials)
+        counts, first, own = [], [], []
+        for i in range(0, trials, 500):
+            block = sp.stream_trials(plan, [2] * 500, one, seeds[i:i + 500])
+            assert all(d.wrong_windows_all_zero for d in block.diagnostics)
+            counts.append(block.region_fired[:, 2:].ravel())
+            first += [lowest_firing(block.fired, lo, hi)
+                      for lo, hi in zip(bounds[2:-1], bounds[3:])]
+            own.append(lowest_firing(block.fired, bounds[1], bounds[2]))
+        hist = np.bincount(np.concatenate(counts), minlength=8)
+        tables[0].append(np.r_[hist[:7], hist[7:].sum()])
+        tables[1].append(np.bincount(np.concatenate(first), minlength=9))
+        tables[2].append(np.bincount(np.concatenate(own), minlength=9))
+    for table in tables:
+        assert np.min(table) >= 10
+        assert chi2_contingency(np.array(table)).pvalue > 0.001
