@@ -1,14 +1,15 @@
 """Pulse-position coding over insertion/deletion timing channels.
 
-The package splits into channel models (channel), per-unit-cost capacity
-figures (info), three codecs (codec_dmc, codec_gauss, codec_compound), and a
-Monte Carlo experiment harness with a CLI (harness, cli).
+The package splits into channel descriptions (channel), per-unit-cost
+capacity figures (info), the constants of three codecs (codec_dmc,
+codec_gauss, codec_compound) and their shared layout (_layout), the
+streamed Monte Carlo trials (_sparse), and an experiment harness with a
+CLI (harness, cli).
 """
 
-from .channel import (ChannelOutput, Dmc, GaussianNoise, StateDistribution,
-                      StateSequence, back_end_from_dict, cost_of, dmc_apply,
-                      gaussian_apply, idc_apply, ids_channel, sample_states,
-                      state_dist_from_dict, state_dist_to_dict)
+from .channel import (Dmc, GaussianNoise, StateDistribution,
+                      back_end_from_dict, state_dist_from_dict,
+                      state_dist_to_dict)
 from .errors import InvalidConfigError
 from .harness import (CostEquivalenceReport, ExperimentConfig, Report,
                       run_trials, sweep, verify_cost_equivalence,
@@ -20,9 +21,7 @@ from .info import (BoundsReport, CapacityReport, capacity_per_unit_cost,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelOutput", "Dmc", "GaussianNoise", "StateDistribution",
-    "StateSequence", "back_end_from_dict", "cost_of", "dmc_apply",
-    "gaussian_apply", "idc_apply", "ids_channel", "sample_states",
+    "Dmc", "GaussianNoise", "StateDistribution", "back_end_from_dict",
     "state_dist_from_dict", "state_dist_to_dict", "InvalidConfigError",
     "CostEquivalenceReport", "ExperimentConfig", "Report", "run_trials",
     "sweep", "verify_cost_equivalence", "wilson_interval", "write_csv",

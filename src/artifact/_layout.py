@@ -4,10 +4,10 @@ Every scheme sends message m as a silent prefix of prefix_slots[m] slots
 followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
-a Layout; the encoder, the region table, the trace diagnostics, the
-materialising decoders and the streamed simulator all read it.  The two
-equal-block schemes build theirs, drift budget included, with
-guard_blocks.
+a Layout; its region table, the geometry flags (contact_diagnostics) and
+the streamed simulator read it.  The two equal-block schemes build theirs,
+drift budget included, with guard_blocks, which refuses more than
+MAX_WINDOWS messages before it builds any per-message tuple.
 
 Each scheme's error analysis budgets for two drift events: the output
 length of the prefix, or the width of the burst image, falling outside an
@@ -28,11 +28,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _exact
-from .channel import StateSequence
 from .errors import InvalidConfigError
 
 _INT64_SAFE = 1 << 62
-MAX_MATERIALIZED = 1 << 26  # refuse to allocate codewords beyond this many slots
+MAX_WINDOWS = 1 << 22  # most windows a region table may hold
+
+
+def window_count(region: range) -> int:
+    """len(region), exact at any size: len() overflows past sys.maxsize."""
+    return max(0, -((region.start - region.stop) // region.step))
 
 
 @dataclass(frozen=True)
@@ -93,26 +97,6 @@ class Layout:
     def check_message(self, m: int) -> None:
         if not (1 <= m <= self.M):
             raise ValueError(f"message {m} outside 1..{self.M}")
-
-    def region(self, m: int) -> tuple[int, ...]:
-        self.check_message(m)
-        return tuple(self.regions[m - 1])
-
-    def encode(self, m: int, level) -> np.ndarray:
-        """Codeword of message m: level in its burst slots, 0 elsewhere,
-        in level's dtype (an int letter: int64, a float amplitude:
-        float64).  Codewords over MAX_MATERIALIZED slots are refused
-        before any is allocated."""
-        self.check_message(m)
-        if self.codeword_len > MAX_MATERIALIZED:
-            raise InvalidConfigError(
-                f"codeword length {self.codeword_len} exceeds the "
-                f"materialization cap {MAX_MATERIALIZED}; use the streaming "
-                "simulator in the harness instead")
-        x = np.zeros(self.codeword_len, dtype=np.asarray(level).dtype)
-        start = self.prefix_slots[m - 1]
-        x[start:start + self.burst_slots[m - 1]] = level
-        return x
 
     @cached_property
     def table(self) -> RegionTable:
@@ -181,6 +165,10 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
     multiples of step within nu of (m-1)*N*mu + 1 (message 1: just
     position 1), and every window is floor(B*mu - beta) samples long.
     """
+    if M > MAX_WINDOWS:
+        raise InvalidConfigError(
+            f"{M} messages exceed {MAX_WINDOWS}, the most windows a trial "
+            "plan holds, and an equal-block layout gives each its region")
     if B > N:
         raise InvalidConfigError(
             f"burst (B={B}) does not fit in the guard block (N={N})")
@@ -287,10 +275,6 @@ class RegionTable:
         return idx, np.minimum(self.ends[idx], hi) - np.maximum(
             self.starts[idx], lo) + 1
 
-    def decide(self, fired: np.ndarray) -> int | None:
-        """Unique-region rule: the one message with a firing window, else None."""
-        return int(self.decide_rows(self.region_counts(fired[None]))[0]) or None
-
     def region_counts(self, fired: np.ndarray) -> np.ndarray:
         """The firing windows of each message's region, for each row of
         fired (trials x windows): trials x M, int32."""
@@ -331,37 +315,13 @@ class TraceDiagnostics:
     burst_output: int
 
 
-def trace_diagnostics(m: int, states: StateSequence,
-                      layout: Layout) -> TraceDiagnostics:
-    """Evaluate the drift events and window geometry from a state trace."""
-    if len(states) != layout.codeword_len:
-        raise ValueError("state trace length does not match the codeword")
-    layout.check_message(m)
-    prefix = layout.prefix_slots[m - 1]
-    a = int(states.states[:prefix].sum())
-    g = int(states.states[prefix:prefix + layout.burst_slots[m - 1]].sum())
-    return geometry_diagnostics(m, a, g, layout)
-
-
-def geometry_diagnostics(m: int, prefix_output: int, burst_output: int,
-                         layout: Layout) -> TraceDiagnostics:
-    """Same evaluation from the two output-length sums alone.
-
-    Every flag is a function of where the burst image lands, which the
-    prefix output length and the burst image width fix.
-    """
-    layout.check_message(m)
-    a = int(prefix_output)
-    g = int(burst_output)
-    return contact_diagnostics(m, a, g, layout, *layout.table.contact(a, g))
-
-
 def contact_diagnostics(m: int, a: int, g: int, layout: Layout,
                         idx: np.ndarray, overlap: np.ndarray
                         ) -> TraceDiagnostics:
-    """The flags of geometry_diagnostics from the image's contact windows
+    """The flags of TraceDiagnostics for sending m with prefix output a and
+    burst image width g, from the image's contact windows
     (RegionTable.contact(a, g)): windows outside it overlap the image in
-    no sample."""
+    no sample.  Every flag is a function of where the image lands."""
     own = overlap[slice(*idx.searchsorted(layout.table.bounds[m - 1:m + 1]))]
     need = layout.window_lens[m - 1] - layout.slack[m - 1]
     # with need <= 0 every own window qualifies, in contact or not

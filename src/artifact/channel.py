@@ -1,11 +1,14 @@
-"""Timing channels with random symbol repetition, plus memoryless back ends.
+"""Descriptions of timing channels with random symbol repetition and of
+their memoryless back ends, with their JSON forms.
 
 The front end is driven by an iid nonnegative integer state process: when the
 t-th input symbol meets state s[t], it is emitted s[t] times in a row (zero
 times means the symbol is dropped).  The output length is the sum of the
 states, so the receiver loses synchronization with the transmitter.  A
 discrete memoryless channel or additive Gaussian noise can then corrupt the
-desynchronized stream symbol by symbol.
+desynchronized stream symbol by symbol.  The package never builds such a
+stream: the streamed trials (_sparse) sample only what the decoder's
+windows read.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import InvalidConfigError
-from .rng import as_generator
 
 _PROB_TOL = 1e-12
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
 class StateDistribution:
     """Finite-support distribution of the repetition state.
 
-    support holds (state, probability) pairs with integer states >= 0.
+    support holds (state, probability) pairs with integer states from 0
+    to 2**63 - 1 (the states array is int64).
     The mean and variance, and the states and probabilities as read-only
     arrays, are computed once and exposed as fields.
     """
@@ -49,6 +53,8 @@ class StateDistribution:
             p = float(p)
             if k < 0:
                 raise ValueError(f"state {k} is negative")
+            if k > _INT64_MAX:
+                raise ValueError(f"state {k} does not fit a 64-bit integer")
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability {p} outside [0, 1]")
             if k in seen:
@@ -91,30 +97,6 @@ class StateDistribution:
     def constant(cls, k: int) -> "StateDistribution":
         """Deterministic repetition: every symbol emitted exactly k times."""
         return cls(((int(k), 1.0),))
-
-
-@dataclass(frozen=True, eq=False)
-class StateSequence:
-    """A realized block of repetition states."""
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("states must be one-dimensional")
-        if arr.size and arr.min() < 0:
-            raise ValueError("states must be nonnegative")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "states", arr)
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-    @property
-    def output_length(self) -> int:
-        return int(self.states.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,118 +186,6 @@ class GaussianNoise:
 
 
 BackEnd = Union[Dmc, GaussianNoise]
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelOutput:
-    """Received stream, optionally carrying the realized state trace."""
-
-    symbols: np.ndarray
-    idc_trace: StateSequence | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.symbols)
-        if arr.ndim != 1:
-            raise ValueError("channel output must be one-dimensional")
-        object.__setattr__(self, "symbols", arr)
-        if self.idc_trace is not None and self.idc_trace.output_length != arr.size:
-            raise ValueError("state trace does not account for the output length")
-
-    @property
-    def length(self) -> int:
-        return int(self.symbols.size)
-
-
-def sample_states(dist: StateDistribution, block_length: int, seed=None) -> StateSequence:
-    """Draw an iid block of repetition states."""
-    if block_length < 0:
-        raise ValueError("block length must be nonnegative")
-    rng = as_generator(seed)
-    states = rng.choice(dist.values, size=int(block_length), p=dist.probabilities)
-    return StateSequence(states)
-
-
-def idc_apply(x: np.ndarray, states: StateSequence) -> np.ndarray:
-    """Emit each input symbol as many times as its state says.
-
-    Output position l carries the input symbol whose cumulative state count
-    first reaches l; np.repeat implements exactly that.
-    """
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError("input must be one-dimensional")
-    if arr.size != len(states):
-        raise ValueError(
-            f"input length {arr.size} does not match state block {len(states)}")
-    return np.repeat(arr, states.states)
-
-
-def dmc_apply(x: np.ndarray, channel: Dmc, seed=None) -> np.ndarray:
-    """Pass integer symbols through the memoryless channel."""
-    arr = np.asarray(x)
-    if arr.size and (arr.min() < 0 or arr.max() >= channel.num_inputs):
-        raise ValueError("input symbol outside the channel alphabet")
-    arr = arr.astype(np.int64, copy=False)
-    rng = as_generator(seed)
-    out = np.empty(arr.size, dtype=np.int64)
-    for sym in range(channel.num_inputs):
-        mask = arr == sym
-        n = int(mask.sum())
-        if n:
-            out[mask] = rng.choice(channel.num_outputs, size=n, p=channel.w[sym])
-    return out
-
-
-def gaussian_apply(x: np.ndarray, noise: GaussianNoise, seed=None) -> np.ndarray:
-    """Add iid zero-mean Gaussian noise to a real-valued stream."""
-    arr = np.asarray(x, dtype=np.float64)
-    rng = as_generator(seed)
-    return arr + rng.normal(0.0, noise.eta, size=arr.size)
-
-
-def ids_channel(x: np.ndarray,
-                idc: StateDistribution | StateSequence,
-                back_end: BackEnd,
-                seed=None,
-                keep_trace: bool = False) -> ChannelOutput:
-    """Timing front end followed by a memoryless back end.
-
-    Passing a StateSequence forces that exact realization, in which case the
-    seed feeds the back end alone; with a StateDistribution two independent
-    substreams are split off for the states and the noise.
-    """
-    if isinstance(idc, StateSequence):
-        states = idc
-        back_rng = as_generator(seed)
-    else:
-        rng = as_generator(seed)
-        state_rng, back_rng = rng.spawn(2)
-        states = sample_states(idc, np.asarray(x).size, state_rng)
-    stretched = idc_apply(x, states)
-    if isinstance(back_end, Dmc):
-        received = dmc_apply(stretched, back_end, back_rng)
-    elif isinstance(back_end, GaussianNoise):
-        received = gaussian_apply(stretched, back_end, back_rng)
-    else:
-        raise TypeError(f"unsupported back end {type(back_end).__name__}")
-    return ChannelOutput(received, states if keep_trace else None)
-
-
-def cost_of(x: np.ndarray, cost) -> float:
-    """Total letter cost of a block.
-
-    cost may be an array indexed by symbol or a mapping symbol -> cost.
-    """
-    arr = np.asarray(x)
-    if isinstance(cost, Mapping):
-        try:
-            return float(math.fsum(cost[int(s)] for s in arr))
-        except KeyError as exc:
-            raise ValueError(f"no cost defined for symbol {exc}") from exc
-    vec = np.asarray(cost, dtype=np.float64)
-    if arr.size and (arr.min() < 0 or arr.max() >= vec.size):
-        raise ValueError("symbol outside the cost table")
-    return float(vec[arr.astype(np.int64, copy=False)].sum())
 
 
 def is_integer(value) -> bool:

@@ -19,6 +19,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import codec_compound, codec_dmc, codec_gauss, harness, info
+from ._layout import window_count
 from .channel import Dmc, GaussianNoise, back_end_from_dict, state_dist_from_dict
 from .channel import StateDistribution
 from .errors import InvalidConfigError
@@ -73,7 +74,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _region_sizes(regions) -> dict:
-    sizes = [len(r) for r in regions]
+    sizes = [window_count(r) for r in regions]
     return {"count": len(sizes), "min": min(sizes), "max": max(sizes),
             "total": sum(sizes)}
 

@@ -17,9 +17,9 @@ interval.  No share of epsilon is set aside for drift, and the error bound
 is asymptotic only: error at most epsilon is promised as M grows, with no
 bound at any finite M.
 
-Block length grows geometrically in M, so only small codewords can be
-materialized (Layout.encode caps them); the experiment harness streams the
-equivalent statistics instead.
+Block length grows geometrically in M (past 2**62 slots at M = 32 for a
+wide rate interval), so the experiment harness streams the window
+statistics and never builds a codeword.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from . import _exact
 from ._layout import Drift, Layout
-from .codec_gauss import decode  # noqa: F401  (the Gaussian window-sum decoder)
 from .errors import InvalidConfigError
 
 
@@ -43,11 +42,11 @@ class ScheduleDiagnostics:
                        every consecutive pair: the fastest possible image of
                        burst m ends before the slowest possible start of
                        burst m+1.
-    windows_disjoint:  the last window of every region ends before the first
-                       window of the next region begins.
+    windows_disjoint:  no two regions share a sample (the region table's
+                       disjoint).
 
-    Both hold by construction of the offset recursion; they are evaluated in
-    exact rational arithmetic rather than trusted.
+    Both hold by construction of the offset recursion; they are evaluated
+    exactly rather than trusted.
     """
 
     offsets_separate: bool
@@ -58,8 +57,7 @@ def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
                          hi_rate: Fraction) -> ScheduleDiagnostics:
     """The schedule inequalities of a layout with rate window
     [lo_rate, hi_rate] = [mu1 - delta, mu2 + delta]."""
-    offsets, widths, regions = (layout.prefix_slots, layout.burst_slots,
-                                layout.regions)
+    offsets, widths = layout.prefix_slots, layout.burst_slots
     pairs = range(1, layout.M)
     # hi_rate * x <= lo_rate * y, cleared of the (positive) denominators
     hi = hi_rate.numerator * lo_rate.denominator
@@ -67,8 +65,7 @@ def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
     return ScheduleDiagnostics(
         offsets_separate=all(hi * (offsets[m - 1] + widths[m - 1])
                              <= lo * offsets[m] for m in pairs),
-        windows_disjoint=all(regions[m - 1][-1] + layout.window_lens[m - 1]
-                             <= regions[m][0] for m in pairs))
+        windows_disjoint=layout.table.disjoint)
 
 
 @dataclass(frozen=True)

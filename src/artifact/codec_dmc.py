@@ -5,14 +5,16 @@ letter placed at the start of the m-th of M guard blocks of N slots each.
 The receiver knows neither the block boundaries (timing is random) nor the
 noise realization, so it slides a log-likelihood-ratio test over a small set
 of candidate output positions per message (the decision regions) and declares
-the unique message whose region fires.
+the unique message whose region fires.  This module derives the constants
+and the exact threshold of that test; the statistic itself is
+_stats_from_counts, which the streamed trials (_sparse.DmcPlan) apply to
+their window letter counts.
 
 All stream positions are 1-based.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,19 +24,13 @@ from scipy.special import gammaln
 
 from . import _exact
 from ._layout import GuardDiagnostics, Layout, guard_block_len, guard_blocks
-from .channel import ChannelOutput, Dmc, StateDistribution
+from .channel import Dmc, StateDistribution
 from .errors import InvalidConfigError
 from .info import kl_divergence
-from .rng import as_generator
 
 MAX_MULTISETS = 1 << 22  # most letter count vectors exact_threshold sums over
 # count vectors exact_threshold turns into statistics and log pmf at a time
 _SLICE = 1 << 16
-
-
-class Hypothesis(enum.IntEnum):
-    H0 = 0  # window reads like idle channel
-    H1 = 1  # window reads like the burst
 
 
 @dataclass(frozen=True)
@@ -155,22 +151,6 @@ def _stats_from_counts(counts: np.ndarray, llr, imp1, imp0) -> np.ndarray:
     return stats
 
 
-def _window_stats(symbols: np.ndarray, starts: np.ndarray, window_len: int,
-                  tables) -> np.ndarray:
-    """LLR statistic for each 1-based window start, as a float array with infs.
-
-    Letter counts come from integer cumulative sums, which are exact; no
-    float cancellation can creep in between the threshold and decoding.
-    """
-    lo = starts - 1
-    hi = lo + window_len
-    counts = np.empty((tables[0].size, starts.size), dtype=np.int64)
-    for y in range(counts.shape[0]):
-        cy = np.concatenate(([0], np.cumsum(symbols == y, dtype=np.int64)))
-        counts[y] = cy[hi] - cy[lo]
-    return _stats_from_counts(counts, *tables)
-
-
 def _count_vectors(total: int, letters: int) -> np.ndarray:
     """Every vector of letters nonnegative counts summing to total, one a
     column of a (letters, C(total + letters - 1, letters - 1)) array."""
@@ -261,41 +241,3 @@ def exact_threshold(channel: Dmc, x_star: int, window_len: int,
                                   p) <= Fraction(epsilon) / 4:
         lo += 1
     return float(stats[first[lo - 1]])
-
-
-def hypothesis_test(window: np.ndarray, params: DmcSchemeParams,
-                    channel: Dmc) -> Hypothesis:
-    """Single-window burst-versus-idle test.  Boundary ties go to H1."""
-    arr = np.asarray(window, dtype=np.int64)
-    if arr.shape != (params.window_len,):
-        raise ValueError(
-            f"window must have exactly {params.window_len} symbols, got {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= channel.num_outputs):
-        raise ValueError("window symbol outside the output alphabet")
-    stats = _window_stats(arr, np.array([1], dtype=np.int64), params.window_len,
-                          _llr_tables(channel, params.x_star))
-    return Hypothesis.H1 if stats[0] >= params.threshold else Hypothesis.H0
-
-
-def decode(y: ChannelOutput | np.ndarray, params: DmcSchemeParams,
-           channel: Dmc, seed=None) -> int | None:
-    """Declare the unique message whose region contains a firing window.
-
-    Fires means the window statistic reaches the threshold.  If no
-    region fires, or more than one does, the decoder gives up and returns
-    None (counted as an error by the harness).  Windows running past the end
-    of the received stream are completed with fresh idle-channel draws, which
-    is what a receiver sampling a silent channel would see; pass a seed to
-    make that padding reproducible.
-    """
-    symbols = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
-    symbols = symbols.astype(np.int64, copy=False)
-    table = params.layout.table
-    if table.last_end > symbols.size:
-        rng = as_generator(seed)
-        pad = rng.choice(channel.num_outputs, size=table.last_end - symbols.size,
-                         p=channel.w[0])
-        symbols = np.concatenate([symbols, pad])
-    stats = _window_stats(symbols, table.starts, params.window_len,
-                          _llr_tables(channel, params.x_star))
-    return table.decide(stats >= params.threshold)

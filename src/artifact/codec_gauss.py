@@ -2,8 +2,9 @@
 
 Same block layout as the DMC codec (one burst of B slots inside the m-th of
 M guard blocks of N slots), but the burst is a real amplitude chosen so each
-codeword spends the same energy, the detector is a normalized window sum
-against a fixed threshold, and the decision regions are thinned to multiples
+codeword spends the same energy, the detector is a window sum over the
+square root of its length, in unit-noise coordinates, against a fixed
+threshold (ties go to the burst), and the decision regions are thinned to multiples
 of floor(M / log2(M)) so the number of tests per region stays logarithmic.
 
 Positions are 1-based throughout.
@@ -15,13 +16,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import _exact
 from ._layout import GuardDiagnostics, Layout, guard_block_len, guard_blocks
-from .channel import ChannelOutput, StateDistribution
+from .channel import StateDistribution
 from .errors import InvalidConfigError
-from .rng import as_generator
 
 
 @dataclass(frozen=True)
@@ -111,37 +109,3 @@ def derive_params(M: int, epsilon: float, delta: float,
         nu=math.sqrt(layout.prefix_drift.radius_sq),
         window_len=layout.window_lens[0], spacing=spacing, x_star=x_star,
         threshold=threshold, diagnostics=diagnostics, layout=layout)
-
-
-def correlate(window: np.ndarray, params: GaussSchemeParams) -> float:
-    """Normalized window sum in unit-noise coordinates."""
-    arr = np.asarray(window, dtype=np.float64)
-    if arr.shape != (params.window_len,):
-        raise ValueError(
-            f"window must have exactly {params.window_len} samples, got {arr.shape}")
-    return float(arr.sum()) / (math.sqrt(params.window_len) * math.sqrt(params.eta2))
-
-
-def decode(y: ChannelOutput | np.ndarray, params, seed=None) -> int | None:
-    """Unique-region rule over normalized window sums.
-
-    Serves both Gaussian-back-end schemes: params is a GaussSchemeParams or
-    a codec_compound.CompoundSchemeParams.  A window's statistic is its sum
-    over sqrt(window length) in unit-noise coordinates, and it fires when
-    the statistic reaches the threshold (ties go to the burst).  Nothing
-    here depends on the realized repetition rate.  Windows running past
-    the received stream are completed with fresh noise-only samples; pass a
-    seed to pin that padding down.
-    """
-    samples = y.symbols if isinstance(y, ChannelOutput) else np.asarray(y)
-    samples = samples.astype(np.float64, copy=False)
-    table = params.layout.table
-    eta = math.sqrt(params.eta2)
-    if table.last_end > samples.size:
-        rng = as_generator(seed)
-        pad = rng.normal(0.0, eta, size=table.last_end - samples.size)
-        samples = np.concatenate([samples, pad])
-    cs = np.concatenate(([0.0], np.cumsum(samples)))
-    stats = (cs[table.ends] - cs[table.starts - 1]) / (
-        np.sqrt(table.lens.astype(np.float64)) * eta)
-    return table.decide(stats >= params.threshold)

@@ -9,8 +9,8 @@ timing-state sums were drawn from the rounded Gaussian
 (approximate_state_sums; see _sparse.sample_state_sum).
 
 Every trial of every scheme is streamed, which is exact in law and never
-builds the received stream; the materialising encode -> ids_channel ->
-decode pipeline is left to the tests as their oracle.  The Gaussian back
+builds the codeword or the received stream; the test suite checks it
+against a materialising simulator of its own.  The Gaussian back
 ends draw one normal per window when their regions share no sample and
 are short (_sparse.WindowPlan), and one per segment between window
 breakpoints otherwise (_sparse.Plan).  Layouts the window plan serves
@@ -23,13 +23,15 @@ uniforms, and their normals.  Each region fires exactly as under a full
 draw (the proposal density is c(x) phi_C(x) for c(x) firing windows,
 kept with probability 1 / c), so reports keep their law, not their
 numbers, against the window plan.  run_trials splits
-the trials, in order, into blocks of the plan's block_size, runs each
-block through _sparse.stream_trials (one worker thread per block at a
-time), and adds each block's counts into the report's tallies; no
-per-trial outcome is kept.  A trial's time and memory grow with the
-windows its decoder tests, and for the DMC scheme with the samples they
-cover, so configs over MAX_WINDOWS windows, or over MAX_LETTERS DMC
-letters a trial, are rejected before any table is built or letter drawn.
+the trials, in order, into blocks of the plan's block_size, draws each
+block's messages and seeds as the block is taken, runs it through
+_sparse.stream_trials (one worker thread per block at a time), and adds
+its counts into the report's tallies; no per-trial outcome is kept, so
+memory does not grow with the trial count.  A trial's time and memory
+grow with the windows its decoder tests, and for the DMC scheme with the
+samples they cover, so configs over MAX_WINDOWS windows, or over
+MAX_LETTERS DMC letters a trial, are rejected before any table is built
+or letter drawn.
 
 Reproducibility contract: a report is a pure function of its config.  Every
 trial draws from its own seed spawned from base_seed, and its outcome does
@@ -54,13 +56,16 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
+from ._layout import MAX_WINDOWS, window_count
 from .channel import (Dmc, StateDistribution, is_integer, is_real,
                       state_dist_from_dict, state_dist_to_dict)
 from .errors import InvalidConfigError
 from .rng import as_generator
 
-MAX_WINDOWS = 1 << 22  # most windows a region table may hold
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
+# messages drawn at a time: one call for many short blocks, and memory
+# that does not grow with the trial count
+_MESSAGE_CHUNK = 1 << 12
 
 _SCHEMES = ("dmc", "gauss", "compound")
 _INT_FIELDS = ("M", "trials", "base_seed", "x_star", "workers")
@@ -257,15 +262,20 @@ def _make_plan(config: ExperimentConfig, params):
 
 def _trial_blocks(config: ExperimentConfig, size: int):
     """(messages, trial seeds) of each block of at most size trials, in
-    trial order.  The seeds are spawned block by block, which gives every
-    trial the seed that one spawn of them all would (~400 bytes a trial
-    held only while its block runs)."""
+    trial order.  Messages are drawn _MESSAGE_CHUNK at a time (rounded
+    to whole blocks) and seeds block by block, which gives every trial
+    the message and the seed that one draw of them all would, and holds
+    ~400 bytes a trial only while its block runs."""
     # stream 0 is unused; it stays so that message and trial seeds hold
     _, msg_ss, trial_root = np.random.SeedSequence(config.base_seed).spawn(3)
-    messages = _draw_messages(config, as_generator(msg_ss))
-    for i in range(0, config.trials, size):
-        block = messages[i:i + size]
-        yield block, trial_root.spawn(block.size)
+    rng = as_generator(msg_ss)
+    chunk = size * max(1, _MESSAGE_CHUNK // size)
+    for first in range(0, config.trials, chunk):
+        messages = _draw_messages(config, rng, first,
+                                  min(chunk, config.trials - first))
+        for i in range(0, messages.size, size):
+            block = messages[i:i + size]
+            yield block, trial_root.spawn(block.size)
 
 
 def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
@@ -314,12 +324,15 @@ def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
     return out
 
 
-def _draw_messages(config: ExperimentConfig, rng) -> np.ndarray:
+def _draw_messages(config: ExperimentConfig, rng, first: int,
+                   n: int) -> np.ndarray:
+    """Messages of trials first .. first + n - 1, uniform ones the next n
+    draws of rng: bounded integers chunked in any way equal one draw."""
     if config.message_selection == "uniform":
-        return rng.integers(1, config.M + 1, size=config.trials)
+        return rng.integers(1, config.M + 1, size=n)
     if config.message_selection == "exhaustive":
-        return np.arange(config.trials, dtype=np.int64) % config.M + 1
-    return np.full(config.trials, int(config.message_selection), dtype=np.int64)
+        return np.arange(first, first + n, dtype=np.int64) % config.M + 1
+    return np.full(n, int(config.message_selection), dtype=np.int64)
 
 
 def _worker_count(config: ExperimentConfig) -> int:
@@ -337,7 +350,7 @@ def _check_plan_size(config: ExperimentConfig, layout) -> None:
     for the DMC scheme, whose trials would draw more than MAX_LETTERS
     letters, from the regions' ranges alone, before any window is laid
     out."""
-    windows = sum(len(r) for r in layout.regions)
+    windows = sum(map(window_count, layout.regions))
     if windows > MAX_WINDOWS:
         raise InvalidConfigError(
             f"the decision regions hold {windows} windows, which exceeds "
@@ -345,8 +358,9 @@ def _check_plan_size(config: ExperimentConfig, layout) -> None:
     if config.scheme == "dmc":
         # samples region r's windows cover, counting shared ones once per
         # region: an upper bound on the letters a trial draws
-        letters = sum(min(len(r) * w, (len(r) - 1) * r.step + w)
-                      for r, w in zip(layout.regions, layout.window_lens) if r)
+        letters = sum(min(n * w, (n - 1) * r.step + w)
+                      for r, w in zip(layout.regions, layout.window_lens)
+                      if (n := window_count(r)))
         if letters > MAX_LETTERS:
             raise InvalidConfigError(
                 f"a DMC trial would draw up to {letters} letters, which "

@@ -172,6 +172,22 @@ class ParamsTests(CliCase):
         self.assertTrue(payload["diagnostics"]["offsets_separate"])
         self.assertNotIn("regions", payload)   # summarized, not dumped
 
+    def test_out_of_range_sizes(self):
+        """More equal-block messages than a trial plan holds windows end in
+        one error line (the cap lowered to 8, so that a lost check builds
+        16 messages, not 10**9); regions past len()'s range are counted."""
+        gauss = ["params", "--scheme", "gauss", "--epsilon", "0.2",
+                 "--delta", "0.5"]
+        with mock.patch("artifact._layout.MAX_WINDOWS", 8):
+            rc, out, err = run_cli([*gauss, "--M", "16", "--deletion", "0.1"])
+        self.assertEqual((rc, out), (1, ""))
+        self.assertRegex(err, r"\Aerror: 16 messages exceed 8[^\n]*\n\Z")
+        # M = 4 keeps the exact region search short at these magnitudes
+        big = self.write_json("big.json", {"support": [[1, 0.5], [2**62, 0.5]]})
+        rc, out, _ = run_cli([*gauss, "--M", "4", "--idc", big])
+        self.assertEqual(rc, 0)
+        self.assertGreater(json.loads(out)["region_sizes"]["max"], 2**63)
+
     def test_dmc_without_channel_is_invalid(self):
         rc, _, err = run_cli(["params", "--scheme", "dmc", "--M", "8",
                               "--epsilon", "0.25", "--delta", "0.5",
@@ -272,6 +288,14 @@ class SimulateTests(CliCase):
             "scheme": "compound", "M": 752, "epsilon": 0.25, "delta": 0.1,
             "mu1": 0.8, "mu2": 1.1, "sigma2_bound": 0.25, "trials": 1,
             "base_seed": 1, "idc": {"deletion": {"d": 0.05}}}), "overflows")
+
+    def test_simulate_rejects_sizes_beyond_int64(self):
+        # a state of 2**62 stretches the regions past len()'s range
+        for state, word in ((10**21, "64-bit"), (2**62, "exceeds")):
+            self.assert_one_line_error(self.write_json("exp.json", {
+                "scheme": "gauss", "M": 4, "epsilon": 0.2, "delta": 0.5,
+                "trials": 1, "base_seed": 1,
+                "idc": {"support": [[1, 0.5], [state, 0.5]]}}), word)
 
     def test_simulate_rejects_a_free_burst_letter(self):
         self.assert_one_line_error(self.experiment(

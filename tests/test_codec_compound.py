@@ -12,9 +12,10 @@ import unittest
 import numpy as np
 
 from artifact import codec_compound as cc
-from artifact._layout import geometry_diagnostics, trace_diagnostics
-from artifact.channel import StateDistribution, StateSequence, idc_apply, sample_states
+from artifact.channel import StateDistribution
 from artifact.errors import InvalidConfigError
+from oracle import (channel, decode, encode, geometry, sample_states,
+                    trace_diagnostics)
 
 
 def wide_band():
@@ -65,13 +66,12 @@ class WideBandScheduleTests(unittest.TestCase):
     def test_materialization_cap(self):
         self.assertGreater(self.p.block_len, 10 ** 15)
         with self.assertRaises(InvalidConfigError):
-            self.p.layout.encode(2, self.p.amplitude(2))
+            encode(self.p.layout, 2, self.p.amplitude(2))
 
     def test_regions_snap_to_spacing(self):
-        self.assertEqual(self.p.layout.region(1), (1,))
+        self.assertEqual(self.p.layout.regions[0], range(1, 2))
         for m in (2, 3, 4):
-            region = self.p.layout.region(m)
-            self.assertEqual(region, tuple(self.p.layout.regions[m - 1]))
+            region = self.p.layout.regions[m - 1]
             gap = self.p.spacings[m - 1]
             for v in region:
                 self.assertEqual(v % gap, 0)
@@ -92,7 +92,7 @@ class EqualRateScheduleTests(unittest.TestCase):
         self.assertEqual(self.p.block_len, 3951 + 2370)
 
     def test_encode_layout(self):
-        cw = self.p.layout.encode(3, self.p.amplitude(3))
+        cw = encode(self.p.layout, 3, self.p.amplitude(3))
         self.assertEqual(cw.size, self.p.block_len)
         lo = self.p.offsets[2]
         width = self.p.widths[2]
@@ -100,14 +100,13 @@ class EqualRateScheduleTests(unittest.TestCase):
         self.assertEqual(np.count_nonzero(cw), width)
         for bad in (0, 9):
             with self.assertRaises(ValueError):
-                self.p.layout.encode(bad, self.p.x_star)
+                encode(self.p.layout, bad, self.p.x_star)
 
     def test_round_trip_all_messages_zero_noise(self):
-        states = StateSequence(np.ones(self.p.block_len, dtype=np.int64))
+        states = np.ones(self.p.block_len, dtype=np.int64)
         for m in range(1, 9):
-            cw = self.p.layout.encode(m, self.p.amplitude(m))
-            y = idc_apply(cw, states)
-            self.assertEqual(cc.decode(y, self.p, seed=m), m)
+            y = channel(encode(self.p.layout, m, self.p.amplitude(m)), states)
+            self.assertEqual(decode(y, self.p, seed=m), m)
 
     def test_round_trip_with_jitter_zero_noise(self):
         # mean 1 sits inside [mu1 - delta, mu2 + delta]; the decoder only
@@ -115,40 +114,39 @@ class EqualRateScheduleTests(unittest.TestCase):
         idc = StateDistribution(((0, 0.15), (1, 0.7), (2, 0.15)))
         states = sample_states(idc, self.p.block_len, seed=2718)
         for m in (1, 4, 8):
-            cw = self.p.layout.encode(m, self.p.amplitude(m))
-            y = idc_apply(cw, states)
-            self.assertEqual(cc.decode(y, self.p, seed=m), m)
+            y = channel(encode(self.p.layout, m, self.p.amplitude(m)), states)
+            self.assertEqual(decode(y, self.p, seed=m), m)
 
     def test_all_zero_stream_erases(self):
-        self.assertIsNone(cc.decode(np.zeros(self.p.block_len), self.p, seed=0))
+        self.assertIsNone(decode(np.zeros(self.p.block_len), self.p, seed=0))
 
     def test_double_burst_erases(self):
         y = np.zeros(self.p.block_len)
         y[:self.p.widths[0]] = self.p.amplitude(1)
         lo = self.p.offsets[3]
         y[lo:lo + self.p.widths[3]] = self.p.amplitude(4)
-        self.assertIsNone(cc.decode(y, self.p, seed=0))
+        self.assertIsNone(decode(y, self.p, seed=0))
 
     def test_trace_matches_geometry(self):
         rng = np.random.default_rng(5)
-        states = StateSequence(rng.integers(0, 3, size=self.p.block_len))
+        states = rng.integers(0, 3, size=self.p.block_len)
         m = 4
         lo = self.p.offsets[3]
-        a = int(states.states[:lo].sum())
-        g = int(states.states[lo:lo + self.p.widths[3]].sum())
+        a = int(states[:lo].sum())
+        g = int(states[lo:lo + self.p.widths[3]].sum())
         self.assertEqual(trace_diagnostics(m, states, self.p.layout),
-                         geometry_diagnostics(m, a, g, self.p.layout))
+                         geometry(m, a, g, self.p.layout))
 
     def test_clean_geometry_flags(self):
         m = 5
         a = self.p.offsets[4]      # realized rate exactly 1
         g = self.p.widths[4]
-        d = geometry_diagnostics(m, a, g, self.p.layout)
+        d = geometry(m, a, g, self.p.layout)
         self.assertFalse(d.prefix_drift_out)
         self.assertFalse(d.burst_spread_out)
         self.assertTrue(d.wrong_windows_all_zero)
         self.assertTrue(d.full_burst_window_exists)
-        gone = geometry_diagnostics(m, a, 0, self.p.layout)
+        gone = geometry(m, a, 0, self.p.layout)
         self.assertFalse(gone.full_burst_window_exists)
 
 
@@ -191,6 +189,10 @@ class RecursionPropertyTests(unittest.TestCase):
             self.assertFalse(cc.schedule_diagnostics(
                 replace(tight, prefix_slots=tuple(short)), lo, hi
             ).offsets_separate)
+        # windows_disjoint is the region table's: regions sharing a sample
+        self.assertTrue(cc.schedule_diagnostics(tight, lo, hi).windows_disjoint)
+        shared = replace(tight, regions=tight.regions[:1] * tight.M)
+        self.assertFalse(cc.schedule_diagnostics(shared, lo, hi).windows_disjoint)
 
     def test_validation(self):
         good = dict(M=8, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25, sigma2=0.25)

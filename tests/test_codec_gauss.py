@@ -18,10 +18,10 @@ import pytest
 from scipy import stats
 
 from artifact import codec_gauss as cg
-from artifact._layout import (MAX_MATERIALIZED, geometry_diagnostics,
-                              trace_diagnostics)
-from artifact.channel import StateDistribution, StateSequence, idc_apply
+from artifact.channel import StateDistribution
 from artifact.errors import InvalidConfigError
+from oracle import (MAX_MATERIALIZED, channel, decode, encode, geometry,
+                    row_statistics, trace_diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -64,20 +64,20 @@ def test_threshold_tail_bound(worked):
 
 
 def test_regions(worked):
-    assert worked.layout.region(1) == (1,)
-    r2 = worked.layout.region(2)
+    assert worked.layout.regions[0] == range(1, 2)
+    r2 = worked.layout.regions[1]
     assert r2[0] == 3104 and r2[-1] == 6144 and len(r2) == 96
     assert all(v % worked.spacing == 0 for v in r2)
     assert len(r2) <= 2 * worked.nu / worked.spacing + 1
     taken: set[int] = set()
     for m in range(1, 5):
-        r = set(worked.layout.region(m))
+        r = set(worked.layout.regions[m - 1])
         assert not (r & taken)
         taken |= r
 
 
 def test_encode_layout(worked):
-    cw = worked.layout.encode(5, worked.amplitude(5))
+    cw = encode(worked.layout, 5, worked.amplitude(5))
     assert cw.size == worked.codeword_len
     assert cw.dtype == np.float64
     lo = 4 * worked.N
@@ -85,9 +85,9 @@ def test_encode_layout(worked):
     assert np.all(burst == worked.x_star)
     assert np.count_nonzero(cw) == worked.B
     with pytest.raises(ValueError):
-        worked.layout.encode(0, worked.x_star)
+        encode(worked.layout, 0, worked.x_star)
     with pytest.raises(ValueError):
-        worked.layout.encode(worked.M + 1, worked.x_star)
+        encode(worked.layout, worked.M + 1, worked.x_star)
 
 
 def test_encode_refuses_codewords_over_the_cap(monkeypatch):
@@ -102,7 +102,7 @@ def test_encode_refuses_codewords_over_the_cap(monkeypatch):
 
     monkeypatch.setattr(np, "zeros", unallocated)
     with pytest.raises(InvalidConfigError, match="materialization cap"):
-        p.layout.encode(1, p.amplitude(1))
+        encode(p.layout, 1, p.amplitude(1))
 
 
 def test_zero_jitter_rejected():
@@ -124,14 +124,15 @@ def test_bad_parameters_rejected(kwargs):
 
 def test_correlate_oracles(worked):
     w = worked.window_len
-    assert cg.correlate(np.zeros(w), worked) == 0.0
-    full = cg.correlate(np.full(w, worked.x_star), worked)
+    zero, full = row_statistics([np.zeros(w), np.full(w, worked.x_star)],
+                                worked)
+    assert zero == 0.0
     assert full == pytest.approx(worked.x_star * math.sqrt(w), rel=1e-12)
     # normalized pure noise has unit variance
     rng = np.random.default_rng(31)
     noise = rng.normal(0.0, math.sqrt(worked.eta2), size=(2000, w))
     vals = noise.sum(axis=1) / (math.sqrt(worked.eta2 * w))
-    got = np.array([cg.correlate(row, worked) for row in noise])
+    got = row_statistics(noise, worked)
     assert np.allclose(got, vals)
     assert 0.93 <= got.var() <= 1.07
 
@@ -150,10 +151,9 @@ def test_noise_free_round_trip_with_random_jitter():
     ps = small_params()
     rng = np.random.default_rng(42)
     for m in range(1, 5):
-        cw = ps.layout.encode(m, ps.amplitude(m))
-        states = StateSequence(rng.integers(0, 2, size=cw.size))
-        y = idc_apply(cw, states)
-        assert cg.decode(y, ps, seed=m) == m
+        cw = encode(ps.layout, m, ps.amplitude(m))
+        y = channel(cw, rng.integers(0, 2, size=cw.size))
+        assert decode(y, ps, seed=m) == m
 
 
 def test_decode_unique_hit_rule():
@@ -162,32 +162,32 @@ def test_decode_unique_hit_rule():
     y[:ps.B] = ps.x_star
     n = ps.N
     y[n:n + ps.B] = ps.x_star        # second burst: two regions fire
-    assert cg.decode(y, ps, seed=0) is None
-    assert cg.decode(np.zeros(ps.codeword_len), ps, seed=0) is None
+    assert decode(y, ps, seed=0) is None
+    assert decode(np.zeros(ps.codeword_len), ps, seed=0) is None
 
 
 def test_decode_padding_is_seeded():
     ps = small_params()
     y = np.zeros(10)
     y[:ps.B if ps.B < 10 else 10] = ps.x_star
-    a = cg.decode(y, ps, seed=3)
-    b = cg.decode(y, ps, seed=3)
+    a = decode(y, ps, seed=3)
+    b = decode(y, ps, seed=3)
     assert a == b
 
 
 def test_geometry_diagnostics(worked):
-    clean = geometry_diagnostics(2, 4608, 343, worked.layout)
+    clean = geometry(2, 4608, 343, worked.layout)
     assert not clean.prefix_drift_out
     assert not clean.burst_spread_out
     assert clean.wrong_windows_all_zero
     assert clean.full_burst_window_exists
-    gone = geometry_diagnostics(2, 4608, 0, worked.layout)
+    gone = geometry(2, 4608, 0, worked.layout)
     assert gone.wrong_windows_all_zero and not gone.full_burst_window_exists
     # deletion(0.1) variance sits just under 0.09, so drift 1536 is outside
-    assert not geometry_diagnostics(2, 4608 + 1535, 343, worked.layout).prefix_drift_out
-    assert geometry_diagnostics(2, 4608 + 1536, 343, worked.layout).prefix_drift_out
+    assert not geometry(2, 4608 + 1535, 343, worked.layout).prefix_drift_out
+    assert geometry(2, 4608 + 1536, 343, worked.layout).prefix_drift_out
     with pytest.raises(ValueError):
-        geometry_diagnostics(0, 1, 1, worked.layout)
+        geometry(0, 1, 1, worked.layout)
 
 
 def test_guard_record_flags_a_window_within_the_slack(worked):
@@ -200,7 +200,7 @@ def test_guard_record_flags_a_window_within_the_slack(worked):
     assert calm.window_len == 5
     assert not calm.diagnostics.window_exceeds_slack
     # an image on message 1's window alone still reads as covered for 2
-    vacuous = geometry_diagnostics(2, 0, calm.B, calm.layout)
+    vacuous = geometry(2, 0, calm.B, calm.layout)
     assert not vacuous.wrong_windows_all_zero
     assert vacuous.full_burst_window_exists
 
@@ -208,10 +208,10 @@ def test_guard_record_flags_a_window_within_the_slack(worked):
 def test_trace_matches_geometry():
     ps = small_params()
     rng = np.random.default_rng(9)
-    states = StateSequence(rng.integers(0, 2, size=ps.codeword_len))
+    states = rng.integers(0, 2, size=ps.codeword_len)
     m = 3
     prefix = (m - 1) * ps.N
-    a = int(states.states[:prefix].sum())
-    g = int(states.states[prefix:prefix + ps.B].sum())
-    assert trace_diagnostics(m, states, ps.layout) == geometry_diagnostics(
+    a = int(states[:prefix].sum())
+    g = int(states[prefix:prefix + ps.B].sum())
+    assert trace_diagnostics(m, states, ps.layout) == geometry(
         m, a, g, ps.layout)

@@ -10,12 +10,12 @@ import os
 import numpy as np
 import pytest
 
+import oracle
 from artifact import _layout, _sparse, harness
-from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
-from artifact import codec_gauss as cg
-from artifact.channel import Dmc, GaussianNoise, StateDistribution, ids_channel
+from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.errors import InvalidConfigError
+from artifact.rng import as_generator
 
 
 def dmc_config(**over) -> harness.ExperimentConfig:
@@ -119,21 +119,18 @@ def test_small_message_count_floods_with_false_alarms():
 
 
 def oracle_errors(cfg: harness.ExperimentConfig, seed: int) -> int:
-    """Errors of cfg.trials materialised encode -> ids_channel -> decode runs."""
+    """Errors of cfg.trials materialised encode -> channel -> decode runs."""
     params = harness.derive_scheme_params(cfg)
-    if cfg.scheme == "dmc":
-        codec, back_end, channel = cd, cfg.dmc, (cfg.dmc,)
-    else:
-        codec = cg if cfg.scheme == "gauss" else cc
-        back_end, channel = GaussianNoise(cfg.eta2), ()
+    dmc = cfg.dmc if cfg.scheme == "dmc" else None
+    back_end = dmc or GaussianNoise(cfg.eta2)
     rng = np.random.default_rng(seed)
     errors = 0
     for _ in range(cfg.trials):
         m = int(rng.integers(1, cfg.M + 1))
-        level = params.x_star if codec is cd else params.amplitude(m)
-        y = ids_channel(params.layout.encode(m, level), cfg.idc, back_end,
-                        seed=rng)
-        errors += codec.decode(y, params, *channel, seed=rng) != m
+        level = params.x_star if dmc else params.amplitude(m)
+        y = oracle.channel(oracle.encode(params.layout, m, level), cfg.idc,
+                           back_end, seed=rng)
+        errors += oracle.decode(y, params, dmc, seed=rng) != m
     return errors
 
 
@@ -244,6 +241,25 @@ def test_oversized_dmc_config_rejected(monkeypatch):
     monkeypatch.setattr(harness, "MAX_WINDOWS", 100)
     with pytest.raises(InvalidConfigError, match="exceeds"):
         harness.run_trials(gauss_config())
+
+
+def test_messages_are_drawn_block_by_block(monkeypatch):
+    """Messages are drawn a chunk at a time as blocks are taken, so the
+    first block of 10**13 trials comes back at once, and blocks of any
+    size, in chunks of any size, read the messages of one draw over all
+    trials."""
+    first, seeds = next(harness._trial_blocks(gauss_config(trials=10**13), 7))
+    assert first.size == len(seeds) == 7
+    monkeypatch.setattr(harness, "_MESSAGE_CHUNK", 16)
+    for cfg in (gauss_config(trials=300, M=751),
+                gauss_config(trials=300, message_selection="exhaustive")):
+        _, msg_ss, _ = np.random.SeedSequence(cfg.base_seed).spawn(3)
+        one = (as_generator(msg_ss).integers(1, cfg.M + 1, size=300)
+               if cfg.message_selection == "uniform"
+               else np.arange(300) % cfg.M + 1)
+        for size in (1, 7, 84, 300):
+            blocks = list(harness._trial_blocks(cfg, size))
+            assert np.array_equal(np.concatenate([b for b, _ in blocks]), one)
 
 
 def test_exhaustive_and_fixed_message_selection():

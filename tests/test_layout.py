@@ -1,9 +1,12 @@
 """The message layout and the trace diagnostics shared by the three codecs.
 
-The property test draws small layouts of each scheme and random realized
-output lengths, and checks every diagnostic flag against a brute-force
-enumeration of windows in exact Fraction / Python-int arithmetic, written
-from each scheme's own definition of its drift events and coverage slack.
+The property tests draw small layouts of each scheme.  One takes random
+realized output lengths and checks every diagnostic flag against a
+brute-force enumeration of windows in exact Fraction / Python-int
+arithmetic, written from each scheme's own definition of its drift events
+and coverage slack; the other sends every message through the test
+oracle without back-end noise, which must decode it whenever neither
+drift event occurs and the layout keeps its promises.
 Two more check the pieces those flags are built from: the integer drift
 test against its Fraction definition, and the image contact of a region
 table against window enumeration on random layouts, overlapping, out of
@@ -11,6 +14,7 @@ order and beyond int64 included.
 """
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -18,37 +22,48 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from artifact import _layout
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._layout import (Drift, Layout, RegionTable, geometry_diagnostics,
-                              guard_blocks)
+from artifact._layout import (Drift, Layout, RegionTable, guard_blocks,
+                              window_count)
 from artifact.channel import Dmc, StateDistribution
 from artifact.errors import InvalidConfigError
+from oracle import (channel, decide, decode, encode, geometry,
+                    row_statistics, sample_states, trace_diagnostics)
 
 unit = st.floats(min_value=0.05, max_value=0.95)
 
 
 @st.composite
 def scheme_params(draw):
+    """(scheme, params, a timing law at the design rate, the DMC back end
+    or None); the DMC scheme's timing may be constant."""
     scheme = draw(st.sampled_from(("dmc", "gauss", "compound")))
     try:
         if scheme == "compound":
             mu1 = draw(st.floats(min_value=0.4, max_value=1.0))
+            mu2 = mu1 + draw(st.floats(min_value=0.1, max_value=0.6))
+            rate = draw(st.floats(mu1, mu2))
+            k, frac = int(rate), rate - int(rate)
             return scheme, cc.derive_params(
                 M=draw(st.integers(4, 8)), epsilon=draw(unit),
                 delta=draw(st.floats(min_value=0.05, max_value=0.3)) * mu1,
-                mu1=mu1, mu2=mu1 + draw(st.floats(min_value=0.1, max_value=0.6)),
-                sigma2=0.25)
+                mu1=mu1, mu2=mu2, sigma2=0.25), StateDistribution(
+                    ((k, 1 - frac), (k + 1, frac))), None
         idc = StateDistribution.deletion(draw(st.floats(0.05, 0.6)))
         if scheme == "gauss":
             return scheme, cg.derive_params(
                 M=draw(st.integers(4, 12)), epsilon=draw(unit),
-                delta=draw(unit), idc=idc)
+                delta=draw(unit), idc=idc), idc, None
+        idc = draw(st.sampled_from([idc] + [StateDistribution.constant(k)
+                                            for k in (1, 2, 3)]))
+        dmc = Dmc.bsc(draw(st.floats(0.05, 0.3)))
         return scheme, cd.derive_params(
             M=draw(st.integers(2, 12)), epsilon=draw(unit),
-            delta=draw(st.floats(0.1, 2.0)), idc=idc,
-            channel=Dmc.bsc(draw(st.floats(0.05, 0.3))), x_star=1)
+            delta=draw(st.floats(0.1, 2.0)), idc=idc, channel=dmc,
+            x_star=1), idc, dmc
     except InvalidConfigError:
         assume(False)
 
@@ -97,16 +112,57 @@ def output_length(drift, slots):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(scheme_params(), st.data())
 def test_diagnostics_match_window_enumeration(sp, data):
-    scheme, p = sp
+    scheme, p, _, _ = sp
     lay = p.layout
     m = data.draw(st.integers(1, p.M))
     a = data.draw(output_length(lay.prefix_drift, lay.prefix_slots[m - 1]))
     g = data.draw(output_length(lay.burst_drift, lay.burst_slots[m - 1]))
-    d = geometry_diagnostics(m, a, g, lay)
+    d = geometry(m, a, g, lay)
     got = (d.prefix_drift_out, d.burst_spread_out, d.wrong_windows_all_zero,
            d.full_burst_window_exists)
     assert got == brute_flags(scheme, p, m, a, g)
     assert (d.prefix_output, d.burst_output) == (a, g)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scheme_params(), st.integers(0, 2**32 - 1))
+def test_noiseless_round_trip(sp, seed):
+    """Without back-end noise, idle padding included, a message whose trace
+    drifts in neither event decodes to itself exactly when the best window
+    of its region fires, and to nothing else.  Wherever a window holding
+    all but the layout's slack of the burst fires, that is every such
+    message: under constant timing (no drift) the DMC scheme, whose slack
+    is 0, decodes them all.  Layouts whose guards fail, or whose idle
+    windows fire, promise nothing and are skipped."""
+    _, p, idc, dmc = sp
+    lay = p.layout
+    assume(lay.codeword_len <= 1 << 20 and all(astuple(p.diagnostics)))
+    levels = [p.x_star if dmc else p.amplitude(m) for m in range(1, p.M + 1)]
+
+    def fires(k: int, m: int) -> bool:
+        """A noiseless window of message m, k of its samples in the burst."""
+        probe = np.zeros(lay.window_lens[m - 1],
+                         dtype=np.asarray(levels[m - 1]).dtype)
+        probe[:max(k, 0)] = levels[m - 1]
+        return row_statistics([probe], p, dmc)[0] >= p.threshold
+
+    assume(not any(fires(0, m) for m in range(1, p.M + 1)))
+    states = sample_states(idc, lay.codeword_len, seed)
+    for m in range(1, p.M + 1):
+        d = trace_diagnostics(m, states, lay)
+        if d.prefix_drift_out or d.burst_spread_out:
+            assert idc.sigma2 > 0
+            continue
+        assert d.wrong_windows_all_zero and d.full_burst_window_exists
+        _, overlap = lay.table.contact(d.prefix_output, d.burst_output)
+        own = fires(int(overlap.max(initial=0)), m)
+        promised = fires(math.ceil(lay.window_lens[m - 1] - lay.slack[m - 1]),
+                         m)
+        assert own or not promised
+        y = channel(encode(lay, m, levels[m - 1]), states)
+        y = np.pad(y, (0, max(0, lay.table.last_end - y.size)))
+        assert decode(y, p, dmc) == (m if own else None)
 
 
 def test_table_flattens_regions_in_message_order():
@@ -118,15 +174,22 @@ def test_table_flattens_regions_in_message_order():
     assert list(t.ends - t.starts + 1) == [
         p.window_lens[k] for k, r in enumerate(p.layout.regions) for _ in r]
     fired = np.zeros(t.starts.size, dtype=bool)
-    assert t.decide(fired) is None
+    assert decide(t, fired) is None
     fired[t.bounds[4]] = True
-    assert t.decide(fired) == 5
+    assert decide(t, fired) == 5
     fired[t.bounds[7] - 1] = True   # last window of message 7
-    assert t.decide(fired) is None
+    assert decide(t, fired) is None
 
 
 
-def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window():
+def test_window_count_is_len_at_any_size():
+    assert all(window_count(range(a, b, s)) == len(range(a, b, s))
+               for a in range(-3, 4) for b in range(-3, 9) for s in (1, 2, 5))
+    assert window_count(range(1, 3 * 2**70 + 2, 3)) == 2**70 + 1
+
+
+def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window(
+        monkeypatch):
     # sigma2 = 1/4, epsilon = 1/2: beta^2 = 2*B, so the window is
     # floor(B - sqrt(2*B)) at mu = 1
     layout, guards = guard_blocks(4, 6, 6, 1.0, 0.25, 0.5, step=1, slack=0)
@@ -137,6 +200,11 @@ def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window():
         guard_blocks(4, 6, 7, 1.0, 0.25, 0.5, step=1, slack=0)
     with pytest.raises(InvalidConfigError, match="window collapsed"):
         guard_blocks(4, 6, 2, 1.0, 0.25, 0.5, step=1, slack=0)
+    # more messages than windows a plan holds: refused before any
+    # per-message tuple is built (a cap of 3 keeps a lost check cheap)
+    monkeypatch.setattr(_layout, "MAX_WINDOWS", 3)
+    with pytest.raises(InvalidConfigError, match="4 messages exceed 3"):
+        guard_blocks(4, 6, 6, 1.0, 0.25, 0.5, step=1, slack=0)
 
 def cumsum_decide(fired, bounds):
     """The unique-region rule by prefix counts of firing windows."""
@@ -160,7 +228,7 @@ def test_decide_matches_prefix_count_rule(sizes, data):
         window_lens=(2,) * M, regions=tuple(regions), slack=(0,) * M))
     fired = np.array(data.draw(st.lists(st.booleans(), min_size=sum(sizes),
                                         max_size=sum(sizes))), dtype=bool)
-    assert table.decide(fired) == cumsum_decide(fired, table.bounds)
+    assert decide(table, fired) == cumsum_decide(fired, table.bounds)
 
 
 def fraction_out(drift, n, slots):

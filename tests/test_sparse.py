@@ -1,8 +1,8 @@
 """Streaming simulator: state sums without materializing the stream.
 
-The agreement test at the bottom is the load-bearing one.  It runs the same
-configuration once through the materialized pipeline (repeat, add noise,
-decode) and once through the streamed one, and checks that decode outcomes
+The agreement test is the load-bearing one.  It runs the same
+configuration once through the test oracle's materialized pipeline
+(repeat, add noise, decode) and once through the streamed one, and checks that decode outcomes
 agree in distribution.  The streamed path is exact, not approximate, so the
 two error rates may differ only by sampling noise.
 """
@@ -16,6 +16,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import chi2, chi2_contingency
 
+import oracle
 from artifact import _sparse as sp
 from artifact import harness
 from artifact import codec_compound as cc
@@ -23,7 +24,7 @@ from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
 from artifact._exact import multiples_in_open
 from artifact._layout import GuardDiagnostics
-from artifact.channel import Dmc, StateDistribution, idc_apply, sample_states
+from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.rng import as_generator
 
 
@@ -92,9 +93,7 @@ def test_gauss_geometry_mirrors_params():
     assert lay.burst_slots == tuple([p.B] * 16)
     assert set(sp.Plan(p).amplitudes) == {p.x_star}
     assert lay.window_lens == tuple([p.window_len] * 16)
-    assert tuple(map(tuple, lay.regions)) == tuple(
-        p.layout.region(m) for m in range(1, 17))
-    assert p.layout.region(2) == tuple(
+    assert tuple(lay.regions[1]) == tuple(
         v for v in range(1, p.codeword_len)
         if v % p.spacing == 0 and abs(v - (p.N * p.mu + 1)) < p.nu)
 
@@ -191,10 +190,10 @@ def test_stream_agrees_with_materialized_pipeline():
     direct_err = 0
     for _ in range(trials):
         m = int(rng.integers(1, 9))
-        cw = p.layout.encode(m, p.amplitude(m))
-        y = idc_apply(cw, sample_states(idc, cw.size, seed=rng))
-        y = y + rng.normal(0.0, 1.0, size=y.size)
-        if cc.decode(y, p, seed=int(rng.integers(2**31))) != m:
+        cw = oracle.encode(p.layout, m, p.amplitude(m))
+        y = oracle.channel(cw, oracle.sample_states(idc, cw.size, rng),
+                           GaussianNoise(1.0), rng)
+        if oracle.decode(y, p, seed=int(rng.integers(2**31))) != m:
             direct_err += 1
 
     p1, p2 = stream_err / trials, direct_err / trials
