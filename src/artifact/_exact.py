@@ -4,8 +4,9 @@ Burst positions in the variable-spacing scheme grow geometrically with the
 message index and overflow 2**53 long before the message count gets
 interesting, so anything that is eventually compared against an integer
 stream position is computed with Fractions over the binary values of the
-float inputs.  Floats are only used for rough bracketing; membership and
-floor/ceil decisions are exact.
+float inputs.  Every membership and floor/ceil decision is a closed form in
+Python integers (integer square roots included), so it takes no float and
+no search, whatever the size of its inputs.
 """
 
 from __future__ import annotations
@@ -33,32 +34,29 @@ def ceil_frac(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
-def floor_sqrt_frac(q: Fraction) -> int:
+def floor_sqrt_frac(q: Fraction | tuple[int, int]) -> int:
     """floor(sqrt(q)) for a nonnegative rational, exactly."""
-    if q < 0:
+    n, d = _ratio(q)
+    if n < 0:
         raise ValueError("square root of a negative value")
-    # floor(sqrt(n/d)) == isqrt(n*d) // d
-    return math.isqrt(q.numerator * q.denominator) // q.denominator
+    # floor(sqrt(n/d)) == floor(sqrt(n*d) / d) == isqrt(n*d) // d
+    return math.isqrt(n * d) // d
+
+
+def ceil_sqrt_frac(q: Fraction | tuple[int, int]) -> int:
+    """ceil(sqrt(q)) for a nonnegative rational, exactly."""
+    n, d = _ratio(q)
+    f = floor_sqrt_frac((n, d))
+    return f if f * f * d == n else f + 1
 
 
 def floor_minus_sqrt(x: Fraction, q: Fraction) -> int:
     """floor(x - sqrt(q)) for rationals, q >= 0, exactly."""
-    if q < 0:
-        raise ValueError("square root of a negative value")
-    if q == 0:
-        return floor_frac(x)
-
-    def fits(j: int) -> bool:
-        # j <= x - sqrt(q)  <=>  sqrt(q) <= x - j  <=>  x - j >= 0 and q <= (x-j)^2
-        d = x - j
-        return d >= 0 and q <= d * d
-
-    j = math.floor(float(x) - math.sqrt(float(q)))
-    while not fits(j):
-        j -= 1
-    while fits(j + 1):
-        j += 1
-    return j
+    # x - sqrt(q) == (xn - sqrt(xd^2 * q)) / xd, and for an integer a, a
+    # real y >= 0 and d >= 1, floor((a - y) / d) == floor((a - ceil(y)) / d)
+    xn, xd = _ratio(x)
+    qn, qd = _ratio(q)
+    return (xn - ceil_sqrt_frac((xd * xd * qn, qd))) // xd
 
 
 def ge_sqrt(t: Fraction, q: Fraction) -> bool:
@@ -79,54 +77,25 @@ def ge_sum_sqrt(t: Fraction, a: Fraction, b: Fraction) -> bool:
 
 
 def multiples_in_open(step: int, center: Fraction | tuple[int, int],
-                      radius_sq: Fraction | tuple[int, int],
-                      lo: int = 1) -> range:
-    """Positive multiples of ``step`` (>= lo) strictly within r of center.
+                      radius_sq: Fraction | tuple[int, int]) -> range:
+    """Positive multiples of ``step`` strictly within r of center.
 
     center and radius_sq are exact rationals (Fractions or ints), or pairs
     (numerator, denominator) with a positive denominator, which spare a
     caller with many centers over one denominator a Fraction each.
 
-    The members form one run, found in O(1) exact tests: a member next to
-    the center, then the float estimates of both ends, corrected one step
-    at a time.  Each test is cleared of denominators, so it runs in Python
-    integers.  radius_sq == 0 degenerates to the closed singleton {center}
-    when the center itself is such a multiple (the jitter-free case); the
-    open interval would otherwise be empty and the singleton is the
-    intended region.
+    With center = cn/cd, a multiple v is inside when the integer
+    D = v*cd - cn has |D| < sqrt(cd^2 * r^2), that is |D| < Y with
+    Y = ceil(sqrt(cd^2 * r^2)), so the region is the multiples strictly
+    between (cn - Y)/cd and (cn + Y)/cd: one integer square root and two
+    floor divisions.  radius_sq == 0 degenerates to the closed singleton
+    {center} when the center itself is such a multiple (the jitter-free
+    case): Y = 1 keeps just D == 0, where the open interval would be empty.
     """
-    if step < 1:
-        raise ValueError("step must be a positive integer")
     cn, cd = _ratio(center)
     rn, rd = _ratio(radius_sq)
-    if rn < 0:
-        raise ValueError("negative squared radius")
-    # with d = k*step - cn/cd:
-    # d*d < rn/rd  <=>  (k*step*cd - cn)**2 * rd < rn * cd**2
-    unit, bound = step * cd, rn * cd * cd
-
-    def inside(k: int) -> bool:
-        d = k * unit - cn
-        return d == 0 or d * d * rd < bound
-
-    kmin = max(1, -(-lo // step))
-    k = max(kmin, cn // unit)
-    if not inside(k):
-        k += 1
-        if not inside(k):
-            return range(0)
-    c, r = cn / cd, math.sqrt(rn / rd)
-    first = max(kmin, min(k, math.ceil((c - r) / step)))
-    last = max(k, math.floor((c + r) / step))
-    while not inside(first):
-        first += 1
-    while first > kmin and inside(first - 1):
-        first -= 1
-    while not inside(last):
-        last -= 1
-    while inside(last + 1):
-        last += 1
-    return range(first * step, (last + 1) * step, step)
+    y = max(1, ceil_sqrt_frac((cd * cd * rn, rd)))
+    return multiples_between(step, (cn - y, cd), (cn + y, cd))
 
 
 def _ratio(q) -> tuple[int, int]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -150,6 +149,14 @@ def guard_block_len(M: int, mu: float, sigma2: float, epsilon: float) -> int:
                             / (_exact.frac(mu) ** 2 * _exact.frac(epsilon)))
 
 
+def _milli_sqrt(q: Fraction) -> str:
+    """sqrt(q) to three decimals, rounded half up, from integers alone:
+    f"{math.sqrt(q):.3f}" for a q of any size."""
+    # floor(y + 1/2) == floor((floor(2y) + 1) / 2) with 2y = sqrt(4q)
+    n = (_exact.floor_sqrt_frac(4 * 10**6 * q) + 1) // 2
+    return f"{n // 1000}.{n % 1000:03d}"
+
+
 def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
                  epsilon: float, step: int, slack: float
                  ) -> tuple[Layout, GuardDiagnostics]:
@@ -177,10 +184,11 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
     nu_sq = (4 * M * N) * noise
     window_len = _exact.floor_minus_sqrt(B * mu, beta_sq)
     if window_len < 1:
+        # beta outgrows a float at tiny epsilon
+        width, beta = _milli_sqrt((B * mu) ** 2), _milli_sqrt(beta_sq)
         raise InvalidConfigError(
             "detection window collapsed; timing jitter is too large for "
-            f"this configuration (B*mu={float(B * mu):.3f}, "
-            f"beta={math.sqrt(beta_sq):.3f})")
+            f"this configuration (B*mu={width}, beta={beta})")
     mn, md = mu.numerator, mu.denominator
     prefix = tuple(range(0, M * N, N))
     layout = Layout(

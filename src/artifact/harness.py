@@ -53,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
 from ._layout import MAX_WINDOWS, window_count
@@ -197,7 +197,7 @@ def wilson_interval(errors: int, trials: int,
         raise ValueError("need at least one trial")
     if not (0 <= errors <= trials):
         raise ValueError("error count outside 0..trials")
-    z = float(_norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

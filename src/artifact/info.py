@@ -96,20 +96,22 @@ def capacity_per_unit_cost(channel: Dmc) -> CapacityReport:
                           per_symbol_ratios=ratios)
 
 
+def _require_finite_positive(value: float, name: str) -> None:
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def ids_capacity_bounds(mu: float, channel: Dmc) -> BoundsReport:
     """Sandwich for the repetition front end: [mu/2, mu] times the back-end value."""
-    if not (mu > 0):
-        raise ValueError("mean repetition rate must be positive")
+    _require_finite_positive(mu, "mean repetition rate")
     upper = mu * capacity_per_unit_cost(channel).value
     return BoundsReport(lower=0.5 * upper, upper=upper, mu=mu)
 
 
 def gaussian_capacity_per_unit_energy(mu: float, eta2: float) -> float:
     """Exact capacity per unit energy with an additive-Gaussian back end."""
-    if not (mu > 0):
-        raise ValueError("mean repetition rate must be positive")
-    if not (eta2 > 0):
-        raise ValueError("noise variance must be positive")
+    _require_finite_positive(mu, "mean repetition rate")
+    _require_finite_positive(eta2, "noise variance")
     return mu / (2.0 * eta2 * math.log(2.0))
 
 
@@ -125,6 +127,5 @@ def modified_cost(channel: Dmc, mu: float) -> np.ndarray:
     equal the cost of the input block, which is what lets converse arguments
     ignore the timing front end.  The ratio maximizer is unchanged.
     """
-    if not (mu > 0):
-        raise ValueError("mean repetition rate must be positive")
+    _require_finite_positive(mu, "mean repetition rate")
     return channel.cost / mu

@@ -74,6 +74,19 @@ class CapacityTests(CliCase):
         self.assertAlmostEqual(payload["bits_per_unit_energy"],
                                1.0 / (2.0 * 0.6931471805599453), places=10)
 
+    def test_non_finite_mu_is_invalid(self):
+        gauss = self.write_json("g.json", {"gaussian": {"eta2": 1.0}})
+        for chan in (self.bsc_file(), gauss):
+            for mu in ("inf", "nan", "-inf"):
+                for flags in ((), ("--json",)):
+                    with self.subTest(chan=chan, mu=mu, flags=flags):
+                        rc, out, err = run_cli(["capacity", chan,
+                                                f"--mu={mu}", *flags])
+                        self.assertEqual((rc, out), (1, ""))
+                        self.assertRegex(
+                            err, r"\Aerror: mean repetition rate must be "
+                                 r"positive and finite[^\n]*\n\Z")
+
     def test_human_readable_output(self):
         rc, out, _ = run_cli(["capacity", self.bsc_file(), "--mu", "0.9"])
         self.assertEqual(rc, 0)
@@ -182,11 +195,38 @@ class ParamsTests(CliCase):
             rc, out, err = run_cli([*gauss, "--M", "16", "--deletion", "0.1"])
         self.assertEqual((rc, out), (1, ""))
         self.assertRegex(err, r"\Aerror: 16 messages exceed 8[^\n]*\n\Z")
-        # M = 4 keeps the exact region search short at these magnitudes
+        # regions of 2**63 positions and more are counted, not listed
         big = self.write_json("big.json", {"support": [[1, 0.5], [2**62, 0.5]]})
         rc, out, _ = run_cli([*gauss, "--M", "4", "--idc", big])
         self.assertEqual(rc, 0)
         self.assertGreater(json.loads(out)["region_sizes"]["max"], 2**63)
+
+    def test_huge_states_derive_at_full_size(self):
+        """A timing state of 2**62 puts region ends near 2**76 and windows
+        near 2**72; the exact region and window bounds are closed forms, so
+        M = 256 derives as fast as the small configs."""
+        big = self.write_json("big.json", {"support": [[1, 0.5], [2**62, 0.5]]})
+        rc, out, _ = run_cli(["params", "--scheme", "gauss", "--M", "256",
+                              "--epsilon", "0.2", "--delta", "0.5",
+                              "--idc", big])
+        self.assertEqual(rc, 0)
+        payload = json.loads(out)
+        self.assertEqual(payload["region_sizes"]["count"], 256)
+        self.assertGreater(payload["window_len"], 2**72)
+
+    def test_tiny_epsilon_ends_in_one_error_line(self):
+        """At epsilon = 1e-300 the jitter radius beta passes 1e150: the
+        window collapses, and the message is built without floats."""
+        chan = self.bsc_file(flip=0.1)
+        for scheme, M, extra in (("gauss", "256", []),
+                                 ("dmc", "64", ["--channel", chan])):
+            with self.subTest(scheme=scheme):
+                rc, out, err = run_cli([
+                    "params", "--scheme", scheme, "--M", M, "--epsilon",
+                    "1e-300", "--delta", "0.5", "--deletion", "0.1", *extra])
+                self.assertEqual((rc, out), (1, ""))
+                self.assertRegex(
+                    err, r"\Aerror: detection window collapsed[^\n]*\n\Z")
 
     def test_dmc_without_channel_is_invalid(self):
         rc, _, err = run_cli(["params", "--scheme", "dmc", "--M", "8",
@@ -296,6 +336,23 @@ class SimulateTests(CliCase):
                 "scheme": "gauss", "M": 4, "epsilon": 0.2, "delta": 0.5,
                 "trials": 1, "base_seed": 1,
                 "idc": {"support": [[1, 0.5], [state, 0.5]]}}), word)
+
+    def test_simulate_rejects_huge_states_at_full_size(self):
+        # M = 256 regions of up to 2**71 windows: refused by the window cap
+        self.assert_one_line_error(self.write_json("exp.json", {
+            "scheme": "gauss", "M": 256, "epsilon": 0.2, "delta": 0.5,
+            "trials": 1, "base_seed": 1,
+            "idc": {"support": [[1, 0.5], [2**62, 0.5]]}}), "exceeds 4194304")
+
+    def test_simulate_rejects_tiny_epsilon(self):
+        gauss = {"scheme": "gauss", "M": 256, "epsilon": 1e-300,
+                 "delta": 0.5, "trials": 1, "base_seed": 1,
+                 "idc": {"deletion": {"d": 0.1}}}
+        for experiment in (self.write_json("gauss.json", gauss),
+                           self.experiment(epsilon=1e-300,
+                                           idc={"deletion": {"d": 0.1}})):
+            with self.subTest(experiment=experiment):
+                self.assert_one_line_error(experiment, "window collapsed")
 
     def test_simulate_rejects_a_free_burst_letter(self):
         self.assert_one_line_error(self.experiment(

@@ -13,6 +13,15 @@ from hypothesis import given, strategies as st
 
 from artifact import _exact
 
+# rationals from small to 2**200, the sizes of positions and radii in
+# configs with huge guard blocks; float-shaped ones as the callers build
+# them from float inputs
+_magnitudes = st.one_of(
+    st.fractions(min_value=0, max_value=1000),
+    st.builds(Fraction, st.integers(min_value=0, max_value=2**200),
+              st.integers(min_value=1, max_value=2**64)),
+    st.floats(min_value=0, max_value=2.0**200).map(Fraction))
+
 
 def test_frac_of_float_is_binary_value():
     f = _exact.frac(0.1)
@@ -59,16 +68,27 @@ def test_floor_sqrt_frac_definition(num, den):
     assert r * r <= q < (r + 1) * (r + 1)
 
 
+@given(_magnitudes)
+def test_ceil_sqrt_frac_definition(q):
+    r = _exact.ceil_sqrt_frac(q)
+    assert r >= 0 and (r - 1) ** 2 < q <= r * r or r == q == 0
+
+
 def test_floor_minus_sqrt_boundary():
     # x - sqrt(q) lands exactly on an integer: floor must keep it
     assert _exact.floor_minus_sqrt(Fraction(10), Fraction(9)) == 7
     assert _exact.floor_minus_sqrt(Fraction(10), Fraction(10)) == 6
     assert _exact.floor_minus_sqrt(Fraction(21, 2), Fraction(9)) == 7
     assert _exact.floor_minus_sqrt(Fraction(5), Fraction(0)) == 5
+    big = Fraction(2**200)
+    assert _exact.floor_minus_sqrt(big, Fraction(2**100) ** 2) == 2**200 - 2**100
+    assert _exact.floor_minus_sqrt(big, Fraction(2**100) ** 2 + Fraction(1, 3)) \
+        == 2**200 - 2**100 - 1
+    assert _exact.floor_minus_sqrt(big + Fraction(1, 3), Fraction(2**100) ** 2) \
+        == 2**200 - 2**100
 
 
-@given(st.fractions(min_value=0, max_value=1000),
-       st.fractions(min_value=0, max_value=1000))
+@given(_magnitudes, _magnitudes)
 def test_floor_minus_sqrt_definition(x, q):
     j = _exact.floor_minus_sqrt(x, q)
     # j <= x - sqrt(q) < j + 1, verified without floats
@@ -119,11 +139,12 @@ def test_ints_in_open_excludes_endpoints():
 def test_ints_in_open_zero_radius_singleton():
     assert tuple(_exact.multiples_in_open(1, Fraction(9), Fraction(0))) == (9,)
     assert tuple(_exact.multiples_in_open(1, Fraction(19, 2), Fraction(0))) == ()
-    assert tuple(_exact.multiples_in_open(1, Fraction(0), Fraction(0))) == ()  # below lo=1
+    assert tuple(_exact.multiples_in_open(1, Fraction(0), Fraction(0))) == ()  # not positive
 
 
 def test_ints_in_open_respects_lo():
-    out = _exact.multiples_in_open(1, Fraction(2), Fraction(16), lo=1)
+    # (-2, 6) around 2: the region keeps the positive multiples only
+    out = _exact.multiples_in_open(1, Fraction(2), Fraction(16))
     assert out[0] == 1 and tuple(out) == (1, 2, 3, 4, 5)
 
 
@@ -167,12 +188,11 @@ def test_multiples_between_matches_enumeration(step, lo, hi, scale):
 
 @given(st.integers(min_value=1, max_value=7),
        st.fractions(min_value=-20, max_value=300, max_denominator=12),
-       st.fractions(min_value=0, max_value=2000, max_denominator=6),
-       st.integers(min_value=1, max_value=9))
-def test_multiples_in_open_matches_enumeration(step, center, radius_sq, lo):
+       st.fractions(min_value=0, max_value=2000, max_denominator=6))
+def test_multiples_in_open_matches_enumeration(step, center, radius_sq):
     want = tuple(v for v in range(step, 400, step)
-                 if v >= lo and (v == center or (v - center) ** 2 < radius_sq))
-    assert tuple(_exact.multiples_in_open(step, center, radius_sq, lo)) == want
+                 if v == center or (v - center) ** 2 < radius_sq)
+    assert tuple(_exact.multiples_in_open(step, center, radius_sq)) == want
 
 
 @given(st.integers(min_value=1, max_value=7),
@@ -197,18 +217,42 @@ def test_multiples_in_open_rejects_bad_pairs():
         _exact.multiples_in_open(1, Fraction(3), (-1, 2))
 
 
+def _check_region(got, step, center, radius_sq):
+    """got is exactly the positive multiples of step strictly within
+    sqrt(radius_sq) of center (or the center itself at radius 0)."""
+
+    def inside(v):
+        return v >= step and (v == center or (v - center) ** 2 < radius_sq)
+
+    if not got:
+        # a region that holds any multiple holds one next to the center
+        k = math.floor(center / step)
+        assert not inside(k * step) and not inside((k + 1) * step)
+        return
+    assert got.step == step and got[0] % step == 0
+    assert inside(got[0]) and not inside(got[0] - step)
+    assert inside(got[-1]) and not inside(got[-1] + step)
+
+
 def test_multiples_in_open_exact_beyond_float_precision():
-    # at 1e20 a double is 16384 apart, so the float estimates of both ends
-    # miss by thousands of steps and the exact walk must find them
-    for frac_part in (Fraction(1, 3), Fraction(2, 3), Fraction(9000)):
-        center = Fraction(10**20) + frac_part
-        radius_sq = Fraction(10**6 + 1, 7) ** 2
-        for step in (1, 7):
-            got = _exact.multiples_in_open(step, center, radius_sq)
+    # at 1e20 a double is 16384 apart and at 2**200 it is 2**148 apart, so
+    # float estimates of either end would miss by many steps
+    for base in (Fraction(10**20), Fraction(2**200)):
+        for frac_part in (Fraction(1, 3), Fraction(2, 3), Fraction(9000)):
+            center = base + frac_part
+            for radius_sq in (Fraction(10**6 + 1, 7) ** 2,
+                              (base / 3 + Fraction(1, 7)) ** 2):
+                for step in (1, 7):
+                    _check_region(
+                        _exact.multiples_in_open(step, center, radius_sq),
+                        step, center, radius_sq)
 
-            def inside(v):
-                return (v - center) ** 2 < radius_sq
 
-            assert got and got[0] % step == 0
-            assert inside(got[0]) and not inside(got[0] - step)
-            assert inside(got[-1]) and not inside(got[-1] + step)
+@given(st.integers(min_value=1, max_value=2**64),
+       _magnitudes, _magnitudes, st.booleans())
+def test_multiples_in_open_definition_at_large_magnitudes(step, center,
+                                                          radius_sq, tie):
+    if tie:  # the upper end lands on a multiple, which stays out
+        radius_sq = (step * (center // step + 2) - center) ** 2
+    _check_region(_exact.multiples_in_open(step, center, radius_sq),
+                  step, center, radius_sq)

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,21 @@ def test_wilson_interval_brackets_the_estimate():
         assert 0.0 <= lo <= errors / trials <= hi <= 1.0
     assert harness.wilson_interval(0, 50, 0.95)[0] == 0.0
     assert harness.wilson_interval(50, 50, 0.95)[1] == 1.0
+
+
+def test_import_leaves_scipy_stats_out():
+    """The package takes its normal quantile from scipy.special; importing
+    all of scipy.stats would cost about half a second and 50 MB at start.
+    A subprocess, since the test run itself may have scipy.stats loaded."""
+    import artifact
+    src = os.path.dirname(os.path.dirname(artifact.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import artifact, artifact.cli; "
+            "print('scipy.stats' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_reports_are_reproducible():

@@ -130,6 +130,22 @@ def test_bounds_reject_nonpositive_mu():
         info.ids_capacity_bounds(0.0, Dmc.bsc(0.2))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+def test_rates_and_variances_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        info.ids_capacity_bounds(bad, Dmc.bsc(0.2))
+    with pytest.raises(ValueError, match="mean repetition rate"):
+        info.gaussian_capacity_per_unit_energy(bad, 1.0)
+    with pytest.raises(ValueError, match="noise variance"):
+        info.gaussian_capacity_per_unit_energy(1.0, bad)
+
+
+def test_infinite_capacity_survives_finite_rates():
+    # a noiseless back end has an infinite value; finite mu keeps it
+    rep = info.ids_capacity_bounds(0.5, Dmc.identity(2))
+    assert rep.upper == rep.lower == math.inf
+
+
 def test_modified_cost_example():
     # c(x) scaled: zero symbol stays free, others get cost/mu
     ch = Dmc.bsc(0.2, cost=(0.0, 9.0))
