@@ -4,10 +4,12 @@ Every scheme sends message m as a silent prefix of prefix_slots[m] slots
 followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
-a Layout; its region table, the geometry flags (contact_diagnostics) and
-the streamed simulator read it.  The two equal-block schemes build theirs,
-drift budget included, with guard_blocks, which refuses more than
-MAX_WINDOWS messages before it builds any per-message tuple.
+a Layout; its region sizes, region table, the geometry flags
+(contact_diagnostics) and the streamed simulator read it.  The two
+equal-block schemes build theirs, drift budget included, with guard_blocks,
+which refuses more than MAX_WINDOWS messages before it builds any
+per-message tuple.  All three schemes certify their layout's spacing with
+one guard record, GuardDiagnostics.
 
 Each scheme's error analysis budgets for two drift events: the output
 length of the prefix, or the width of the burst image, falling outside an
@@ -98,15 +100,21 @@ class Layout:
             raise ValueError(f"message {m} outside 1..{self.M}")
 
     @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Per message: the windows of its region, exact at any size."""
+        return tuple(map(window_count, self.regions))
+
+    @cached_property
     def table(self) -> RegionTable:
         return RegionTable(self)
 
 
 @dataclass(frozen=True)
 class GuardDiagnostics:
-    """The inequalities behind an equal-block layout: its spacing, exactly
-    evaluated, and its window length against the coverage slack.
+    """The inequalities behind a layout: its spacing, exactly evaluated,
+    and its window lengths against the coverage slack.
 
+    For the equal-block schemes (evaluate):
     regions_disjoint:            N*mu >= 3*nu (regions cannot touch)
     wrong_windows_clear:         (N-B)*mu >= 2*nu (windows of earlier regions
                                  cannot reach the burst image)
@@ -117,6 +125,12 @@ class GuardDiagnostics:
                                  window counts as covering the burst, and
                                  full_burst_window_exists certifies
                                  nothing)
+
+    For the compound scheme (codec_compound.schedule_diagnostics),
+    regions_disjoint reads the region table, both wrong-window flags are
+    (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1} for every consecutive
+    pair, whose rate window already spans each burst's spread, and
+    window_exceeds_slack is w_m > N_m / log2 M for every message.
 
     Configs failing these are reported, not rejected; the error guarantees
     simply do not apply to them.
@@ -150,11 +164,18 @@ def guard_block_len(M: int, mu: float, sigma2: float, epsilon: float) -> int:
 
 
 def _milli_sqrt(q: Fraction) -> str:
-    """sqrt(q) to three decimals, rounded half up, from integers alone:
-    f"{math.sqrt(q):.3f}" for a q of any size."""
+    """sqrt(q) rounded half up from integers alone, for a q of any size:
+    as f"{math.sqrt(q):.3f}" below 10**6 and as f"{math.sqrt(q):.3e}"
+    from there."""
+    exp = len(str(_exact.floor_sqrt_frac(q))) - 1  # of sqrt(q) in base 10
+    shift = 3 if exp < 6 else 3 - exp  # decimal places kept, or digits dropped
     # floor(y + 1/2) == floor((floor(2y) + 1) / 2) with 2y = sqrt(4q)
-    n = (_exact.floor_sqrt_frac(4 * 10**6 * q) + 1) // 2
-    return f"{n // 1000}.{n % 1000:03d}"
+    n = (_exact.floor_sqrt_frac(4 * q * Fraction(10) ** (2 * shift)) + 1) // 2
+    if exp < 6:
+        return f"{n // 1000}.{n % 1000:03d}"
+    if n == 10**4:  # 9999.5 rounds up to the next power of ten
+        n, exp = 10**3, exp + 1
+    return f"{n // 1000}.{n % 1000:03d}e+{exp:02d}"
 
 
 def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
@@ -215,7 +236,7 @@ class RegionTable:
 
     def __init__(self, layout: Layout):
         regions = layout.regions
-        sizes = np.array([len(r) for r in regions], dtype=np.int64)
+        sizes = np.array(layout.sizes, dtype=np.int64)
         self.last_end = max((r[-1] + w - 1 for r, w
                              in zip(regions, layout.window_lens) if r),
                             default=0)
@@ -225,8 +246,9 @@ class RegionTable:
         # adds no window and a one-window region no step, so neither puts
         # a value beyond the table's dtype into these arrays
         first, step = np.array(
-            [(r.start, r.step if len(r) > 1 else 0) if r else (0, 0)
-             for r in regions], dtype=dtype).reshape(-1, 2).T
+            [(r.start, r.step if n > 1 else 0) if n else (0, 0)
+             for r, n in zip(regions, layout.sizes)],
+            dtype=dtype).reshape(-1, 2).T
         k = np.arange(self.bounds[-1]) - np.repeat(self.bounds[:-1], sizes)
         self.starts = np.repeat(first, sizes) + np.repeat(step, sizes) * k
         self.lens = np.repeat(np.array(layout.window_lens, dtype=dtype), sizes)

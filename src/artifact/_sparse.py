@@ -13,17 +13,17 @@ windows that fire:
   standard normal per window.  A region's windows are an arithmetic
   progression, so their joint noise sums have a Toeplitz covariance
   (the samples two windows share), and each region's normals are
-  coloured with its Cholesky factor.  harness._make_plan picks this plan
-  whenever the regions are disjoint, none holds more than
-  MAX_FACTOR_WINDOWS windows and every factor exists, unless the sieve
-  serves the layout too.
+  coloured with its Cholesky factor.  plan_for picks this plan whenever
+  the regions are disjoint, none holds more than MAX_FACTOR_WINDOWS
+  windows and every factor exists, unless the sieve serves the layout
+  too.
 * The same layouts, long and quiet (SievePlan): full coloured draws only
   for the sent message's region and the regions the burst image touches;
   every other region reads noise alone, and an exact union sieve draws
   its firing pattern from one uniform, plus, with probability
   n * Q(tau), one proposal of n normals (see SievePlan).  A trial's cost
   then follows the regions and the regions that may fire, not the
-  windows.  harness._make_plan picks it when the layout has at least
+  windows.  plan_for picks it when the layout has at least
   SIEVE_MIN_WINDOWS windows, so that a full draw would fill a block
   alone, and every region has n * Q(tau) < 1, the sieve's own condition:
   the Gaussian scheme from M = 102 at criterion 5's parameters.
@@ -68,8 +68,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import codec_dmc
-from ._layout import _INT64_SAFE, TraceDiagnostics, contact_diagnostics
+from ._layout import (_INT64_SAFE, MAX_WINDOWS, TraceDiagnostics,
+                      contact_diagnostics)
 from .channel import StateDistribution
+from .errors import InvalidConfigError
 from .rng import as_generator
 
 # numpy's multinomial sampler takes an int64 trial count; beyond that we fall
@@ -84,13 +86,14 @@ BLOCK_CELLS = 1 << 14
 # and a cumulative sum a window more for Plan, which is the faster from
 # about 500 windows a region (one core, OpenBLAS)
 MAX_FACTOR_WINDOWS = 256
-# fewest windows for which harness._make_plan picks SievePlan: from here a
+# fewest windows for which plan_for picks SievePlan: from here a
 # full draw fills a block of BLOCK_CELLS alone, so the window plan has no
 # numpy calls to share between trials.  Short layouts share them: criterion
 # 7 (193 windows, 84 trials a block) ran 60-67 us a trial with the window
 # plan and 88-103 us sieved (2 cores).  A constant, not block_size, so that
 # a block split never changes the plan.
 SIEVE_MIN_WINDOWS = BLOCK_CELLS // 2 + 1
+MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
 
 
 def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) -> int:
@@ -252,9 +255,9 @@ class WindowPlan(_GaussPlan):
     and those with the same ratio s / w share one factor; the call raises
     np.linalg.LinAlgError if any block is not positive definite.  Distinct
     window starts make every block positive definite, but a step tiny
-    against the window length can defeat it in floats; harness._make_plan
-    then keeps the segment Plan, as it does for a layout this plan does
-    not serve.
+    against the window length can defeat it in floats; plan_for then
+    keeps the segment Plan, as it does for a layout this plan does not
+    serve.
 
     blocks lists, per region size n, (windows, shape, factor): the table
     indices of those regions' windows, a slice when they are consecutive;
@@ -265,13 +268,6 @@ class WindowPlan(_GaussPlan):
     the block holds, so a block's statistics are bit for bit those of its
     trials one at a time.
     """
-
-    @staticmethod
-    def serves(layout) -> bool:
-        """Whether no two regions share a sample and none holds more than
-        MAX_FACTOR_WINDOWS windows."""
-        return layout.table.disjoint and max(
-            map(len, layout.regions)) <= MAX_FACTOR_WINDOWS
 
     def __init__(self, params):
         super().__init__(params)
@@ -351,16 +347,6 @@ class SievePlan(WindowPlan):
     threshold, in every other window.  Nothing a trial draws or computes
     touches another row, so a block equals its trials one at a time.
     """
-
-    @staticmethod
-    def serves(params) -> bool:
-        """Whether the window plan serves params' layout, it has at least
-        SIEVE_MIN_WINDOWS windows, and every region has n * Q(tau) < 1."""
-        layout = params.layout
-        return (WindowPlan.serves(layout)
-                and layout.table.bounds[-1] >= SIEVE_MIN_WINDOWS
-                and max(map(len, layout.regions))
-                * float(ndtr(-params.threshold)) < 1)
 
     def __init__(self, params):
         super().__init__(params)
@@ -487,6 +473,47 @@ class DmcPlan(_TrialPlan):
         stats = codec_dmc._stats_from_counts(self.letter_counts(draws, images),
                                              *self.llr_tables)
         return stats >= self.threshold
+
+
+def plan_for(params, channel=None) -> _TrialPlan:
+    """The streamed-trial plan of a scheme's params; channel is the DMC
+    back end, read only for codec_dmc params.
+
+    A layout whose regions hold more than MAX_WINDOWS windows or, for the
+    DMC scheme, whose trials would draw more than MAX_LETTERS letters is
+    refused from its region sizes alone, before any window is laid out.
+    For the Gaussian back ends: when no two regions share a sample, none
+    holds more than MAX_FACTOR_WINDOWS windows and every region's
+    covariance factors, the sieve if the layout has at least
+    SIEVE_MIN_WINDOWS windows and every region has n * Q(tau) < 1 (long
+    layouts whose regions rarely fire), else the window plan; otherwise
+    the segment plan.
+    """
+    layout = params.layout
+    sizes = layout.sizes
+    windows = sum(sizes)
+    if windows > MAX_WINDOWS:
+        raise InvalidConfigError(
+            f"the decision regions hold {windows} windows, which exceeds "
+            f"{MAX_WINDOWS}, the most a trial plan holds")
+    if isinstance(params, codec_dmc.DmcSchemeParams):
+        # samples region r's windows cover, counting shared ones once per
+        # region: an upper bound on the letters a trial draws
+        letters = sum(min(n * w, (n - 1) * r.step + w) for r, w, n
+                      in zip(layout.regions, layout.window_lens, sizes) if n)
+        if letters > MAX_LETTERS:
+            raise InvalidConfigError(
+                f"a DMC trial would draw up to {letters} letters, which "
+                f"exceeds {MAX_LETTERS}")
+        return DmcPlan(params, channel)
+    if layout.table.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS:
+        sieve = (windows >= SIEVE_MIN_WINDOWS
+                 and max(sizes) * float(ndtr(-params.threshold)) < 1)
+        try:
+            return (SievePlan if sieve else WindowPlan)(params)
+        except np.linalg.LinAlgError:
+            pass
+    return Plan(params)
 
 
 @dataclass(frozen=True, eq=False)

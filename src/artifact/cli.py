@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict, replace
 
 from . import codec_compound, codec_dmc, codec_gauss, harness, info
-from ._layout import window_count
 from .channel import Dmc, GaussianNoise, back_end_from_dict, state_dist_from_dict
 from .channel import StateDistribution
 from .errors import InvalidConfigError
@@ -73,8 +72,7 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-def _region_sizes(regions) -> dict:
-    sizes = [window_count(r) for r in regions]
+def _region_sizes(sizes) -> dict:
     return {"count": len(sizes), "min": min(sizes), "max": max(sizes),
             "total": sum(sizes)}
 
@@ -114,7 +112,7 @@ def _cmd_params(args) -> int:
                                               args.eta2)
     payload = asdict(replace(params, layout=None))
     del payload["layout"]  # summarized, not dumped
-    payload["region_sizes"] = _region_sizes(params.layout.regions)
+    payload["region_sizes"] = _region_sizes(params.layout.sizes)
     if args.scheme == "compound":
         payload["block_len"] = params.block_len
     else:

@@ -30,42 +30,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _exact
-from ._layout import Drift, Layout
+from ._layout import Drift, GuardDiagnostics, Layout
 from .errors import InvalidConfigError
 
 
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Exactly evaluated no-overlap inequalities for the burst schedule.
-
-    offsets_separate:  (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1} for
-                       every consecutive pair: the fastest possible image of
-                       burst m ends before the slowest possible start of
-                       burst m+1.
-    windows_disjoint:  no two regions share a sample (the region table's
-                       disjoint).
-
-    Both hold by construction of the offset recursion; they are evaluated
-    exactly rather than trusted.
-    """
-
-    offsets_separate: bool
-    windows_disjoint: bool
-
-
 def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
-                         hi_rate: Fraction) -> ScheduleDiagnostics:
-    """The schedule inequalities of a layout with rate window
-    [lo_rate, hi_rate] = [mu1 - delta, mu2 + delta]."""
+                         hi_rate: Fraction) -> GuardDiagnostics:
+    """The guard record of a layout with rate window [lo_rate, hi_rate] =
+    [mu1 - delta, mu2 + delta], evaluated exactly rather than trusted.
+
+    Both wrong-window flags are hi_rate * (N_m + B_m) <= lo_rate * N_{m+1}
+    for every consecutive pair: the fastest possible image of burst m ends
+    before the slowest possible start of burst m+1.  The rate window
+    already spans each burst's spread, so this one inequality keeps the
+    wrong windows on both sides clear; the offset recursion makes it hold.
+    """
     offsets, widths = layout.prefix_slots, layout.burst_slots
-    pairs = range(1, layout.M)
     # hi_rate * x <= lo_rate * y, cleared of the (positive) denominators
     hi = hi_rate.numerator * lo_rate.denominator
     lo = lo_rate.numerator * hi_rate.denominator
-    return ScheduleDiagnostics(
-        offsets_separate=all(hi * (offsets[m - 1] + widths[m - 1])
-                             <= lo * offsets[m] for m in pairs),
-        windows_disjoint=layout.table.disjoint)
+    clear = all(hi * (offsets[m - 1] + widths[m - 1]) <= lo * offsets[m]
+                for m in range(1, layout.M))
+    return GuardDiagnostics(
+        regions_disjoint=layout.table.disjoint, wrong_windows_clear=clear,
+        wrong_windows_clear_jitter=clear,
+        # as contact_diagnostics compares need = w - slack
+        window_exceeds_slack=all(w - slack > 0 for w, slack
+                                 in zip(layout.window_lens, layout.slack)))
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class CompoundSchemeParams:
     widths: tuple[int, ...]  # B_m: burst slot counts
     spacings: tuple[int, ...]  # region grid step per message (index 0 unused)
     window_lens: tuple[int, ...]
-    diagnostics: ScheduleDiagnostics
+    diagnostics: GuardDiagnostics
     layout: Layout = field(repr=False, compare=False)
 
     @property

@@ -10,28 +10,22 @@ timing-state sums were drawn from the rounded Gaussian
 
 Every trial of every scheme is streamed, which is exact in law and never
 builds the codeword or the received stream; the test suite checks it
-against a materialising simulator of its own.  The Gaussian back
-ends draw one normal per window when their regions share no sample and
-are short (_sparse.WindowPlan), and one per segment between window
-breakpoints otherwise (_sparse.Plan).  Layouts the window plan serves
-that also hold at least _sparse.SIEVE_MIN_WINDOWS windows, in regions of
-n windows with n * Q(tau) < 1, get _sparse.SievePlan: a trial draws a and
-g, the normals of the sent message's region and of the regions the burst
-image touches, one uniform a region, and then, for the regions that
-uniform made proposals, their window indices, tail uniforms and keep
-uniforms, and their normals.  Each region fires exactly as under a full
-draw (the proposal density is c(x) phi_C(x) for c(x) firing windows,
-kept with probability 1 / c), so reports keep their law, not their
-numbers, against the window plan.  run_trials splits
-the trials, in order, into blocks of the plan's block_size, draws each
-block's messages and seeds as the block is taken, runs it through
-_sparse.stream_trials (one worker thread per block at a time), and adds
-its counts into the report's tallies; no per-trial outcome is kept, so
-memory does not grow with the trial count.  A trial's time and memory
-grow with the windows its decoder tests, and for the DMC scheme with the
-samples they cover, so configs over MAX_WINDOWS windows, or over
-MAX_LETTERS DMC letters a trial, are rejected before any table is built
-or letter drawn.
+against a materialising simulator of its own.  _sparse.plan_for picks
+the trial plan: for the DMC scheme its letter plan, and for the Gaussian
+back ends one normal per window when their regions share no sample and
+are short (_sparse.WindowPlan), the union sieve when such a layout is
+also long and its regions rarely fire (_sparse.SievePlan, which keeps
+each region's law, not its numbers, against the window plan), and one
+normal per segment between window breakpoints otherwise (_sparse.Plan).
+A trial's time and memory grow with the windows its decoder tests, and
+for the DMC scheme with the samples they cover, so plan_for rejects
+configs over _sparse.MAX_WINDOWS windows, or over _sparse.MAX_LETTERS
+DMC letters a trial, before any table is built or letter drawn.
+run_trials splits the trials, in order, into blocks of the plan's
+block_size, draws each block's messages and seeds as the block is taken,
+runs it through _sparse.stream_trials (one worker thread per block at a
+time), and adds its counts into the report's tallies; no per-trial
+outcome is kept, so memory does not grow with the trial count.
 
 Reproducibility contract: a report is a pure function of its config.  Every
 trial draws from its own seed spawned from base_seed, and its outcome does
@@ -56,13 +50,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
-from ._layout import MAX_WINDOWS, window_count
 from .channel import (Dmc, StateDistribution, is_integer, is_real,
                       state_dist_from_dict, state_dist_to_dict)
 from .errors import InvalidConfigError
 from .rng import as_generator
 
-MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
+# most trials verify_cost_equivalence draws, all at once
+MAX_COST_TRIALS = 1 << 22
 # messages drawn at a time: one call for many short blocks, and memory
 # that does not grow with the trial count
 _MESSAGE_CHUNK = 1 << 12
@@ -242,24 +236,6 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
     return cost
 
 
-def _make_plan(config: ExperimentConfig, params):
-    """The streamed-trial plan of a config's scheme.  For the Gaussian back
-    ends: when the window plan serves the layout and every region's
-    covariance factors, the sieve if it serves the layout too (long
-    layouts whose regions rarely fire), else the window plan; otherwise
-    the segment plan."""
-    if config.scheme == "dmc":
-        return _sparse.DmcPlan(params, config.dmc)
-    if _sparse.WindowPlan.serves(params.layout):
-        plan = (_sparse.SievePlan if _sparse.SievePlan.serves(params)
-                else _sparse.WindowPlan)
-        try:
-            return plan(params)
-        except np.linalg.LinAlgError:
-            pass
-    return _sparse.Plan(params)
-
-
 def _trial_blocks(config: ExperimentConfig, size: int):
     """(messages, trial seeds) of each block of at most size trials, in
     trial order.  Messages are drawn _MESSAGE_CHUNK at a time (rounded
@@ -345,35 +321,12 @@ def _worker_count(config: ExperimentConfig) -> int:
     return n
 
 
-def _check_plan_size(config: ExperimentConfig, layout) -> None:
-    """Reject a config whose trial plan would outgrow MAX_WINDOWS windows or,
-    for the DMC scheme, whose trials would draw more than MAX_LETTERS
-    letters, from the regions' ranges alone, before any window is laid
-    out."""
-    windows = sum(map(window_count, layout.regions))
-    if windows > MAX_WINDOWS:
-        raise InvalidConfigError(
-            f"the decision regions hold {windows} windows, which exceeds "
-            f"{MAX_WINDOWS}, the most a trial plan holds")
-    if config.scheme == "dmc":
-        # samples region r's windows cover, counting shared ones once per
-        # region: an upper bound on the letters a trial draws
-        letters = sum(min(n * w, (n - 1) * r.step + w)
-                      for r, w in zip(layout.regions, layout.window_lens)
-                      if (n := window_count(r)))
-        if letters > MAX_LETTERS:
-            raise InvalidConfigError(
-                f"a DMC trial would draw up to {letters} letters, which "
-                f"exceeds {MAX_LETTERS}")
-
-
 def run_trials(config: ExperimentConfig) -> Report:
     """Run the full experiment described by config.  Deterministic in config."""
     t0 = time.perf_counter()
     params = derive_scheme_params(config)
     cost = codeword_cost(config, params)
-    _check_plan_size(config, params.layout)
-    plan = _make_plan(config, params)
+    plan = _sparse.plan_for(params, config.dmc)
 
     def run(block) -> dict[str, int]:
         messages, seeds = block
@@ -400,9 +353,10 @@ def run_trials(config: ExperimentConfig) -> Report:
         diagnostics={"threshold": params.threshold, "guards": guards, **tallies})
 
 
-_SWEEP_REPORT_COLUMNS = (
-    "valid", "error", "trials", "errors", "error_rate", "error_ci_low",
-    "error_ci_high", "codeword_cost", "rate_per_unit_cost", "wall_time_s")
+# the Report fields of a sweep row, after its valid and error columns
+_SWEEP_REPORT_FIELDS = (
+    "trials", "errors", "error_rate", "error_ci_low", "error_ci_high",
+    "codeword_cost", "rate_per_unit_cost", "wall_time_s")
 
 
 def sweep(grid: dict) -> tuple[list[str], list[dict]]:
@@ -423,7 +377,7 @@ def sweep(grid: dict) -> tuple[list[str], list[dict]]:
             and all(isinstance(v, list) for v in axes.values())):
         raise InvalidConfigError("axes must map config fields to value lists")
     names = list(axes)
-    columns = ["point", *names, *_SWEEP_REPORT_COLUMNS]
+    columns = ["point", *names, "valid", "error", *_SWEEP_REPORT_FIELDS]
     rows: list[dict] = []
     for point, values in enumerate(itertools.product(*axes.values())):
         d = copy.deepcopy(grid["base"])
@@ -435,17 +389,11 @@ def sweep(grid: dict) -> tuple[list[str], list[dict]]:
         try:
             report = run_trials(ExperimentConfig.from_dict(d))
         except (InvalidConfigError, ValueError) as exc:
-            row.update({c: "" for c in _SWEEP_REPORT_COLUMNS})
-            row.update(valid=False, error=str(exc))
+            row.update(valid=False, error=str(exc),
+                       **dict.fromkeys(_SWEEP_REPORT_FIELDS, ""))
         else:
-            row.update(
-                valid=True, error="", trials=report.trials,
-                errors=report.errors, error_rate=report.error_rate,
-                error_ci_low=report.error_ci_low,
-                error_ci_high=report.error_ci_high,
-                codeword_cost=report.codeword_cost,
-                rate_per_unit_cost=report.rate_per_unit_cost,
-                wall_time_s=report.wall_time_s)
+            row.update(valid=True, error="", **{
+                c: getattr(report, c) for c in _SWEEP_REPORT_FIELDS})
         rows.append(row)
     return columns, rows
 
@@ -500,6 +448,10 @@ def verify_cost_equivalence(config: ExperimentConfig, trials: int | None = None,
     n = config.trials if trials is None else int(trials)
     if n < 2:
         raise InvalidConfigError("need at least two trials for a standard error")
+    if n > MAX_COST_TRIALS:
+        raise InvalidConfigError(
+            f"{n} trials exceed {MAX_COST_TRIALS}, the most the cost check "
+            "draws at once")
     rng = as_generator(config.base_seed if seed is None else seed)
     letter_cost = float(config.dmc.cost[params.x_star])
     input_cost = params.B * letter_cost

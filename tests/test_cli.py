@@ -13,6 +13,7 @@ import tempfile
 import unittest
 from unittest import mock
 
+from artifact import harness
 from artifact.cli import main
 
 
@@ -182,7 +183,10 @@ class ParamsTests(CliCase):
         self.assertEqual(payload["offsets"][:3], [0, 16, 160])
         self.assertEqual(payload["widths"][:3], [4, 24, 240])
         self.assertIn("block_len", payload)
-        self.assertTrue(payload["diagnostics"]["offsets_separate"])
+        # the one guard record of every scheme, all four flags set
+        self.assertEqual(payload["diagnostics"], dict.fromkeys(
+            ("regions_disjoint", "wrong_windows_clear",
+             "wrong_windows_clear_jitter", "window_exceeds_slack"), True))
         self.assertNotIn("regions", payload)   # summarized, not dumped
 
     def test_out_of_range_sizes(self):
@@ -216,17 +220,27 @@ class ParamsTests(CliCase):
 
     def test_tiny_epsilon_ends_in_one_error_line(self):
         """At epsilon = 1e-300 the jitter radius beta passes 1e150: the
-        window collapses, and the message is built without floats."""
+        window collapses, and the message is built without floats, its
+        values from 10**6 on in short scientific form.  Smaller values
+        keep three decimals."""
         chan = self.bsc_file(flip=0.1)
-        for scheme, M, extra in (("gauss", "256", []),
-                                 ("dmc", "64", ["--channel", chan])):
-            with self.subTest(scheme=scheme):
+        for scheme, M, epsilon, deletion, extra, values in (
+                ("gauss", "256", "1e-300", "0.1", [],
+                 "B*mu=1.536e+152, beta=7.838e+225"),
+                ("dmc", "64", "1e-300", "0.1", ["--channel", chan],
+                 "B*mu=5.400, beta=1.470e+150"),
+                ("dmc", "64", "0.01", "0.5", ["--channel", chan],
+                 "B*mu=5.500, beta=33.166")):
+            with self.subTest(scheme=scheme, epsilon=epsilon):
                 rc, out, err = run_cli([
                     "params", "--scheme", scheme, "--M", M, "--epsilon",
-                    "1e-300", "--delta", "0.5", "--deletion", "0.1", *extra])
+                    epsilon, "--delta", "0.5", "--deletion", deletion,
+                    *extra])
                 self.assertEqual((rc, out), (1, ""))
                 self.assertRegex(
                     err, r"\Aerror: detection window collapsed[^\n]*\n\Z")
+                self.assertTrue(err.endswith(f"({values})\n"), err)
+                self.assertLessEqual(len(err), 160)
 
     def test_dmc_without_channel_is_invalid(self):
         rc, _, err = run_cli(["params", "--scheme", "dmc", "--M", "8",
@@ -487,6 +501,22 @@ class VerifyCostTests(CliCase):
             "trials": 10, "base_seed": 3, "idc": {"deletion": {"d": 0.2}}})
         rc, _, err = run_cli(["verify-cost", p])
         self.assertEqual(rc, 1)
+
+    def test_trial_count_over_the_cap_is_invalid(self):
+        """verify-cost draws every trial at once, so a count over the cap,
+        from --trials or from the config, ends in one error line before
+        any draw."""
+        over = str(harness.MAX_COST_TRIALS + 1)
+        exp = self.experiment({"deletion": {"d": 0.1}})
+        with open(exp) as fh:
+            own = self.write_json("own.json", dict(json.load(fh),
+                                                   trials=int(over)))
+        for argv in ([exp, "--trials", over], [own]):
+            with self.subTest(argv=argv[1:]):
+                rc, out, err = run_cli(["verify-cost", *argv])
+                self.assertEqual((rc, out), (1, ""))
+                self.assertRegex(
+                    err, rf"\Aerror: {over} trials exceed[^\n]*\n\Z")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ is used for end-to-end decoding.
 """
 
 import unittest
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,8 +61,9 @@ class WideBandScheduleTests(unittest.TestCase):
 
     def test_schedule_diagnostics_clean(self):
         d = self.p.diagnostics
-        self.assertTrue(d.offsets_separate)
-        self.assertTrue(d.windows_disjoint)
+        self.assertTrue(d.wrong_windows_clear)
+        self.assertTrue(d.wrong_windows_clear_jitter)
+        self.assertTrue(d.regions_disjoint)
 
     def test_materialization_cap(self):
         self.assertGreater(self.p.block_len, 10 ** 15)
@@ -182,17 +184,35 @@ class RecursionPropertyTests(unittest.TestCase):
                 offsets.append(3 * (offsets[-1] + widths[-1]) // 2)
         tight = replace(layout, prefix_slots=tuple(offsets),
                         burst_slots=tuple(widths))
-        self.assertTrue(cc.schedule_diagnostics(tight, lo, hi).offsets_separate)
+        d = cc.schedule_diagnostics(tight, lo, hi)
+        self.assertTrue(d.wrong_windows_clear and d.wrong_windows_clear_jitter)
         for m in range(1, layout.M):
             short = list(offsets)
             short[m] -= 1
-            self.assertFalse(cc.schedule_diagnostics(
-                replace(tight, prefix_slots=tuple(short)), lo, hi
-            ).offsets_separate)
-        # windows_disjoint is the region table's: regions sharing a sample
-        self.assertTrue(cc.schedule_diagnostics(tight, lo, hi).windows_disjoint)
+            d = cc.schedule_diagnostics(
+                replace(tight, prefix_slots=tuple(short)), lo, hi)
+            self.assertFalse(d.wrong_windows_clear)
+            self.assertFalse(d.wrong_windows_clear_jitter)
+        # regions_disjoint is the region table's: regions sharing a sample
+        self.assertTrue(cc.schedule_diagnostics(tight, lo, hi).regions_disjoint)
         shared = replace(tight, regions=tight.regions[:1] * tight.M)
-        self.assertFalse(cc.schedule_diagnostics(shared, lo, hi).windows_disjoint)
+        self.assertFalse(cc.schedule_diagnostics(shared, lo, hi).regions_disjoint)
+
+    def test_window_exceeds_slack_per_message(self):
+        """At criterion 7's rates the guard record holds at M = 64; at M = 4
+        message 2's window (w = 1) is no longer than its slack
+        N_2 / log2 M = 2, so every own window counts as covering."""
+        rates = dict(epsilon=0.25, delta=0.1, mu1=0.8, mu2=1.1, sigma2=0.25)
+        d = cc.derive_params(M=64, **rates).diagnostics
+        self.assertEqual(asdict(d), dict.fromkeys(
+            ("regions_disjoint", "wrong_windows_clear",
+             "wrong_windows_clear_jitter", "window_exceeds_slack"), True))
+        p = cc.derive_params(M=4, **rates)
+        self.assertEqual((p.window_lens[1], p.layout.slack[1]), (1, 2.0))
+        self.assertEqual(asdict(p.diagnostics), {
+            "regions_disjoint": True, "wrong_windows_clear": True,
+            "wrong_windows_clear_jitter": True,
+            "window_exceeds_slack": False})
 
     def test_validation(self):
         good = dict(M=8, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25, sigma2=0.25)

@@ -86,7 +86,7 @@ def test_worker_count_does_not_change_results():
         assert one.errors == four.errors
         assert one.diagnostics == four.diagnostics
     cfg = criterion_7()
-    plan = harness._make_plan(cfg, harness.derive_scheme_params(cfg))
+    plan = _sparse.plan_for(harness.derive_scheme_params(cfg))
     assert 1 < plan.block_size < cfg.trials / 2
 
 
@@ -175,7 +175,7 @@ def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
     """The report's error count and budget tallies, recounted trial by
     trial from stream_trials' window verdicts, with the unique-region rule
     applied to the owners of the firing windows."""
-    plan = harness._make_plan(cfg, harness.derive_scheme_params(cfg))
+    plan = _sparse.plan_for(harness.derive_scheme_params(cfg), cfg.dmc)
     bounds = plan.table.bounds
     owner = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
     out = dict.fromkeys(("errors", "drift_free_own_missed",
@@ -200,8 +200,8 @@ def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
 def test_report_tallies_match_a_per_trial_recount():
     sieved = gauss_config(M=256, epsilon=0.2,
                           idc=StateDistribution.deletion(0.1), trials=40)
-    assert type(harness._make_plan(
-        sieved, harness.derive_scheme_params(sieved))) is _sparse.SievePlan
+    assert type(_sparse.plan_for(
+        harness.derive_scheme_params(sieved))) is _sparse.SievePlan
     for cfg in (dmc_config(M=16, delta=2.5, epsilon=0.9, dmc=Dmc.bsc(0.2),
                            idc=StateDistribution.deletion(0.2)),
                 gauss_config(),
@@ -232,7 +232,7 @@ def test_oversized_dmc_config_rejected(monkeypatch):
     cfg = dmc_config(M=1024, idc=StateDistribution.deletion(0.1),
                      dmc=Dmc.bsc(0.2), trials=1)
     windows = sum(map(len, harness.derive_scheme_params(cfg).layout.regions))
-    assert windows > harness.MAX_WINDOWS
+    assert windows > _sparse.MAX_WINDOWS
     with pytest.raises(InvalidConfigError, match="exceeds"):
         harness.run_trials(cfg)
     # a nearly useless burst letter stretches 64 windows over 83M samples,
@@ -255,7 +255,7 @@ def test_oversized_dmc_config_rejected(monkeypatch):
     with pytest.raises(InvalidConfigError, match="5804-letter window"):
         harness.run_trials(wide)
     # the window cap holds for every scheme
-    monkeypatch.setattr(harness, "MAX_WINDOWS", 100)
+    monkeypatch.setattr(_sparse, "MAX_WINDOWS", 100)
     with pytest.raises(InvalidConfigError, match="exceeds"):
         harness.run_trials(gauss_config())
 

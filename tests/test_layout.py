@@ -14,7 +14,8 @@ order and beyond int64 included.
 """
 
 import math
-from dataclasses import astuple
+import sys
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -185,7 +186,15 @@ def test_table_flattens_regions_in_message_order():
 def test_window_count_is_len_at_any_size():
     assert all(window_count(range(a, b, s)) == len(range(a, b, s))
                for a in range(-3, 4) for b in range(-3, 9) for s in (1, 2, 5))
-    assert window_count(range(1, 3 * 2**70 + 2, 3)) == 2**70 + 1
+    huge = range(1, 3 * 2**70 + 2, 3)
+    assert window_count(huge) == 2**70 + 1 > sys.maxsize
+    # Layout.sizes counts each region the same way, past len()'s range too
+    layout = cc.derive_params(M=8, mu1=1.0, mu2=1.0, delta=0.3, epsilon=0.25,
+                              sigma2=0.09).layout
+    assert layout.sizes == tuple(map(len, layout.regions))
+    regions = (range(1, 2), range(5, 5), huge, range(2, 12, 3))
+    assert replace(layout, regions=regions + layout.regions[4:]).sizes \
+        == (1, 0, 2**70 + 1, 4) + layout.sizes[4:]
 
 
 def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window(

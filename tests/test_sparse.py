@@ -235,12 +235,13 @@ def crowded(p, step, slack):
         regions=regions, slack=(slack,) * p.M))
 
 
-def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
+def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     """The window plan serves every Gaussian layout whose regions share no
     sample, hold at most MAX_FACTOR_WINDOWS windows and whose covariance
     blocks factor, and the sieve those of them with at least
     SIEVE_MIN_WINDOWS windows and n * Q(tau) < 1 in every region; the
-    segment plan the rest."""
+    segment plan the rest.  The DMC plan goes by the params' scheme, not
+    by whether a back-end channel is passed."""
     def config(scheme, **kw):
         base = dict(scheme=scheme, epsilon=0.5, delta=0.5, trials=1,
                     base_seed=0, idc=StateDistribution.deletion(0.2))
@@ -266,7 +267,7 @@ def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
             (gauss_256, params_256, sp.SievePlan),
             (gauss_256, often, sp.WindowPlan)):
         assert params.layout.table.disjoint
-        assert type(harness._make_plan(cfg, params)) is plan
+        assert type(sp.plan_for(params, cfg.dmc)) is plan
     assert params_256.layout.table.bounds[-1] >= sp.SIEVE_MIN_WINDOWS \
         > harness.derive_scheme_params(gauss_64).layout.table.bounds[-1]
     assert 96 * ndtr(-often.threshold) >= 1
@@ -275,16 +276,20 @@ def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     overlap = crowded(gauss_params, gauss_params.spacing,
                       gauss_params.M / math.log2(gauss_params.M))
     assert not overlap.layout.table.disjoint
-    assert type(harness._make_plan(gauss, overlap)) is sp.Plan
+    assert type(sp.plan_for(overlap)) is sp.Plan
     dmc = config("dmc", M=8, dmc=Dmc.bsc(0.2))
-    assert type(harness._make_plan(
-        dmc, harness.derive_scheme_params(dmc))) is sp.DmcPlan
+    assert type(sp.plan_for(
+        harness.derive_scheme_params(dmc), dmc.dmc)) is sp.DmcPlan
+    # a Gaussian config carrying an unused back-end channel
+    unused_dmc = config("gauss", M=8, dmc=Dmc.bsc(0.2))
+    assert type(sp.plan_for(harness.derive_scheme_params(unused_dmc),
+                            unused_dmc.dmc)) is sp.WindowPlan
 
     def not_positive_definite(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
-    assert type(harness._make_plan(gauss, gauss_params)) is sp.Plan
+    assert type(sp.plan_for(gauss_params)) is sp.Plan
 
     # regions of 960 windows: no factor is built
     def unused(a):
@@ -296,7 +301,7 @@ def test_make_plan_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     long_params = harness.derive_scheme_params(long)
     assert long_params.layout.table.disjoint
     assert max(map(len, long_params.layout.regions)) == 960
-    assert type(harness._make_plan(long, long_params)) is sp.Plan
+    assert type(sp.plan_for(long_params)) is sp.Plan
 
 
 def test_region_table_disjoint_reads_the_sorted_spans():
