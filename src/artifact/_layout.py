@@ -254,6 +254,8 @@ class RegionTable:
         self.lens = np.repeat(np.array(layout.window_lens, dtype=dtype), sizes)
         self.ends = self.starts + self.lens - 1
         self.occupied = np.flatnonzero(sizes)  # messages with a window
+        # the smallest type that holds a region's firing count
+        self._count_dtype = np.min_scalar_type(int(sizes.max()))
         # for contact: each region with its window length and first table
         # index, and the nonempty ones sorted by first position, with the
         # furthest window end of each prefix of that order
@@ -311,9 +313,9 @@ class RegionTable:
         # reduceat over the occupied regions' first windows only: an empty
         # region would otherwise read the one window at its bound
         counts = np.add.reduceat(fired, self.bounds[self.occupied], axis=1,
-                                 dtype=np.int32)
+                                 dtype=self._count_dtype)
         if self.occupied.size == self.bounds.size - 1:
-            return counts
+            return counts.astype(np.int32)
         out = np.zeros((fired.shape[0], self.bounds.size - 1), dtype=np.int32)
         out[:, self.occupied] = counts
         return out

@@ -34,8 +34,10 @@ windows that fire:
   guards may, whose regions are long (small epsilon, jittery timing), or
   whose factor fails.
 * DMC back end (DmcPlan): one letter per sample some window covers, drawn
-  from the burst row of W inside the image and from the idle row outside,
-  and counted per window.
+  from the burst row of W inside the image and from the idle row outside.
+  Every window is w samples long, so its letter counts are sliding sums
+  of letter indicators over the covered samples, built by doubling in the
+  smallest unsigned type that holds w (uint8 at criterion 6's w = 7).
 
 The Gaussian plans add the burst amplitude times each window's overlap
 with the image.  Samples covered by no window never influence any
@@ -52,11 +54,11 @@ image-contact pass (RegionTable.contact), the windows the burst image
 touches, before the row is drawn; it carries the Gaussian signal, tells
 the sieve which regions to draw in full, and fixes the geometry flags.
 Everything after the draws is one numpy pass over the block: the window
-statistics (cumulative sums along the rows, or one matmul per trial and
-factor, so bit for bit those of each trial alone), the threshold and the
-unique-region rule.  A block holds at most BLOCK_CELLS row cells, so long
-trials run one at a time and short ones share their numpy calls; no
-result depends on how the trials are split into blocks.
+statistics (cumulative or sliding sums along the rows, or one matmul per
+trial and factor, so bit for bit those of each trial alone), the
+threshold and the unique-region rule.  A block holds at most BLOCK_CELLS
+row cells, so long trials run one at a time and short ones share their
+numpy calls; no result depends on how the trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -418,12 +420,15 @@ def _cdf(row: np.ndarray) -> np.ndarray:
 class DmcPlan(_TrialPlan):
     """Trial-independent letter plan of the DMC scheme.
 
-    positions holds, in order, every sample some window covers; window i
-    reads positions[lo[i]:hi[i]], consecutive samples, so hi = lo + its
-    length.  A letter is drawn as Generator.choice draws it: with u
+    positions holds, in order, every sample some window covers.  Every
+    window is window_len samples long, so window i reads the consecutive
+    entries positions[lo[i]:lo[i] + window_len], also where regions
+    overlap.  A letter is drawn as Generator.choice draws it: with u
     uniform on [0, 1), the letter is at most y exactly when u < cdf[y].
-    Zero-probability letters are never drawn, and the window counts are
-    exact integers, so statistics tie with the threshold's bit for bit.
+    Zero-probability letters are never drawn.  A window's letter counts
+    are sliding sums of 0/1 indicators, exact in count_dtype (the
+    smallest unsigned type that holds window_len) and exact again as
+    floats, so statistics tie with the threshold's bit for bit.
     """
 
     def __init__(self, params, channel):
@@ -435,7 +440,8 @@ class DmcPlan(_TrialPlan):
         self.positions = np.flatnonzero(np.cumsum(depth) > 0)
         self.cells = self.positions.size
         self.lo = np.searchsorted(self.positions, table.starts)
-        self.hi = self.lo + table.lens
+        self.window_len = params.window_len
+        self.count_dtype = np.min_scalar_type(self.window_len)
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])
         self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
@@ -444,29 +450,49 @@ class DmcPlan(_TrialPlan):
              contact) -> None:
         rng.random(out=out)
 
+    def window_sums(self, below: np.ndarray) -> np.ndarray:
+        """sums[t, j] = below[t, j:j + window_len].sum(), in count_dtype,
+        for every j at which a run of window_len cells starts.
+
+        Sums over 2**k consecutive cells come by doubling, and one of them
+        is added for each binary digit of window_len: about log2 w +
+        popcount(w) vector adds, each exact in count_dtype.
+        """
+        w = self.window_len
+        n = below.shape[1] - w + 1
+        part = below.view(np.uint8).astype(self.count_dtype, copy=False)
+        # part[:, j] sums cells j .. j + span - 1, and sums[:, j] the
+        # cells j .. j + at - 1
+        span, at, sums = 1, 0, None
+        while True:
+            if w & span:
+                piece = part[:, at:at + n]
+                sums = piece if sums is None else sums + piece
+                at += span
+            if 2 * span > w:
+                return sums
+            part = part[:, :-span] + part[:, span:]
+            span *= 2
+
     def letter_counts(self, u: np.ndarray, images) -> np.ndarray:
         """counts[y, t, i]: how often letter y lands in window i on trial t,
         whose letter uniforms are u[t] and burst image a+1 .. a+g for
-        (a, g) = images[t]."""
+        (a, g) = images[t]; count_dtype."""
         bursts = [np.searchsorted(self.positions, (a + 1, a + g + 1))
                   for a, g in images]
-        n = u.shape[0]
         letters = self.idle_cdf.size
-        counts = np.empty((letters, n, self.lo.size), dtype=np.int32)
+        counts = np.empty((letters, u.shape[0], self.lo.size),
+                          dtype=self.count_dtype)
         below = np.empty(u.shape, dtype=bool)
-        cum = np.zeros((n, self.cells + 1), dtype=np.int32)
         at_most = 0  # per window: letters <= y - 1
         for y in range(letters - 1):
             np.less(u, self.idle_cdf[y], out=below)
             for t, (i0, i1) in enumerate(bursts):
                 np.less(u[t, i0:i1], self.burst_cdf[y], out=below[t, i0:i1])
-            np.cumsum(below.view(np.int8), axis=1, dtype=np.int32,
-                      out=cum[:, 1:])
-            upto = (np.take(cum, self.hi, axis=1)
-                    - np.take(cum, self.lo, axis=1))
-            counts[y] = upto - at_most
+            upto = np.take(self.window_sums(below), self.lo, axis=1)
+            np.subtract(upto, at_most, out=counts[y])
             at_most = upto
-        counts[-1] = self.table.lens - at_most
+        counts[-1] = self.window_len - at_most
         return counts
 
     def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:

@@ -120,6 +120,10 @@ class ExperimentConfig:
                 f"fixed message {selection} outside 1..{self.M}")
         if self.scheme == "dmc" and not isinstance(self.dmc, Dmc):
             raise InvalidConfigError("scheme 'dmc' needs a back-end channel")
+        if self.scheme != "dmc" and self.dmc is not None:
+            raise InvalidConfigError(
+                f"scheme {self.scheme!r} takes no dmc back end; its channel "
+                "is Gaussian noise of variance eta2")
         if self.scheme == "compound" and None in (self.mu1, self.mu2,
                                                   self.sigma2_bound):
             raise InvalidConfigError(

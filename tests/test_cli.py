@@ -394,6 +394,15 @@ class SimulateTests(CliCase):
         self.assert_one_line_error(self.experiment(calibration_trials=3),
                                    "calibration_trials")
 
+    def test_simulate_rejects_a_dmc_back_end_on_gaussian_schemes(self):
+        for scheme, over in (("gauss", {}),
+                             ("compound", {"mu1": 0.8, "mu2": 1.1,
+                                           "sigma2_bound": 0.25})):
+            with self.subTest(scheme=scheme):
+                self.assert_one_line_error(
+                    self.experiment(scheme=scheme, **over),
+                    f"scheme '{scheme}' takes no dmc back end")
+
     def test_simulate_rejects_malformed_dmc_matrix(self):
         self.assert_one_line_error(self.experiment(
             dmc={"w": {"a": 1}, "cost": [0, 1]}), "dmc")

@@ -294,6 +294,8 @@ def test_config_validation():
         dmc_config(trials=0)
     with pytest.raises(InvalidConfigError):
         dmc_config(dmc=None)
+    with pytest.raises(InvalidConfigError, match="takes no dmc back end"):
+        dmc_config(scheme="gauss")   # a back end no trial would read
     with pytest.raises(TypeError):
         gauss_config(simulation="sparse")   # one trial path: no such field
     with pytest.raises(TypeError):

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import chi2, chi2_contingency
 
@@ -150,7 +152,7 @@ def test_dmc_letters_follow_burst_and_idle_rows():
         counts = plan.letter_counts(u, [(a, g)])[:, 0]
         assert (counts.sum(axis=0) == t.lens).all()
         for k, pick in enumerate(picks):
-            totals[k] += counts[:, pick].sum(axis=1)
+            totals[k] += counts[:, pick].sum(axis=1).astype(np.int64)
         stats = cd._stats_from_counts(counts, *plan.llr_tables)
         burst_only = (counts[2] > 0) & (counts[0] == 0)
         assert (stats[counts[0] > 0] == -math.inf).all()
@@ -280,10 +282,8 @@ def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     dmc = config("dmc", M=8, dmc=Dmc.bsc(0.2))
     assert type(sp.plan_for(
         harness.derive_scheme_params(dmc), dmc.dmc)) is sp.DmcPlan
-    # a Gaussian config carrying an unused back-end channel
-    unused_dmc = config("gauss", M=8, dmc=Dmc.bsc(0.2))
-    assert type(sp.plan_for(harness.derive_scheme_params(unused_dmc),
-                            unused_dmc.dmc)) is sp.WindowPlan
+    # Gaussian params with a back-end channel passed all the same
+    assert type(sp.plan_for(gauss_params, Dmc.bsc(0.2))) is sp.WindowPlan
 
     def not_positive_definite(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -326,6 +326,66 @@ def test_region_table_disjoint_reads_the_sorted_spans():
     # a region inside the span of an earlier, longer one
     inner = range(two.start + 1, two.start + 2)
     assert not table(regions[0], inner, two, *regions[3:]).disjoint
+
+
+DMC_8 = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
+                        idc=StateDistribution.deletion(0.1),
+                        channel=Dmc.bsc(0.2), x_star=1)
+
+
+@pytest.mark.parametrize("w", (1, 2, 7, 255, 256))   # count dtype edges
+@pytest.mark.parametrize("overlap", (False, True))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_letter_counts_match_a_per_window_count(w, overlap, data):
+    """DmcPlan.letter_counts against each window's letters counted one by
+    one over positions[lo:lo + w], on random channels of two and three
+    letters, random or overlapping regions, and blocks of up to four
+    trials whose burst images straddle region edges."""
+    draw = data.draw
+    letters = draw(st.sampled_from((2, 3)))
+    weights = np.array(draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=letters, max_size=letters)
+        .filter(any), min_size=2, max_size=2)), dtype=np.float64)
+    channel = Dmc(weights / weights.sum(axis=1, keepdims=True),
+                  np.array([0.0, 1.0]))
+    if overlap:
+        regions = crowded(DMC_8, 1, 0).layout.regions
+    else:   # steps beyond w leave samples no window covers
+        regions = tuple(
+            range(first, first + n * step, step) for first, n, step in draw(
+                st.lists(st.tuples(st.integers(1, 3 * w + 60),
+                                   st.integers(0, 5), st.integers(1, w + 3)),
+                         min_size=8, max_size=8)))
+    p = replace(DMC_8, window_len=w, layout=replace(
+        DMC_8.layout, regions=regions, window_lens=(w,) * 8))
+    plan = sp.DmcPlan(p, channel)
+    t = plan.table
+    assume(t.starts.size)
+    edges = np.concatenate((t.starts, t.ends)).tolist()
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.integers(0, 2 * w + 3))
+        # an image around a window edge, or anywhere
+        at = draw(st.sampled_from(edges) | st.integers(0, t.last_end + 2))
+        images.append((max(at - draw(st.integers(0, g)), 0), g))
+    u = np.random.default_rng(draw(st.integers(0, 2**32))).random(
+        (len(images), plan.cells))
+    counts = plan.letter_counts(u, images)
+    assert counts.dtype == np.min_scalar_type(w)
+    assert counts.shape == (letters, len(images), t.starts.size)
+
+    positions = plan.positions
+    for k, (a, g) in enumerate(images):
+        burst = (positions > a) & (positions <= a + g)
+        # Generator.choice's letter: the first y with u < cdf[y]
+        letter = np.where(
+            burst, np.searchsorted(plan.burst_cdf, u[k], side="right"),
+            np.searchsorted(plan.idle_cdf, u[k], side="right"))
+        for i, (start, lo) in enumerate(zip(t.starts, plan.lo)):
+            assert (positions[lo:lo + w] == np.arange(start, start + w)).all()
+            assert (counts[:, k, i]
+                    == np.bincount(letter[lo:lo + w], minlength=letters)).all()
 
 
 def assert_block_is_its_trials(plan, dist, trials, seed):
