@@ -4,12 +4,12 @@ Every scheme sends message m as a silent prefix of prefix_slots[m] slots
 followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
-a Layout; its region sizes, region table, the geometry flags
-(contact_diagnostics) and the streamed simulator read it.  The two
-equal-block schemes build theirs, drift budget included, with guard_blocks,
-which refuses more than MAX_WINDOWS messages before it builds any
-per-message tuple.  All three schemes certify their layout's spacing with
-one guard record, GuardDiagnostics.
+a Layout; its region sizes, its disjointness, its region table, the
+geometry flags (contact_diagnostics) and the streamed simulator read it.
+The two equal-block schemes build theirs, drift budget included, with
+guard_blocks, which refuses more than MAX_WINDOWS messages before it
+builds any per-message tuple.  All three schemes certify their layout's
+spacing with one guard record, GuardDiagnostics.
 
 Each scheme's error analysis budgets for two drift events: the output
 length of the prefix, or the width of the burst image, falling outside an
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,7 +90,7 @@ class Layout:
     burst_drift: Drift  # test on the burst image width
     window_lens: tuple[int, ...]  # per message: samples per window
     regions: tuple[range, ...]  # per message: window start positions
-    slack: tuple[float, ...]  # per message: samples a covering window may miss
+    slack: tuple[int, ...]  # per message: samples a covering window may miss
 
     @property
     def M(self) -> int:
@@ -105,6 +106,25 @@ class Layout:
         return tuple(map(window_count, self.regions))
 
     @cached_property
+    def spans(self) -> tuple[list[int], list[int], list[int]]:
+        """The nonempty regions sorted by first position: their first
+        window starts, the furthest window end of each prefix of that
+        order, and their message indices (from 0)."""
+        spans = sorted((region[0], region[-1] + w - 1, r) for r, (region, w, n)
+                       in enumerate(zip(self.regions, self.window_lens,
+                                        self.sizes)) if n)
+        return ([first for first, _, _ in spans],
+                list(itertools.accumulate((end for _, end, _ in spans), max)),
+                [r for _, _, r in spans])
+
+    @cached_property
+    def disjoint(self) -> bool:
+        """No two regions' windows share a sample: each region starts past
+        the furthest end of the regions that start before it."""
+        firsts, reach, _ = self.spans
+        return all(first > end for first, end in zip(firsts[1:], reach))
+
+    @cached_property
     def table(self) -> RegionTable:
         return RegionTable(self)
 
@@ -114,23 +134,24 @@ class GuardDiagnostics:
     """The inequalities behind a layout: its spacing, exactly evaluated,
     and its window lengths against the coverage slack.
 
-    For the equal-block schemes (evaluate):
-    regions_disjoint:            N*mu >= 3*nu (regions cannot touch)
+    For every scheme (of):
+    regions_disjoint:            no two regions' windows share a sample
+                                 (Layout.disjoint)
+    window_exceeds_slack:        w_m > slack_m for every message (otherwise
+                                 every own window counts as covering the
+                                 burst, and full_burst_window_exists
+                                 certifies nothing)
+
+    For the equal-block schemes (guard_blocks):
     wrong_windows_clear:         (N-B)*mu >= 2*nu (windows of earlier regions
                                  cannot reach the burst image)
     wrong_windows_clear_jitter:  (N-B)*mu >= 2*nu + beta (same for later
                                  regions, burst spread included)
-    window_exceeds_slack:        w > slack (a window longer than the
-                                 samples it may miss; otherwise every own
-                                 window counts as covering the burst, and
-                                 full_burst_window_exists certifies
-                                 nothing)
 
-    For the compound scheme (codec_compound.schedule_diagnostics),
-    regions_disjoint reads the region table, both wrong-window flags are
-    (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1} for every consecutive
-    pair, whose rate window already spans each burst's spread, and
-    window_exceeds_slack is w_m > N_m / log2 M for every message.
+    For the compound scheme (codec_compound.schedule_diagnostics), both
+    wrong-window flags are (mu2+delta)*(N_m + B_m) <= (mu1-delta)*N_{m+1}
+    for every consecutive pair, whose rate window already spans each
+    burst's spread.
 
     Configs failing these are reported, not rejected; the error guarantees
     simply do not apply to them.
@@ -142,18 +163,12 @@ class GuardDiagnostics:
     window_exceeds_slack: bool
 
     @classmethod
-    def evaluate(cls, N: int, B: int, mu: float, nu_sq: Fraction,
-                 beta_sq: Fraction, window_len: int,
-                 slack: float) -> GuardDiagnostics:
-        nmu = Fraction(N) * _exact.frac(mu)
-        clear = Fraction(N - B) * _exact.frac(mu)
-        return cls(
-            regions_disjoint=_exact.ge_sqrt(nmu, 9 * nu_sq),
-            wrong_windows_clear=_exact.ge_sqrt(clear, 4 * nu_sq),
-            wrong_windows_clear_jitter=_exact.ge_sum_sqrt(clear, 4 * nu_sq,
-                                                          beta_sq),
-            # as contact_diagnostics compares need = w - slack
-            window_exceeds_slack=window_len - slack > 0)
+    def of(cls, layout: Layout, wrong_windows_clear: bool,
+           wrong_windows_clear_jitter: bool) -> GuardDiagnostics:
+        """The record of layout, given the scheme's wrong-window flags."""
+        return cls(layout.disjoint, wrong_windows_clear,
+                   wrong_windows_clear_jitter,
+                   all(map(operator.gt, layout.window_lens, layout.slack)))
 
 
 def guard_block_len(M: int, mu: float, sigma2: float, epsilon: float) -> int:
@@ -179,7 +194,7 @@ def _milli_sqrt(q: Fraction) -> str:
 
 
 def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
-                 epsilon: float, step: int, slack: float
+                 epsilon: float, step: int, slack: int
                  ) -> tuple[Layout, GuardDiagnostics]:
     """Layout of the equal-block schemes (codec_dmc, codec_gauss), with the
     spacing inequalities it meets.
@@ -220,8 +235,10 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
             _exact.multiples_in_open(step, (p * mn + md, md), nu_sq)
             for p in prefix[1:]),
         slack=(slack,) * M)
-    return layout, GuardDiagnostics.evaluate(N, B, mu, nu_sq, beta_sq,
-                                             window_len, slack)
+    clear = (N - B) * mu
+    return layout, GuardDiagnostics.of(
+        layout, _exact.ge_sqrt(clear, 4 * nu_sq),
+        _exact.ge_sum_sqrt(clear, 4 * nu_sq, beta_sq))
 
 
 class RegionTable:
@@ -237,9 +254,8 @@ class RegionTable:
     def __init__(self, layout: Layout):
         regions = layout.regions
         sizes = np.array(layout.sizes, dtype=np.int64)
-        self.last_end = max((r[-1] + w - 1 for r, w
-                             in zip(regions, layout.window_lens) if r),
-                            default=0)
+        self._firsts, self._reach, self._order = layout.spans
+        self.last_end = self._reach[-1] if self._reach else 0
         dtype = np.int64 if self.last_end < _INT64_SAFE else object
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
         # window k of a region starts at first + k * step; an empty region
@@ -256,22 +272,10 @@ class RegionTable:
         self.occupied = np.flatnonzero(sizes)  # messages with a window
         # the smallest type that holds a region's firing count
         self._count_dtype = np.min_scalar_type(int(sizes.max()))
-        # for contact: each region with its window length and first table
-        # index, and the nonempty ones sorted by first position, with the
-        # furthest window end of each prefix of that order
-        self._regions = list(zip(regions, layout.window_lens,
+        # for contact: each region with its window length, window count
+        # and first table index
+        self._regions = list(zip(regions, layout.window_lens, layout.sizes,
                                  self.bounds.tolist()))
-        spans = sorted((region[0], region[-1] + w - 1, r)
-                       for r, (region, w, _) in enumerate(self._regions)
-                       if region)
-        self._firsts = [first for first, _, _ in spans]
-        self._reach = list(itertools.accumulate(
-            (end for _, end, _ in spans), max))
-        self._order = [r for _, _, r in spans]
-        # no two regions share a sample: each region starts past the
-        # furthest end of the regions that start before it
-        self.disjoint = all(first > reach for first, reach
-                            in zip(self._firsts[1:], self._reach))
 
     def contact(self, a: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """The windows that share a sample with the burst image a+1 .. a+g,
@@ -281,9 +285,9 @@ class RegionTable:
         are one run of consecutive indices, found exactly in integers.
         Regions may overlap or come in any order (a layout failing its
         guards is still accepted), so the search goes by the regions' own
-        spans, sorted by first position: it tests every region that starts
-        by the image's end, except a prefix of that order that ends wholly
-        before the image starts.
+        spans (Layout.spans), sorted by first position: it tests every
+        region that starts by the image's end, except a prefix of that
+        order that ends wholly before the image starts.
         """
         none = np.empty(0, dtype=np.int64)
         if g <= 0:
@@ -294,12 +298,12 @@ class RegionTable:
         runs = []
         for r in self._order[bisect.bisect_left(self._reach, lo):
                              bisect.bisect_right(self._firsts, hi)]:
-            region, w, base = self._regions[r]
+            region, w, n, base = self._regions[r]
             first, step = region.start, region.step
             # windows k0..k1: the first that ends at or after lo through
             # the last that starts at or before hi
             k0 = max(-((first + w - 1 - lo) // step), 0)
-            k1 = min((hi - first) // step, len(region) - 1)
+            k1 = min((hi - first) // step, n - 1)
             if k0 <= k1:
                 runs.append((base + k0, base + k1 + 1))
         idx = np.concatenate([np.arange(*run) for run in sorted(runs)]) \
@@ -335,8 +339,9 @@ class TraceDiagnostics:
     layout.  When both are clear, the other flags certify the geometry the
     error analysis relies on: no window of a wrong region overlaps the
     burst image, and some window of the right region overlaps it in all but
-    at most the layout's slack samples (none for the DMC scheme, M / log2 M
-    for the Gaussian one, N_m / log2 M for the compound one).
+    at most the layout's slack samples (none for the DMC scheme, the region
+    spacing floor(M / log2 M) for the Gaussian one and floor(N_m / log2 M)
+    for the compound one).
     """
 
     prefix_drift_out: bool
@@ -357,7 +362,7 @@ def contact_diagnostics(m: int, a: int, g: int, layout: Layout,
     own = overlap[slice(*idx.searchsorted(layout.table.bounds[m - 1:m + 1]))]
     need = layout.window_lens[m - 1] - layout.slack[m - 1]
     # with need <= 0 every own window qualifies, in contact or not
-    full = g > 0 and (len(layout.regions[m - 1]) > 0 if need <= 0
+    full = g > 0 and (layout.sizes[m - 1] > 0 if need <= 0
                       else own.size > 0 and bool(own.max() >= need))
     return TraceDiagnostics(
         prefix_drift_out=layout.prefix_drift.out(a, layout.prefix_slots[m - 1]),

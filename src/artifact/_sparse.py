@@ -279,9 +279,8 @@ class WindowPlan(_GaussPlan):
         # distinct (s, w) in lowest terms (s / w fixes the correlations),
         # and which of them each region has
         sizes: dict[int, tuple[list[int], list[int], dict, list[int]]] = {}
-        for r, (region, w, first) in enumerate(zip(
-                layout.regions, layout.window_lens, bounds)):
-            n = len(region)
+        for r, (region, w, n, first) in enumerate(zip(
+                layout.regions, layout.window_lens, layout.sizes, bounds)):
             if n:
                 s = region.step if n > 1 else 0
                 g = math.gcd(s, w)
@@ -353,12 +352,10 @@ class SievePlan(WindowPlan):
     def __init__(self, params):
         super().__init__(params)
         self.q = float(ndtr(-self.threshold))
-        self.sizes = np.diff(self.table.bounds)
+        self.sizes = np.array(self.layout.sizes)
         self.propose = self.sizes * self.q  # per region: P(proposal)
         if self.propose.max() >= 1:
             raise ValueError("the sieve needs n * Q(tau) < 1 in every region")
-        # per window: its region
-        self.owner = np.repeat(np.arange(self.sizes.size), self.sizes)
         # per region: its factor transposed and its correlation matrix
         # (None for an empty region), views into the window plan's arrays
         self.region_factors = [None] * self.sizes.size
@@ -367,14 +364,16 @@ class SievePlan(WindowPlan):
                 self.region_factors[r] = (factors[key], corr[key])
         # per region: its first window and window count, as Python ints
         self.spans = list(zip(self.table.bounds[:-1].tolist(),
-                              self.sizes.tolist()))
+                              self.layout.sizes))
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
              contact) -> None:
         tau, spans, factors = self.threshold, self.spans, self.region_factors
         idx, overlap = contact
         out.fill(-np.inf)
-        full = sorted({m - 1, *self.owner[idx].tolist()})
+        # the regions r of the contact windows i: bounds[r] <= i < bounds[r+1]
+        touched = self.table.bounds.searchsorted(idx, side="right") - 1
+        full = sorted({m - 1, *touched.tolist()})
         z = rng.standard_normal(int(self.sizes[full].sum()))
         at = 0
         for r in full:
@@ -532,7 +531,7 @@ def plan_for(params, channel=None) -> _TrialPlan:
                 f"a DMC trial would draw up to {letters} letters, which "
                 f"exceeds {MAX_LETTERS}")
         return DmcPlan(params, channel)
-    if layout.table.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS:
+    if layout.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS:
         sieve = (windows >= SIEVE_MIN_WINDOWS
                  and max(sizes) * float(ndtr(-params.threshold)) < 1)
         try:

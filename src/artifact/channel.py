@@ -114,8 +114,8 @@ class Dmc:
         w = np.array(self.w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError("transition matrix must be 2-D and nonempty")
-        if np.any(w < 0) or np.any(w > 1):
-            raise ValueError("transition probabilities outside [0, 1]")
+        if not np.all((w >= 0) & (w <= 1)):  # NaN included
+            raise ValueError("transition probabilities must lie in [0, 1]")
         rows = w.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValueError("transition matrix rows must sum to 1")

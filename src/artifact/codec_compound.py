@@ -51,12 +51,7 @@ def schedule_diagnostics(layout: Layout, lo_rate: Fraction,
     lo = lo_rate.numerator * hi_rate.denominator
     clear = all(hi * (offsets[m - 1] + widths[m - 1]) <= lo * offsets[m]
                 for m in range(1, layout.M))
-    return GuardDiagnostics(
-        regions_disjoint=layout.table.disjoint, wrong_windows_clear=clear,
-        wrong_windows_clear_jitter=clear,
-        # as contact_diagnostics compares need = w - slack
-        window_exceeds_slack=all(w - slack > 0 for w, slack
-                                 in zip(layout.window_lens, layout.slack)))
+    return GuardDiagnostics.of(layout, clear, clear)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class CompoundSchemeParams:
     threshold: float
     offsets: tuple[int, ...]  # N_m: slots before the burst of message m
     widths: tuple[int, ...]  # B_m: burst slot counts
-    spacings: tuple[int, ...]  # region grid step per message (index 0 unused)
+    spacings: tuple[int, ...]  # per message: grid step and slack (0 for m=1)
     window_lens: tuple[int, ...]
     diagnostics: GuardDiagnostics
     layout: Layout = field(repr=False, compare=False)
@@ -145,8 +140,8 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         if sp < 1:
             raise InvalidConfigError(
                 f"region grid for message {m} collapsed below one position")
-        # amplitudes, slack and noise scales take these slot counts as
-        # floats; offsets and widths only grow, so stop at the first too big
+        # amplitudes and noise scales take these slot counts as floats;
+        # offsets and widths only grow, so stop at the first too big
         if max(n_m, b_m) > sys.float_info.max:
             raise InvalidConfigError(
                 f"the burst schedule at M={M} overflows a float; the "
@@ -178,13 +173,12 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
     # the open interval (lo_rate * n, hi_rate * n) as a ball around its middle
     rate_window = Drift((lo_rate + hi_rate) / 2,
                         spread_sq=((hi_rate - lo_rate) / 2) ** 2)
-    log2_m = math.log2(M)
     layout = Layout(
         codeword_len=offsets[-1] + widths[-1], prefix_slots=tuple(offsets),
         burst_slots=tuple(widths),
         prefix_drift=rate_window, burst_drift=rate_window,
         window_lens=tuple(window_lens), regions=tuple(regions),
-        slack=tuple(n / log2_m for n in offsets))
+        slack=tuple(spacings))
 
     log_m = math.log(M)
     x_star = (1.0 + delta) * math.sqrt(eta2) * math.sqrt(
@@ -195,6 +189,6 @@ def derive_params(M: int, epsilon: float, delta: float, mu1: float, mu2: float,
         mu2=float(mu2), sigma2=float(sigma2), eta2=float(eta2),
         x_star=x_star, threshold=threshold,
         offsets=layout.prefix_slots, widths=layout.burst_slots,
-        spacings=tuple(spacings), window_lens=layout.window_lens,
+        spacings=layout.slack, window_lens=layout.window_lens,
         diagnostics=schedule_diagnostics(layout, lo_rate, hi_rate),
         layout=layout)

@@ -55,7 +55,7 @@ class DmcSchemeParams:
 
     @property
     def codeword_len(self) -> int:
-        return self.M * self.N
+        return self.layout.codeword_len
 
 
 def derive_params(M: int, epsilon: float, delta: float,
@@ -73,8 +73,9 @@ def derive_params(M: int, epsilon: float, delta: float,
         raise InvalidConfigError(f"need at least 2 messages, got {M}")
     if not (0.0 < epsilon < 1.0):
         raise InvalidConfigError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not (delta > 0.0):
-        raise InvalidConfigError(f"delta must be positive, got {delta}")
+    if not (0.0 < delta < math.inf):
+        raise InvalidConfigError(
+            f"delta must be positive and finite, got {delta}")
     if not (0 < x_star < channel.num_inputs):
         raise InvalidConfigError(f"burst letter {x_star} is not a nonzero input")
     mu, sigma2 = idc.mu, idc.sigma2

@@ -43,7 +43,7 @@ class GaussSchemeParams:
 
     @property
     def codeword_len(self) -> int:
-        return self.M * self.N
+        return self.layout.codeword_len
 
     @property
     def energy(self) -> float:
@@ -96,7 +96,7 @@ def derive_params(M: int, epsilon: float, delta: float,
     threshold = math.sqrt((2.0 + delta) * log_m)
 
     layout, diagnostics = guard_blocks(M, N, B, mu, sigma2, epsilon,
-                                       step=spacing, slack=M / math.log2(M))
+                                       step=spacing, slack=spacing)
     for m, region in enumerate(layout.regions, start=1):
         if not region:
             raise InvalidConfigError(

@@ -89,7 +89,7 @@ class ExperimentConfig:
     sigma2_bound: float | None = None
     message_selection: str | int = "uniform"  # or "exhaustive", or a fixed message
     confidence: float = 0.95
-    workers: int | None = None  # None: take ARTIFACT_THREADS, default 1
+    workers: int | None = None  # threads, at most the usable CPUs; None: 1
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -316,13 +316,14 @@ def _draw_messages(config: ExperimentConfig, rng, first: int,
 
 
 def _worker_count(config: ExperimentConfig) -> int:
-    if config.workers is not None:
-        n = int(config.workers)
-    else:
-        n = int(os.environ.get("ARTIFACT_THREADS", "1"))
+    """config.workers (None: 1), at most the CPUs this process may run
+    on: a thread without a CPU of its own only adds blocks in flight."""
+    n = 1 if config.workers is None else int(config.workers)
     if n < 1:
         raise InvalidConfigError(f"worker count must be positive, got {n}")
-    return n
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(n, cpus)
 
 
 def run_trials(config: ExperimentConfig) -> Report:

@@ -137,6 +137,14 @@ class CapacityTests(CliCase):
             "gaussian": {"eta2": 1.0}, "idc": idc})])
         self.assertEqual(rc, 0)
 
+    def test_non_finite_transition_probabilities_are_invalid(self):
+        # NaN fails every comparison, so a range check alone lets it pass
+        spec = self.write_json("nan.json", {"dmc": {
+            "w": [[float("nan"), 0.2], [0.2, 0.8]], "cost": [0.0, 1.0]}})
+        rc, out, err = run_cli(["capacity", spec])
+        self.assertEqual((rc, out), (1, ""))
+        self.assertRegex(err, r"\Aerror: transition probabilities[^\n]*\n\Z")
+
     def test_bad_usage_exits_2(self):
         with self.assertRaises(SystemExit) as ctx:
             with contextlib.redirect_stderr(io.StringIO()):
@@ -263,6 +271,26 @@ class ParamsTests(CliCase):
                 self.assertEqual(out, "")
                 self.assertEqual(len(err.strip().splitlines()), 1, err)
                 self.assertIn(word, err)
+
+    def test_infinite_dmc_delta_is_invalid(self):
+        rc, out, err = run_cli(["params", "--scheme", "dmc", "--M", "64",
+                                "--epsilon", "0.25", "--delta", "inf",
+                                "--deletion", "0.1",
+                                "--channel", self.bsc_file()])
+        self.assertEqual((rc, out), (1, ""))
+        self.assertRegex(err, r"\Aerror: delta must be positive and finite"
+                              r"[^\n]*\n\Z")
+
+    def test_regions_disjoint_is_false_where_windows_overlap(self):
+        """At this DMC config neighbouring regions' windows share
+        samples, although N * mu >= 3 * nu holds, as it does for every
+        equal-block layout; the guard reads the windows."""
+        rc, out, _ = run_cli(["params", "--scheme", "dmc", "--M", "8",
+                              "--epsilon", "0.5", "--delta", "0.5",
+                              "--deletion", "0.01",
+                              "--channel", self.bsc_file(0.2)])
+        self.assertEqual(rc, 0)
+        self.assertFalse(json.loads(out)["diagnostics"]["regions_disjoint"])
 
     def test_compound_without_rates_is_invalid(self):
         rc, _, err = run_cli(["params", "--scheme", "compound", "--M", "8",

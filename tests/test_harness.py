@@ -1,6 +1,7 @@
 """Experiment harness: reproducibility, agreement with the materialising
 pipeline, size limits, sweeps, and the input/output cost identity check."""
 
+import concurrent.futures
 import functools
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -100,12 +102,37 @@ def test_block_split_does_not_change_results(monkeypatch):
             == ones.to_dict() | {"wall_time_s": 0}
 
 
-def test_worker_env_var_is_read(monkeypatch):
-    monkeypatch.setenv("ARTIFACT_THREADS", "3")
-    rep = harness.run_trials(gauss_config())
-    monkeypatch.delenv("ARTIFACT_THREADS")
+def test_worker_count_is_clamped_to_the_usable_cpus(monkeypatch):
+    """workers sizes the pool, None means one worker whatever the
+    environment says, and no count asks for more threads than the CPUs
+    this process may run on.  The pool is a stub that runs each block as
+    it is submitted, so the test starts no thread."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setenv("ARTIFACT_THREADS", "3")  # not read
+    threads = threading.active_count()
     base = harness.run_trials(gauss_config())
-    assert rep.errors == base.errors
+    many = harness.run_trials(gauss_config(workers=100_000))
+    assert threading.active_count() == threads
+    assert sizes == [1, len(os.sched_getaffinity(0))]
+    assert many.errors == base.errors
+    assert many.diagnostics == base.diagnostics
 
 
 def test_quiet_dmc_config_mostly_decodes():

@@ -10,7 +10,11 @@ drift event occurs and the layout keeps its promises.
 Two more check the pieces those flags are built from: the integer drift
 test against its Fraction definition, and the image contact of a region
 table against window enumeration on random layouts, overlapping, out of
-order and beyond int64 included.
+order and beyond int64 included.  The guard record's flags are checked
+the same way: regions_disjoint against a sweep over the flat window
+table, window_exceeds_slack against the slack's Fraction definition, and
+the inequality N * mu >= 3 * nu, which the equal-block layouts meet by
+construction, exactly.
 """
 
 import math
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from artifact import _layout
+from artifact import _exact, _layout
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
@@ -69,15 +73,26 @@ def scheme_params(draw):
         assume(False)
 
 
+def fraction_slack(scheme, p, m):
+    """The samples message m's covering window may miss, by definition:
+    none for the DMC scheme, M / log2 M for the Gaussian one and
+    N_m / log2 M for the compound one, with log2 M the float the codecs
+    take, as a Fraction."""
+    log2m = Fraction(math.log2(p.M))
+    if scheme == "compound":
+        return p.offsets[m - 1] / log2m
+    return p.M / log2m if scheme == "gauss" else Fraction(0)
+
+
 def brute_flags(scheme, p, m, a, g):
     """The four flags by definition, window by window."""
+    slack = fraction_slack(scheme, p, m)
     if scheme == "compound":
         lo = Fraction(p.mu1) - Fraction(p.delta)
         hi = Fraction(p.mu2) + Fraction(p.delta)
         n, b, w = p.offsets[m - 1], p.widths[m - 1], p.window_lens
         prefix_out = n > 0 and not (lo * n < a < hi * n)
         burst_out = not (lo * b < g < hi * b)
-        slack = n / math.log2(p.M)
     else:
         mu, eps, s2 = Fraction(p.mu), Fraction(p.epsilon), Fraction(p.sigma2)
         d = a - (m - 1) * p.N * mu
@@ -85,7 +100,6 @@ def brute_flags(scheme, p, m, a, g):
         d = g - p.B * mu
         burst_out = not (d == 0 or d * d < 4 * p.B * s2 / eps)
         w = (p.window_len,) * p.M
-        slack = p.M / math.log2(p.M) if scheme == "gauss" else 0
 
     def overlap(pos, k):
         return min(pos + w[k - 1] - 1, a + g) - max(pos, a + 1) + 1
@@ -123,6 +137,63 @@ def test_diagnostics_match_window_enumeration(sp, data):
            d.full_burst_window_exists)
     assert got == brute_flags(scheme, p, m, a, g)
     assert (d.prefix_output, d.burst_output) == (a, g)
+    assert p.diagnostics.window_exceeds_slack == all(
+        w > fraction_slack(scheme, p, k)
+        for k, w in enumerate(lay.window_lens, start=1))
+
+
+def windows_disjoint(layout):
+    """No two regions' windows share a sample, by the flat window table:
+    each region's windows merged into runs of covered samples, and every
+    run starting past the furthest end of the runs that start before it."""
+    t, runs = layout.table, []
+    for r in range(layout.M):
+        lo, hi = t.bounds[r], t.bounds[r + 1]
+        run = None
+        for start, end in zip(t.starts[lo:hi].tolist(), t.ends[lo:hi].tolist()):
+            if run and start <= run[1] + 1:
+                run[1] = max(run[1], end)
+            else:
+                run = [start, end]
+                runs.append(run)
+    runs.sort()
+    reach = [run[1] for run in runs]
+    return all(run[0] > max(reach[:i]) for i, run in enumerate(runs) if i)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scheme_params())
+def test_regions_disjoint_reads_the_windows(sp):
+    """The guard record of every scheme reads Layout.disjoint, which
+    says whether any two regions' windows share a sample."""
+    _, p, _, _ = sp
+    assert p.diagnostics.regions_disjoint == p.layout.disjoint \
+        == windows_disjoint(p.layout)
+
+
+def test_regions_disjoint_where_the_closed_form_holds_but_windows_overlap():
+    """N * mu >= 3 * nu holds at this DMC config, as at every equal-block
+    layout, yet neighbouring regions' windows share samples."""
+    p = cd.derive_params(M=8, epsilon=0.5, delta=0.5,
+                         idc=StateDistribution.deletion(0.01),
+                         channel=Dmc.bsc(0.2), x_star=1)
+    assert _exact.ge_sqrt(p.N * Fraction(p.mu),
+                          9 * p.layout.prefix_drift.radius_sq)
+    assert not windows_disjoint(p.layout)
+    assert not p.layout.disjoint and not p.diagnostics.regions_disjoint
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(scheme_params())
+def test_equal_block_layouts_meet_the_spacing_inequality(sp):
+    """N * mu >= 3 * nu, exactly: N >= 36 * M * sigma2 / (mu^2 * epsilon)
+    and nu^2 = 4 * M * N * sigma2 / epsilon give (N * mu)^2 >= 9 * nu^2."""
+    scheme, p, _, _ = sp
+    assume(scheme != "compound")
+    assert _exact.ge_sqrt(p.N * Fraction(p.mu),
+                          9 * p.layout.prefix_drift.radius_sq)
 
 
 @settings(max_examples=100, deadline=None,
@@ -281,8 +352,8 @@ def test_integer_drift_test_matches_fraction_definition(case, data):
 
 
 @st.composite
-def region_tables(draw):
-    """A table over a few random regions, each an arithmetic progression
+def random_layouts(draw):
+    """A layout of a few random regions, each an arithmetic progression
     of windows of its own length: overlapping or not, in any order, some
     empty, optionally shifted beyond int64."""
     shift = draw(st.sampled_from((0, 1 << 70)))
@@ -295,20 +366,38 @@ def region_tables(draw):
                              step))
         lens.append(draw(st.integers(1, 15)))
     M = len(regions)
-    table = RegionTable(Layout(
+    layout = Layout(
         codeword_len=250, prefix_slots=(0,) * M, burst_slots=(1,) * M,
         prefix_drift=Drift(Fraction(1)), burst_drift=Drift(Fraction(1)),
-        window_lens=tuple(lens), regions=tuple(regions), slack=(0,) * M))
-    return table, shift
+        window_lens=tuple(lens), regions=tuple(regions), slack=(0,) * M)
+    return layout, shift
 
 
 @settings(max_examples=400, deadline=None)
-@given(region_tables(), st.integers(-5, 260), st.integers(-2, 80))
+@given(random_layouts(), st.integers(-5, 260), st.integers(-2, 80))
 def test_contact_matches_window_enumeration(case, a, g):
-    table, shift = case
+    layout, shift = case
+    table = layout.table
     a += shift
     want = [(i, min(end, a + g) - max(start, a + 1) + 1)
             for i, (start, end) in enumerate(zip(table.starts, table.ends))]
     want = [(i, ov) for i, ov in want if ov > 0 and g > 0]
     idx, overlap = table.contact(a, g)
     assert list(zip(idx.tolist(), overlap.tolist())) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_layouts())
+def test_disjoint_matches_the_window_table(case):
+    """Layout.disjoint goes by each region's span, first start to last
+    end, so it is exact wherever a region's windows cover their span
+    (step <= window length, as window_exceeds_slack implies for the
+    Gaussian schemes); where they leave gaps, another region in a gap
+    makes it say False although no sample is shared."""
+    layout, _ = case
+    covering = all(w >= r.step for r, w, n in zip(
+        layout.regions, layout.window_lens, layout.sizes) if n > 1)
+    if covering:
+        assert layout.disjoint == windows_disjoint(layout)
+    else:
+        assert not layout.disjoint or windows_disjoint(layout)

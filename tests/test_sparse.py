@@ -25,7 +25,6 @@ from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
 from artifact._exact import multiples_in_open
-from artifact._layout import GuardDiagnostics
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.rng import as_generator
 
@@ -222,19 +221,19 @@ ERRATIC = StateDistribution(((0, 0.8), (1, 0.1), (4, 0.1)))
 
 def crowded(p, step, slack):
     """p (a gauss or dmc scheme) laid out with guard blocks a third as long
-    and the same region radius, so its regions_disjoint guard fails."""
+    and the same region radius, so that neighbouring regions' windows
+    share samples."""
     n = p.N // 3
     nu_sq = p.layout.prefix_drift.radius_sq
-    assert not GuardDiagnostics.evaluate(
-        n, p.B, p.mu, nu_sq, p.layout.burst_drift.radius_sq,
-        p.window_len, slack).regions_disjoint
     prefix = range(0, p.M * n, n)
     regions = (range(1, 2),) + tuple(
         multiples_in_open(step, k * Fraction(p.mu) + 1, nu_sq)
         for k in prefix[1:])
-    return replace(p, layout=replace(
-        p.layout, codeword_len=p.M * n, prefix_slots=tuple(prefix),
-        regions=regions, slack=(slack,) * p.M))
+    layout = replace(p.layout, codeword_len=p.M * n,
+                     prefix_slots=tuple(prefix), regions=regions,
+                     slack=(slack,) * p.M)
+    assert not layout.disjoint
+    return replace(p, layout=layout)
 
 
 def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
@@ -268,16 +267,14 @@ def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
             (gauss_64, harness.derive_scheme_params(gauss_64), sp.WindowPlan),
             (gauss_256, params_256, sp.SievePlan),
             (gauss_256, often, sp.WindowPlan)):
-        assert params.layout.table.disjoint
+        assert params.layout.disjoint
         assert type(sp.plan_for(params, cfg.dmc)) is plan
     assert params_256.layout.table.bounds[-1] >= sp.SIEVE_MIN_WINDOWS \
         > harness.derive_scheme_params(gauss_64).layout.table.bounds[-1]
     assert 96 * ndtr(-often.threshold) >= 1
     with pytest.raises(ValueError, match="Q"):
         sp.SievePlan(often)
-    overlap = crowded(gauss_params, gauss_params.spacing,
-                      gauss_params.M / math.log2(gauss_params.M))
-    assert not overlap.layout.table.disjoint
+    overlap = crowded(gauss_params, gauss_params.spacing, gauss_params.spacing)
     assert type(sp.plan_for(overlap)) is sp.Plan
     dmc = config("dmc", M=8, dmc=Dmc.bsc(0.2))
     assert type(sp.plan_for(
@@ -299,33 +296,35 @@ def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     long = config("gauss", M=16, epsilon=0.1,
                   idc=StateDistribution(((0, 0.5), (2, 0.5))))
     long_params = harness.derive_scheme_params(long)
-    assert long_params.layout.table.disjoint
+    assert long_params.layout.disjoint
     assert max(map(len, long_params.layout.regions)) == 960
     assert type(sp.plan_for(long_params)) is sp.Plan
 
 
 def test_region_table_disjoint_reads_the_sorted_spans():
+    """Layout.disjoint, which the guard records, plan_for and the region
+    table's contact search read, goes by the regions' sorted spans."""
     p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
     regions = p.layout.regions
-    assert p.layout.table.disjoint
+    assert p.layout.disjoint
 
-    def table(*regs):
-        return replace(p.layout, regions=regs).table
+    def layout(*regs):
+        return replace(p.layout, regions=regs)
 
     w = p.window_len
     one, two = regions[1], regions[2]
     # two touching regions share no sample; one sample more and they do
     before = range(two.start - w - 3 * one.step, two.start - w + 1, one.step)
-    assert table(regions[0], before, two, *regions[3:]).disjoint
+    assert layout(regions[0], before, two, *regions[3:]).disjoint
     shared = range(before.start + 1, before.stop + 1, one.step)
-    assert not table(regions[0], shared, two, *regions[3:]).disjoint
+    assert not layout(regions[0], shared, two, *regions[3:]).disjoint
     # spans are sorted by first position, whatever the message order
-    assert not table(regions[0], two, shared, *regions[3:]).disjoint
-    assert table(regions[0], two, before, *regions[3:]).disjoint
+    assert not layout(regions[0], two, shared, *regions[3:]).disjoint
+    assert layout(regions[0], two, before, *regions[3:]).disjoint
     # a region inside the span of an earlier, longer one
     inner = range(two.start + 1, two.start + 2)
-    assert not table(regions[0], inner, two, *regions[3:]).disjoint
+    assert not layout(regions[0], inner, two, *regions[3:]).disjoint
 
 
 DMC_8 = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
@@ -416,7 +415,7 @@ def test_block_equals_its_trials_one_at_a_time():
     plans = {
         "gauss": sp.Plan(gauss),
         "gauss, regions overlap": sp.Plan(
-            crowded(gauss, gauss.spacing, gauss.M / math.log2(gauss.M))),
+            crowded(gauss, gauss.spacing, gauss.spacing)),
         "dmc": sp.DmcPlan(dmc, Dmc.bsc(0.2)),
         "dmc, regions overlap": sp.DmcPlan(crowded(dmc, 1, 0), Dmc.bsc(0.2)),
         "compound": sp.Plan(equal_rate_params()),
@@ -614,3 +613,25 @@ def test_sieve_fires_as_the_window_plan():
     for table in tables:
         assert np.min(table) >= 10
         assert chi2_contingency(np.array(table)).pvalue > 0.001
+
+
+def test_sieve_draws_the_regions_the_image_touches_in_full():
+    """An image on the first sample of region r touches only r's first
+    window; the sieve then draws r in full, with the sent message's
+    region, and no other (tau is out of reach, so no region is a
+    proposal and every other window stays at -inf)."""
+    p = replace(cg.derive_params(M=16, epsilon=0.5, delta=0.5,
+                                 idc=StateDistribution.deletion(0.2)),
+                threshold=40.0)
+    plan = sp.SievePlan(p)
+    table = plan.table
+    bounds = table.bounds.tolist()
+    for r in (2, 5, 15):
+        contact = table.contact(int(table.starts[bounds[r]]) - 1, 1)
+        assert contact[0].tolist() == [bounds[r]]
+        row = np.empty(plan.cells)
+        plan.draw(np.random.default_rng(r), row, 1, contact)
+        want = np.zeros(plan.cells, dtype=bool)
+        for lo, hi in ((bounds[0], bounds[1]), (bounds[r], bounds[r + 1])):
+            want[lo:hi] = True
+        assert (np.isfinite(row) == want).all()
