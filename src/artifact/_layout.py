@@ -193,6 +193,11 @@ def _milli_sqrt(q: Fraction) -> str:
     return f"{n // 1000}.{n % 1000:03d}e+{exp:02d}"
 
 
+def _short_int(n: int) -> str:
+    """A count in full below 10**6, from there as _milli_sqrt prints it."""
+    return str(n) if n < 10**6 else _milli_sqrt(Fraction(n) ** 2)
+
+
 def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
                  epsilon: float, step: int, slack: int
                  ) -> tuple[Layout, GuardDiagnostics]:
@@ -214,7 +219,8 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
             "plan holds, and an equal-block layout gives each its region")
     if B > N:
         raise InvalidConfigError(
-            f"burst (B={B}) does not fit in the guard block (N={N})")
+            f"burst (B={_short_int(B)}) does not fit in the guard block "
+            f"(N={_short_int(N)})")
     mu, noise = _exact.frac(mu), _exact.frac(sigma2) / _exact.frac(epsilon)
     beta_sq = (4 * B) * noise
     nu_sq = (4 * M * N) * noise

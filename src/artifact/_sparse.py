@@ -9,37 +9,33 @@ decoder's padding included, is idle.  What a window reads is then
 independent from sample to sample, and a plan turns (a, g) into the
 windows that fire:
 
-* Gaussian back ends whose regions share no sample (WindowPlan): one
-  standard normal per window.  A region's windows are an arithmetic
-  progression, so their joint noise sums have a Toeplitz covariance
-  (the samples two windows share), and each region's normals are
-  coloured with its Cholesky factor.  plan_for picks this plan whenever
-  the regions are disjoint, none holds more than MAX_FACTOR_WINDOWS
-  windows and every factor exists, unless the sieve serves the layout
-  too.
-* The same layouts, long and quiet (SievePlan): full coloured draws only
-  for the sent message's region and the regions the burst image touches;
-  every other region reads noise alone, and an exact union sieve draws
-  its firing pattern from one uniform, plus, with probability
-  n * Q(tau), one proposal of n normals (see SievePlan).  A trial's cost
-  then follows the regions and the regions that may fire, not the
-  windows.  plan_for picks it when the layout has at least
-  SIEVE_MIN_WINDOWS windows, so that a full draw would fill a block
-  alone, and every region has n * Q(tau) < 1, the sieve's own condition:
-  the Gaussian scheme from M = 102 at criterion 5's parameters.
+* Gaussian back ends whose regions share no sample, long and quiet
+  (SievePlan): full draws only for the sent message's region and the
+  regions the burst image touches.  A region's windows are an arithmetic
+  progression, so their joint noise sums have a Toeplitz covariance (the
+  samples two windows share), and its normals are coloured with its
+  Cholesky factor.  Every other region reads noise alone, and an exact
+  union sieve draws its firing pattern from one uniform, plus, with
+  probability n * Q(tau), one proposal of n coloured normals (see
+  SievePlan).  A trial's cost then follows the regions and the regions
+  that may fire, not the windows.  plan_for picks it when no region
+  holds more than MAX_FACTOR_WINDOWS windows, the layout has at least
+  SIEVE_MIN_WINDOWS windows, every region has n * Q(tau) < 1, the
+  sieve's own condition, and every factor exists: the Gaussian scheme
+  from M = 24 (and at M = 22) at criterion 5's parameters.
 * Gaussian back ends, any layout (Plan): joint noise sums over the
   windows, built from independent increments between window breakpoints
   (white noise restricted to disjoint segments is independent).  It is
-  the plan for layouts whose regions overlap, as a layout failing its
-  guards may, whose regions are long (small epsilon, jittery timing), or
-  whose factor fails.
+  the plan for short layouts, for layouts whose regions overlap, as a
+  layout failing its guards may, whose regions are long (small epsilon,
+  jittery timing) or fire often, or whose factor fails.
 * DMC back end (DmcPlan): one letter per sample some window covers, drawn
   from the burst row of W inside the image and from the idle row outside.
   Every window is w samples long, so its letter counts are sliding sums
   of letter indicators over the covered samples, built by doubling in the
   smallest unsigned type that holds w (uint8 at criterion 6's w = 7).
 
-The Gaussian plans add the burst amplitude times each window's overlap
+Both Gaussian plans add the burst amplitude times each window's overlap
 with the image.  Samples covered by no window never influence any
 statistic and are skipped.  The window layout is trial-independent, so it
 is planned once per scheme.  Positions are int64 while they fit; the
@@ -54,11 +50,11 @@ image-contact pass (RegionTable.contact), the windows the burst image
 touches, before the row is drawn; it carries the Gaussian signal, tells
 the sieve which regions to draw in full, and fixes the geometry flags.
 Everything after the draws is one numpy pass over the block: the window
-statistics (cumulative or sliding sums along the rows, or one matmul per
-trial and factor, so bit for bit those of each trial alone), the
-threshold and the unique-region rule.  A block holds at most BLOCK_CELLS
-row cells, so long trials run one at a time and short ones share their
-numpy calls; no result depends on how the trials are split into blocks.
+statistics (cumulative or sliding sums along the rows; the sieve's are
+its draws), the threshold and the unique-region rule.  A block holds at
+most BLOCK_CELLS row cells, so long trials run one at a time and short
+ones share their numpy calls; no result depends on how the trials are
+split into blocks.
 """
 
 from __future__ import annotations
@@ -83,18 +79,18 @@ EXACT_SUM_MAX = 1 << 61
 # most numbers one block of trials draws, so that a block array (128 KiB)
 # stays in a core's cache and a block adds no measurable peak memory
 BLOCK_CELLS = 1 << 14
-# most windows a region may hold for WindowPlan: colouring costs n
-# multiply-adds a window and its factor n * n floats, against one normal
-# and a cumulative sum a window more for Plan, which is the faster from
-# about 500 windows a region (one core, OpenBLAS)
+# most windows a region may hold for SievePlan: each region it draws in
+# full, or as a proposal, costs n * n multiply-adds and its factor n * n
+# floats, against a few operations a window on the segment Plan
 MAX_FACTOR_WINDOWS = 256
-# fewest windows for which plan_for picks SievePlan: from here a
-# full draw fills a block of BLOCK_CELLS alone, so the window plan has no
-# numpy calls to share between trials.  Short layouts share them: criterion
-# 7 (193 windows, 84 trials a block) ran 60-67 us a trial with the window
-# plan and 88-103 us sieved (2 cores).  A constant, not block_size, so that
-# a block split never changes the plan.
-SIEVE_MIN_WINDOWS = BLOCK_CELLS // 2 + 1
+# fewest windows for which plan_for picks SievePlan, where the two plans
+# cross: the segment plan ran faster at 1,071 and 1,215 windows (gauss
+# M = 40, epsilon = 0.5: 61 against 78 us a trial; M = 23, epsilon = 0.2:
+# 86 against 93 us), the sieve at 1,326 and 1,354 (M = 24: 94 against
+# 96 us; M = 48, epsilon = 0.5: 78 against 97 us; one BLAS thread, shared
+# 2-core host).  A constant, not block_size, so that a
+# block split never changes the plan.
+SIEVE_MIN_WINDOWS = 1280
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
 
 
@@ -187,7 +183,8 @@ class Plan(_GaussPlan):
     a window's noise is the sum of the increments it spans, and only
     covered segments get a nonzero scale.  Windows of different regions
     may share samples, as they do in a layout that fails its guards, so
-    this is the plan for such layouts; WindowPlan serves the rest.
+    this is the plan for such layouts; SievePlan serves long and quiet
+    disjoint ones.
     """
 
     def __init__(self, params):
@@ -243,89 +240,25 @@ def window_overlaps(n: int, steps, lens) -> np.ndarray:
     return np.maximum(w - s * d, 0)
 
 
-class WindowPlan(_GaussPlan):
-    """Window plan of a Gaussian-back-end scheme whose regions are disjoint.
+class SievePlan(_GaussPlan):
+    """Gaussian plan of a layout whose regions share no sample: one cell a
+    window, drawn only in the regions the burst image touches and the
+    regions that may fire.
 
-    A trial draws one standard normal per window, in table order.  A
-    region is an arithmetic progression of n windows of w samples, step s,
-    so the noise sums of its windows have covariance
+    A region is an arithmetic progression of n windows of w samples, step
+    s, so the noise sums of its windows have covariance
     eta2 * max(0, w - s * |k - l|), and regions that share no sample are
-    independent.  Each region's normals are coloured with the Cholesky
-    factor L of its correlation matrix (the overlaps over w): its
-    statistics are L z plus the burst's signal over eta * sqrt(w).
-    Regions of one size n share one batched Cholesky call and one matmul,
-    and those with the same ratio s / w share one factor; the call raises
-    np.linalg.LinAlgError if any block is not positive definite.  Distinct
-    window starts make every block positive definite, but a step tiny
-    against the window length can defeat it in floats; plan_for then
-    keeps the segment Plan, as it does for a layout this plan does not
-    serve.
-
-    blocks lists, per region size n, (windows, shape, factor): the table
-    indices of those regions' windows, a slice when they are consecutive;
-    the shape of their draws, (regions, n) under one shared factor or
-    (regions, 1, n) under one factor a region; and the factor or factors
-    transposed, so that one matmul colours the block's rows.  The matmul
-    runs one product a trial, with the same operands however many trials
-    the block holds, so a block's statistics are bit for bit those of its
-    trials one at a time.
-    """
-
-    def __init__(self, params):
-        super().__init__(params)
-        layout, bounds = self.layout, self.table.bounds.tolist()
-        self.cells = bounds[-1]
-        # per window count n: each such region and its first window, the
-        # distinct (s, w) in lowest terms (s / w fixes the correlations),
-        # and which of them each region has
-        sizes: dict[int, tuple[list[int], list[int], dict, list[int]]] = {}
-        for r, (region, w, n, first) in enumerate(zip(
-                layout.regions, layout.window_lens, layout.sizes, bounds)):
-            if n:
-                s = region.step if n > 1 else 0
-                g = math.gcd(s, w)
-                regions, firsts, keys, which = sizes.setdefault(
-                    n, ([], [], {}, []))
-                regions.append(r)
-                firsts.append(first)
-                which.append(keys.setdefault((s // g, w // g), len(keys)))
-        self.blocks = []
-        # per window count: its regions, which (s, w) each has, and the
-        # factors (transposed) and correlation matrices of those
-        self.classes = []
-        for n, (regions, firsts, keys, which) in sizes.items():
-            steps, lens = zip(*keys)
-            corr = window_overlaps(n, steps, lens).astype(np.float64)
-            corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
-            factors = np.linalg.cholesky(corr).transpose(0, 2, 1)
-            self.classes.append((regions, which, factors, corr))
-            idx = (np.array(firsts)[:, None] + np.arange(n)).ravel()
-            if idx[-1] - idx[0] + 1 == idx.size:
-                idx = slice(int(idx[0]), int(idx[-1]) + 1)
-            # one shared factor, or one per region
-            self.blocks.append(
-                (idx, (len(firsts), n), np.ascontiguousarray(factors[0]))
-                if len(keys) == 1 else
-                (idx, (len(firsts), 1, n), factors[which]))
-
-    def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        n = draws.shape[0]
-        stat = np.empty_like(draws)
-        for idx, shape, factor in self.blocks:
-            stat[:, idx] = np.matmul(draws[:, idx].reshape(n, *shape),
-                                     factor).reshape(n, -1)
-        rows, cols, signal = self.signal(ms, contacts)
-        stat[rows, cols] += signal / self.denom[cols]
-        return stat
-
-
-class SievePlan(WindowPlan):
-    """Window plan that draws only the regions the burst image touches and
-    the regions that may fire.
+    independent.  A region drawn in full gets L z, L the Cholesky factor
+    of its correlation matrix C (the overlaps over w), plus the burst's
+    signal over eta * sqrt(w).  Regions of one size n share one batched
+    Cholesky call, and those with the same ratio s / w one factor; the
+    call raises np.linalg.LinAlgError if a matrix is not positive
+    definite.  Distinct window starts make every one positive definite,
+    but a step tiny against the window length can defeat it in floats;
+    plan_for then keeps the segment Plan.
 
     A region the image does not touch reads noise alone: its statistics X
-    are N(0, C), C its correlation matrix (unit diagonal), and each of its
-    n windows fires with probability q = Q(tau).  When n * q < 1 its
+    are N(0, C), and each of its n windows fires with probability q = Q(tau).  When n * q < 1 its
     firing pattern is drawn exactly, mostly without its n normals, by a
     union sieve: the mixture proposal of Owen, Maximov and Chertkov's
     ALOE sampler (Electron. J. Statist. 13, 2019).  One uniform makes the
@@ -351,20 +284,38 @@ class SievePlan(WindowPlan):
 
     def __init__(self, params):
         super().__init__(params)
+        layout = self.layout
         self.q = float(ndtr(-self.threshold))
-        self.sizes = np.array(self.layout.sizes)
+        self.sizes = np.array(layout.sizes)
         self.propose = self.sizes * self.q  # per region: P(proposal)
         if self.propose.max() >= 1:
             raise ValueError("the sieve needs n * Q(tau) < 1 in every region")
+        self.cells = int(self.table.bounds[-1])
+        # per window count n: each such region, the distinct (s, w) in
+        # lowest terms (s / w fixes the correlations), and which of them
+        # each region has
+        classes: dict[int, tuple[list[int], dict, list[int]]] = {}
+        for r, (region, w, n) in enumerate(zip(
+                layout.regions, layout.window_lens, layout.sizes)):
+            if n:
+                s = region.step if n > 1 else 0
+                g = math.gcd(s, w)
+                regions, keys, which = classes.setdefault(n, ([], {}, []))
+                regions.append(r)
+                which.append(keys.setdefault((s // g, w // g), len(keys)))
         # per region: its factor transposed and its correlation matrix
-        # (None for an empty region), views into the window plan's arrays
+        # (None for an empty region)
         self.region_factors = [None] * self.sizes.size
-        for regions, which, factors, corr in self.classes:
+        for n, (regions, keys, which) in classes.items():
+            steps, lens = zip(*keys)
+            corr = window_overlaps(n, steps, lens).astype(np.float64)
+            corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
+            factors = np.linalg.cholesky(corr).transpose(0, 2, 1)
             for r, key in zip(regions, which):
                 self.region_factors[r] = (factors[key], corr[key])
         # per region: its first window and window count, as Python ints
         self.spans = list(zip(self.table.bounds[:-1].tolist(),
-                              self.layout.sizes))
+                              layout.sizes))
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
              contact) -> None:
@@ -507,12 +458,11 @@ def plan_for(params, channel=None) -> _TrialPlan:
     A layout whose regions hold more than MAX_WINDOWS windows or, for the
     DMC scheme, whose trials would draw more than MAX_LETTERS letters is
     refused from its region sizes alone, before any window is laid out.
-    For the Gaussian back ends: when no two regions share a sample, none
-    holds more than MAX_FACTOR_WINDOWS windows and every region's
-    covariance factors, the sieve if the layout has at least
-    SIEVE_MIN_WINDOWS windows and every region has n * Q(tau) < 1 (long
-    layouts whose regions rarely fire), else the window plan; otherwise
-    the segment plan.
+    For the Gaussian back ends: the sieve when no two regions share a
+    sample, none holds more than MAX_FACTOR_WINDOWS windows, the layout
+    has at least SIEVE_MIN_WINDOWS windows, every region has
+    n * Q(tau) < 1 (long layouts whose regions rarely fire) and every
+    region's covariance factors; otherwise the segment plan.
     """
     layout = params.layout
     sizes = layout.sizes
@@ -531,11 +481,11 @@ def plan_for(params, channel=None) -> _TrialPlan:
                 f"a DMC trial would draw up to {letters} letters, which "
                 f"exceeds {MAX_LETTERS}")
         return DmcPlan(params, channel)
-    if layout.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS:
-        sieve = (windows >= SIEVE_MIN_WINDOWS
-                 and max(sizes) * float(ndtr(-params.threshold)) < 1)
+    if (layout.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS
+            and windows >= SIEVE_MIN_WINDOWS
+            and max(sizes) * float(ndtr(-params.threshold)) < 1):
         try:
-            return (SievePlan if sieve else WindowPlan)(params)
+            return SievePlan(params)
         except np.linalg.LinAlgError:
             pass
     return Plan(params)

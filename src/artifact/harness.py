@@ -12,10 +12,9 @@ Every trial of every scheme is streamed, which is exact in law and never
 builds the codeword or the received stream; the test suite checks it
 against a materialising simulator of its own.  _sparse.plan_for picks
 the trial plan: for the DMC scheme its letter plan, and for the Gaussian
-back ends one normal per window when their regions share no sample and
-are short (_sparse.WindowPlan), the union sieve when such a layout is
-also long and its regions rarely fire (_sparse.SievePlan, which keeps
-each region's law, not its numbers, against the window plan), and one
+back ends the union sieve when their regions share no sample and the
+layout is long and its regions rarely fire (_sparse.SievePlan, which
+keeps each region's law, not its numbers, against a full draw), and one
 normal per segment between window breakpoints otherwise (_sparse.Plan).
 A trial's time and memory grow with the windows its decoder tests, and
 for the DMC scheme with the samples they cover, so plan_for rejects

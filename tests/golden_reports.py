@@ -3,19 +3,21 @@
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/golden_reports.py
 
 rewrites tests/golden_reports.json from the code in src/.  The file holds,
-per config, every field of its report but wall_time_s, and the numpy,
-scipy and BLAS builds it was made with.  test_golden_reports recomputes
+per config, every field of its report but wall_time_s, the trial plan
+_sparse.plan_for picked for it (so that a plan switch shows as a diff),
+and the numpy, scipy and BLAS builds it was made with.  test_golden_reports recomputes
 every report in a subprocess with one BLAS thread and compares it exactly,
 so a change that moves any seeded number, tally or guard flag shows up as
 a diff of this file.
 
 The configs cover each trial plan and the report paths around them: the
-Gaussian window plan (criterion 5 at M = 64), the sieve (M = 256) and the
-segment plan (a jittery M = 16 layout); the DMC letter plan (the dmc-m64
-bench config, and delta = 2.5); criterion 7's compound layout, and a
-fixed last message whose positions outgrow int64; exhaustive message
-selection; two workers; a cost-equivalence check; and a DMC layout whose
-neighbouring regions' windows share samples.
+Gaussian sieve (criterion 5 at M = 64 and M = 256) and segment plan (a
+jittery M = 16 layout); the DMC letter plan (the dmc-m64 bench config,
+and delta = 2.5); criterion 7's compound layout on the segment plan, and
+a fixed last message whose positions outgrow int64; exhaustive message
+selection; two workers on a short Gaussian layout; a cost-equivalence
+check; and a DMC layout whose neighbouring regions' windows share
+samples.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _CRITERION_7 = dict(scheme="compound", M=64, epsilon=0.25, delta=0.1,
                     mu1=0.8, mu2=1.1, sigma2_bound=0.25)
 
 REPORTS = {
-    "gauss-window-m64": dict(_CRITERION_5, M=64, trials=200),
+    "gauss-sieve-m64": dict(_CRITERION_5, M=64, trials=200),
     "gauss-sieve-m256": dict(_CRITERION_5, M=256, trials=100),
     "gauss-segment-m16": dict(
         scheme="gauss", M=16, epsilon=0.1, delta=0.5, trials=100,
@@ -74,12 +76,14 @@ def environment() -> dict:
 
 def compute() -> dict:
     """Every golden report, as its JSON form."""
-    from artifact import harness
+    from artifact import _sparse, harness
     reports = {}
     for name, d in REPORTS.items():
-        report = harness.run_trials(harness.ExperimentConfig.from_dict(d))
-        reports[name] = report.to_dict()
+        config = harness.ExperimentConfig.from_dict(d)
+        reports[name] = harness.run_trials(config).to_dict()
         del reports[name]["wall_time_s"]
+        reports[name]["plan"] = type(_sparse.plan_for(
+            harness.derive_scheme_params(config), config.dmc)).__name__
     for name, d in COST_CHECKS.items():
         reports[name] = harness.verify_cost_equivalence(
             harness.ExperimentConfig.from_dict(d)).to_dict()

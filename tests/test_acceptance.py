@@ -9,7 +9,9 @@ than being weakened until it fits.
 import inspect
 import itertools
 import math
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,27 @@ def false_alarms(rep: harness.Report, q: float) -> tuple[bool, str]:
     return abs(total / n - want) <= 3 * se, f"{total / n:.3f} vs {want:.3f}"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_errors(criterion: int) -> tuple[list[str], list[str]]:
+    """The error rates README.md states for criterion 5, 6 or 7, to three
+    decimals: from its row of the error decomposition table, and from its
+    share of the sentence listing the measured error rates."""
+    text = " ".join(README.read_text().split())
+    row = re.search(rf"\| {criterion} \([^|]*\| ([^|]*) \|", text).group(1)
+    rates = re.search(r"The measured error rates \(([^)]*)\)", text).group(1)
+    return (re.findall(r"\d\.\d{3}", row),
+            re.findall(r"\d\.\d{3}", rates.split(";")[criterion - 5]))
+
+
+def matches_readme(criterion: int, rates) -> dict[str, bool]:
+    """The clause that the printed error rates are the README's."""
+    printed = [f"{r:.3f}" for r in rates]
+    table, sentence = readme_errors(criterion)
+    return {"errors as in README": printed == table == sentence}
+
+
 def test_criterion_05_gauss_monte_carlo():
     cfg = gauss_acceptance_config(M=256, trials=500)
     rep = harness.run_trials(cfg)
@@ -176,7 +199,8 @@ def test_criterion_05_gauss_monte_carlo():
              "own-region miss within bound":
                  miss <= miss_bound + 3 * binom_se(miss_bound, calm),
              "false alarms match Q(tau)": fa_ok,
-             "rate identity": rate_ok},
+             "rate identity": rate_ok,
+             **matches_readme(5, [rep.error_rate])},
             f"error {rep.error_rate:.3f}, miss {miss:.3f} vs {miss_bound:.3f}, "
             f"false alarms {fa_text}, rate {rep.rate_per_unit_cost:.6f}")
 
@@ -208,7 +232,8 @@ def test_criterion_06_dmc_monte_carlo():
             {**drift_clauses(rep),
              "per-window miss <= eps/4": miss <= cfg.epsilon / 4,
              "false alarms match idle tail": fa_ok,
-             "window geometry on >=95% of calm trials": cond >= 0.95},
+             "window geometry on >=95% of calm trials": cond >= 0.95,
+             **matches_readme(6, [rep.error_rate])},
             f"error {rep.error_rate:.3f}, miss {miss:.4f}, q {q:.4f}, "
             f"false alarms {fa_text}, geometry {clean}/{drift_free}")
 
@@ -241,7 +266,8 @@ def test_criterion_07_compound_robustness():
     sig = inspect.signature(oracle.decode).parameters
     blind = not ({"mu", "mu1", "mu2", "idc", "dist"} & set(sig))
     verdict(7, "compound codec across rates",
-            {**clauses, "decoder blind to realized rate": blind},
+            {**clauses, "decoder blind to realized rate": blind,
+             **matches_readme(7, measured.values())},
             "errors " + ", ".join(f"{v:.3f}" for v in measured.values())
             + "; false alarms " + ", ".join(alarms))
 

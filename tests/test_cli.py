@@ -281,6 +281,19 @@ class ParamsTests(CliCase):
         self.assertRegex(err, r"\Aerror: delta must be positive and finite"
                               r"[^\n]*\n\Z")
 
+    def test_huge_burst_ends_in_one_short_error_line(self):
+        """At delta = 1e300 the DMC burst outgrows its guard block by
+        hundreds of digits; the message prints B in short scientific
+        form."""
+        rc, out, err = run_cli(["params", "--scheme", "dmc", "--M", "64",
+                                "--epsilon", "0.25", "--delta", "1e300",
+                                "--deletion", "0.1",
+                                "--channel", self.bsc_file()])
+        self.assertEqual((rc, out), (1, ""))
+        self.assertRegex(err, r"\Aerror: burst \(B=5\.556e\+300\) does not "
+                              r"fit[^\n]*\n\Z")
+        self.assertLess(len(err), 200)
+
     def test_regions_disjoint_is_false_where_windows_overlap(self):
         """At this DMC config neighbouring regions' windows share
         samples, although N * mu >= 3 * nu holds, as it does for every

@@ -236,13 +236,14 @@ def crowded(p, step, slack):
     return replace(p, layout=layout)
 
 
-def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
-    """The window plan serves every Gaussian layout whose regions share no
-    sample, hold at most MAX_FACTOR_WINDOWS windows and whose covariance
-    blocks factor, and the sieve those of them with at least
-    SIEVE_MIN_WINDOWS windows and n * Q(tau) < 1 in every region; the
-    segment plan the rest.  The DMC plan goes by the params' scheme, not
-    by whether a back-end channel is passed."""
+def test_plan_for_picks_the_sieve_for_long_quiet_disjoint_layouts(
+        monkeypatch):
+    """The sieve serves every Gaussian layout whose regions share no
+    sample and hold at most MAX_FACTOR_WINDOWS windows, with at least
+    SIEVE_MIN_WINDOWS windows, n * Q(tau) < 1 in every region and
+    covariance matrices that factor; the segment plan the rest.  The DMC
+    plan goes by the params' scheme, not by whether a back-end channel is
+    passed."""
     def config(scheme, **kw):
         base = dict(scheme=scheme, epsilon=0.5, delta=0.5, trials=1,
                     base_seed=0, idc=StateDistribution.deletion(0.2))
@@ -253,44 +254,52 @@ def test_plan_for_picks_the_window_plan_for_disjoint_layouts(monkeypatch):
     criterion_7 = config("compound", M=64, epsilon=0.25, delta=0.1, mu1=0.8,
                          mu2=1.1, sigma2_bound=0.25,
                          idc=StateDistribution.deletion(0.05))
-    # criterion 5's parameters: 4,839 windows at M = 64, 24,481 at 256
-    gauss_64, gauss_256 = (config("gauss", M=m, epsilon=0.2,
-                                  idc=StateDistribution.deletion(0.1))
-                           for m in (64, 256))
+    # criterion 5's parameters: 1,261 windows at M = 21, 1,387 at M = 22,
+    # 4,839 at M = 64 and 24,481 at M = 256
+    gauss_21, gauss_22, gauss_64, gauss_256 = (
+        config("gauss", M=m, epsilon=0.2, idc=StateDistribution.deletion(0.1))
+        for m in (21, 22, 64, 256))
+    params_21, params_22 = map(harness.derive_scheme_params,
+                               (gauss_21, gauss_22))
+    assert sum(params_21.layout.sizes) < sp.SIEVE_MIN_WINDOWS \
+        <= sum(params_22.layout.sizes)
     params_256 = harness.derive_scheme_params(gauss_256)
     # tau = 2 puts n * Q(tau) = 96 * 0.023 above 1 in the 96-window regions
     often = replace(params_256, threshold=2.0)
     for cfg, params, plan in (
-            (gauss, gauss_params, sp.WindowPlan),
-            (criterion_7, harness.derive_scheme_params(criterion_7),
-             sp.WindowPlan),
-            (gauss_64, harness.derive_scheme_params(gauss_64), sp.WindowPlan),
+            (gauss, gauss_params, sp.Plan),
+            (criterion_7, harness.derive_scheme_params(criterion_7), sp.Plan),
+            (gauss_21, params_21, sp.Plan),
+            (gauss_22, params_22, sp.SievePlan),
+            (gauss_64, harness.derive_scheme_params(gauss_64), sp.SievePlan),
             (gauss_256, params_256, sp.SievePlan),
-            (gauss_256, often, sp.WindowPlan)):
+            (gauss_256, often, sp.Plan)):
         assert params.layout.disjoint
         assert type(sp.plan_for(params, cfg.dmc)) is plan
-    assert params_256.layout.table.bounds[-1] >= sp.SIEVE_MIN_WINDOWS \
-        > harness.derive_scheme_params(gauss_64).layout.table.bounds[-1]
     assert 96 * ndtr(-often.threshold) >= 1
     with pytest.raises(ValueError, match="Q"):
         sp.SievePlan(often)
+    # the constant alone moves the switch
+    monkeypatch.setattr(sp, "SIEVE_MIN_WINDOWS", sum(params_21.layout.sizes))
+    assert type(sp.plan_for(params_21)) is sp.SievePlan
+    monkeypatch.undo()
     overlap = crowded(gauss_params, gauss_params.spacing, gauss_params.spacing)
     assert type(sp.plan_for(overlap)) is sp.Plan
     dmc = config("dmc", M=8, dmc=Dmc.bsc(0.2))
     assert type(sp.plan_for(
         harness.derive_scheme_params(dmc), dmc.dmc)) is sp.DmcPlan
     # Gaussian params with a back-end channel passed all the same
-    assert type(sp.plan_for(gauss_params, Dmc.bsc(0.2))) is sp.WindowPlan
+    assert type(sp.plan_for(params_256, Dmc.bsc(0.2))) is sp.SievePlan
 
     def not_positive_definite(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
-    assert type(sp.plan_for(gauss_params)) is sp.Plan
+    assert type(sp.plan_for(params_256)) is sp.Plan
 
     # regions of 960 windows: no factor is built
     def unused(a):
-        raise AssertionError("factored a region too long for the window plan")
+        raise AssertionError("factored a region too long for the sieve")
 
     monkeypatch.setattr(np.linalg, "cholesky", unused)
     long = config("gauss", M=16, epsilon=0.1,
@@ -420,18 +429,9 @@ def test_block_equals_its_trials_one_at_a_time():
         "dmc, regions overlap": sp.DmcPlan(crowded(dmc, 1, 0), Dmc.bsc(0.2)),
         "compound": sp.Plan(equal_rate_params()),
         "compound beyond int64": sp.Plan(big),
-        "gauss, window plan": sp.WindowPlan(gauss),
-        "compound, window plan": sp.WindowPlan(equal_rate_params()),
-        "compound beyond int64, window plan": sp.WindowPlan(big),
         "gauss, sieve": sp.SievePlan(gauss),
     }
     assert plans["compound beyond int64"].table.starts.dtype == object
-    # the window plans' blocks: gathered and sliced windows, shared and
-    # per-region factors
-    blocks = [b for name, plan in plans.items() if "window" in name
-              for b in plan.blocks]
-    assert {isinstance(idx, slice) for idx, _, _ in blocks} == {True, False}
-    assert {factor.ndim for _, _, factor in blocks} == {2, 3}
     for k, (name, plan) in enumerate(plans.items()):
         block = assert_block_is_its_trials(plan, ERRATIC, 64, seed=k)
         diags = block.diagnostics
@@ -446,16 +446,15 @@ def test_block_equals_its_trials_one_at_a_time():
 
 def test_block_size_follows_the_cell_budget():
     for plan in (sp.Plan(equal_rate_params()),
-                 sp.WindowPlan(equal_rate_params())):
+                 sp.SievePlan(equal_rate_params())):
         assert plan.block_size == sp.BLOCK_CELLS // plan.cells > 1
-    # the window plan draws one number a window
-    assert sp.WindowPlan(criterion_7_params()).block_size == 84
+    assert sp.Plan(criterion_7_params()).block_size == 42   # 382 increments
     gauss = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
                              idc=StateDistribution.deletion(0.1))
     assert sp.Plan(gauss).block_size == 1   # 48,961 increments a trial
-    window = sp.WindowPlan(gauss)
-    assert window.cells == window.table.starts.size == 24481
-    assert window.block_size == 1
+    sieve = sp.SievePlan(gauss)   # one cell a window
+    assert sieve.cells == sieve.table.starts.size == 24481
+    assert sieve.block_size == 1
 
 
 def criterion_7_params():
@@ -478,8 +477,11 @@ def exact_correlation(starts, ends):
                                   "gauss 4096", "criterion 7",
                                   "compound beyond int64"])
 def test_window_factors_match_exact_overlaps(name):
-    """L L^T equals the exact overlap matrix over w, to 1e-12 of its unit
-    diagonal, for every region; every window is coloured exactly once."""
+    """L L^T, and the correlation matrix the sieve conditions on, equal
+    the exact overlap matrix over w, to 1e-12 of its unit diagonal, for
+    every region: checked once for each window count and step over window
+    length, which fix the exact matrix of an arithmetic progression of
+    equal windows, and bit for bit the same in the other regions."""
     if name.startswith("gauss"):
         p = cg.derive_params(M=int(name.split()[1]), epsilon=0.2, delta=0.5,
                              idc=StateDistribution.deletion(0.1))
@@ -489,34 +491,31 @@ def test_window_factors_match_exact_overlaps(name):
         p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
                              sigma2=0.25)
         assert p.layout.table.starts.dtype == object
-    plan = sp.WindowPlan(p)
-    table = plan.table
-    served = np.zeros(plan.cells, dtype=np.int64)
-    for idx, shape, factor in plan.blocks:
-        # each region's window table indices, one row a region
-        regions = np.arange(plan.cells)[idx].reshape(shape[0], shape[-1])
-        served[regions] += 1
-        starts = table.starts[regions].astype(object)
-        ends = table.ends[regions].astype(object)
-        if factor.ndim == 2:
-            # a shared factor: every region is a progression whose step
-            # over window length is the first region's, so the first
-            # region's exact matrix stands for all of them
-            lens = ends[:, 0] - starts[:, 0] + 1
-            steps = starts[:, 1:2] - starts[:, :1] if shape[-1] > 1 \
-                else np.zeros((len(lens), 1), dtype=object)
-            assert (np.diff(starts, axis=1) == steps).all()
-            assert (ends - starts + 1 == lens[:, np.newaxis]).all()
-            assert (steps[:, 0] * lens[0] == steps[0, 0] * lens).all()
-            factors = factor.T[np.newaxis]
-            starts, ends = starts[:1], ends[:1]
-        else:
-            factors = factor.transpose(0, 2, 1)
-        for low, s, e in zip(factors, starts, ends):
-            assert (low == np.tril(low)).all()
-            assert np.abs(low @ low.T - exact_correlation(s, e)).max() \
-                <= 1e-12
-    assert (served == 1).all()
+    plan = sp.SievePlan(p)
+    table, bounds = plan.table, plan.table.bounds.tolist()
+    checked = {}
+    for r, factors in enumerate(plan.region_factors):
+        starts = table.starts[bounds[r]:bounds[r + 1]].astype(object)
+        ends = table.ends[bounds[r]:bounds[r + 1]].astype(object)
+        if factors is None:
+            assert starts.size == 0
+            continue
+        factor, corr = factors
+        w = ends[0] - starts[0] + 1
+        step = starts[1] - starts[0] if starts.size > 1 else 0
+        assert (ends - starts + 1 == w).all()
+        assert (np.diff(starts) == step).all()
+        g = math.gcd(step, w)
+        key = (starts.size, step // g, w // g)
+        if key in checked:
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(checked[key], factors))
+            continue
+        checked[key] = factors
+        low, exact = factor.T, exact_correlation(starts, ends)
+        assert (low == np.tril(low)).all()
+        assert np.abs(low @ low.T - exact).max() <= 1e-12
+        assert np.abs(corr - exact).max() <= 1e-12
 
 
 def test_window_overlaps_are_exact_integers():
@@ -550,24 +549,29 @@ def box_m_pvalue(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def test_window_statistics_share_the_segment_covariance():
-    """The window plan's noise-only statistics against the segment plan's
-    on one small layout: 20 windows, twelve heavily overlapping ones of
-    one region and eight of the next; Box's M at alpha = 0.001, fixed
-    before the test was run."""
+    """The sieve's noise-only statistics against the segment plan's on one
+    small layout: the 39 heavily overlapping windows of message 2's
+    region, which the sieve draws in full as the sent message's (no
+    image; tau out of reach, so no other region is drawn).  Box's M at
+    alpha = 0.001, fixed before the test was run."""
     p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
     assert p.window_len == 4 * p.spacing    # neighbours share 3/4
     bounds = p.layout.table.bounds
-    pick = np.r_[bounds[1]:bounds[1] + 12, bounds[2]:bounds[2] + 8]
-    samples = []
-    for plan, seed in ((sp.WindowPlan(p), 41), (sp.Plan(p), 42)):
-        rng = np.random.default_rng(seed)
-        trials = 4000
-        none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        draws = rng.standard_normal((trials, plan.cells))
-        stat = plan.statistics([1] * trials, [none] * trials, draws)
-        samples.append(stat[:, pick])
-    assert box_m_pvalue(*samples) > 0.001
+    own = slice(bounds[1], bounds[2])
+    assert own.stop - own.start == 39
+    trials = 4000
+    none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    sieve = sp.SievePlan(replace(p, threshold=40.0))
+    rng = np.random.default_rng(41)
+    rows = np.empty((trials, sieve.cells))
+    for row in rows:
+        sieve.draw(rng, row, 2, none)
+    assert np.isfinite(rows[:, own]).all()
+    segment = sp.Plan(p)
+    draws = np.random.default_rng(42).standard_normal((trials, segment.cells))
+    stat = segment.statistics([2] * trials, [none] * trials, draws)
+    assert box_m_pvalue(rows[:, own], stat[:, own]) > 0.001
 
 
 def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -578,10 +582,10 @@ def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
                     0)
 
 
-def test_sieve_fires_as_the_window_plan():
-    """The sieve against the full draw, on gauss M = 16 with tau lowered
-    to 2.3, so that a region of 38 or 39 windows is a proposal with
-    probability n * Q(tau) = 0.41-0.42.  Every trial sends message 2 under
+def test_sieve_fires_as_the_segment_plan():
+    """The sieve against the segment plan's full draw, on gauss M = 16
+    with tau lowered to 2.3, so that a region of 38 or 39 windows is a
+    proposal with probability n * Q(tau) = 0.41-0.42.  Every trial sends message 2 under
     constant timing, so only its own region sees the burst.  Three
     chi-square two-sample tests at alpha = 0.001 each, fixed before the
     test was run: over the noise-only regions, their firing windows (0..6,
@@ -596,7 +600,7 @@ def test_sieve_fires_as_the_window_plan():
     bounds = p.layout.table.bounds
     trials, one = 8000, StateDistribution.constant(1)
     tables = [[], [], []]
-    for plan, seed in ((sp.SievePlan(p), 61), (sp.WindowPlan(p), 62)):
+    for plan, seed in ((sp.SievePlan(p), 61), (sp.Plan(p), 62)):
         seeds = np.random.SeedSequence(seed).spawn(trials)
         counts, first, own = [], [], []
         for i in range(0, trials, 500):
