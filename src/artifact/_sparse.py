@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import codec_dmc
 from ._layout import (_INT64_SAFE, MAX_WINDOWS, TraceDiagnostics,
@@ -92,6 +92,13 @@ MAX_FACTOR_WINDOWS = 256
 # block split never changes the plan.
 SIEVE_MIN_WINDOWS = 1280
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
+_NORMAL = NormalDist()  # the standard normal a window's noise is scaled to
+
+
+def _tail(tau: float) -> float:
+    """Q(tau), the chance that one noise-only window reaches tau.  By erfc:
+    _NORMAL.cdf(-tau) is 0.5 * (1 + erf), 0 from tau = 8.3 on."""
+    return 0.5 * math.erfc(tau * math.sqrt(0.5))
 
 
 def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) -> int:
@@ -263,7 +270,7 @@ class SievePlan(_GaussPlan):
     union sieve: the mixture proposal of Owen, Maximov and Chertkov's
     ALOE sampler (Electron. J. Statist. 13, 2019).  One uniform makes the
     region a proposal with probability n * q.  A proposal picks a window k
-    uniformly, draws X_k from the normal tail beyond tau, -ndtri(q * u)
+    uniformly, draws X_k from the normal tail beyond tau, -Phi^-1(q * u)
     with u in (0, 1], and the rest given X_k as Y + C[:, k] (X_k - Y_k)
     with Y = L z.  It keeps X with probability 1 / c, c the number of
     windows at or above tau, and otherwise leaves the region silent.  The
@@ -285,7 +292,7 @@ class SievePlan(_GaussPlan):
     def __init__(self, params):
         super().__init__(params)
         layout = self.layout
-        self.q = float(ndtr(-self.threshold))
+        self.q = _tail(self.threshold)
         self.sizes = np.array(layout.sizes)
         self.propose = self.sizes * self.q  # per region: P(proposal)
         if self.propose.max() >= 1:
@@ -341,8 +348,9 @@ class SievePlan(_GaussPlan):
             return
         sizes = self.sizes[regions]
         ks = rng.integers(sizes).tolist()
-        tails = np.maximum(-ndtri(self.q * (1.0 - rng.random(regions.size))),
-                           tau).tolist()
+        inv_cdf, q = _NORMAL.inv_cdf, self.q
+        tails = [max(-inv_cdf(q * (1.0 - u)), tau)
+                 for u in rng.random(regions.size).tolist()]
         keeps = rng.random(regions.size).tolist()
         z = rng.standard_normal(int(sizes.sum()))
         at = 0
@@ -483,7 +491,7 @@ def plan_for(params, channel=None) -> _TrialPlan:
         return DmcPlan(params, channel)
     if (layout.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS
             and windows >= SIEVE_MIN_WINDOWS
-            and max(sizes) * float(ndtr(-params.threshold)) < 1):
+            and max(sizes) * _tail(params.threshold) < 1):
         try:
             return SievePlan(params)
         except np.linalg.LinAlgError:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _exact
 from ._layout import GuardDiagnostics, Layout, guard_block_len, guard_blocks
@@ -199,7 +198,8 @@ def exact_threshold(channel: Dmc, x_star: int, window_len: int,
     # letters the burst cannot emit always count 0, which adds nothing
     tables = tuple(t[support] for t in _llr_tables(channel, x_star))
     p = row[support]
-    log_fact = gammaln(np.arange(window_len + 1) + 1.0)
+    log_fact = np.fromiter(map(math.lgamma, range(1, window_len + 2)), float,
+                           window_len + 1)
     scale = log_fact[window_len] - window_len * math.log(p.sum())
     # statistics and log pmf a slice of count vectors at a time, so their
     # scratch arrays stay small; both are elementwise, so no bit depends

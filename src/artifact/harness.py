@@ -44,9 +44,9 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _sparse, codec_compound, codec_dmc, codec_gauss
 from .channel import (Dmc, StateDistribution, is_integer, is_real,
@@ -107,8 +107,7 @@ class ExperimentConfig:
             raise InvalidConfigError("base_seed must be nonnegative")
         if not isinstance(self.idc, StateDistribution):
             raise InvalidConfigError("idc must be a StateDistribution")
-        if not (0.0 < self.confidence < 1.0):
-            raise InvalidConfigError("confidence must sit strictly inside (0, 1)")
+        _wilson_z(self.confidence)  # refuses a confidence the CI cannot use
         selection = self.message_selection
         if not (is_integer(selection)
                 or selection in ("uniform", "exhaustive")):
@@ -187,6 +186,16 @@ class Report:
         return d
 
 
+def _wilson_z(confidence: float) -> float:
+    """The normal quantile at 0.5 + confidence/2, for a confidence in (0, 1)
+    whose quantile level does not round to 1."""
+    if not (0.0 < confidence < 1.0 and 0.5 + confidence / 2.0 < 1.0):
+        raise InvalidConfigError(
+            f"confidence must lie in (0, 1) with 0.5 + confidence/2 below 1 "
+            f"in floats, got {confidence!r}")
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def wilson_interval(errors: int, trials: int,
                     confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
@@ -194,7 +203,7 @@ def wilson_interval(errors: int, trials: int,
         raise ValueError("need at least one trial")
     if not (0 <= errors <= trials):
         raise ValueError("error count outside 0..trials")
-    z = float(ndtri(0.5 + confidence / 2.0))
+    z = _wilson_z(confidence)
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

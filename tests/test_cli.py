@@ -9,11 +9,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import unittest
 from unittest import mock
 
-from artifact import harness
+import artifact
+from artifact import _sparse, harness
 from artifact.cli import main
 
 
@@ -430,6 +433,18 @@ class SimulateTests(CliCase):
                           "cost": [0.0, 1.0]}), "multisets")
         enumerate_.assert_not_called()
 
+    def test_simulate_rejects_an_unusable_confidence(self):
+        # refused with the config, before any trial runs; NaN is refused as
+        # not finite, 1 - 2**-53 because 0.5 + c/2 rounds to 1
+        never = mock.patch("artifact.harness.run_trials",
+                           side_effect=AssertionError("ran trials"))
+        for confidence in (-0.2, 0.0, 1.0, 1.5, float("nan"),
+                           0.9999999999999999):
+            with self.subTest(confidence=confidence), never as run:
+                self.assert_one_line_error(
+                    self.experiment(confidence=confidence), "confidence")
+            run.assert_not_called()
+
     def test_simulate_rejects_tiny_calibration_budget(self):
         # the threshold is exact now: calibration_trials is an unknown key
         self.assert_one_line_error(self.experiment(calibration_trials=3),
@@ -567,6 +582,54 @@ class VerifyCostTests(CliCase):
                 self.assertEqual((rc, out), (1, ""))
                 self.assertRegex(
                     err, rf"\Aerror: {over} trials exceed[^\n]*\n\Z")
+
+
+# runs each command line of argv[2] (JSON) through main with scipy unimportable,
+# and prints their exit codes
+_NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+from artifact.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps(codes))
+"""
+
+
+class NoScipyTests(CliCase):
+    def test_every_scheme_runs_without_scipy(self):
+        """The package needs numpy and the standard library only: params
+        and simulate run, on each trial plan, with scipy unimportable."""
+        bsc = {"w": [[0.99, 0.01], [0.01, 0.99]], "cost": [0.0, 1.0]}
+        base = {"epsilon": 0.2, "delta": 0.5, "trials": 3, "base_seed": 1,
+                "idc": {"deletion": {"d": 0.1}}}
+        configs = {
+            "sieve": dict(base, scheme="gauss", M=64),
+            "segment": dict(base, scheme="gauss", M=16),
+            "compound": dict(base, scheme="compound", M=16, delta=0.1,
+                             mu1=0.8, mu2=1.1, sigma2_bound=0.25),
+            "dmc": dict(base, scheme="dmc", M=16, epsilon=0.25,
+                        idc={"constant": {"value": 1}}, dmc=bsc),
+        }
+        plans = {"sieve": _sparse.SievePlan, "segment": _sparse.Plan,
+                 "compound": _sparse.Plan, "dmc": _sparse.DmcPlan}
+        commands = [["params", "--scheme", "dmc", "--M", "64",
+                     "--epsilon", "0.25", "--delta", "0.5",
+                     "--deletion", "0.1", "--channel", self.bsc_file()]]
+        for name, cfg in configs.items():
+            config = harness.ExperimentConfig.from_dict(cfg)
+            plan = _sparse.plan_for(harness.derive_scheme_params(config),
+                                    config.dmc)
+            self.assertIs(type(plan), plans[name])
+            commands.append(["simulate", self.write_json(f"{name}.json", cfg)])
+        src = os.path.dirname(os.path.dirname(artifact.__file__))
+        res = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, src, json.dumps(commands)],
+            capture_output=True, text=True, timeout=300)
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertEqual(json.loads(res.stdout), [0] * len(commands),
+                         res.stderr)
 
 
 if __name__ == "__main__":

@@ -179,6 +179,17 @@ def test_exact_threshold_matches_brute_force(rows, window_len, epsilon):
         == brute_threshold(channel, 1, window_len, epsilon)
 
 
+def test_log_factorials_agree_with_scipy():
+    """exact_threshold's log-factorial table, by math.lgamma, against
+    scipy's gammaln up to w = 5,000 (0! and 1! are exactly 0 in both)."""
+    from scipy.special import gammaln
+    w = 5000
+    ours = np.fromiter(map(math.lgamma, range(1, w + 2)), float, w + 1)
+    ref = gammaln(np.arange(w + 1) + 1.0)
+    assert ours[0] == ours[1] == 0.0
+    np.testing.assert_allclose(ours[2:], ref[2:], rtol=1e-15, atol=0)
+
+
 def test_exact_threshold_keeps_the_miss_budget():
     # A sampled quantile put tau at 12.0 for 32 of 200 seeds here; the exact
     # miss there breaks the epsilon/4 budget, while the exact tau keeps it.

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 from scipy.stats import chi2, chi2_contingency
 
 import oracle
@@ -580,6 +580,24 @@ def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
     hit = fired[:, lo:hi]
     return np.where(hit.any(axis=1), 1 + hit.argmax(axis=1) * 8 // (hi - lo),
                     0)
+
+
+def test_sieve_tails_agree_with_scipy():
+    """Q(tau) and the sieve's proposal tails -Phi^-1(q (1 - u)) from the
+    standard library against scipy's ndtr and ndtri: u from 0 up to
+    1 - 2**-53, q from Q(tau) at criterion 5's M = 256 down to 1e-9."""
+    tau = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
+                           idc=StateDistribution.deletion(0.1)).threshold
+    q_top = sp._tail(tau)
+    assert math.isclose(q_top, ndtr(-tau), rel_tol=1e-14)
+    for t in np.linspace(0.0, 9.0, 91):
+        assert math.isclose(sp._tail(t), ndtr(-t), rel_tol=1e-14)
+    us = np.concatenate([[0.0], np.random.default_rng(3).random(200),
+                         1.0 - 2.0 ** -np.arange(1, 54)])
+    for q in np.geomspace(q_top, 1e-9, 25):
+        ours = [max(-sp._NORMAL.inv_cdf(q * (1.0 - u)), tau) for u in us]
+        ref = np.maximum(-ndtri(q * (1.0 - us)), tau)
+        np.testing.assert_allclose(ours, ref, rtol=1e-14, atol=0)
 
 
 def test_sieve_fires_as_the_segment_plan():
