@@ -16,8 +16,11 @@ jittery M = 16 layout); the DMC letter plan (the dmc-m64 bench config,
 and delta = 2.5); criterion 7's compound layout on the segment plan, and
 a fixed last message whose positions outgrow int64; exhaustive message
 selection; two workers on a short Gaussian layout; a cost-equivalence
-check; and a DMC layout whose neighbouring regions' windows share
-samples.
+check; a DMC layout whose neighbouring regions' windows share
+samples; and one DMC channel for each way a window verdict is reached: a
+three-letter channel (the float statistic against the threshold), a
+flipped BSC (binary, firing on the largest counts of letter 0) and a
+Z-type channel whose burst never emits letter 0 (binary, -inf on any 0).
 """
 
 from __future__ import annotations
@@ -60,6 +63,15 @@ REPORTS = {
     "dmc-overlap-m8": dict(
         scheme="dmc", M=8, epsilon=0.5, delta=0.5, trials=200, base_seed=8,
         idc={"deletion": {"d": 0.01}}, dmc=_BSC_02),
+    "dmc-three-letters": dict(
+        _CRITERION_6, delta=2.5, trials=100, base_seed=19,
+        dmc={"w": [[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]], "cost": [0.0, 1.0]}),
+    "dmc-flipped-bsc": dict(
+        _CRITERION_6, delta=2.5, trials=100, base_seed=23,
+        dmc={"w": [[0.2, 0.8], [0.8, 0.2]], "cost": [0.0, 1.0]}),
+    "dmc-z-channel": dict(
+        _CRITERION_6, delta=2.5, trials=200, base_seed=29,
+        dmc={"w": [[0.5, 0.5], [0.0, 1.0]], "cost": [0.0, 1.0]}),
 }
 COST_CHECKS = {
     "cost-deletion-0.5": dict(_CRITERION_6, idc={"deletion": {"d": 0.5}},
