@@ -33,7 +33,11 @@ windows that fire:
   from the burst row of W inside the image and from the idle row outside.
   Every window is w samples long, so its letter counts are sliding sums
   of letter indicators over the covered samples, built by doubling in the
-  smallest unsigned type that holds w (uint8 at criterion 6's w = 7).
+  smallest unsigned type that holds w (uint8 at criterion 6's w = 7).  On
+  two output letters a window's verdict follows from its count of letter
+  0 alone: it fires when the count lies in an interval the plan works out
+  once from the statistic, so the trials count one letter and compute no
+  statistic.
 
 Both Gaussian plans add the burst amplitude times each window's overlap
 with the image.  Samples covered by no window never influence any
@@ -51,7 +55,8 @@ touches, before the row is drawn; it carries the Gaussian signal, tells
 the sieve which regions to draw in full, and fixes the geometry flags.
 Everything after the draws is one numpy pass over the block: the window
 statistics (cumulative or sliding sums along the rows; the sieve's are
-its draws), the threshold and the unique-region rule.  A block holds at
+its draws; a binary DMC window's count of letter 0), the threshold (or
+the interval of counts that fire) and the unique-region rule.  A block holds at
 most BLOCK_CELLS row cells, so long trials run one at a time and short
 ones share their numpy calls; no result depends on how the trials are
 split into blocks.
@@ -387,6 +392,16 @@ class DmcPlan(_TrialPlan):
     are sliding sums of 0/1 indicators, exact in count_dtype (the
     smallest unsigned type that holds window_len) and exact again as
     floats, so statistics tie with the threshold's bit for bit.
+
+    On a channel of two output letters a window's statistic is a function
+    of its count c of letter 0 alone, monotone in c (the two letters'
+    LLRs have opposite signs), so the counts that fire form one interval.
+    The plan works it out once, as firing_counts = (lo, hi) in
+    count_dtype, from the statistics of the w + 1 count vectors
+    (c, w - c) against the threshold, and a trial's window fires exactly
+    when lo <= c <= hi: the verdicts of the statistic, with no float per
+    window.  On three or more letters firing_counts is None and every
+    window's statistic is compared with the threshold.
     """
 
     def __init__(self, params, channel):
@@ -403,6 +418,26 @@ class DmcPlan(_TrialPlan):
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])
         self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
+        self.firing_counts = (self._firing_interval()
+                              if channel.num_outputs == 2 else None)
+
+    def _firing_interval(self):
+        """(lo, hi) in count_dtype: a window of a two-letter channel fires
+        exactly when its count c of letter 0 has lo <= c <= hi; lo > hi
+        when no count fires."""
+        w, dtype = self.window_len, self.count_dtype
+        c = np.arange(w + 1).astype(dtype)
+        stats = codec_dmc._stats_from_counts(np.stack((c, w - c)),
+                                             *self.llr_tables)
+        fires = np.flatnonzero(stats >= self.threshold)
+        if not fires.size:
+            return dtype.type(1), dtype.type(0)
+        lo, hi = int(fires[0]), int(fires[-1])
+        if hi - lo + 1 != fires.size:
+            raise RuntimeError(
+                f"the counts of letter 0 that fire, {fires.tolist()}, are "
+                f"not one interval")
+        return dtype.type(lo), dtype.type(hi)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
              contact) -> None:
@@ -432,31 +467,39 @@ class DmcPlan(_TrialPlan):
             part = part[:, :-span] + part[:, span:]
             span *= 2
 
+    def counts_at_most(self, u: np.ndarray, images, y: int) -> np.ndarray:
+        """How many letters at most y land in each window, trials x
+        windows in count_dtype, for trials whose letter uniforms are u[t]
+        and burst image a+1 .. a+g for (a, g) = images[t]."""
+        below = np.less(u, self.idle_cdf[y])
+        for t, (a, g) in enumerate(images):
+            i0, i1 = np.searchsorted(self.positions, (a + 1, a + g + 1))
+            np.less(u[t, i0:i1], self.burst_cdf[y], out=below[t, i0:i1])
+        return np.take(self.window_sums(below), self.lo, axis=1)
+
     def letter_counts(self, u: np.ndarray, images) -> np.ndarray:
         """counts[y, t, i]: how often letter y lands in window i on trial t,
         whose letter uniforms are u[t] and burst image a+1 .. a+g for
         (a, g) = images[t]; count_dtype."""
-        bursts = [np.searchsorted(self.positions, (a + 1, a + g + 1))
-                  for a, g in images]
         letters = self.idle_cdf.size
         counts = np.empty((letters, u.shape[0], self.lo.size),
                           dtype=self.count_dtype)
-        below = np.empty(u.shape, dtype=bool)
         at_most = 0  # per window: letters <= y - 1
         for y in range(letters - 1):
-            np.less(u, self.idle_cdf[y], out=below)
-            for t, (i0, i1) in enumerate(bursts):
-                np.less(u[t, i0:i1], self.burst_cdf[y], out=below[t, i0:i1])
-            upto = np.take(self.window_sums(below), self.lo, axis=1)
+            upto = self.counts_at_most(u, images, y)
             np.subtract(upto, at_most, out=counts[y])
             at_most = upto
         counts[-1] = self.window_len - at_most
         return counts
 
     def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:
-        stats = codec_dmc._stats_from_counts(self.letter_counts(draws, images),
-                                             *self.llr_tables)
-        return stats >= self.threshold
+        if self.firing_counts is None:
+            stats = codec_dmc._stats_from_counts(
+                self.letter_counts(draws, images), *self.llr_tables)
+            return stats >= self.threshold
+        lo, hi = self.firing_counts
+        zeros = self.counts_at_most(draws, images, 0)
+        return (zeros >= lo) & (zeros <= hi)
 
 
 def plan_for(params, channel=None) -> _TrialPlan:

@@ -383,6 +383,14 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
     assert counts.dtype == np.min_scalar_type(w)
     assert counts.shape == (letters, len(images), t.starts.size)
 
+    # the verdicts are these counts' statistics against the threshold, on
+    # the count interval of a binary channel too
+    stats = cd._stats_from_counts(counts, *plan.llr_tables)
+    tau = draw(st.sampled_from(np.unique(stats).tolist()))
+    plan = sp.DmcPlan(replace(p, threshold=tau), channel)
+    assert (plan.firing_counts is None) == (letters == 3)
+    assert (plan.fired(None, images, None, u) == (stats >= tau)).all()
+
     positions = plan.positions
     for k, (a, g) in enumerate(images):
         burst = (positions > a) & (positions <= a + g)
@@ -394,6 +402,37 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
             assert (positions[lo:lo + w] == np.arange(start, start + w)).all()
             assert (counts[:, k, i]
                     == np.bincount(letter[lo:lo + w], minlength=letters)).all()
+
+
+@pytest.mark.parametrize("w", (1, 7, 255, 256, 65535, 65536))   # dtype edges
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_binary_firing_counts_are_the_statistics_verdicts(w, data):
+    """DmcPlan.firing_counts against the statistic of every count of
+    letter 0 and the threshold, on random two-letter channels (zero
+    entries in either row, either sign of letter 0's LLR) and thresholds
+    at attained statistic values, so that ties fire, and just above
+    them."""
+    draw = data.draw
+    weights = np.array(draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=2, max_size=2).filter(any),
+        min_size=2, max_size=2)), dtype=np.float64)
+    channel = Dmc(weights / weights.sum(axis=1, keepdims=True),
+                  np.array([0.0, 1.0]))
+    c = np.arange(w + 1)
+    stats = cd._stats_from_counts(np.stack((c, w - c)),
+                                  *cd._llr_tables(channel, 1))
+    values = np.unique(stats)
+    if values.size > 24:
+        values = np.array(draw(st.lists(st.sampled_from(values.tolist()),
+                                        min_size=1, max_size=12)))
+    dtype = np.min_scalar_type(w)
+    for tau in (*values, *np.nextafter(values, math.inf)):
+        plan = sp.DmcPlan(replace(DMC_8, window_len=w, threshold=tau),
+                          channel)
+        lo, hi = plan.firing_counts
+        assert lo.dtype == hi.dtype == dtype == plan.count_dtype
+        assert np.array_equal((c >= lo) & (c <= hi), stats >= tau), tau
 
 
 def assert_block_is_its_trials(plan, dist, trials, seed):
@@ -419,6 +458,10 @@ def test_block_equals_its_trials_one_at_a_time():
                                    idc=StateDistribution.deletion(0.1),
                                    channel=Dmc.bsc(0.2), x_star=1),
                   threshold=1.0)
+    flipped = Dmc(np.array([[0.2, 0.8], [0.8, 0.2]]), np.array([0.0, 1.0]))
+    dmc_flipped = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
+                                   idc=StateDistribution.deletion(0.1),
+                                   channel=flipped, x_star=1)
     big = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
                            sigma2=0.25)
     plans = {
@@ -430,6 +473,7 @@ def test_block_equals_its_trials_one_at_a_time():
         "compound": sp.Plan(equal_rate_params()),
         "compound beyond int64": sp.Plan(big),
         "gauss, sieve": sp.SievePlan(gauss),
+        "dmc, flipped bsc": sp.DmcPlan(dmc_flipped, flipped),
     }
     assert plans["compound beyond int64"].table.starts.dtype == object
     for k, (name, plan) in enumerate(plans.items()):
