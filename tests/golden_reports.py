@@ -20,7 +20,9 @@ check; a DMC layout whose neighbouring regions' windows share
 samples; and one DMC channel for each way a window verdict is reached: a
 three-letter channel (the float statistic against the threshold), a
 flipped BSC (binary, firing on the largest counts of letter 0) and a
-Z-type channel whose burst never emits letter 0 (binary, -inf on any 0).
+Z-type channel whose burst never emits letter 0 (binary, -inf on any 0);
+and a three-letter channel whose third letter neither row emits, so that
+both cdfs reach 1.0 before their last letter.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ REPORTS = {
     "dmc-z-channel": dict(
         _CRITERION_6, delta=2.5, trials=200, base_seed=29,
         dmc={"w": [[0.5, 0.5], [0.0, 1.0]], "cost": [0.0, 1.0]}),
+    "dmc-unused-letter": dict(
+        _CRITERION_6, delta=2.5, trials=100, base_seed=37,
+        dmc={"w": [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]], "cost": [0.0, 1.0]}),
 }
 COST_CHECKS = {
     "cost-deletion-0.5": dict(_CRITERION_6, idc={"deletion": {"d": 0.5}},
