@@ -277,7 +277,7 @@ class RegionTable:
         self.ends = self.starts + self.lens - 1
         self.occupied = np.flatnonzero(sizes)  # messages with a window
         # the smallest type that holds a region's firing count
-        self._count_dtype = np.min_scalar_type(int(sizes.max()))
+        self.count_dtype = np.min_scalar_type(int(sizes.max()))
         # for contact: each region with its window length, window count
         # and first table index
         self._regions = list(zip(regions, layout.window_lens, layout.sizes,
@@ -322,11 +322,18 @@ class RegionTable:
         fired (trials x windows): trials x M, int32."""
         # reduceat over the occupied regions' first windows only: an empty
         # region would otherwise read the one window at its bound
-        counts = np.add.reduceat(fired, self.bounds[self.occupied], axis=1,
-                                 dtype=self._count_dtype)
-        if self.occupied.size == self.bounds.size - 1:
+        return self.by_message(np.add.reduceat(
+            fired, self.bounds[self.occupied], axis=1,
+            dtype=self.count_dtype))
+
+    def by_message(self, counts: np.ndarray) -> np.ndarray:
+        """Per-region counts of the occupied regions, trials x
+        occupied.size, as trials x M int32, 0 for a region with no
+        window."""
+        messages = self.bounds.size - 1
+        if self.occupied.size == messages:
             return counts.astype(np.int32)
-        out = np.zeros((fired.shape[0], self.bounds.size - 1), dtype=np.int32)
+        out = np.zeros((counts.shape[0], messages), dtype=np.int32)
         out[:, self.occupied] = counts
         return out
 

@@ -30,14 +30,19 @@ windows that fire:
   layout failing its guards may, whose regions are long (small epsilon,
   jittery timing) or fire often, or whose factor fails.
 * DMC back end (DmcPlan): one letter per sample some window covers, drawn
-  from the burst row of W inside the image and from the idle row outside.
-  Every window is w samples long, so its letter counts are sliding sums
-  of letter indicators over the covered samples, built by doubling in the
-  smallest unsigned type that holds w (uint8 at criterion 6's w = 7).  On
-  two output letters a window's verdict follows from its count of letter
-  0 alone: it fires when the count lies in an interval the plan works out
-  once from the statistic, so the trials count one letter and compute no
-  statistic.
+  from the burst row of W inside the image and from the idle row outside,
+  from one 16-bit lane of a raw generator word and, about once in 2**16
+  letters, one more uniform to break a tie (Knuth and Yao's draw: the
+  leading bits of a uniform settle almost every letter).  Every window is
+  w samples long, so its letter counts are sliding sums of letter
+  indicators over the covered samples, built by doubling in the smallest
+  unsigned type that holds w (uint8 at criterion 6's w = 7), one sum a
+  column: a run of w covered samples.  On two output letters the row is
+  the indicator of letter 1, and a window fires when its count of letter
+  1 lies in an interval the plan works out once from the statistic, so
+  the trials compute no statistic.  A region's windows are consecutive
+  columns, so one reduceat over the column verdicts counts each region's
+  firing windows.
 
 Both Gaussian plans add the burst amplitude times each window's overlap
 with the image.  Samples covered by no window never influence any
@@ -49,17 +54,18 @@ expressions.
 
 Trials run in blocks (stream_trials).  Each trial of a block draws from
 its own generator, in a fixed order: a, then g, then its row of the plan's
-normals or letter uniforms, or the sieve's draws.  Per trial there is one
-image-contact pass (RegionTable.contact), the windows the burst image
-touches, before the row is drawn; it carries the Gaussian signal, tells
-the sieve which regions to draw in full, and fixes the geometry flags.
-Everything after the draws is one numpy pass over the block: the window
-statistics (cumulative or sliding sums along the rows; the sieve's are
-its draws; a binary DMC window's count of letter 0), the threshold (or
-the interval of counts that fire) and the unique-region rule.  A block holds at
-most BLOCK_CELLS row cells, so long trials run one at a time and short
-ones share their numpy calls; no result depends on how the trials are
-split into blocks.
+normals, or the sieve's draws, or the DMC plan's raw words and then its
+tie-breaking uniforms.  Per trial there is one image-contact pass
+(RegionTable.contact), the windows the burst image touches, before the
+row is drawn; it carries the Gaussian signal, tells the sieve which
+regions to draw in full, and fixes the geometry flags.  Everything after
+the draws is one numpy pass over the block: the window statistics
+(cumulative or sliding sums along the rows; the sieve's are its draws; a
+binary DMC column's count of letter 1), the threshold (or the interval of
+counts that fire) and the unique-region rule.  A block holds at most
+BLOCK_CELLS row cells, so long trials run one at a time and short ones
+share their numpy calls; no result depends on how the trials are split
+into blocks.
 """
 
 from __future__ import annotations
@@ -81,8 +87,9 @@ from .rng import as_generator
 # back to a rounded-Gaussian sum whose distributional error is far below
 # anything a finite trial budget could see (Berry-Esseen ~ n**-0.5 < 1e-9).
 EXACT_SUM_MAX = 1 << 61
-# most numbers one block of trials draws, so that a block array (128 KiB)
-# stays in a core's cache and a block adds no measurable peak memory
+# most cells one block of trials draws, so that a block array (128 KiB of
+# float64 normals, 16 KiB of DMC letters) stays in a core's cache and a
+# block adds no measurable peak memory
 BLOCK_CELLS = 1 << 14
 # most windows a region may hold for SievePlan: each region it draws in
 # full, or as a proposal, costs n * n multiply-adds and its factor n * n
@@ -97,6 +104,9 @@ MAX_FACTOR_WINDOWS = 256
 # block split never changes the plan.
 SIEVE_MIN_WINDOWS = 1280
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
+# values of a 16-bit lane, a letter's leading uniform bits (DmcPlan.draw)
+LANE_VALUES = 1 << 16
+_NO_CELLS = np.empty(0, dtype=np.int64)
 _NORMAL = NormalDist()  # the standard normal a window's noise is scaled to
 
 
@@ -127,16 +137,21 @@ def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) 
 class _TrialPlan:
     """What every plan shares: the layout, its region table and threshold.
 
-    A trial has a row of cells numbers in a block array: draw(rng, row, m,
-    contact) fills it for a trial that sends m and whose burst image has
-    that contact (RegionTable.contact), one draw a cell except in the
-    sieve.  fired(ms, images, contacts, draws) turns a block's rows, with
-    each trial's message, burst image (a, g) and image contact, into
-    window verdicts, trials x windows.  Plans keep no scratch buffers, so
-    threaded blocks can share one.
+    A trial has a row of cells numbers of type dtype in a block array:
+    draw(rng, row, m, image, contact) fills it for a trial that sends m,
+    whose burst image is image = (a, g) and has that contact
+    (RegionTable.contact), one number a cell except in the sieve.
+    verdicts(ms, contacts, draws) turns a block's rows, with each trial's
+    message and image contact, into trials x columns window verdicts:
+    window i's verdict is column columns[i], or column i where columns
+    is None.  region_counts(verdicts) counts each region's firing windows
+    and fired(ms, contacts, draws) gives the verdicts trials x windows.
+    Plans keep no scratch buffers, so threaded blocks can share one.
     """
 
     cells: int
+    dtype = np.float64
+    columns = None
 
     def __init__(self, params):
         self.layout = params.layout
@@ -147,6 +162,19 @@ class _TrialPlan:
     def block_size(self) -> int:
         """Trials a block holds: as many as fill BLOCK_CELLS cells."""
         return max(1, BLOCK_CELLS // self.cells)
+
+    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
+        return self.table.region_counts(verdicts)
+
+    def fired(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        return window_verdicts(self.verdicts(ms, contacts, draws),
+                               self.columns)
+
+
+def window_verdicts(verdicts: np.ndarray, columns) -> np.ndarray:
+    """trials x windows: window i's verdict from column columns[i] of a
+    plan's verdicts, or from column i where columns is None."""
+    return verdicts if columns is None else np.take(verdicts, columns, axis=1)
 
 
 class _GaussPlan(_TrialPlan):
@@ -168,7 +196,7 @@ class _GaussPlan(_TrialPlan):
                                     for m in range(1, params.layout.M + 1)])
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             contact) -> None:
+             image, contact) -> None:
         rng.standard_normal(out=out)
 
     def signal(self, ms, contacts):
@@ -181,7 +209,7 @@ class _GaussPlan(_TrialPlan):
         return rows, cols, amplitude * np.concatenate(
             [overlap for _, overlap in contacts]).astype(np.float64)
 
-    def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:
+    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
         return self.statistics(ms, contacts, draws) >= self.threshold
 
 
@@ -330,7 +358,7 @@ class SievePlan(_GaussPlan):
                               layout.sizes))
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             contact) -> None:
+             image, contact) -> None:
         tau, spans, factors = self.threshold, self.spans, self.region_factors
         idx, overlap = contact
         out.fill(-np.inf)
@@ -380,54 +408,117 @@ def _cdf(row: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def _split(cdf: np.ndarray) -> list[tuple[int, float]]:
+    """Each cdf entry c but the last as (t, f) with c * 2**16 = t + f, t an
+    integer and 0 <= f < 1.  Exact: scaling by a power of two and taking
+    a float's fractional part round nothing."""
+    scaled = cdf[:-1] * LANE_VALUES
+    t = np.floor(scaled)
+    return list(zip(t.astype(np.int64).tolist(), (scaled - t).tolist()))
+
+
+def _letters(lanes: np.ndarray, split, out: np.ndarray) -> np.ndarray:
+    """Fill out with each lane's letter, the split entries (t, f) with
+    t <= lane, and return the cells whose lane ties an entry with f > 0
+    (lane == t), ascending: their letter also needs the lane's trailing
+    bits, and is too large by the tied entries those bits fall below."""
+    reach = [t for t, _ in split if t < LANE_VALUES]   # no lane reaches 2**16
+    if reach:
+        np.greater_equal(lanes, reach[0], out=out.view(np.bool_))
+    else:
+        out.fill(0)
+    for t in reach[1:]:
+        out += lanes >= t
+    ties = None
+    for t in {t for t, f in split if f}:
+        hit = lanes == t
+        if hit.any():
+            ties = hit if ties is None else ties | hit
+    return _NO_CELLS if ties is None else np.flatnonzero(ties)
+
+
 class DmcPlan(_TrialPlan):
     """Trial-independent letter plan of the DMC scheme.
 
-    positions holds, in order, every sample some window covers.  Every
-    window is window_len samples long, so window i reads the consecutive
-    entries positions[lo[i]:lo[i] + window_len], also where regions
-    overlap.  A letter is drawn as Generator.choice draws it: with u
-    uniform on [0, 1), the letter is at most y exactly when u < cdf[y].
-    Zero-probability letters are never drawn.  A window's letter counts
-    are sliding sums of 0/1 indicators, exact in count_dtype (the
-    smallest unsigned type that holds window_len) and exact again as
-    floats, so statistics tie with the threshold's bit for bit.
+    positions holds, in order, every sample some window covers, and a
+    trial's row holds their letters, one uint8 a cell.  Every window is
+    window_len samples long, so window i reads the consecutive cells
+    columns[i] .. columns[i] + window_len - 1, also where regions overlap.
 
-    On a channel of two output letters a window's statistic is a function
-    of its count c of letter 0 alone, monotone in c (the two letters'
-    LLRs have opposite signs), so the counts that fire form one interval.
-    The plan works it out once, as firing_counts = (lo, hi) in
-    count_dtype, from the statistics of the w + 1 count vectors
-    (c, w - c) against the threshold, and a trial's window fires exactly
-    when lo <= c <= hi: the verdicts of the statistic, with no float per
-    window.  On three or more letters firing_counts is None and every
-    window's statistic is compared with the threshold.
+    A letter comes from the leading bits of its uniform first (Knuth and
+    Yao, 1976).  draw reads ceil(cells / 4) raw 64-bit words as 16-bit
+    lanes, little-endian, one a cell.  Each cdf entry c (idle_cdf outside
+    the burst image, burst_cdf inside) splits exactly as c * 2**16 = t +
+    f, and with u = (lane + V) / 2**16, u < c exactly when lane < t, or
+    lane = t and V < f.  V is one Generator.random() a cell whose lane
+    ties an entry with f > 0, drawn in cell order after the words: about
+    cells / 2**16 of them.  The letter is then the first y with u < c[y],
+    to within 2**-69 of that law (V has 53 bits); an entry of 0.0 or 1.0
+    splits with f = 0 and is met exactly, so zero-probability letters are
+    never drawn.
+
+    A window's letter counts are sliding sums of 0/1 indicators at every
+    column j, the run of window_len cells from cell j, exact in
+    count_dtype (the smallest unsigned type that holds window_len) and
+    exact again as floats, so statistics tie with the threshold's bit for
+    bit.  Window i is column columns[i], and a region's windows, one
+    sample apart, are consecutive columns, so region_counts sums each
+    region's run of column verdicts by one reduceat, with no per-window
+    gather.
+
+    On a channel of two output letters the row is the indicator of letter
+    1, and a window's statistic is a function of its count c of letter 1
+    alone, monotone in c (the two letters' LLRs have opposite signs), so
+    the counts that fire form one interval.  The plan works it out once,
+    as firing_counts = (lo, hi) in count_dtype, from the statistics of
+    the w + 1 count vectors (w - c, c) against the threshold, and a
+    window fires exactly when lo <= c <= hi: the verdicts of the
+    statistic, with no float per window.  On three or more letters
+    firing_counts is None and every column's statistic is compared with
+    the threshold.
     """
+
+    dtype = np.uint8
 
     def __init__(self, params, channel):
         super().__init__(params)
-        table = self.table
+        table, layout = self.table, self.layout
+        if any(r.step != 1 for r, n in zip(layout.regions, layout.sizes)
+               if n > 1):
+            raise ValueError("the DMC plan needs windows one sample apart")
+        # in place: set-up holds two sample-sized arrays fewer at once
         size = table.last_end + 2
-        depth = (np.bincount(table.starts, minlength=size)
-                 - np.bincount(table.ends + 1, minlength=size))
-        self.positions = np.flatnonzero(np.cumsum(depth) > 0)
+        depth = np.bincount(table.starts, minlength=size)
+        depth -= np.bincount(table.ends + 1, minlength=size)
+        self.positions = np.flatnonzero(np.cumsum(depth, out=depth) > 0)
         self.cells = self.positions.size
-        self.lo = np.searchsorted(self.positions, table.starts)
+        self.words = -(-self.cells // 4)
+        self.columns = np.searchsorted(self.positions, table.starts)
+        # each occupied region's run of columns [first, first + n), start
+        # and end interleaved, so that runs that overlap or come in any
+        # order stay right; reduceat's other sums, between runs, are
+        # dropped
+        occupied = table.occupied
+        first = self.columns[table.bounds[occupied]]
+        self.runs = np.stack(
+            (first, first + np.diff(table.bounds)[occupied]), axis=1).ravel()
         self.window_len = params.window_len
         self.count_dtype = np.min_scalar_type(self.window_len)
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])
+        self.idle_split = _split(self.idle_cdf)
+        self.burst_split = _split(self.burst_cdf)
         self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
         self.firing_counts = (self._firing_interval()
                               if channel.num_outputs == 2 else None)
 
     def _firing_interval(self):
         """(lo, hi) in count_dtype: a window of a two-letter channel fires
-        exactly when its count c of letter 0 has lo <= c <= hi; lo > hi
+        exactly when its count c of letter 1 has lo <= c <= hi; lo > hi
         when no count fires."""
         w, dtype = self.window_len, self.count_dtype
         c = np.arange(w + 1).astype(dtype)
-        stats = codec_dmc._stats_from_counts(np.stack((c, w - c)),
+        stats = codec_dmc._stats_from_counts(np.stack((w - c, c)),
                                              *self.llr_tables)
         fires = np.flatnonzero(stats >= self.threshold)
         if not fires.size:
@@ -435,25 +526,38 @@ class DmcPlan(_TrialPlan):
         lo, hi = int(fires[0]), int(fires[-1])
         if hi - lo + 1 != fires.size:
             raise RuntimeError(
-                f"the counts of letter 0 that fire, {fires.tolist()}, are "
+                f"the counts of letter 1 that fire, {fires.tolist()}, are "
                 f"not one interval")
         return dtype.type(lo), dtype.type(hi)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             contact) -> None:
-        rng.random(out=out)
+             image, contact) -> None:
+        lanes = rng.bit_generator.random_raw(self.words).astype(
+            "<u8", copy=False).view("<u2")[:self.cells]
+        a, g = image
+        i0, i1 = self.positions.searchsorted((a + 1, a + g + 1)).tolist()
+        ties = _letters(lanes, self.idle_split, out)
+        burst = _letters(lanes[i0:i1], self.burst_split, out[i0:i1]) + i0
+        ties = np.concatenate((ties[ties < i0], burst, ties[ties >= i1]))
+        if not ties.size:
+            return
+        for i, v in zip(ties.tolist(), rng.random(ties.size).tolist()):
+            split = self.burst_split if i0 <= i < i1 else self.idle_split
+            lane = int(lanes[i])
+            out[i] -= sum(t == lane and v < f for t, f in split)
 
-    def window_sums(self, below: np.ndarray) -> np.ndarray:
-        """sums[t, j] = below[t, j:j + window_len].sum(), in count_dtype,
-        for every j at which a run of window_len cells starts.
+    def window_sums(self, indicator: np.ndarray) -> np.ndarray:
+        """sums[t, j] = indicator[t, j:j + window_len].sum(), in
+        count_dtype, for every column j: every cell at which a run of
+        window_len cells starts.
 
         Sums over 2**k consecutive cells come by doubling, and one of them
         is added for each binary digit of window_len: about log2 w +
         popcount(w) vector adds, each exact in count_dtype.
         """
         w = self.window_len
-        n = below.shape[1] - w + 1
-        part = below.view(np.uint8).astype(self.count_dtype, copy=False)
+        n = indicator.shape[1] - w + 1
+        part = indicator.view(np.uint8).astype(self.count_dtype, copy=False)
         # part[:, j] sums cells j .. j + span - 1, and sums[:, j] the
         # cells j .. j + at - 1
         span, at, sums = 1, 0, None
@@ -467,39 +571,38 @@ class DmcPlan(_TrialPlan):
             part = part[:, :-span] + part[:, span:]
             span *= 2
 
-    def counts_at_most(self, u: np.ndarray, images, y: int) -> np.ndarray:
-        """How many letters at most y land in each window, trials x
-        windows in count_dtype, for trials whose letter uniforms are u[t]
-        and burst image a+1 .. a+g for (a, g) = images[t]."""
-        below = np.less(u, self.idle_cdf[y])
-        for t, (a, g) in enumerate(images):
-            i0, i1 = np.searchsorted(self.positions, (a + 1, a + g + 1))
-            np.less(u[t, i0:i1], self.burst_cdf[y], out=below[t, i0:i1])
-        return np.take(self.window_sums(below), self.lo, axis=1)
-
-    def letter_counts(self, u: np.ndarray, images) -> np.ndarray:
-        """counts[y, t, i]: how often letter y lands in window i on trial t,
-        whose letter uniforms are u[t] and burst image a+1 .. a+g for
-        (a, g) = images[t]; count_dtype."""
-        letters = self.idle_cdf.size
-        counts = np.empty((letters, u.shape[0], self.lo.size),
+    def letter_counts(self, letters: np.ndarray) -> np.ndarray:
+        """counts[y, t, j]: how often letter y lands in column j of trial
+        t, whose letter row is letters[t]; count_dtype."""
+        y_max = self.idle_cdf.size - 1
+        counts = np.empty((y_max + 1, letters.shape[0],
+                           letters.shape[1] - self.window_len + 1),
                           dtype=self.count_dtype)
-        at_most = 0  # per window: letters <= y - 1
-        for y in range(letters - 1):
-            upto = self.counts_at_most(u, images, y)
-            np.subtract(upto, at_most, out=counts[y])
-            at_most = upto
-        counts[-1] = self.window_len - at_most
+        counts[y_max] = self.window_len
+        for y in range(y_max):
+            counts[y] = self.window_sums(letters == y)
+            counts[y_max] -= counts[y]
         return counts
 
-    def fired(self, ms, images, contacts, draws: np.ndarray) -> np.ndarray:
+    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        """trials x (columns + 1): each column's verdict, and a last
+        column, False, that keeps every run's end in reduceat's range."""
+        n = draws.shape[1] - self.window_len + 1
+        fires = np.zeros((draws.shape[0], n + 1), dtype=bool)
         if self.firing_counts is None:
-            stats = codec_dmc._stats_from_counts(
-                self.letter_counts(draws, images), *self.llr_tables)
-            return stats >= self.threshold
+            stats = codec_dmc._stats_from_counts(self.letter_counts(draws),
+                                                 *self.llr_tables)
+            np.greater_equal(stats, self.threshold, out=fires[:, :n])
+            return fires
         lo, hi = self.firing_counts
-        zeros = self.counts_at_most(draws, images, 0)
-        return (zeros >= lo) & (zeros <= hi)
+        ones = self.window_sums(draws)
+        np.greater_equal(ones, lo, out=fires[:, :n])
+        fires[:, :n] &= ones <= hi
+        return fires
+
+    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
+        return self.table.by_message(np.add.reduceat(
+            verdicts, self.runs, axis=1, dtype=self.table.count_dtype)[:, ::2])
 
 
 def plan_for(params, channel=None) -> _TrialPlan:
@@ -546,9 +649,15 @@ def plan_for(params, channel=None) -> _TrialPlan:
 class TrialBlock:
     decoded: np.ndarray  # per trial: the decoded message, 0 for none
     diagnostics: tuple[TraceDiagnostics, ...]  # per trial
-    fired: np.ndarray  # trials x windows of the region table
     region_fired: np.ndarray  # trials x messages: firing windows per region
     approximate_sums: int  # trials that drew a rounded-Gaussian state sum
+    verdicts: np.ndarray  # trials x the plan's verdict columns
+    columns: np.ndarray | None  # the plan's columns: window i's column
+
+    @property
+    def fired(self) -> np.ndarray:
+        """trials x windows of the region table, built on access."""
+        return window_verdicts(self.verdicts, self.columns)
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
@@ -559,8 +668,8 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     layout, table = plan.layout, plan.table
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
-    draws = np.empty((len(ms), plan.cells))
-    images, contacts, diagnostics = [], [], []
+    draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
+    contacts, diagnostics = [], []
     # sample_state_sum's rounded-Gaussian path: random states and a run of
     # more than EXACT_SUM_MAX slots
     approximate, random_states = 0, len(dist.support) > 1
@@ -572,12 +681,12 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         a = sample_state_sum(dist, prefix[m - 1], rng)
         g = sample_state_sum(dist, burst[m - 1], rng)
         contact = table.contact(a, g)
-        plan.draw(rng, row, m, contact)
-        images.append((a, g))
+        plan.draw(rng, row, m, (a, g), contact)
         contacts.append(contact)
         diagnostics.append(contact_diagnostics(m, a, g, layout, *contact))
-    fired = plan.fired(ms, images, contacts, draws)
-    counts = table.region_counts(fired)
+    verdicts = plan.verdicts(ms, contacts, draws)
+    counts = plan.region_counts(verdicts)
     return TrialBlock(decoded=table.decide_rows(counts),
-                      diagnostics=tuple(diagnostics), fired=fired,
-                      region_fired=counts, approximate_sums=approximate)
+                      diagnostics=tuple(diagnostics), region_fired=counts,
+                      approximate_sums=approximate, verdicts=verdicts,
+                      columns=plan.columns)

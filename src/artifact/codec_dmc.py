@@ -9,7 +9,7 @@ the unique message whose region fires.  This module derives the constants
 and the exact threshold of that test; the statistic itself is
 _stats_from_counts.  The streamed trials (_sparse.DmcPlan) apply it to
 every window's letter counts on three or more output letters; on two,
-once to each possible count of letter 0, which fixes the one interval of
+once to each possible count of letter 1, which fixes the one interval of
 counts that fire, and a window's count is compared with that interval.
 
 All stream positions are 1-based.

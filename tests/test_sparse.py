@@ -124,9 +124,10 @@ def disjoint(starts, ends):
 
 
 def test_dmc_letters_follow_burst_and_idle_rows():
-    """Letters follow W[x*] inside the burst image and W[0] outside it; a
-    letter a row gives probability 0 never appears under that row, and the
-    impossibility masks still force the window statistic to +-inf."""
+    """Letters DmcPlan.draw fills in follow W[x*] inside the burst image
+    and W[0] outside it, for all three letters; a letter a row gives
+    probability 0 never appears under that row, and the impossibility
+    masks still force the window statistic to +-inf."""
     p = replace(cd.derive_params(
         M=8, epsilon=0.5, delta=1.0, idc=StateDistribution.deletion(0.1),
         channel=Dmc(np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]),
@@ -137,18 +138,24 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     plan = sp.DmcPlan(p, Dmc(w, np.array([0.0, 1.0])))
     t = plan.table
     a, g = p.layout.regions[1].start - 1, 4 * p.window_len   # 4 windows' worth
+    contact = t.contact(a, g)
     inside = (t.starts > a) & (t.ends <= a + g)
     outside = (t.ends <= a) | (t.starts > a + g)
     picks = [np.flatnonzero(mask)[disjoint(t.starts[mask], t.ends[mask])]
              for mask in (inside, outside)]
     assert picks[0].size == 4
+    burst = (plan.positions > a) & (plan.positions <= a + g)
 
     rng = np.random.default_rng(17)
+    row = np.empty((1, plan.cells), dtype=plan.dtype)
+    cells = np.zeros((2, 3), dtype=np.int64)   # letters in / out of the image
     totals = np.zeros((2, 3), dtype=np.int64)
     forced = {math.inf: 0, -math.inf: 0}
     for _ in range(1500):
-        u = rng.random((1, plan.cells))
-        counts = plan.letter_counts(u, [(a, g)])[:, 0]
+        plan.draw(rng, row[0], 2, (a, g), contact)
+        cells[0] += np.bincount(row[0, burst], minlength=3)
+        cells[1] += np.bincount(row[0, ~burst], minlength=3)
+        counts = plan.letter_counts(row)[:, :, plan.columns][:, 0]
         assert (counts.sum(axis=0) == t.lens).all()
         for k, pick in enumerate(picks):
             totals[k] += counts[:, pick].sum(axis=1).astype(np.int64)
@@ -159,18 +166,114 @@ def test_dmc_letters_follow_burst_and_idle_rows():
         forced[math.inf] += int(burst_only.sum())
         forced[-math.inf] += int((counts[0] > 0).sum())
     assert min(forced.values()) > 0
-    assert totals[0, 0] == 0 and totals[1, 2] == 0   # impossible letters
-    for row, total in zip((w[1], w[0]), totals):
-        n = total.sum()
-        se = np.sqrt(row * (1 - row) / n)
-        assert (np.abs(total / n - row) <= 5 * se).all(), (total / n, row)
+    assert cells[0, 0] == 0 and cells[1, 2] == 0   # impossible letters
+    assert totals[0, 0] == 0 and totals[1, 2] == 0
+    for row_w, tally in zip((w[1], w[0], w[1], w[0]), (*cells, *totals)):
+        n = tally.sum()
+        se = np.sqrt(row_w * (1 - row_w) / n)
+        assert (np.abs(tally / n - row_w) <= 5 * se).all(), (tally / n, row_w)
 
     # a trial's verdicts are these statistics against the threshold
-    u = np.random.default_rng(5).random((1, plan.cells))
-    stats = cd._stats_from_counts(plan.letter_counts(u, [(a, g)]),
+    plan.draw(np.random.default_rng(5), row[0], 2, (a, g), contact)
+    stats = cd._stats_from_counts(plan.letter_counts(row)[:, :, plan.columns],
                                   *plan.llr_tables)
-    fired = plan.fired([2], [(a, g)], [t.contact(a, g)], u)
+    fired = plan.fired([2], [contact], row)
     assert (fired == (stats >= 0.0)).all()
+
+
+class RawWords:
+    """A generator whose raw words carry given 16-bit lanes, four to a
+    word, lowest bits first, and whose random() returns given floats: the
+    lanes and trailing uniforms V of DmcPlan.draw, chosen by the test."""
+
+    def __init__(self, lanes, trailing):
+        words = np.zeros(-(-len(lanes) // 4) * 4, dtype=np.uint64)
+        words[:len(lanes)] = lanes
+        self.words = (words.reshape(-1, 4)
+                      << np.arange(0, 64, 16, dtype=np.uint64)).sum(axis=1)
+        self.trailing = list(trailing)
+        self.bit_generator = self
+        self.asked = []
+
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words.copy()
+
+    def random(self, size):
+        self.asked.append(size)
+        return np.array(self.trailing[:size])
+
+
+def pmf_rows(letters):
+    """Two pmf rows of letters entries, summing to one within 1e-9: zero
+    entries (repeated cdf entries, and a cdf at 0.0 or at 1.0 before its
+    last letter), entries on the 2**-16 grid, and arbitrary floats."""
+    grid = st.lists(st.integers(0, 4), min_size=letters,
+                    max_size=letters).filter(any).flatmap(
+        lambda k: st.permutations(
+            [2 ** 16 * x // sum(k) for x in k[:-1]]
+            + [2 ** 16 - sum(2 ** 16 * x // sum(k) for x in k[:-1])]))
+    floats = st.lists(st.sampled_from((0.0, 1.0, 3.0, 0.1, 1 / 3, 2 ** -20)),
+                      min_size=letters, max_size=letters).filter(any)
+    return st.lists(st.one_of(grid.map(lambda k: np.array(k) / 2.0 ** 16),
+                              floats.map(lambda k: np.array(k) / sum(k))),
+                    min_size=2, max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lane_letters_are_exact(data):
+    """DmcPlan.draw's letter against exact rational arithmetic: with u =
+    (lane + V) / 2**16 for the cell's lane and, where the lane ties a cdf
+    entry's leading bits, its V, the letter is the first y with u <
+    cdf[y], under the burst row inside the image and the idle row
+    outside.  The cdfs hold entries 0.0 and 1.0, repeated entries, entries
+    on the 2**-16 grid and arbitrary ones; lanes are drawn near the
+    entries' leading bits, and V around their trailing ones."""
+    draw = data.draw
+    letters = draw(st.integers(2, 4))
+    rows = np.array(draw(pmf_rows(letters)))
+    plan = sp.DmcPlan(small_dmc(3, tuple(range(1 + 6 * k, 3 + 6 * k)
+                                         for k in range(8))),
+                      Dmc(rows, np.array([0.0, 1.0])))
+    assert plan.cells == 32
+    cdfs = {False: plan.idle_cdf, True: plan.burst_cdf}
+    splits = {}
+    for burst, cdf in cdfs.items():
+        # the split is exact: c * 2**16 = t + f with 0 <= f < 1
+        splits[burst] = [(int(c * 2 ** 16), Fraction(c) * 2 ** 16 % 1)
+                         for c in cdf[:-1].tolist()]
+        assert splits[burst] == [(t, Fraction(f)) for t, f in sp._split(cdf)]
+    leading = sorted({min(t + d, 2 ** 16 - 1) for split in splits.values()
+                      for t, _ in split for d in (-1, 0, 1) if t + d >= 0})
+    a = draw(st.integers(0, 50))
+    g = draw(st.integers(0, 30))
+    inside = (plan.positions > a) & (plan.positions <= a + g)
+    cells = plan.cells
+    lanes = np.array(draw(st.lists(
+        st.sampled_from(leading) | st.integers(0, 2 ** 16 - 1),
+        min_size=cells, max_size=cells)), dtype=np.uint16)
+    ties = [i for i in range(cells)
+            if any(t == lanes[i] and f for t, f in splits[bool(inside[i])])]
+    fracs = sorted({float(f) for split in splits.values() for _, f in split})
+    near = [float(v) for f in fracs for v in (np.nextafter(f, 0.0), f,
+                                              np.nextafter(f, 1.0))
+            if 0.0 <= v < 1.0]
+    trailing = draw(st.lists(st.sampled_from(near or [0.5])
+                             | st.floats(0.0, 1.0, exclude_max=True),
+                             min_size=len(ties), max_size=len(ties)))
+    rng = RawWords(lanes, trailing)
+    row = np.empty(cells, dtype=plan.dtype)
+    plan.draw(rng, row, 1, (a, g), None)
+    assert rng.asked == ([len(ties)] if ties else [])
+    v = dict(zip(ties, trailing))
+    for i in range(cells):
+        u = (Fraction(int(lanes[i])) + Fraction(v.get(i, 0.0))) / 2 ** 16
+        cdf = cdfs[bool(inside[i])]
+        want = next(y for y in range(letters)
+                    if y == letters - 1 or u < Fraction(cdf[y]))
+        assert row[i] == want, (i, lanes[i], v.get(i), cdf)
+        assert rows[int(inside[i]), want] > 0   # a letter the row can emit
 
 
 def test_stream_agrees_with_materialized_pipeline():
@@ -341,15 +444,24 @@ DMC_8 = cd.derive_params(M=8, epsilon=0.5, delta=1.0,
                         channel=Dmc.bsc(0.2), x_star=1)
 
 
+def small_dmc(w, regions):
+    """DMC_8 with windows of w samples at the given regions' starts."""
+    return replace(DMC_8, window_len=w, layout=replace(
+        DMC_8.layout, regions=regions, window_lens=(w,) * len(regions)))
+
+
 @pytest.mark.parametrize("w", (1, 2, 7, 255, 256))   # count dtype edges
 @pytest.mark.parametrize("overlap", (False, True))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_letter_counts_match_a_per_window_count(w, overlap, data):
-    """DmcPlan.letter_counts against each window's letters counted one by
-    one over positions[lo:lo + w], on random channels of two and three
-    letters, random or overlapping regions, and blocks of up to four
-    trials whose burst images straddle region edges."""
+    """DmcPlan.letter_counts at each window's column against the window's
+    letters counted one by one over positions[lo:lo + w], on random
+    channels of two and three letters, random or overlapping regions, and
+    blocks of up to four letter rows, drawn by DmcPlan.draw for burst
+    images that straddle region edges.  The window verdicts are these
+    counts' statistics against the threshold, and the region counts from
+    the column verdicts those of the window verdicts."""
     draw = data.draw
     letters = draw(st.sampled_from((2, 3)))
     weights = np.array(draw(st.lists(
@@ -359,14 +471,11 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
                   np.array([0.0, 1.0]))
     if overlap:
         regions = crowded(DMC_8, 1, 0).layout.regions
-    else:   # steps beyond w leave samples no window covers
-        regions = tuple(
-            range(first, first + n * step, step) for first, n, step in draw(
-                st.lists(st.tuples(st.integers(1, 3 * w + 60),
-                                   st.integers(0, 5), st.integers(1, w + 3)),
-                         min_size=8, max_size=8)))
-    p = replace(DMC_8, window_len=w, layout=replace(
-        DMC_8.layout, regions=regions, window_lens=(w,) * 8))
+    else:   # regions in any order, apart, adjacent or sharing samples
+        regions = tuple(range(first, first + n) for first, n in draw(
+            st.lists(st.tuples(st.integers(1, 3 * w + 60), st.integers(0, 5)),
+                     min_size=8, max_size=8)))
+    p = small_dmc(w, regions)
     plan = sp.DmcPlan(p, channel)
     t = plan.table
     assume(t.starts.size)
@@ -377,9 +486,11 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
         # an image around a window edge, or anywhere
         at = draw(st.sampled_from(edges) | st.integers(0, t.last_end + 2))
         images.append((max(at - draw(st.integers(0, g)), 0), g))
-    u = np.random.default_rng(draw(st.integers(0, 2**32))).random(
-        (len(images), plan.cells))
-    counts = plan.letter_counts(u, images)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = np.empty((len(images), plan.cells), dtype=plan.dtype)
+    for row, image in zip(rows, images):
+        plan.draw(rng, row, 1, image, t.contact(*image))
+    counts = plan.letter_counts(rows)[:, :, plan.columns]
     assert counts.dtype == np.min_scalar_type(w)
     assert counts.shape == (letters, len(images), t.starts.size)
 
@@ -389,19 +500,31 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
     tau = draw(st.sampled_from(np.unique(stats).tolist()))
     plan = sp.DmcPlan(replace(p, threshold=tau), channel)
     assert (plan.firing_counts is None) == (letters == 3)
-    assert (plan.fired(None, images, None, u) == (stats >= tau)).all()
+    fired = plan.fired(None, None, rows)
+    assert (fired == (stats >= tau)).all()
+    verdicts = plan.verdicts(None, None, rows)
+    assert np.array_equal(plan.region_counts(verdicts),
+                          t.region_counts(fired))
 
     positions = plan.positions
     for k, (a, g) in enumerate(images):
-        burst = (positions > a) & (positions <= a + g)
-        # Generator.choice's letter: the first y with u < cdf[y]
-        letter = np.where(
-            burst, np.searchsorted(plan.burst_cdf, u[k], side="right"),
-            np.searchsorted(plan.idle_cdf, u[k], side="right"))
-        for i, (start, lo) in enumerate(zip(t.starts, plan.lo)):
+        inside = (positions > a) & (positions <= a + g)
+        # no letter that its row cannot emit
+        assert (channel.w[inside.astype(int), rows[k]] > 0).all()
+        for i, (start, lo) in enumerate(zip(t.starts, plan.columns)):
             assert (positions[lo:lo + w] == np.arange(start, start + w)).all()
+            window = rows[k, lo:lo + w]
             assert (counts[:, k, i]
-                    == np.bincount(letter[lo:lo + w], minlength=letters)).all()
+                    == np.bincount(window, minlength=letters)).all()
+
+
+def test_dmc_plan_needs_windows_one_sample_apart():
+    """A region's windows must be consecutive columns: the DMC layout's
+    step 1.  A layout with a longer step is refused."""
+    sp.DmcPlan(small_dmc(3, (range(1, 5),) * 8), Dmc.bsc(0.2))
+    with pytest.raises(ValueError, match="one sample apart"):
+        sp.DmcPlan(small_dmc(3, (range(1, 5),) * 7 + (range(20, 30, 2),)),
+                   Dmc.bsc(0.2))
 
 
 @pytest.mark.parametrize("w", (1, 7, 255, 256, 65535, 65536))   # dtype edges
@@ -409,7 +532,7 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
 @given(data=st.data())
 def test_binary_firing_counts_are_the_statistics_verdicts(w, data):
     """DmcPlan.firing_counts against the statistic of every count of
-    letter 0 and the threshold, on random two-letter channels (zero
+    letter 1 and the threshold, on random two-letter channels (zero
     entries in either row, either sign of letter 0's LLR) and thresholds
     at attained statistic values, so that ties fire, and just above
     them."""
@@ -420,7 +543,7 @@ def test_binary_firing_counts_are_the_statistics_verdicts(w, data):
     channel = Dmc(weights / weights.sum(axis=1, keepdims=True),
                   np.array([0.0, 1.0]))
     c = np.arange(w + 1)
-    stats = cd._stats_from_counts(np.stack((c, w - c)),
+    stats = cd._stats_from_counts(np.stack((w - c, c)),
                                   *cd._llr_tables(channel, 1))
     values = np.unique(stats)
     if values.size > 24:
@@ -443,6 +566,10 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
     seeds = np.random.SeedSequence(seed).spawn(trials)
     block = sp.stream_trials(plan, ms, dist, seeds)
     assert block.fired.shape == (trials, plan.table.starts.size)
+    # the plan's region counts, gather-free on the DMC plan, are those of
+    # the window verdicts
+    assert np.array_equal(block.region_fired,
+                          plan.table.region_counts(block.fired))
     for t, (m, ss) in enumerate(zip(ms, seeds)):
         one = sp.stream_trials(plan, [int(m)], dist, [as_generator(ss)])
         assert np.array_equal(block.fired[t], one.fired[0])
@@ -476,6 +603,12 @@ def test_block_equals_its_trials_one_at_a_time():
         "dmc, flipped bsc": sp.DmcPlan(dmc_flipped, flipped),
     }
     assert plans["compound beyond int64"].table.starts.dtype == object
+    # the last region's run of columns ends at the last column, and the
+    # overlapping layout's runs share columns
+    dmc_plan = plans["dmc"]
+    assert dmc_plan.runs[-1] == dmc_plan.cells - dmc_plan.window_len + 1
+    runs = plans["dmc, regions overlap"].runs.reshape(-1, 2)
+    assert (runs[1:, 0] < runs[:-1, 1]).any()
     for k, (name, plan) in enumerate(plans.items()):
         block = assert_block_is_its_trials(plan, ERRATIC, 64, seed=k)
         diags = block.diagnostics
@@ -610,7 +743,7 @@ def test_window_statistics_share_the_segment_covariance():
     rng = np.random.default_rng(41)
     rows = np.empty((trials, sieve.cells))
     for row in rows:
-        sieve.draw(rng, row, 2, none)
+        sieve.draw(rng, row, 2, (0, 0), none)
     assert np.isfinite(rows[:, own]).all()
     segment = sp.Plan(p)
     draws = np.random.default_rng(42).standard_normal((trials, segment.cells))
@@ -693,10 +826,11 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
     table = plan.table
     bounds = table.bounds.tolist()
     for r in (2, 5, 15):
-        contact = table.contact(int(table.starts[bounds[r]]) - 1, 1)
+        image = (int(table.starts[bounds[r]]) - 1, 1)
+        contact = table.contact(*image)
         assert contact[0].tolist() == [bounds[r]]
         row = np.empty(plan.cells)
-        plan.draw(np.random.default_rng(r), row, 1, contact)
+        plan.draw(np.random.default_rng(r), row, 1, image, contact)
         want = np.zeros(plan.cells, dtype=bool)
         for lo, hi in ((bounds[0], bounds[1]), (bounds[r], bounds[r + 1])):
             want[lo:hi] = True
