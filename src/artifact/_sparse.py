@@ -53,7 +53,8 @@ Python integers instead (see _layout.RegionTable), through the same numpy
 expressions.
 
 Trials run in blocks (stream_trials).  Each trial of a block draws from
-its own generator, in a fixed order: a, then g, then its row of the plan's
+its own PCG64 state, seated in the calling thread's one generator
+(rng.generator_at), in a fixed order: a, then g, then its row of the plan's
 normals, or the sieve's draws, or the DMC plan's raw words and then its
 tie-breaking uniforms.  Per trial there is one image-contact pass
 (RegionTable.contact), the windows the burst image touches, before the
@@ -81,7 +82,7 @@ from ._layout import (_INT64_SAFE, MAX_WINDOWS, TraceDiagnostics,
                       contact_diagnostics)
 from .channel import StateDistribution
 from .errors import InvalidConfigError
-from .rng import as_generator
+from .rng import generator_at
 
 # numpy's multinomial sampler takes an int64 trial count; beyond that we fall
 # back to a rounded-Gaussian sum whose distributional error is far below
@@ -597,7 +598,8 @@ class DmcPlan(_TrialPlan):
         lo, hi = self.firing_counts
         ones = self.window_sums(draws)
         np.greater_equal(ones, lo, out=fires[:, :n])
-        fires[:, :n] &= ones <= hi
+        if hi < self.window_len:  # no window holds more than w ones
+            fires[:, :n] &= ones <= hi
         return fires
 
     def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
@@ -661,10 +663,10 @@ class TrialBlock:
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
-                  seeds) -> TrialBlock:
+                  states) -> TrialBlock:
     """A block of encode/transmit/decode rounds without materializing any
-    stream: trial t sends message ms[t] and draws from seeds[t], a seed or
-    a Generator."""
+    stream: trial t sends message ms[t] and draws from the PCG64 state
+    dict states[t] (see rng.generator_at)."""
     layout, table = plan.layout, plan.table
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
@@ -673,11 +675,11 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     # sample_state_sum's rounded-Gaussian path: random states and a run of
     # more than EXACT_SUM_MAX slots
     approximate, random_states = 0, len(dist.support) > 1
-    for m, seed, row in zip(ms, seeds, draws, strict=True):
+    for m, state, row in zip(ms, states, draws, strict=True):
         layout.check_message(m)
         approximate += random_states and max(
             prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
-        rng = as_generator(seed)
+        rng = generator_at(state)
         a = sample_state_sum(dist, prefix[m - 1], rng)
         g = sample_state_sum(dist, burst[m - 1], rng)
         contact = table.contact(a, g)

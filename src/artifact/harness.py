@@ -21,15 +21,21 @@ for the DMC scheme with the samples they cover, so plan_for rejects
 configs over _sparse.MAX_WINDOWS windows, or over _sparse.MAX_LETTERS
 DMC letters a trial, before any table is built or letter drawn.
 run_trials splits the trials, in order, into blocks of the plan's
-block_size, draws each block's messages and seeds as the block is taken,
-runs it through _sparse.stream_trials (one worker thread per block at a
-time), and adds its counts into the report's tallies; no per-trial
+block_size, draws each block's messages and trial states as the block is
+taken, runs it through _sparse.stream_trials (one worker thread per block
+at a time), and adds its counts into the report's tallies; no per-trial
 outcome is kept, so memory does not grow with the trial count.
 
-Reproducibility contract: a report is a pure function of its config.  Every
-trial draws from its own seed spawned from base_seed, and its outcome does
-not depend on the other trials of its block, so neither the block split
-nor the worker count changes the numbers.
+Reproducibility contract: a report is a pure function of its config.  The
+streams are numpy's children of SeedSequence(base_seed), as
+SeedSequence(base_seed).spawn(3) names them: the messages are the draws
+of child 1's stream, and trial t draws from the stream of child 2's
+child t, SeedSequence(base_seed, spawn_key=(2, t)).  No SeedSequence or
+bit generator is built for them: rng.Spawner computes each stream's
+PCG64 state in closed form, bit for bit, and each worker thread seats it
+in its one generator (rng.generator_at).  A trial's outcome does not
+depend on the other trials of its block, so neither the block split nor
+the worker count changes the numbers.
 """
 
 from __future__ import annotations
@@ -48,14 +54,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import _sparse, codec_compound, codec_dmc, codec_gauss
+from . import _sparse, codec_compound, codec_dmc, codec_gauss, rng
 from .channel import (Dmc, StateDistribution, is_integer, is_real,
                       state_dist_from_dict, state_dist_to_dict)
 from .errors import InvalidConfigError
-from .rng import as_generator
 
 # most trials verify_cost_equivalence draws, all at once
 MAX_COST_TRIALS = 1 << 22
+# most trials a report runs: trial t's seed has t below 2**64 (see
+# rng.Spawner.child_words)
+MAX_TRIALS = 1 << 64
 # messages drawn at a time: one call for many short blocks, and memory
 # that does not grow with the trial count
 _MESSAGE_CHUNK = 1 << 12
@@ -103,6 +111,10 @@ class ExperimentConfig:
                         f"{name} must be {kind}, got {value!r}")
         if self.trials < 1:
             raise InvalidConfigError("need at least one trial")
+        if self.trials > MAX_TRIALS:
+            raise InvalidConfigError(
+                f"{self.trials} trials exceed {MAX_TRIALS}, the most a "
+                "report runs")
         if self.base_seed < 0:
             raise InvalidConfigError("base_seed must be nonnegative")
         if not isinstance(self.idc, StateDistribution):
@@ -249,21 +261,25 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
 
 
 def _trial_blocks(config: ExperimentConfig, size: int):
-    """(messages, trial seeds) of each block of at most size trials, in
-    trial order.  Messages are drawn _MESSAGE_CHUNK at a time (rounded
-    to whole blocks) and seeds block by block, which gives every trial
-    the message and the seed that one draw of them all would, and holds
-    ~400 bytes a trial only while its block runs."""
-    # stream 0 is unused; it stays so that message and trial seeds hold
-    _, msg_ss, trial_root = np.random.SeedSequence(config.base_seed).spawn(3)
-    rng = as_generator(msg_ss)
+    """(messages, trial states) of each block of at most size trials, in
+    trial order.  The messages are drawn _MESSAGE_CHUNK at a time (rounded
+    to whole blocks) from one stream, seated for each chunk where the last
+    left off, so every trial gets the message that one draw of them all
+    would give.  Each chunk's seed words (32 bytes a trial) are hashed at
+    once and turned into trial states block by block, which hold ~400
+    bytes a trial only while their block runs."""
+    root = rng.Spawner(config.base_seed)
+    message_state, trial_root = root.child(1).state(), root.child(2)
     chunk = size * max(1, _MESSAGE_CHUNK // size)
     for first in range(0, config.trials, chunk):
-        messages = _draw_messages(config, rng, first,
-                                  min(chunk, config.trials - first))
-        for i in range(0, messages.size, size):
-            block = messages[i:i + size]
-            yield block, trial_root.spawn(block.size)
+        n = min(chunk, config.trials - first)
+        gen = rng.generator_at(message_state)
+        messages = _draw_messages(config, gen, first, n)
+        if first + n < config.trials:
+            message_state = gen.bit_generator.state
+        words = trial_root.child_words(first, n)
+        for i in range(0, n, size):
+            yield messages[i:i + size], rng.pcg64_states(words[i:i + size])
 
 
 def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
@@ -312,12 +328,12 @@ def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
     return out
 
 
-def _draw_messages(config: ExperimentConfig, rng, first: int,
+def _draw_messages(config: ExperimentConfig, gen, first: int,
                    n: int) -> np.ndarray:
     """Messages of trials first .. first + n - 1, uniform ones the next n
-    draws of rng: bounded integers chunked in any way equal one draw."""
+    draws of gen: bounded integers chunked in any way equal one draw."""
     if config.message_selection == "uniform":
-        return rng.integers(1, config.M + 1, size=n)
+        return gen.integers(1, config.M + 1, size=n)
     if config.message_selection == "exhaustive":
         return np.arange(first, first + n, dtype=np.int64) % config.M + 1
     return np.full(n, int(config.message_selection), dtype=np.int64)
@@ -342,9 +358,9 @@ def run_trials(config: ExperimentConfig) -> Report:
     plan = _sparse.plan_for(params, config.dmc)
 
     def run(block) -> dict[str, int]:
-        messages, seeds = block
+        messages, states = block
         return _block_tallies(messages, _sparse.stream_trials(
-            plan, messages, config.idc, seeds), plan.table.bounds)
+            plan, messages, config.idc, states), plan.table.bounds)
 
     tallies = collections.Counter()  # keys in _TALLIES order
     blocks = _trial_blocks(config, plan.block_size)
@@ -465,11 +481,11 @@ def verify_cost_equivalence(config: ExperimentConfig, trials: int | None = None,
         raise InvalidConfigError(
             f"{n} trials exceed {MAX_COST_TRIALS}, the most the cost check "
             "draws at once")
-    rng = as_generator(config.base_seed if seed is None else seed)
+    gen = rng.as_generator(config.base_seed if seed is None else seed)
     letter_cost = float(config.dmc.cost[params.x_star])
     input_cost = params.B * letter_cost
 
-    counts = rng.multinomial(params.B, config.idc.probabilities, size=n)
+    counts = gen.multinomial(params.B, config.idc.probabilities, size=n)
     sums = counts @ np.asarray(config.idc.values, dtype=np.float64)
     output_costs = (letter_cost / config.idc.mu) * sums
 

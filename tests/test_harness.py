@@ -19,7 +19,7 @@ from artifact import _layout, _sparse, harness
 from artifact import codec_dmc as cd
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.errors import InvalidConfigError
-from artifact.rng import as_generator
+from artifact.rng import as_generator, states_of
 
 
 def dmc_config(**over) -> harness.ExperimentConfig:
@@ -337,19 +337,21 @@ def test_messages_are_drawn_block_by_block(monkeypatch):
     """Messages are drawn a chunk at a time as blocks are taken, so the
     first block of 10**13 trials comes back at once, and blocks of any
     size, in chunks of any size, read the messages of one draw over all
-    trials."""
-    first, seeds = next(harness._trial_blocks(gauss_config(trials=10**13), 7))
-    assert first.size == len(seeds) == 7
+    trials and the states of the trial seeds SeedSequence spawns."""
+    first, states = next(harness._trial_blocks(gauss_config(trials=10**13), 7))
+    assert first.size == len(states) == 7
     monkeypatch.setattr(harness, "_MESSAGE_CHUNK", 16)
     for cfg in (gauss_config(trials=300, M=751),
                 gauss_config(trials=300, message_selection="exhaustive")):
-        _, msg_ss, _ = np.random.SeedSequence(cfg.base_seed).spawn(3)
+        _, msg_ss, trial_root = np.random.SeedSequence(cfg.base_seed).spawn(3)
         one = (as_generator(msg_ss).integers(1, cfg.M + 1, size=300)
                if cfg.message_selection == "uniform"
                else np.arange(300) % cfg.M + 1)
-        for size in (1, 7, 84, 300):
+        seeded = states_of(trial_root.spawn(300))
+        for size in (1, 7, 42, 84, 300):
             blocks = list(harness._trial_blocks(cfg, size))
             assert np.array_equal(np.concatenate([b for b, _ in blocks]), one)
+            assert [s for _, block in blocks for s in block] == seeded, size
 
 
 def test_exhaustive_and_fixed_message_selection():
@@ -365,6 +367,8 @@ def test_config_validation():
         dmc_config(scheme="nope")
     with pytest.raises(InvalidConfigError):
         dmc_config(trials=0)
+    with pytest.raises(InvalidConfigError, match="the most a report runs"):
+        dmc_config(trials=harness.MAX_TRIALS + 1)
     with pytest.raises(InvalidConfigError):
         dmc_config(dmc=None)
     with pytest.raises(InvalidConfigError, match="takes no dmc back end"):

@@ -26,7 +26,7 @@ from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
 from artifact._exact import multiples_in_open
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
-from artifact.rng import as_generator
+from artifact.rng import states_of
 
 
 def test_zero_slots_sum_to_zero():
@@ -103,8 +103,8 @@ def test_stream_trial_reproducible_and_exact_sums():
     p = equal_rate_params()
     plan = sp.Plan(p)
     one = StateDistribution.constant(1)
-    r1 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
-    r2 = sp.stream_trials(plan, [3], one, [np.random.default_rng(11)])
+    r1 = sp.stream_trials(plan, [3], one, states_of([11]))
+    r2 = sp.stream_trials(plan, [3], one, states_of([11]))
     assert np.array_equal(r1.decoded, r2.decoded)
     assert r1.diagnostics == r2.diagnostics
     # constant states make both output sums certain
@@ -285,9 +285,9 @@ def test_stream_agrees_with_materialized_pipeline():
 
     rng = np.random.default_rng(2025)
     stream_err = 0
-    for _ in range(trials):
+    for state in states_of(rng.bit_generator.seed_seq.spawn(trials)):
         m = int(rng.integers(1, 9))
-        if sp.stream_trials(plan, [m], idc, [rng]).decoded[0] != m:
+        if sp.stream_trials(plan, [m], idc, [state]).decoded[0] != m:
             stream_err += 1
 
     rng = np.random.default_rng(9025)
@@ -311,7 +311,7 @@ def test_big_int_schedule_runs_without_materializing():
                          sigma2=0.25)
     assert p.block_len > 2 ** 62     # far beyond any buffer
     res = sp.stream_trials(sp.Plan(p), [30], StateDistribution.constant(1),
-                           [np.random.default_rng(3)])
+                           states_of([3]))
     assert res.diagnostics[0].prefix_output == p.offsets[29]
     assert res.diagnostics[0].burst_output == p.widths[29]
     assert res.decoded[0] in range(0, 33)   # 0: no unique region fired
@@ -563,15 +563,15 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
     fired arrays bit for bit, the decisions and the diagnostics."""
     ms = np.random.default_rng(seed).integers(1, plan.layout.M + 1,
                                               size=trials)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    block = sp.stream_trials(plan, ms, dist, seeds)
+    states = states_of(np.random.SeedSequence(seed).spawn(trials))
+    block = sp.stream_trials(plan, ms, dist, states)
     assert block.fired.shape == (trials, plan.table.starts.size)
     # the plan's region counts, gather-free on the DMC plan, are those of
     # the window verdicts
     assert np.array_equal(block.region_fired,
                           plan.table.region_counts(block.fired))
-    for t, (m, ss) in enumerate(zip(ms, seeds)):
-        one = sp.stream_trials(plan, [int(m)], dist, [as_generator(ss)])
+    for t, (m, state) in enumerate(zip(ms, states)):
+        one = sp.stream_trials(plan, [int(m)], dist, [state])
         assert np.array_equal(block.fired[t], one.fired[0])
         assert block.decoded[t] == one.decoded[0]
         assert block.diagnostics[t] == one.diagnostics[0]
@@ -796,10 +796,10 @@ def test_sieve_fires_as_the_segment_plan():
     trials, one = 8000, StateDistribution.constant(1)
     tables = [[], [], []]
     for plan, seed in ((sp.SievePlan(p), 61), (sp.Plan(p), 62)):
-        seeds = np.random.SeedSequence(seed).spawn(trials)
+        states = states_of(np.random.SeedSequence(seed).spawn(trials))
         counts, first, own = [], [], []
         for i in range(0, trials, 500):
-            block = sp.stream_trials(plan, [2] * 500, one, seeds[i:i + 500])
+            block = sp.stream_trials(plan, [2] * 500, one, states[i:i + 500])
             assert all(d.wrong_windows_all_zero for d in block.diagnostics)
             counts.append(block.region_fired[:, 2:].ravel())
             first += [lowest_firing(block.fired, lo, hi)
