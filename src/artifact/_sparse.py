@@ -17,8 +17,10 @@ windows that fire:
   Cholesky factor.  Every other region reads noise alone, and an exact
   union sieve draws its firing pattern from one uniform, plus, with
   probability n * Q(tau), one proposal of n coloured normals (see
-  SievePlan).  A trial's cost then follows the regions and the regions
-  that may fire, not the windows.  plan_for picks it when no region
+  SievePlan).  It counts each drawn region's firing windows as it draws,
+  so a trial's row is its M region counts, not a row of windows, and its
+  cost follows the regions and the regions that may fire, not the
+  windows.  plan_for picks it when no region
   holds more than MAX_FACTOR_WINDOWS windows, the layout has at least
   SIEVE_MIN_WINDOWS windows, every region has n * Q(tau) < 1, the
   sieve's own condition, and every factor exists: the Gaussian scheme
@@ -61,12 +63,13 @@ tie-breaking uniforms.  Per trial there is one image-contact pass
 row is drawn; it carries the Gaussian signal, tells the sieve which
 regions to draw in full, and fixes the geometry flags.  Everything after
 the draws is one numpy pass over the block: the window statistics
-(cumulative or sliding sums along the rows; the sieve's are its draws; a
-binary DMC column's count of letter 1), the threshold (or the interval of
-counts that fire) and the unique-region rule.  A block holds at most
-BLOCK_CELLS row cells, so long trials run one at a time and short ones
-share their numpy calls; no result depends on how the trials are split
-into blocks.
+(cumulative or sliding sums along the rows; a binary DMC column's count
+of letter 1), the threshold (or the interval of counts that fire) and the
+unique-region rule; the sieve's rows are already its region counts.  A
+block holds at most BLOCK_CELLS row cells, so long trials run one at a
+time and short ones share their numpy calls (a sieved trial's M cells:
+64 trials a block at M = 256); no result depends on how the trials are
+split into blocks.
 """
 
 from __future__ import annotations
@@ -141,12 +144,15 @@ class _TrialPlan:
     A trial has a row of cells numbers of type dtype in a block array:
     draw(rng, row, m, image, contact) fills it for a trial that sends m,
     whose burst image is image = (a, g) and has that contact
-    (RegionTable.contact), one number a cell except in the sieve.
+    (RegionTable.contact), and returns what window_fired needs beyond the
+    row (None on the row plans, whose rows settle every window).
     verdicts(ms, contacts, draws) turns a block's rows, with each trial's
-    message and image contact, into trials x columns window verdicts:
-    window i's verdict is column columns[i], or column i where columns
-    is None.  region_counts(verdicts) counts each region's firing windows
-    and fired(ms, contacts, draws) gives the verdicts trials x windows.
+    message and image contact, into the block's verdicts, and
+    region_counts(verdicts) counts each region's firing windows.
+    window_fired(verdicts, drawn) gives the verdicts trials x windows from
+    those verdicts and what draw returned for each trial: on a row plan,
+    window i's verdict is column columns[i], or column i where columns is
+    None, and fired(ms, contacts, draws) gives them from the rows alone.
     Plans keep no scratch buffers, so threaded blocks can share one.
     """
 
@@ -167,27 +173,19 @@ class _TrialPlan:
     def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
         return self.table.region_counts(verdicts)
 
+    def window_fired(self, verdicts: np.ndarray, drawn) -> np.ndarray:
+        return (verdicts if self.columns is None
+                else np.take(verdicts, self.columns, axis=1))
+
     def fired(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        return window_verdicts(self.verdicts(ms, contacts, draws),
-                               self.columns)
-
-
-def window_verdicts(verdicts: np.ndarray, columns) -> np.ndarray:
-    """trials x windows: window i's verdict from column columns[i] of a
-    plan's verdicts, or from column i where columns is None."""
-    return verdicts if columns is None else np.take(verdicts, columns, axis=1)
+        return self.window_fired(self.verdicts(ms, contacts, draws), None)
 
 
 class _GaussPlan(_TrialPlan):
-    """What the Gaussian plans share: one standard normal per cell (the
-    sieve draws its own), each message's burst amplitude, and each
-    window's noise deviation eta * sqrt(len), by which its statistic is
-    normalised.
-
-    statistics(ms, contacts, draws) gives the block's normalised
-    window statistics; a window fires when its statistic reaches the
-    threshold.
-    """
+    """What the Gaussian plans share: each message's burst amplitude, and
+    each window's noise deviation eta * sqrt(len), by which its statistic
+    is normalised; a window fires when its statistic reaches the
+    threshold."""
 
     def __init__(self, params):
         super().__init__(params)
@@ -196,23 +194,6 @@ class _GaussPlan(_TrialPlan):
         self.amplitudes = np.array([params.amplitude(m)
                                     for m in range(1, params.layout.M + 1)])
 
-    def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, contact) -> None:
-        rng.standard_normal(out=out)
-
-    def signal(self, ms, contacts):
-        """(rows, cols, values): the burst adds amplitude * overlap on the
-        windows its image touches, and on no other."""
-        sizes = [idx.size for idx, _ in contacts]
-        rows = np.repeat(np.arange(len(sizes)), sizes)
-        cols = np.concatenate([idx for idx, _ in contacts])
-        amplitude = np.repeat(self.amplitudes[np.asarray(ms) - 1], sizes)
-        return rows, cols, amplitude * np.concatenate(
-            [overlap for _, overlap in contacts]).astype(np.float64)
-
-    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        return self.statistics(ms, contacts, draws) >= self.threshold
-
 
 class Plan(_GaussPlan):
     """Segment plan of a Gaussian-back-end scheme: serves every layout.
@@ -220,12 +201,15 @@ class Plan(_GaussPlan):
     params is a codec_gauss.GaussSchemeParams or a
     codec_compound.CompoundSchemeParams; the windows are its layout's
     region table.  Window i spans the half-open sample range
-    [starts[i], ends[i] + 1).  Increment j covers [points[j], points[j+1]);
-    a window's noise is the sum of the increments it spans, and only
-    covered segments get a nonzero scale.  Windows of different regions
-    may share samples, as they do in a layout that fails its guards, so
-    this is the plan for such layouts; SievePlan serves long and quiet
-    disjoint ones.
+    [starts[i], ends[i] + 1).  Increment j covers [points[j], points[j+1]),
+    one standard normal a cell; a window's noise is the sum of the
+    increments it spans, and only covered segments get a nonzero scale.
+    Windows of different regions may share samples, as they do in a
+    layout that fails its guards, so this is the plan for such layouts;
+    SievePlan serves long and quiet disjoint ones.
+
+    statistics(ms, contacts, draws) gives the block's normalised window
+    statistics.
     """
 
     def __init__(self, params):
@@ -254,6 +238,20 @@ class Plan(_GaussPlan):
             0.0)
         self.cells = self.scale.size
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
+             image, contact) -> None:
+        rng.standard_normal(out=out)
+
+    def signal(self, ms, contacts):
+        """(rows, cols, values): the burst adds amplitude * overlap on the
+        windows its image touches, and on no other."""
+        sizes = [idx.size for idx, _ in contacts]
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        cols = np.concatenate([idx for idx, _ in contacts])
+        amplitude = np.repeat(self.amplitudes[np.asarray(ms) - 1], sizes)
+        return rows, cols, amplitude * np.concatenate(
+            [overlap for _, overlap in contacts]).astype(np.float64)
+
     def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
         n = draws.shape[0]
         cum = np.zeros((n, self.cells + 1))
@@ -265,6 +263,9 @@ class Plan(_GaussPlan):
         stat[rows, cols] += signal
         stat /= self.denom
         return stat
+
+    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        return self.statistics(ms, contacts, draws) >= self.threshold
 
 
 def window_overlaps(n: int, steps, lens) -> np.ndarray:
@@ -282,9 +283,9 @@ def window_overlaps(n: int, steps, lens) -> np.ndarray:
 
 
 class SievePlan(_GaussPlan):
-    """Gaussian plan of a layout whose regions share no sample: one cell a
-    window, drawn only in the regions the burst image touches and the
-    regions that may fire.
+    """Gaussian plan of a layout whose regions share no sample: a trial's
+    row is its M per-region firing counts, drawn only in the regions the
+    burst image touches and the regions that may fire.
 
     A region is an arithmetic progression of n windows of w samples, step
     s, so the noise sums of its windows have covariance
@@ -299,10 +300,11 @@ class SievePlan(_GaussPlan):
     plan_for then keeps the segment Plan.
 
     A region the image does not touch reads noise alone: its statistics X
-    are N(0, C), and each of its n windows fires with probability q = Q(tau).  When n * q < 1 its
-    firing pattern is drawn exactly, mostly without its n normals, by a
-    union sieve: the mixture proposal of Owen, Maximov and Chertkov's
-    ALOE sampler (Electron. J. Statist. 13, 2019).  One uniform makes the
+    are N(0, C), and each of its n windows fires with probability
+    q = Q(tau).  When n * q < 1 its firing pattern is drawn exactly,
+    mostly without its n normals, by a union sieve: the mixture proposal
+    of Owen, Maximov and Chertkov's ALOE sampler (Electron. J. Statist.
+    13, 2019).  One uniform makes the
     region a proposal with probability n * q.  A proposal picks a window k
     uniformly, draws X_k from the normal tail beyond tau, -Phi^-1(q * u)
     with u in (0, 1], and the rest given X_k as Y + C[:, k] (X_k - Y_k)
@@ -317,11 +319,17 @@ class SievePlan(_GaussPlan):
     regions the image touches, and the sent message's) in table order;
     one uniform a region of the table; then, for the proposals in region
     order, their window indices, tail uniforms and keep uniforms, and
-    their normals.  Its row holds the full regions' statistics, burst
-    signal included, each kept proposal's X, and -inf, below any
-    threshold, in every other window.  Nothing a trial draws or computes
-    touches another row, so a block equals its trials one at a time.
+    their normals.  Its row holds, in region order, each full region's
+    count of windows at or above tau, burst signal included, each kept
+    proposal's c, and 0 for every other region; so the verdicts are the
+    rows and so are the region counts.  draw returns the statistics it
+    drew, a (region, X) pair for each full region and kept proposal, from
+    which window_fired builds the window verdicts on demand.  Nothing a
+    trial draws or computes touches another row, so a block equals its
+    trials one at a time.
     """
+
+    dtype = np.int32   # the region counts as RegionTable.by_message gives
 
     def __init__(self, params):
         super().__init__(params)
@@ -331,7 +339,7 @@ class SievePlan(_GaussPlan):
         self.propose = self.sizes * self.q  # per region: P(proposal)
         if self.propose.max() >= 1:
             raise ValueError("the sieve needs n * Q(tau) < 1 in every region")
-        self.cells = int(self.table.bounds[-1])
+        self.cells = layout.M
         # per window count n: each such region, the distinct (s, w) in
         # lowest terms (s / w fixes the correlations), and which of them
         # each region has
@@ -359,27 +367,33 @@ class SievePlan(_GaussPlan):
                               layout.sizes))
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, contact) -> None:
+             image, contact) -> list[tuple[int, np.ndarray]]:
         tau, spans, factors = self.threshold, self.spans, self.region_factors
         idx, overlap = contact
-        out.fill(-np.inf)
+        out.fill(0)
         # the regions r of the contact windows i: bounds[r] <= i < bounds[r+1]
         touched = self.table.bounds.searchsorted(idx, side="right") - 1
         full = sorted({m - 1, *touched.tolist()})
         z = rng.standard_normal(int(self.sizes[full].sum()))
-        at = 0
-        for r in full:
+        signal = (self.amplitudes[m - 1] * overlap.astype(np.float64)
+                  / self.denom[idx])
+        # region full[j]'s contact windows: idx[lo[j]:hi[j]]
+        lo = touched.searchsorted(full).tolist()
+        hi = touched.searchsorted(full, side="right").tolist()
+        drawn, at = [], 0
+        for r, i, j in zip(full, lo, hi):
             first, n = spans[r]
             if n:
-                out[first:first + n] = z[at:at + n] @ factors[r][0]
+                x = z[at:at + n] @ factors[r][0]
                 at += n
-        out[idx] += (self.amplitudes[m - 1] * overlap.astype(np.float64)
-                     / self.denom[idx])
+                x[idx[i:j] - first] += signal[i:j]
+                out[r] = np.count_nonzero(x >= tau)
+                drawn.append((r, x))
         proposals = rng.random(len(spans)) < self.propose
         proposals[full] = False
         regions = np.flatnonzero(proposals)
         if not regions.size:
-            return
+            return drawn
         sizes = self.sizes[regions]
         ks = rng.integers(sizes).tolist()
         inv_cdf, q = _NORMAL.inv_cdf, self.q
@@ -389,18 +403,35 @@ class SievePlan(_GaussPlan):
         z = rng.standard_normal(int(sizes.sum()))
         at = 0
         for r, k, tail, keep in zip(regions.tolist(), ks, tails, keeps):
-            first, n = spans[r]
+            n = spans[r][1]
             factor, corr = factors[r]
             y = z[at:at + n] @ factor
             at += n
             x = y + corr[k] * (tail - y[k])
             x[k] = tail
-            if keep * np.count_nonzero(x >= tau) < 1.0:
-                out[first:first + n] = x
+            c = np.count_nonzero(x >= tau)
+            if keep * c < 1.0:
+                out[r] = c
+                drawn.append((r, x))
+        return drawn
 
-    def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        """The rows of draws, which draw filled with the statistics."""
+    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+        """The rows: each region's count of firing windows."""
         return draws
+
+    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
+        return verdicts
+
+    def window_fired(self, verdicts: np.ndarray, drawn) -> np.ndarray:
+        """Each drawn region's X against tau, and False in every other
+        window."""
+        fired = np.zeros((len(drawn), self.table.starts.size), dtype=bool)
+        for row, regions in zip(fired, drawn):
+            for r, x in regions:
+                first = self.spans[r][0]
+                np.greater_equal(x, self.threshold,
+                                 out=row[first:first + x.size])
+        return fired
 
 
 def _cdf(row: np.ndarray) -> np.ndarray:
@@ -653,13 +684,14 @@ class TrialBlock:
     diagnostics: tuple[TraceDiagnostics, ...]  # per trial
     region_fired: np.ndarray  # trials x messages: firing windows per region
     approximate_sums: int  # trials that drew a rounded-Gaussian state sum
-    verdicts: np.ndarray  # trials x the plan's verdict columns
-    columns: np.ndarray | None  # the plan's columns: window i's column
+    plan: _TrialPlan  # the plan that ran the block
+    verdicts: np.ndarray  # the plan's verdicts of the block
+    drawn: tuple  # per trial: what plan.draw returned
 
     @property
     def fired(self) -> np.ndarray:
         """trials x windows of the region table, built on access."""
-        return window_verdicts(self.verdicts, self.columns)
+        return self.plan.window_fired(self.verdicts, self.drawn)
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
@@ -671,7 +703,7 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
     draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
-    contacts, diagnostics = [], []
+    contacts, diagnostics, drawn = [], [], []
     # sample_state_sum's rounded-Gaussian path: random states and a run of
     # more than EXACT_SUM_MAX slots
     approximate, random_states = 0, len(dist.support) > 1
@@ -683,12 +715,12 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         a = sample_state_sum(dist, prefix[m - 1], rng)
         g = sample_state_sum(dist, burst[m - 1], rng)
         contact = table.contact(a, g)
-        plan.draw(rng, row, m, (a, g), contact)
+        drawn.append(plan.draw(rng, row, m, (a, g), contact))
         contacts.append(contact)
         diagnostics.append(contact_diagnostics(m, a, g, layout, *contact))
     verdicts = plan.verdicts(ms, contacts, draws)
     counts = plan.region_counts(verdicts)
     return TrialBlock(decoded=table.decide_rows(counts),
                       diagnostics=tuple(diagnostics), region_fired=counts,
-                      approximate_sums=approximate, verdicts=verdicts,
-                      columns=plan.columns)
+                      approximate_sums=approximate, plan=plan,
+                      verdicts=verdicts, drawn=tuple(drawn))

@@ -265,17 +265,20 @@ def _trial_blocks(config: ExperimentConfig, size: int):
     trial order.  The messages are drawn _MESSAGE_CHUNK at a time (rounded
     to whole blocks) from one stream, seated for each chunk where the last
     left off, so every trial gets the message that one draw of them all
-    would give.  Each chunk's seed words (32 bytes a trial) are hashed at
-    once and turned into trial states block by block, which hold ~400
-    bytes a trial only while their block runs."""
+    would give; exhaustive and fixed selections draw nothing, so their
+    stream is never seated.  Each chunk's seed words (32 bytes a trial)
+    are hashed at once and turned into trial states block by block, which
+    hold ~400 bytes a trial only while their block runs."""
     root = rng.Spawner(config.base_seed)
-    message_state, trial_root = root.child(1).state(), root.child(2)
+    uniform = config.message_selection == "uniform"
+    message_state = root.child(1).state() if uniform else None
+    trial_root = root.child(2)
     chunk = size * max(1, _MESSAGE_CHUNK // size)
     for first in range(0, config.trials, chunk):
         n = min(chunk, config.trials - first)
-        gen = rng.generator_at(message_state)
+        gen = rng.generator_at(message_state) if uniform else None
         messages = _draw_messages(config, gen, first, n)
-        if first + n < config.trials:
+        if uniform and first + n < config.trials:
             message_state = gen.bit_generator.state
         words = trial_root.child_words(first, n)
         for i in range(0, n, size):
@@ -331,7 +334,8 @@ def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
 def _draw_messages(config: ExperimentConfig, gen, first: int,
                    n: int) -> np.ndarray:
     """Messages of trials first .. first + n - 1, uniform ones the next n
-    draws of gen: bounded integers chunked in any way equal one draw."""
+    draws of gen (None for the other selections): bounded integers chunked
+    in any way equal one draw."""
     if config.message_selection == "uniform":
         return gen.integers(1, config.M + 1, size=n)
     if config.message_selection == "exhaustive":

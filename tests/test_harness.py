@@ -37,6 +37,13 @@ def gauss_config(**over) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(**base)
 
 
+def sieved_config(**over) -> harness.ExperimentConfig:
+    """Criterion 5 at M = 256, which the sieve runs in blocks of 64
+    trials: 150 trials are two full blocks and a part."""
+    return gauss_config(**{"M": 256, "epsilon": 0.2, "trials": 150,
+                           "idc": StateDistribution.deletion(0.1), **over})
+
+
 def compound_config(**over) -> harness.ExperimentConfig:
     base = dict(scheme="compound", M=8, epsilon=0.25, delta=0.3, trials=50,
                 base_seed=5, idc=StateDistribution.constant(1),
@@ -128,18 +135,22 @@ def test_worker_count_does_not_change_results():
     criterion_7 = functools.partial(
         compound_config, M=64, delta=0.1, mu1=0.8, mu2=1.1, sigma2_bound=0.25,
         idc=StateDistribution.deletion(0.05), trials=400)
-    for config in (gauss_config, dmc_config, criterion_7):
+    for config in (gauss_config, dmc_config, criterion_7, sieved_config):
         one = harness.run_trials(config(workers=1))
         four = harness.run_trials(config(workers=4))
         assert one.errors == four.errors
         assert one.diagnostics == four.diagnostics
-    cfg = criterion_7()
-    plan = _sparse.plan_for(harness.derive_scheme_params(cfg))
-    assert 1 < plan.block_size < cfg.trials / 2
+    for cfg in (criterion_7(), sieved_config()):
+        plan = _sparse.plan_for(harness.derive_scheme_params(cfg))
+        assert 1 < plan.block_size < cfg.trials / 2
+    assert type(plan) is _sparse.SievePlan   # sieved_config's
 
 
 def test_block_split_does_not_change_results(monkeypatch):
-    for config in (gauss_config, dmc_config, compound_config):
+    plan = _sparse.plan_for(harness.derive_scheme_params(sieved_config()))
+    assert type(plan) is _sparse.SievePlan
+    assert plan.block_size == 64 < sieved_config().trials / 2
+    for config in (gauss_config, dmc_config, compound_config, sieved_config):
         whole = harness.run_trials(config())
         monkeypatch.setattr(_sparse, "BLOCK_CELLS", 1)   # blocks of one
         ones = harness.run_trials(config())

@@ -629,9 +629,10 @@ def test_block_size_follows_the_cell_budget():
     gauss = cg.derive_params(M=256, epsilon=0.2, delta=0.5,
                              idc=StateDistribution.deletion(0.1))
     assert sp.Plan(gauss).block_size == 1   # 48,961 increments a trial
-    sieve = sp.SievePlan(gauss)   # one cell a window
-    assert sieve.cells == sieve.table.starts.size == 24481
-    assert sieve.block_size == 1
+    sieve = sp.SievePlan(gauss)   # one cell a region, not a window
+    assert sieve.table.starts.size == 24481
+    assert sieve.cells == gauss.layout.M == 256
+    assert sieve.block_size == sp.BLOCK_CELLS // 256 == 64
 
 
 def criterion_7_params():
@@ -728,9 +729,9 @@ def box_m_pvalue(x: np.ndarray, y: np.ndarray) -> float:
 def test_window_statistics_share_the_segment_covariance():
     """The sieve's noise-only statistics against the segment plan's on one
     small layout: the 39 heavily overlapping windows of message 2's
-    region, which the sieve draws in full as the sent message's (no
-    image; tau out of reach, so no other region is drawn).  Box's M at
-    alpha = 0.001, fixed before the test was run."""
+    region, which the sieve draws in full as the sent message's and
+    returns from draw (no image; tau out of reach, so no other region is
+    drawn).  Box's M at alpha = 0.001, fixed before the test was run."""
     p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
     assert p.window_len == 4 * p.spacing    # neighbours share 3/4
@@ -741,14 +742,17 @@ def test_window_statistics_share_the_segment_covariance():
     none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     sieve = sp.SievePlan(replace(p, threshold=40.0))
     rng = np.random.default_rng(41)
-    rows = np.empty((trials, sieve.cells))
+    rows = np.empty((trials, own.stop - own.start))
+    counts = np.empty(sieve.cells, dtype=sieve.dtype)
     for row in rows:
-        sieve.draw(rng, row, 2, (0, 0), none)
-    assert np.isfinite(rows[:, own]).all()
+        (region, x), = sieve.draw(rng, counts, 2, (0, 0), none)
+        assert region == 1
+        row[:] = x
+    assert np.isfinite(rows).all()
     segment = sp.Plan(p)
     draws = np.random.default_rng(42).standard_normal((trials, segment.cells))
     stat = segment.statistics([2] * trials, [none] * trials, draws)
-    assert box_m_pvalue(rows[:, own], stat[:, own]) > 0.001
+    assert box_m_pvalue(rows, stat[:, own]) > 0.001
 
 
 def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -818,7 +822,7 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
     """An image on the first sample of region r touches only r's first
     window; the sieve then draws r in full, with the sent message's
     region, and no other (tau is out of reach, so no region is a
-    proposal and every other window stays at -inf)."""
+    proposal, no window fires and every region counts 0)."""
     p = replace(cg.derive_params(M=16, epsilon=0.5, delta=0.5,
                                  idc=StateDistribution.deletion(0.2)),
                 threshold=40.0)
@@ -829,9 +833,11 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
         image = (int(table.starts[bounds[r]]) - 1, 1)
         contact = table.contact(*image)
         assert contact[0].tolist() == [bounds[r]]
-        row = np.empty(plan.cells)
-        plan.draw(np.random.default_rng(r), row, 1, image, contact)
-        want = np.zeros(plan.cells, dtype=bool)
-        for lo, hi in ((bounds[0], bounds[1]), (bounds[r], bounds[r + 1])):
-            want[lo:hi] = True
-        assert (np.isfinite(row) == want).all()
+        row = np.empty(plan.cells, dtype=plan.dtype)
+        drawn = plan.draw(np.random.default_rng(r), row, 1, image, contact)
+        assert [region for region, _ in drawn] == [0, r]
+        for region, x in drawn:
+            assert x.size == bounds[region + 1] - bounds[region]
+            assert np.isfinite(x).all()
+        assert (row == 0).all()
+        assert not plan.window_fired(row[None], [drawn]).any()
