@@ -5,11 +5,11 @@ followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
 a Layout; its region sizes, its disjointness, its region table, the
-geometry flags (contact_diagnostics) and the streamed simulator read it.
-The two equal-block schemes build theirs, drift budget included, with
-guard_blocks, which refuses more than MAX_WINDOWS messages before it
-builds any per-message tuple.  All three schemes certify their layout's
-spacing with one guard record, GuardDiagnostics.
+geometry flags of a block of trials (contact_flags) and the streamed
+simulator read it.  The two equal-block schemes build theirs, drift
+budget included, with guard_blocks, which refuses more than MAX_WINDOWS
+messages before it builds any per-message tuple.  All three schemes
+certify their layout's spacing with one guard record, GuardDiagnostics.
 
 Each scheme's error analysis budgets for two drift events: the output
 length of the prefix, or the width of the burst image, falling outside an
@@ -65,13 +65,16 @@ class Drift:
             q2 * radius.numerator * spread.denominator,
             q2 * spread.numerator * radius.denominator))
 
-    def out(self, n: int, slots: int) -> bool:
+    def out(self, n, slots):
+        """Whether n drifts, for Python ints n and slots, or element by
+        element (a bool array) for object arrays of them: one expression,
+        & in place of and, exact at any size."""
         # with d = n - (p/q) * slots, radius_sq = rn/rd, spread_sq = sn/sd:
         # d*d < radius_sq + spread_sq * slots**2 exactly when
         # (q*d)**2 * rd * sd < q*q * (rn * sd + sn * rd * slots**2)
         p, q, scale, radius, spread = self._ints
         qd = q * n - p * slots
-        return qd != 0 and qd * qd * scale >= radius + spread * slots * slots
+        return (qd != 0) & (qd * qd * scale >= radius + spread * slots * slots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,42 +347,48 @@ class RegionTable:
         return np.where(hit.sum(axis=1) == 1, hit.argmax(axis=1) + 1, 0)
 
 
-@dataclass(frozen=True)
-class TraceDiagnostics:
-    """What the realized timing states imply for one transmitted message.
+FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
+         "full_burst_window_exists")
+
+
+def contact_flags(layout: Layout, ms, a, g, contacts) -> dict[str, np.ndarray]:
+    """The flags of FLAGS for a block of trials, each a bool array one
+    entry a trial: trial t sends ms[t] with prefix output a[t] and burst
+    image width g[t], and contacts[t] is RegionTable.contact(a[t], g[t]),
+    so windows outside it overlap the image in no sample.  Every flag is a
+    function of where the image lands.
 
     prefix_drift_out / burst_spread_out flag the two drift events of the
     layout.  When both are clear, the other flags certify the geometry the
     error analysis relies on: no window of a wrong region overlaps the
-    burst image, and some window of the right region overlaps it in all but
-    at most the layout's slack samples (none for the DMC scheme, the region
-    spacing floor(M / log2 M) for the Gaussian one and floor(N_m / log2 M)
-    for the compound one).
+    burst image (wrong_windows_all_zero), and some window of the right
+    region overlaps it in all but at most the layout's slack samples
+    (full_burst_window_exists; the slack is none for the DMC scheme, the
+    region spacing floor(M / log2 M) for the Gaussian one and
+    floor(N_m / log2 M) for the compound one).
     """
-
-    prefix_drift_out: bool
-    burst_spread_out: bool
-    wrong_windows_all_zero: bool
-    full_burst_window_exists: bool
-    prefix_output: int
-    burst_output: int
-
-
-def contact_diagnostics(m: int, a: int, g: int, layout: Layout,
-                        idx: np.ndarray, overlap: np.ndarray
-                        ) -> TraceDiagnostics:
-    """The flags of TraceDiagnostics for sending m with prefix output a and
-    burst image width g, from the image's contact windows
-    (RegionTable.contact(a, g)): windows outside it overlap the image in
-    no sample.  Every flag is a function of where the image lands."""
-    own = overlap[slice(*idx.searchsorted(layout.table.bounds[m - 1:m + 1]))]
-    need = layout.window_lens[m - 1] - layout.slack[m - 1]
-    # with need <= 0 every own window qualifies, in contact or not
-    full = g > 0 and (layout.sizes[m - 1] > 0 if need <= 0
-                      else own.size > 0 and bool(own.max() >= need))
-    return TraceDiagnostics(
-        prefix_drift_out=layout.prefix_drift.out(a, layout.prefix_slots[m - 1]),
-        burst_spread_out=layout.burst_drift.out(g, layout.burst_slots[m - 1]),
-        wrong_windows_all_zero=own.size == idx.size,
-        full_burst_window_exists=full,
-        prefix_output=a, burst_output=g)
+    table = layout.table
+    ks = [m - 1 for m in ms]   # message indices
+    prefix = np.array([layout.prefix_slots[k] for k in ks], dtype=object)
+    burst = np.array([layout.burst_slots[k] for k in ks], dtype=object)
+    need = np.array([layout.window_lens[k] - layout.slack[k] for k in ks],
+                    dtype=table.starts.dtype)
+    k = np.array(ks)
+    first, stop = table.bounds[k], table.bounds[k + 1]   # own windows
+    g = np.asarray(g, dtype=object)
+    # every trial's contact windows in one run, each with its trial
+    trial = np.repeat(np.arange(k.size), [idx.size for idx, _ in contacts])
+    idx = np.concatenate([idx for idx, _ in contacts])
+    overlap = np.concatenate([overlap for _, overlap in contacts])
+    own = (idx >= first[trial]) & (idx < stop[trial])
+    wrong = np.bincount(trial[~own], minlength=k.size)
+    covers = np.bincount(trial[own & (overlap >= need[trial])],
+                         minlength=k.size)
+    return {"prefix_drift_out": layout.prefix_drift.out(
+                np.asarray(a, dtype=object), prefix),
+            "burst_spread_out": layout.burst_drift.out(g, burst),
+            "wrong_windows_all_zero": wrong == 0,
+            # a window in contact covers the image, or, with need <= 0,
+            # every own window covers a nonempty one
+            "full_burst_window_exists": (covers > 0) | (
+                (need <= 0) & (stop > first) & (g > 0))}

@@ -60,16 +60,19 @@ its own PCG64 state, seated in the calling thread's one generator
 normals, or the sieve's draws, or the DMC plan's raw words and then its
 tie-breaking uniforms.  Per trial there is one image-contact pass
 (RegionTable.contact), the windows the burst image touches, before the
-row is drawn; it carries the Gaussian signal, tells the sieve which
-regions to draw in full, and fixes the geometry flags.  Everything after
-the draws is one numpy pass over the block: the window statistics
-(cumulative or sliding sums along the rows; a binary DMC column's count
-of letter 1), the threshold (or the interval of counts that fire) and the
+row is drawn; it carries the Gaussian signal and tells the sieve which
+regions to draw in full.  Everything after the draws is array passes over
+the block: the drift and geometry flags (_layout.contact_flags, from all
+the block's contact windows at once), the window statistics (cumulative
+or sliding sums along the rows; a binary DMC column's count of letter 1),
+the threshold (or the interval of counts that fire) and the
 unique-region rule; the sieve's rows are already its region counts.  A
-block holds at most BLOCK_CELLS row cells, so long trials run one at a
-time and short ones share their numpy calls (a sieved trial's M cells:
-64 trials a block at M = 256); no result depends on how the trials are
-split into blocks.
+block holds as many rows as fit in BLOCK_BYTES bytes, so trials share
+their numpy calls and the block's set-up: 6 DMC trials of 39,092 uint8
+letters at criterion 6, 85 compound trials of 382 float64 increments at
+criterion 7, 256 sieved trials of M = 256 int32 region counts, and a
+trial of more than 32,768 float64 increments alone.  No result depends
+on how the trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -81,8 +84,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import codec_dmc
-from ._layout import (_INT64_SAFE, MAX_WINDOWS, TraceDiagnostics,
-                      contact_diagnostics)
+from ._layout import _INT64_SAFE, MAX_WINDOWS, contact_flags
 from .channel import StateDistribution
 from .errors import InvalidConfigError
 from .rng import generator_at
@@ -91,10 +93,13 @@ from .rng import generator_at
 # back to a rounded-Gaussian sum whose distributional error is far below
 # anything a finite trial budget could see (Berry-Esseen ~ n**-0.5 < 1e-9).
 EXACT_SUM_MAX = 1 << 61
-# most cells one block of trials draws, so that a block array (128 KiB of
-# float64 normals, 16 KiB of DMC letters) stays in a core's cache and a
-# block adds no measurable peak memory
-BLOCK_CELLS = 1 << 14
+# most bytes of rows one block of trials draws (32,768 float64 increments,
+# six dmc-m64 trials of 39,092 letters, 256 sieved rows at M = 256): its
+# trials share the block's numpy calls and fixed cost.  On dmc-m64, 2**17
+# bytes (three trials) ran 1.1x the parent's blocks of one for 0.2 MB of
+# peak resident set, 2**18 1.34x for 0.9 MB, and 2**19 (thirteen) no
+# faster for 2.5 MB (BENCH_23.json)
+BLOCK_BYTES = 1 << 18
 # most windows a region may hold for SievePlan: each region it draws in
 # full, or as a proposal, costs n * n multiply-adds and its factor n * n
 # floats, against a few operations a window on the segment Plan
@@ -167,8 +172,9 @@ class _TrialPlan:
 
     @property
     def block_size(self) -> int:
-        """Trials a block holds: as many as fill BLOCK_CELLS cells."""
-        return max(1, BLOCK_CELLS // self.cells)
+        """Trials a block holds: as many rows as fill BLOCK_BYTES bytes."""
+        row = self.cells * np.dtype(self.dtype).itemsize
+        return max(1, BLOCK_BYTES // row)
 
     def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
         return self.table.region_counts(verdicts)
@@ -569,8 +575,10 @@ class DmcPlan(_TrialPlan):
         a, g = image
         i0, i1 = self.positions.searchsorted((a + 1, a + g + 1)).tolist()
         ties = _letters(lanes, self.idle_split, out)
-        burst = _letters(lanes[i0:i1], self.burst_split, out[i0:i1]) + i0
-        ties = np.concatenate((ties[ties < i0], burst, ties[ties >= i1]))
+        burst = _letters(lanes[i0:i1], self.burst_split, out[i0:i1])
+        if not (ties.size or burst.size):   # most trials: no lane ties
+            return
+        ties = np.concatenate((ties[ties < i0], burst + i0, ties[ties >= i1]))
         if not ties.size:
             return
         for i, v in zip(ties.tolist(), rng.random(ties.size).tolist()):
@@ -681,7 +689,9 @@ def plan_for(params, channel=None) -> _TrialPlan:
 @dataclass(frozen=True, eq=False)
 class TrialBlock:
     decoded: np.ndarray  # per trial: the decoded message, 0 for none
-    diagnostics: tuple[TraceDiagnostics, ...]  # per trial
+    flags: dict[str, np.ndarray]  # _layout.contact_flags: a bool a trial
+    prefix_output: np.ndarray  # per trial: a, samples the prefix put out
+    burst_output: np.ndarray  # per trial: g, the burst image's width
     region_fired: np.ndarray  # trials x messages: firing windows per region
     approximate_sums: int  # trials that drew a rounded-Gaussian state sum
     plan: _TrialPlan  # the plan that ran the block
@@ -703,7 +713,7 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
     draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
-    contacts, diagnostics, drawn = [], [], []
+    images, contacts, drawn = [], [], []
     # sample_state_sum's rounded-Gaussian path: random states and a run of
     # more than EXACT_SUM_MAX slots
     approximate, random_states = 0, len(dist.support) > 1
@@ -716,11 +726,15 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         g = sample_state_sum(dist, burst[m - 1], rng)
         contact = table.contact(a, g)
         drawn.append(plan.draw(rng, row, m, (a, g), contact))
+        images.append((a, g))
         contacts.append(contact)
-        diagnostics.append(contact_diagnostics(m, a, g, layout, *contact))
+    prefix_output, burst_output = np.array(images, dtype=object).T
     verdicts = plan.verdicts(ms, contacts, draws)
     counts = plan.region_counts(verdicts)
     return TrialBlock(decoded=table.decide_rows(counts),
-                      diagnostics=tuple(diagnostics), region_fired=counts,
+                      flags=contact_flags(layout, ms, prefix_output,
+                                          burst_output, contacts),
+                      prefix_output=prefix_output, burst_output=burst_output,
+                      region_fired=counts,
                       approximate_sums=approximate, plan=plan,
                       verdicts=verdicts, drawn=tuple(drawn))

@@ -297,38 +297,33 @@ def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
         yield pending.popleft().result()
 
 
-_FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
-          "full_burst_window_exists")
-_TALLIES = ("errors", "erasures", *_FLAGS, "drift_free", "drift_free_clean",
-            "drift_free_own_missed", "quiet_false_alarms",
-            "quiet_false_alarms_sq", "quiet_wrong_windows",
-            "approximate_state_sums")
-
-
 def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
-    """The error count and the report tallies of one block of trials;
-    message m owns the windows bounds[m-1]:bounds[m] of the region table."""
-    out = dict.fromkeys(_TALLIES, 0)
-    out["errors"] = int((block.decoded != messages).sum())
-    out["erasures"] = int((block.decoded == 0).sum())
-    out["approximate_state_sums"] = block.approximate_sums
-    own = block.region_fired[np.arange(messages.size), messages - 1]
-    wrong = block.region_fired.sum(axis=1) - own
-    others = bounds[-1] - bounds[messages] + bounds[messages - 1]
-    for d, own_fired, alarms, windows in zip(
-            block.diagnostics, own.tolist(), wrong.tolist(), others.tolist()):
-        for key in _FLAGS:
-            out[key] += getattr(d, key)
-        if not (d.prefix_drift_out or d.burst_spread_out):
-            out["drift_free"] += 1
-            out["drift_free_clean"] += (d.wrong_windows_all_zero
-                                        and d.full_burst_window_exists)
-            out["drift_free_own_missed"] += own_fired == 0
-        if d.wrong_windows_all_zero:
-            out["quiet_false_alarms"] += alarms
-            out["quiet_false_alarms_sq"] += alarms * alarms
-            out["quiet_wrong_windows"] += windows
-    return out
+    """The error count and the report tallies of one block of trials, in
+    report order; message m owns the windows bounds[m-1]:bounds[m] of the
+    region table."""
+    flags, fired = block.flags, block.region_fired
+    calm = ~(flags["prefix_drift_out"] | flags["burst_spread_out"])
+    quiet = flags["wrong_windows_all_zero"]
+    own = fired[np.arange(messages.size), messages - 1]
+    # on the trials whose image touches no wrong window: the other
+    # regions' firing windows, and how many windows they hold
+    alarms = (fired.sum(axis=1) - own)[quiet]
+    quiet_ms = messages[quiet]
+    count = np.count_nonzero
+    tallies = {
+        "errors": count(block.decoded != messages),
+        "erasures": count(block.decoded == 0),
+        **{key: count(flag) for key, flag in flags.items()},
+        "drift_free": count(calm),
+        "drift_free_clean": count(
+            calm & quiet & flags["full_burst_window_exists"]),
+        "drift_free_own_missed": count(calm & (own == 0)),
+        "quiet_false_alarms": alarms.sum(),
+        "quiet_false_alarms_sq": alarms @ alarms,
+        "quiet_wrong_windows": (bounds[-1] - bounds[quiet_ms]
+                                + bounds[quiet_ms - 1]).sum(),
+        "approximate_state_sums": block.approximate_sums}
+    return {key: int(value) for key, value in tallies.items()}
 
 
 def _draw_messages(config: ExperimentConfig, gen, first: int,
@@ -366,7 +361,7 @@ def run_trials(config: ExperimentConfig) -> Report:
         return _block_tallies(messages, _sparse.stream_trials(
             plan, messages, config.idc, states), plan.table.bounds)
 
-    tallies = collections.Counter()  # keys in _TALLIES order
+    tallies = collections.Counter()  # keys in _block_tallies' order
     blocks = _trial_blocks(config, plan.block_size)
     workers = _worker_count(config)
     with ThreadPoolExecutor(max_workers=workers) as pool:

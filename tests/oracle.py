@@ -14,11 +14,12 @@ Positions are 1-based, as in the package.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from artifact import codec_dmc
-from artifact._layout import Layout, TraceDiagnostics, contact_diagnostics
+from artifact._layout import FLAGS, Layout
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.errors import InvalidConfigError
 from artifact.rng import as_generator
@@ -137,11 +138,47 @@ def decide(table, fired: np.ndarray) -> int | None:
     return int(table.decide_rows(table.region_counts(fired[None]))[0]) or None
 
 
+@dataclass(frozen=True)
+class TraceDiagnostics:
+    """What the realized timing states imply for one transmitted message:
+    the flags of _layout.contact_flags and the two output lengths."""
+
+    prefix_drift_out: bool
+    burst_spread_out: bool
+    wrong_windows_all_zero: bool
+    full_burst_window_exists: bool
+    prefix_output: int
+    burst_output: int
+
+
 def geometry(m: int, a: int, g: int, layout: Layout) -> TraceDiagnostics:
     """The drift and geometry flags of sending m when the prefix puts out a
-    samples and the burst image is g samples wide."""
+    samples and the burst image a+1 .. a+g is g samples wide, from every
+    window's overlap with the image (the package's contact_flags reads
+    only the windows RegionTable.contact finds)."""
     layout.check_message(m)
-    return contact_diagnostics(m, a, g, layout, *layout.table.contact(a, g))
+    table = layout.table
+    # clamping at last_end + 1 changes no overlap and keeps int64 safe
+    top = table.last_end + 1
+    lo, hi = min(a + 1, top), min(a + g, top)
+    overlap = np.minimum(table.ends, hi) - np.maximum(table.starts, lo) + 1
+    own = np.zeros(overlap.size, dtype=bool)
+    own[table.bounds[m - 1]:table.bounds[m]] = True
+    need = layout.window_lens[m - 1] - layout.slack[m - 1]
+    full = g > 0 and (layout.sizes[m - 1] > 0 if need <= 0
+                      else bool((overlap[own] >= need).any()))
+    return TraceDiagnostics(
+        prefix_drift_out=layout.prefix_drift.out(a, layout.prefix_slots[m - 1]),
+        burst_spread_out=layout.burst_drift.out(g, layout.burst_slots[m - 1]),
+        wrong_windows_all_zero=not (overlap[~own] > 0).any(),
+        full_burst_window_exists=full, prefix_output=a, burst_output=g)
+
+
+def block_diagnostics(block) -> list[TraceDiagnostics]:
+    """Each trial's flags and output lengths in a _sparse.TrialBlock."""
+    return [TraceDiagnostics(*map(bool, flags), a, g) for *flags, a, g in zip(
+        *(block.flags[key] for key in FLAGS), block.prefix_output,
+        block.burst_output, strict=True)]
 
 
 def trace_diagnostics(m: int, states, layout: Layout) -> TraceDiagnostics:

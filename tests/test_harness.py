@@ -37,10 +37,16 @@ def gauss_config(**over) -> harness.ExperimentConfig:
     return harness.ExperimentConfig(**base)
 
 
+# trials a sieve block holds at M = 256: one region count a region
+SIEVE_BLOCK = _sparse.BLOCK_BYTES // (
+    256 * np.dtype(_sparse.SievePlan.dtype).itemsize)
+
+
 def sieved_config(**over) -> harness.ExperimentConfig:
-    """Criterion 5 at M = 256, which the sieve runs in blocks of 64
-    trials: 150 trials are two full blocks and a part."""
-    return gauss_config(**{"M": 256, "epsilon": 0.2, "trials": 150,
+    """Criterion 5 at M = 256, which the sieve runs in blocks of
+    SIEVE_BLOCK trials: two full blocks and a part."""
+    return gauss_config(**{"M": 256, "epsilon": 0.2,
+                           "trials": 2 * SIEVE_BLOCK + SIEVE_BLOCK // 3,
                            "idc": StateDistribution.deletion(0.1), **over})
 
 
@@ -149,10 +155,10 @@ def test_worker_count_does_not_change_results():
 def test_block_split_does_not_change_results(monkeypatch):
     plan = _sparse.plan_for(harness.derive_scheme_params(sieved_config()))
     assert type(plan) is _sparse.SievePlan
-    assert plan.block_size == 64 < sieved_config().trials / 2
+    assert plan.block_size == SIEVE_BLOCK == 256 < sieved_config().trials / 2
     for config in (gauss_config, dmc_config, compound_config, sieved_config):
         whole = harness.run_trials(config())
-        monkeypatch.setattr(_sparse, "BLOCK_CELLS", 1)   # blocks of one
+        monkeypatch.setattr(_sparse, "BLOCK_BYTES", 1)   # blocks of one
         ones = harness.run_trials(config())
         monkeypatch.undo()
         assert whole.to_dict() | {"wall_time_s": 0} \
@@ -190,6 +196,25 @@ def test_worker_count_is_clamped_to_the_usable_cpus(monkeypatch):
     assert sizes == [1, len(os.sched_getaffinity(0))]
     assert many.errors == base.errors
     assert many.diagnostics == base.diagnostics
+
+
+def test_criterion_6_trials_share_blocks(monkeypatch):
+    """The benchmark's dmc-m64 config, criterion 6, runs several trials a
+    block, and its report equals the report of blocks of one."""
+    cfg = dmc_config(idc=StateDistribution.deletion(0.1), dmc=Dmc.bsc(0.2),
+                     trials=20)
+    plan = _sparse.plan_for(harness.derive_scheme_params(cfg), cfg.dmc)
+    assert type(plan) is _sparse.DmcPlan
+    assert 1 < plan.block_size < cfg.trials / 2
+    whole = harness.run_trials(cfg)
+    monkeypatch.setattr(_sparse, "BLOCK_BYTES", 1)   # blocks of one
+    ones = harness.run_trials(cfg)
+    assert whole.to_dict() | {"wall_time_s": 0} \
+        == ones.to_dict() | {"wall_time_s": 0}
+    # the tallies are Python ints, as a JSON report needs
+    tallies = dict(whole.diagnostics)
+    del tallies["threshold"], tallies["guards"]
+    assert {type(v) for v in tallies.values()} == {int}
 
 
 def test_quiet_dmc_config_mostly_decodes():
@@ -267,13 +292,13 @@ def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
                          "quiet_wrong_windows"), 0)
     for ms, seeds in harness._trial_blocks(cfg, 1):
         block = _sparse.stream_trials(plan, ms, cfg.idc, seeds)
-        m, fired, d = int(ms[0]), block.fired[0], block.diagnostics[0]
+        m, fired, flags = int(ms[0]), block.fired[0], block.flags
         own = owner == m - 1
         hits = np.unique(owner[fired])
         out["errors"] += not (hits.size == 1 and hits[0] == m - 1)
-        if not (d.prefix_drift_out or d.burst_spread_out):
+        if not (flags["prefix_drift_out"][0] or flags["burst_spread_out"][0]):
             out["drift_free_own_missed"] += not fired[own].any()
-        if d.wrong_windows_all_zero:
+        if flags["wrong_windows_all_zero"][0]:
             wrong = int(fired[~own].sum())
             out["quiet_false_alarms"] += wrong
             out["quiet_false_alarms_sq"] += wrong * wrong
