@@ -77,6 +77,10 @@ REPORTS = {
     "dmc-unused-letter": dict(
         _CRITERION_6, delta=2.5, trials=100, base_seed=37,
         dmc={"w": [[0.8, 0.2, 0.0], [0.2, 0.8, 0.0]], "cost": [0.0, 1.0]}),
+    "dmc-four-letters": dict(
+        _CRITERION_6, delta=2.5, trials=100, base_seed=41,
+        dmc={"w": [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]],
+             "cost": [0.0, 1.0]}),
 }
 COST_CHECKS = {
     "cost-deletion-0.5": dict(_CRITERION_6, idc={"deletion": {"d": 0.5}},
