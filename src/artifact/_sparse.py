@@ -36,13 +36,15 @@ windows that fire:
   from one 16-bit lane of a raw generator word and, about once in 2**16
   letters, one more uniform to break a tie (Knuth and Yao's draw: the
   leading bits of a uniform settle almost every letter).  Every window is
-  w samples long, so its letter counts are sliding sums of letter
-  indicators over the covered samples, built by doubling in the smallest
-  unsigned type that holds w (uint8 at criterion 6's w = 7), one sum a
-  column: a run of w covered samples.  On two output letters the row is
-  the indicator of letter 1, and a window fires when its count of letter
-  1 lies in an interval the plan works out once from the statistic, so
-  the trials compute no statistic.  A region's windows are consecutive
+  w samples long, and the plan tabulates its verdict once over codes:
+  letter 0 weighs 0 and letter y >= 1 (w + 1)**(y - 1), and a window's
+  code, the sum of its letters' weights, has its letter counts as digits.
+  The codes are sliding sums of the weights, built by doubling in the
+  smallest unsigned type that holds them (uint8 at criterion 6's w = 7),
+  one a column: a run of w covered samples.  Where the codes that fire
+  form one interval, as the counts of letter 1 do on two letters, a
+  window fires when its code lies in it; elsewhere its code is looked up.
+  The trials compute no statistic.  A region's windows are consecutive
   columns, so one reduceat over the column verdicts counts each region's
   firing windows.
 
@@ -64,9 +66,8 @@ row is drawn; it carries the Gaussian signal and tells the sieve which
 regions to draw in full.  Everything after the draws is array passes over
 the block: the drift and geometry flags (_layout.contact_flags, from all
 the block's contact windows at once), the window statistics (cumulative
-or sliding sums along the rows; a binary DMC column's count of letter 1),
-the threshold (or the interval of counts that fire) and the
-unique-region rule; the sieve's rows are already its region counts.  A
+or sliding sums along the rows; a DMC column's code), the threshold
+(or the DMC firing table) and the unique-region rule; the sieve's rows are already its region counts.  A
 block holds as many rows as fit in BLOCK_BYTES bytes, so trials share
 their numpy calls and the block's set-up: 6 DMC trials of 39,092 uint8
 letters at criterion 6, 85 compound trials of 382 float64 increments at
@@ -113,6 +114,7 @@ MAX_FACTOR_WINDOWS = 256
 # block split never changes the plan.
 SIEVE_MIN_WINDOWS = 1280
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
+MAX_CODES = 1 << 24  # most entries of a DMC plan's firing table
 # values of a 16-bit lane, a letter's leading uniform bits (DmcPlan.draw)
 LANE_VALUES = 1 << 16
 _NO_CELLS = np.empty(0, dtype=np.int64)
@@ -495,25 +497,25 @@ class DmcPlan(_TrialPlan):
     splits with f = 0 and is met exactly, so zero-probability letters are
     never drawn.
 
-    A window's letter counts are sliding sums of 0/1 indicators at every
-    column j, the run of window_len cells from cell j, exact in
-    count_dtype (the smallest unsigned type that holds window_len) and
-    exact again as floats, so statistics tie with the threshold's bit for
-    bit.  Window i is column columns[i], and a region's windows, one
-    sample apart, are consecutive columns, so region_counts sums each
-    region's run of column verdicts by one reduceat, with no per-window
-    gather.
+    Letter 0 weighs 0 and letter y >= 1 weighs (w + 1)**(y - 1), w =
+    window_len, so a window's code, the sum of its letters' weights, holds
+    its count of letter y as base-(w + 1) digit y - 1, and codes run below
+    (w + 1)**(K - 1) on K letters.  firing[code] says whether that count
+    vector's statistic (codec_dmc._stats_from_counts, in the threshold's
+    own float order, so ties stay ties bit for bit) reaches the
+    threshold; a code whose digits sum past w is no window's and stays
+    False.  codes() gives every column j's code, the sliding sum of the
+    weights of the window_len cells from cell j, exact in code_dtype, the
+    smallest unsigned type that holds every code.  On two letters the
+    weights are the letters, so the row is summed as it is.
 
-    On a channel of two output letters the row is the indicator of letter
-    1, and a window's statistic is a function of its count c of letter 1
-    alone, monotone in c (the two letters' LLRs have opposite signs), so
-    the counts that fire form one interval.  The plan works it out once,
-    as firing_counts = (lo, hi) in count_dtype, from the statistics of
-    the w + 1 count vectors (w - c, c) against the threshold, and a
-    window fires exactly when lo <= c <= hi: the verdicts of the
-    statistic, with no float per window.  On three or more letters
-    firing_counts is None and every column's statistic is compared with
-    the threshold.
+    Where the firing codes form one run lo..hi (firing_run, in
+    code_dtype), as on two letters, whose statistic is monotone in the
+    count of letter 1, a window fires when lo <= code <= hi; otherwise
+    its code is looked up in the table.  Window i is column columns[i],
+    and a region's windows, one sample apart, are consecutive columns, so
+    region_counts sums each region's run of column verdicts by one
+    reduceat, with no per-window gather.
     """
 
     dtype = np.uint8
@@ -540,33 +542,31 @@ class DmcPlan(_TrialPlan):
         first = self.columns[table.bounds[occupied]]
         self.runs = np.stack(
             (first, first + np.diff(table.bounds)[occupied]), axis=1).ravel()
-        self.window_len = params.window_len
-        self.count_dtype = np.min_scalar_type(self.window_len)
+        self.window_len = w = params.window_len
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])
         self.idle_split = _split(self.idle_cdf)
         self.burst_split = _split(self.burst_cdf)
-        self.llr_tables = codec_dmc._llr_tables(channel, params.x_star)
-        self.firing_counts = (self._firing_interval()
-                              if channel.num_outputs == 2 else None)
-
-    def _firing_interval(self):
-        """(lo, hi) in count_dtype: a window of a two-letter channel fires
-        exactly when its count c of letter 1 has lo <= c <= hi; lo > hi
-        when no count fires."""
-        w, dtype = self.window_len, self.count_dtype
-        c = np.arange(w + 1).astype(dtype)
-        stats = codec_dmc._stats_from_counts(np.stack((w - c, c)),
-                                             *self.llr_tables)
-        fires = np.flatnonzero(stats >= self.threshold)
-        if not fires.size:
-            return dtype.type(1), dtype.type(0)
-        lo, hi = int(fires[0]), int(fires[-1])
-        if hi - lo + 1 != fires.size:
-            raise RuntimeError(
-                f"the counts of letter 1 that fire, {fires.tolist()}, are "
-                f"not one interval")
-        return dtype.type(lo), dtype.type(hi)
+        letters = channel.num_outputs
+        weights = np.concatenate(([0], (w + 1) ** np.arange(letters - 1)))
+        size = int(weights[-1]) * (w + 1)
+        self.code_dtype = np.min_scalar_type(size - 1)
+        # on two letters the weights are the letters: the row as it is
+        self.weights = (None if letters == 2
+                        else weights.astype(self.code_dtype))
+        # a slice of count vectors at a time, so that their codes and
+        # statistics stay small scratch arrays
+        counts = codec_dmc._count_vectors(w, letters)
+        tables = codec_dmc._llr_tables(channel, params.x_star)
+        self.firing = np.zeros(size, dtype=bool)
+        for i in range(0, counts.shape[1], codec_dmc._SLICE):
+            part = counts[:, i:i + codec_dmc._SLICE]
+            self.firing[weights @ part] = codec_dmc._stats_from_counts(
+                part, *tables) >= self.threshold
+        fires = np.flatnonzero(self.firing)
+        run = fires.size and fires[-1] - fires[0] + 1 == fires.size
+        self.firing_run = (fires[[0, -1]].astype(self.code_dtype) if run
+                           else None)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
              image, contact) -> None:
@@ -586,18 +586,24 @@ class DmcPlan(_TrialPlan):
             lane = int(lanes[i])
             out[i] -= sum(t == lane and v < f for t, f in split)
 
-    def window_sums(self, indicator: np.ndarray) -> np.ndarray:
-        """sums[t, j] = indicator[t, j:j + window_len].sum(), in
-        count_dtype, for every column j: every cell at which a run of
-        window_len cells starts.
+    def codes(self, letters: np.ndarray) -> np.ndarray:
+        """codes[t, j]: the code of column j of trial t, whose letter row
+        is letters[t], the weights of its window_len cells from cell j
+        summed in code_dtype.
 
         Sums over 2**k consecutive cells come by doubling, and one of them
         is added for each binary digit of window_len: about log2 w +
-        popcount(w) vector adds, each exact in count_dtype.
+        popcount(w) vector adds, each exact in code_dtype, as no window_len
+        cells weigh more than the largest code.
         """
         w = self.window_len
-        n = indicator.shape[1] - w + 1
-        part = indicator.view(np.uint8).astype(self.count_dtype, copy=False)
+        n = letters.shape[1] - w + 1
+        if self.weights is None:
+            part = letters.astype(self.code_dtype, copy=False)
+        else:   # np.take(weights, letters) widens every cell to an intp
+            part = (letters == 1).astype(self.code_dtype)
+            for y in range(2, self.weights.size):
+                part += (letters == y) * self.weights[y]
         # part[:, j] sums cells j .. j + span - 1, and sums[:, j] the
         # cells j .. j + at - 1
         span, at, sums = 1, 0, None
@@ -611,34 +617,19 @@ class DmcPlan(_TrialPlan):
             part = part[:, :-span] + part[:, span:]
             span *= 2
 
-    def letter_counts(self, letters: np.ndarray) -> np.ndarray:
-        """counts[y, t, j]: how often letter y lands in column j of trial
-        t, whose letter row is letters[t]; count_dtype."""
-        y_max = self.idle_cdf.size - 1
-        counts = np.empty((y_max + 1, letters.shape[0],
-                           letters.shape[1] - self.window_len + 1),
-                          dtype=self.count_dtype)
-        counts[y_max] = self.window_len
-        for y in range(y_max):
-            counts[y] = self.window_sums(letters == y)
-            counts[y_max] -= counts[y]
-        return counts
-
     def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
         """trials x (columns + 1): each column's verdict, and a last
         column, False, that keeps every run's end in reduceat's range."""
         n = draws.shape[1] - self.window_len + 1
         fires = np.zeros((draws.shape[0], n + 1), dtype=bool)
-        if self.firing_counts is None:
-            stats = codec_dmc._stats_from_counts(self.letter_counts(draws),
-                                                 *self.llr_tables)
-            np.greater_equal(stats, self.threshold, out=fires[:, :n])
+        codes = self.codes(draws)
+        if self.firing_run is None:
+            np.take(self.firing, codes, out=fires[:, :n])
             return fires
-        lo, hi = self.firing_counts
-        ones = self.window_sums(draws)
-        np.greater_equal(ones, lo, out=fires[:, :n])
-        if hi < self.window_len:  # no window holds more than w ones
-            fires[:, :n] &= ones <= hi
+        lo, hi = self.firing_run
+        np.greater_equal(codes, lo, out=fires[:, :n])
+        if hi < self.firing.size - 1:  # no window has a larger code
+            fires[:, :n] &= codes <= hi
         return fires
 
     def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
@@ -651,8 +642,9 @@ def plan_for(params, channel=None) -> _TrialPlan:
     back end, read only for codec_dmc params.
 
     A layout whose regions hold more than MAX_WINDOWS windows or, for the
-    DMC scheme, whose trials would draw more than MAX_LETTERS letters is
-    refused from its region sizes alone, before any window is laid out.
+    DMC scheme, whose trials would draw more than MAX_LETTERS letters or
+    whose firing table would hold more than MAX_CODES codes is refused
+    from its sizes alone, before any window is laid out.
     For the Gaussian back ends: the sieve when no two regions share a
     sample, none holds more than MAX_FACTOR_WINDOWS windows, the layout
     has at least SIEVE_MIN_WINDOWS windows, every region has
@@ -675,6 +667,12 @@ def plan_for(params, channel=None) -> _TrialPlan:
             raise InvalidConfigError(
                 f"a DMC trial would draw up to {letters} letters, which "
                 f"exceeds {MAX_LETTERS}")
+        codes = (params.window_len + 1) ** (channel.num_outputs - 1)
+        if codes > MAX_CODES:
+            raise InvalidConfigError(
+                f"the firing table of {params.window_len}-letter windows "
+                f"over {channel.num_outputs} letters would hold {codes} "
+                f"codes, which exceeds {MAX_CODES}")
         return DmcPlan(params, channel)
     if (layout.disjoint and max(sizes) <= MAX_FACTOR_WINDOWS
             and windows >= SIEVE_MIN_WINDOWS

@@ -7,10 +7,9 @@ noise realization, so it slides a log-likelihood-ratio test over a small set
 of candidate output positions per message (the decision regions) and declares
 the unique message whose region fires.  This module derives the constants
 and the exact threshold of that test; the statistic itself is
-_stats_from_counts.  The streamed trials (_sparse.DmcPlan) apply it to
-every window's letter counts on three or more output letters; on two,
-once to each possible count of letter 1, which fixes the one interval of
-counts that fire, and a window's count is compared with that interval.
+_stats_from_counts.  The streamed trials (_sparse.DmcPlan) apply it only
+at set-up, once to each count vector a window can hold, and look each
+window's verdict up in the table that builds.
 
 All stream positions are 1-based.
 """

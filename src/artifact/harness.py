@@ -18,8 +18,9 @@ keeps each region's law, not its numbers, against a full draw), and one
 normal per segment between window breakpoints otherwise (_sparse.Plan).
 A trial's time and memory grow with the windows its decoder tests, and
 for the DMC scheme with the samples they cover, so plan_for rejects
-configs over _sparse.MAX_WINDOWS windows, or over _sparse.MAX_LETTERS
-DMC letters a trial, before any table is built or letter drawn.
+configs over _sparse.MAX_WINDOWS windows, over _sparse.MAX_LETTERS DMC
+letters a trial or over _sparse.MAX_CODES codes of a DMC firing table,
+before any table is built or letter drawn.
 run_trials splits the trials, in order, into blocks of the plan's
 block_size, draws each block's messages and trial states as the block is
 taken, runs it through _sparse.stream_trials (one worker thread per block

@@ -18,10 +18,11 @@ a fixed last message whose positions outgrow int64; exhaustive message
 selection; two workers on a short Gaussian layout; a cost-equivalence
 check; a DMC layout whose neighbouring regions' windows share
 samples; and one DMC channel for each way a window verdict is reached: a
-three-letter channel (the float statistic against the threshold), a
-flipped BSC (binary, firing on the largest counts of letter 0) and a
-Z-type channel whose burst never emits letter 0 (binary, -inf on any 0);
-and a three-letter channel whose third letter neither row emits, so that
+three-letter channel (its code looked up in the firing table), a flipped
+BSC (binary, firing on the largest counts of letter 0), a Z-type channel
+whose burst never emits letter 0 (binary, -inf on any 0) and a
+four-letter channel whose codes need uint16 (w = 32, 35,937 codes); and
+a three-letter channel whose third letter neither row emits, so that
 both cdfs reach 1.0 before their last letter.
 """
 

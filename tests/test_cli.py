@@ -433,6 +433,16 @@ class SimulateTests(CliCase):
                           "cost": [0.0, 1.0]}), "multisets")
         enumerate_.assert_not_called()
 
+    def test_simulate_rejects_an_oversized_firing_table(self):
+        # windows of 4,330 letters over three: 4,331**2 codes
+        fail = mock.patch("artifact._sparse.DmcPlan.__init__",
+                          side_effect=AssertionError("built a plan"))
+        with fail as build:
+            self.assert_one_line_error(self.experiment(
+                M=2, dmc={"w": [[0.5, 0.4996, 0.0004], [0.5004, 0.4996, 0.0]],
+                          "cost": [0.0, 1.0]}), "firing table")
+        build.assert_not_called()
+
     def test_simulate_rejects_an_unusable_confidence(self):
         # refused with the config, before any trial runs; NaN is refused as
         # not finite, 1 - 2**-53 because 0.5 + c/2 rounds to 1

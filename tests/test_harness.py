@@ -351,6 +351,19 @@ def test_oversized_dmc_config_rejected(monkeypatch):
         == 64
     with pytest.raises(InvalidConfigError, match="letters"):
         harness.run_trials(long)
+    # windows of 4,330 letters over three, which the burst's two letters
+    # keep to 4,331 count vectors for the threshold: a firing table of
+    # 4,331**2 codes, refused before the plan builds it
+    def no_plan(*args):
+        raise AssertionError("firing table built for a rejected config")
+
+    monkeypatch.setattr(_sparse.DmcPlan, "__init__", no_plan)
+    table = dmc_config(M=2, trials=1, dmc=Dmc(
+        np.array([[0.5, 0.4996, 0.0004], [0.5004, 0.4996, 0.0]]),
+        np.array([0.0, 1.0])))
+    assert harness.derive_scheme_params(table).window_len == 4330
+    with pytest.raises(InvalidConfigError, match="18757561 codes"):
+        harness.run_trials(table)
     # the exact threshold sums over the letter multisets of a window: a
     # three-letter channel this weak has windows of 5,804 letters, so
     # C(5,806, 2) = 16.9M multisets, though a trial draws only two windows

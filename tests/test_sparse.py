@@ -119,6 +119,16 @@ def test_stream_trial_reproducible_and_exact_sums():
     assert r1.decoded[0] in range(0, 9)   # 0: no unique region fired
 
 
+def code_counts(plan, codes, letters):
+    """counts[y, ...]: the letter counts that DmcPlan window codes hold,
+    their base-(window_len + 1) digits for letters 1, 2, .. and the rest
+    of the window for letter 0."""
+    w = plan.window_len
+    digits = [codes.astype(np.int64) // (w + 1) ** y % (w + 1)
+              for y in range(letters - 1)]
+    return np.stack((w - sum(digits), *digits))
+
+
 def disjoint(starts, ends):
     """Indices of a greedy run of pairwise disjoint windows."""
     keep, reach = [], -1
@@ -141,7 +151,9 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     # derive_params refuses a burst letter idle cannot produce (infinite
     # divergence), so the zero entries reach the plan through its channel
     w = np.array([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
-    plan = sp.DmcPlan(p, Dmc(w, np.array([0.0, 1.0])))
+    channel = Dmc(w, np.array([0.0, 1.0]))
+    plan = sp.DmcPlan(p, channel)
+    tables = cd._llr_tables(channel, 1)
     t = plan.table
     a, g = p.layout.regions[1].start - 1, 4 * p.window_len   # 4 windows' worth
     contact = t.contact(a, g)
@@ -161,11 +173,11 @@ def test_dmc_letters_follow_burst_and_idle_rows():
         plan.draw(rng, row[0], 2, (a, g), contact)
         cells[0] += np.bincount(row[0, burst], minlength=3)
         cells[1] += np.bincount(row[0, ~burst], minlength=3)
-        counts = plan.letter_counts(row)[:, :, plan.columns][:, 0]
+        counts = code_counts(plan, plan.codes(row)[0, plan.columns], 3)
         assert (counts.sum(axis=0) == t.lens).all()
         for k, pick in enumerate(picks):
             totals[k] += counts[:, pick].sum(axis=1).astype(np.int64)
-        stats = cd._stats_from_counts(counts, *plan.llr_tables)
+        stats = cd._stats_from_counts(counts, *tables)
         burst_only = (counts[2] > 0) & (counts[0] == 0)
         assert (stats[counts[0] > 0] == -math.inf).all()
         assert (stats[burst_only] == math.inf).all()
@@ -181,8 +193,8 @@ def test_dmc_letters_follow_burst_and_idle_rows():
 
     # a trial's verdicts are these statistics against the threshold
     plan.draw(np.random.default_rng(5), row[0], 2, (a, g), contact)
-    stats = cd._stats_from_counts(plan.letter_counts(row)[:, :, plan.columns],
-                                  *plan.llr_tables)
+    stats = cd._stats_from_counts(
+        code_counts(plan, plan.codes(row)[:, plan.columns], 3), *tables)
     fired = plan.fired([2], [contact], row)
     assert (fired == (stats >= 0.0)).all()
 
@@ -456,20 +468,24 @@ def small_dmc(w, regions):
         DMC_8.layout, regions=regions, window_lens=(w,) * len(regions)))
 
 
-@pytest.mark.parametrize("w", (1, 2, 7, 255, 256))   # count dtype edges
+# each code dtype edge of w on two, three and four letters: 255 and 256
+# codes, 65,536 and 65,537
+@pytest.mark.parametrize("w", (1, 2, 5, 6, 7, 15, 16, 39, 40, 255, 256))
 @pytest.mark.parametrize("overlap", (False, True))
 @settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_letter_counts_match_a_per_window_count(w, overlap, data):
-    """DmcPlan.letter_counts at each window's column against the window's
-    letters counted one by one over positions[lo:lo + w], on random
-    channels of two and three letters, random or overlapping regions, and
-    blocks of up to four letter rows, drawn by DmcPlan.draw for burst
-    images that straddle region edges.  The window verdicts are these
-    counts' statistics against the threshold, and the region counts from
-    the column verdicts those of the window verdicts."""
+    """DmcPlan.codes at each window's column against the mixed-radix code
+    of the window's letters counted one by one over positions[lo:lo + w],
+    on random channels of two to four letters (those whose firing table
+    holds at most 2**17 codes), random or overlapping regions, and blocks
+    of up to four letter rows, drawn by DmcPlan.draw for burst images that
+    straddle region edges.  The window verdicts are the statistics of the
+    counts these codes hold against the threshold, and the region counts
+    from the column verdicts those of the window verdicts."""
     draw = data.draw
-    letters = draw(st.sampled_from((2, 3)))
+    letters = draw(st.sampled_from(
+        [k for k in (2, 3, 4) if (w + 1) ** (k - 1) <= 1 << 17]))
     weights = np.array(draw(st.lists(
         st.lists(st.integers(0, 3), min_size=letters, max_size=letters)
         .filter(any), min_size=2, max_size=2)), dtype=np.float64)
@@ -496,16 +512,16 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
     rows = np.empty((len(images), plan.cells), dtype=plan.dtype)
     for row, image in zip(rows, images):
         plan.draw(rng, row, 1, image, t.contact(*image))
-    counts = plan.letter_counts(rows)[:, :, plan.columns]
-    assert counts.dtype == np.min_scalar_type(w)
-    assert counts.shape == (letters, len(images), t.starts.size)
+    codes = plan.codes(rows)[:, plan.columns]
+    assert codes.dtype == np.min_scalar_type((w + 1) ** (letters - 1) - 1)
+    assert codes.shape == (len(images), t.starts.size)
 
-    # the verdicts are these counts' statistics against the threshold, on
-    # the count interval of a binary channel too
-    stats = cd._stats_from_counts(counts, *plan.llr_tables)
+    # the verdicts are the statistics of the codes' counts against the
+    # threshold, by the compare of a run of firing codes or the lookup
+    stats = cd._stats_from_counts(code_counts(plan, codes, letters),
+                                  *cd._llr_tables(channel, 1))
     tau = draw(st.sampled_from(np.unique(stats).tolist()))
     plan = sp.DmcPlan(replace(p, threshold=tau), channel)
-    assert (plan.firing_counts is None) == (letters == 3)
     fired = plan.fired(None, None, rows)
     assert (fired == (stats >= tau)).all()
     verdicts = plan.verdicts(None, None, rows)
@@ -513,6 +529,7 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
                           t.region_counts(fired))
 
     positions = plan.positions
+    radix = (w + 1) ** np.arange(letters - 1)
     for k, (a, g) in enumerate(images):
         inside = (positions > a) & (positions <= a + g)
         # no letter that its row cannot emit
@@ -520,8 +537,8 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
         for i, (start, lo) in enumerate(zip(t.starts, plan.columns)):
             assert (positions[lo:lo + w] == np.arange(start, start + w)).all()
             window = rows[k, lo:lo + w]
-            assert (counts[:, k, i]
-                    == np.bincount(window, minlength=letters)).all()
+            assert codes[k, i] == radix @ np.bincount(
+                window, minlength=letters)[1:]
 
 
 def test_dmc_plan_needs_windows_one_sample_apart():
@@ -537,11 +554,14 @@ def test_dmc_plan_needs_windows_one_sample_apart():
 @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_binary_firing_counts_are_the_statistics_verdicts(w, data):
-    """DmcPlan.firing_counts against the statistic of every count of
-    letter 1 and the threshold, on random two-letter channels (zero
-    entries in either row, either sign of letter 0's LLR) and thresholds
-    at attained statistic values, so that ties fire, and just above
-    them."""
+    """On two letters a window's code is its count c of letter 1, the
+    sliding sum of the letter row as it is: the codes of a random row
+    against its count differences, and the firing table against the
+    statistic of every c and the threshold, on random two-letter channels
+    (zero entries in either row, either sign of letter 0's LLR) and
+    thresholds at attained statistic values, so that ties fire, and just
+    above them.  The counts that fire form one interval, which the plan
+    compares with, lo <= c <= hi in the code dtype."""
     draw = data.draw
     weights = np.array(draw(st.lists(
         st.lists(st.integers(0, 4), min_size=2, max_size=2).filter(any),
@@ -556,12 +576,63 @@ def test_binary_firing_counts_are_the_statistics_verdicts(w, data):
         values = np.array(draw(st.lists(st.sampled_from(values.tolist()),
                                         min_size=1, max_size=12)))
     dtype = np.min_scalar_type(w)
+    row = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        0, 2, size=(2, w + draw(st.integers(0, 2 * w))), dtype=np.uint8)
+    ones = np.zeros((2, row.shape[1] + 1), dtype=np.int64)
+    np.cumsum(row, axis=1, out=ones[:, 1:])
     for tau in (*values, *np.nextafter(values, math.inf)):
         plan = sp.DmcPlan(replace(DMC_8, window_len=w, threshold=tau),
                           channel)
-        lo, hi = plan.firing_counts
-        assert lo.dtype == hi.dtype == dtype == plan.count_dtype
-        assert np.array_equal((c >= lo) & (c <= hi), stats >= tau), tau
+        assert plan.weights is None and plan.code_dtype == dtype
+        assert np.array_equal(plan.firing, stats >= tau), tau
+        fires = np.flatnonzero(plan.firing)
+        if fires.size:
+            lo, hi = plan.firing_run
+            assert lo.dtype == hi.dtype == dtype
+            assert (lo, hi) == (fires[0], fires[-1]) and hi - lo < fires.size
+        else:
+            assert plan.firing_run is None
+    codes = plan.codes(row)
+    assert codes.dtype == dtype
+    assert np.array_equal(codes, ones[:, w:] - ones[:, :-w])
+
+
+@pytest.mark.parametrize("letters", (3, 4))
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_firing_table_is_the_statistics_verdicts(letters, data):
+    """The firing table of three and four letters against the statistic
+    of every count vector c, table[code(c)] == (stat(c) >= tau), on
+    random channels (zero entries in either row) and thresholds at
+    attained statistic values, so that ties fire, and just above them.
+    A code whose digits sum past w is no window's and never fires, and
+    the plan compares with the ends of the firing codes exactly when
+    they form one run."""
+    draw = data.draw
+    w = draw(st.sampled_from((1, 2, 5, 6, 15, 16, 39, 40)))
+    weights = np.array(draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=letters, max_size=letters)
+        .filter(any), min_size=2, max_size=2)), dtype=np.float64)
+    channel = Dmc(weights / weights.sum(axis=1, keepdims=True),
+                  np.array([0.0, 1.0]))
+    counts = cd._count_vectors(w, letters)
+    stats = cd._stats_from_counts(counts, *cd._llr_tables(channel, 1))
+    codes = (w + 1) ** np.arange(letters - 1) @ counts[1:]
+    windowless = np.ones((w + 1) ** (letters - 1), dtype=bool)
+    windowless[codes] = False
+    values = np.unique(stats)
+    if values.size > 24:
+        values = np.array(draw(st.lists(st.sampled_from(values.tolist()),
+                                        min_size=1, max_size=12)))
+    for tau in (*values, *np.nextafter(values, math.inf)):
+        plan = sp.DmcPlan(replace(DMC_8, window_len=w, threshold=tau),
+                          channel)
+        assert plan.firing.size == windowless.size
+        assert np.array_equal(plan.firing[codes], stats >= tau), tau
+        assert not plan.firing[windowless].any()
+        fires = np.flatnonzero(plan.firing)
+        run = fires.size and fires[-1] - fires[0] + 1 == fires.size
+        assert (plan.firing_run is None) == (not run)
 
 
 def assert_block_is_its_trials(plan, dist, trials, seed):
