@@ -12,6 +12,7 @@ no search, whatever the size of its inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 
@@ -81,21 +82,39 @@ def multiples_in_open(step: int, center: Fraction | tuple[int, int],
     """Positive multiples of ``step`` strictly within r of center.
 
     center and radius_sq are exact rationals (Fractions or ints), or pairs
-    (numerator, denominator) with a positive denominator, which spare a
-    caller with many centers over one denominator a Fraction each.
-
-    With center = cn/cd, a multiple v is inside when the integer
-    D = v*cd - cn has |D| < sqrt(cd^2 * r^2), that is |D| < Y with
-    Y = ceil(sqrt(cd^2 * r^2)), so the region is the multiples strictly
-    between (cn - Y)/cd and (cn + Y)/cd: one integer square root and two
-    floor divisions.  radius_sq == 0 degenerates to the closed singleton
-    {center} when the center itself is such a multiple (the jitter-free
-    case): Y = 1 keeps just D == 0, where the open interval would be empty.
+    (numerator, denominator) with a positive denominator.  The region is
+    multiples_around's for the one center.
     """
     cn, cd = _ratio(center)
+    return multiples_around(step, (cn,), cd, radius_sq)[0]
+
+
+def multiples_around(step: int, centers: Iterable[int], denominator: int,
+                     radius_sq: Fraction | tuple[int, int]) -> list[range]:
+    """For each integer c of centers, the positive multiples of ``step``
+    strictly within r of c/denominator: many centers over one denominator
+    and one radius, such as an equal-block layout's regions.
+
+    A multiple v is inside when the integer D = v*denominator - c has
+    |D| < sqrt(denominator^2 * r^2), that is |D| < Y with
+    Y = ceil(sqrt(denominator^2 * r^2)), so each region is the multiples
+    strictly between (c - Y)/denominator and (c + Y)/denominator.  Y is
+    the same for every center: one integer square root for them all, then
+    two floor divisions in Python ints a center, exact at any size.
+    radius_sq == 0 degenerates to the closed singleton {center} when the
+    center itself is such a multiple (the jitter-free case): Y = 1 keeps
+    just D == 0, where the open interval would be empty.
+    """
+    if step < 1:
+        raise ValueError("step must be a positive integer")
+    if denominator < 1:
+        raise ValueError("denominator must be positive")
     rn, rd = _ratio(radius_sq)
-    y = max(1, ceil_sqrt_frac((cd * cd * rn, rd)))
-    return multiples_between(step, (cn - y, cd), (cn + y, cd))
+    y = max(1, ceil_sqrt_frac((denominator * denominator * rn, rd)))
+    unit = denominator * step
+    # as multiples_between: (first - 1) * step <= lo, stop * step >= hi
+    return [range(max((c - y) // unit + 1, 1) * step,
+                  -(-(c + y) // unit) * step, step) for c in centers]
 
 
 def _ratio(q) -> tuple[int, int]:

@@ -36,11 +36,6 @@ _INT64_SAFE = 1 << 62
 MAX_WINDOWS = 1 << 22  # most windows a region table may hold
 
 
-def window_count(region: range) -> int:
-    """len(region), exact at any size: len() overflows past sys.maxsize."""
-    return max(0, -((region.start - region.stop) // region.step))
-
-
 @dataclass(frozen=True)
 class Drift:
     """Exact drift test on the output length n of a run of input slots.
@@ -104,28 +99,47 @@ class Layout:
             raise ValueError(f"message {m} outside 1..{self.M}")
 
     @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        """Per message: the windows of its region, exact at any size."""
-        return tuple(map(window_count, self.regions))
+    def progressions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per message: its region's first window start, its step and its
+        window count, as arrays.  They are int64 when every start, stop,
+        step and window length lies below 2**62, so that a window end,
+        start + (count - 1) * step + window_len - 1, stays in int64, and
+        Python ints (object arrays) beyond: the same expressions, exact at
+        any size."""
+        regions = self.regions
+        rows = [list(map(operator.attrgetter(name), regions))
+                for name in ("start", "stop", "step")]
+        big = max(map(abs, itertools.chain(*rows, self.window_lens)),
+                  default=0) >= _INT64_SAFE
+        start, stop, step = np.array(rows, dtype=object if big else np.int64)
+        return start, step, np.maximum(-((start - stop) // step), 0)
 
     @cached_property
-    def spans(self) -> tuple[list[int], list[int], list[int]]:
-        """The nonempty regions sorted by first position: their first
-        window starts, the furthest window end of each prefix of that
-        order, and their message indices (from 0)."""
-        spans = sorted((region[0], region[-1] + w - 1, r) for r, (region, w, n)
-                       in enumerate(zip(self.regions, self.window_lens,
-                                        self.sizes)) if n)
-        return ([first for first, _, _ in spans],
-                list(itertools.accumulate((end for _, end, _ in spans), max)),
-                [r for _, _, r in spans])
+    def sizes(self) -> tuple[int, ...]:
+        """Per message: the windows of its region, exact at any size."""
+        return tuple(self.progressions[2].tolist())
+
+    @cached_property
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonempty regions sorted by first position (ties by last
+        window end): their first window starts, the furthest window end of
+        each prefix of that order, and their message indices (from 0), as
+        arrays in the dtype of progressions."""
+        first, step, n = self.progressions
+        occupied = np.flatnonzero(n)
+        first, n = first[occupied], n[occupied]
+        lens = np.array(self.window_lens, dtype=first.dtype)[occupied]
+        end = first + step[occupied] * (n - 1) + lens - 1
+        order = np.lexsort((end, first))
+        return (first[order], np.maximum.accumulate(end[order]),
+                occupied[order])
 
     @cached_property
     def disjoint(self) -> bool:
         """No two regions' windows share a sample: each region starts past
         the furthest end of the regions that start before it."""
         firsts, reach, _ = self.spans
-        return all(first > end for first, end in zip(firsts[1:], reach))
+        return bool(np.all(firsts[1:] > reach[:-1]))
 
     @cached_property
     def table(self) -> RegionTable:
@@ -215,6 +229,9 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
     or the burst image width straying beta or more.  Region m holds the
     multiples of step within nu of (m-1)*N*mu + 1 (message 1: just
     position 1), and every window is floor(B*mu - beta) samples long.
+    Those centers share the denominator of mu and the radius nu, so
+    _exact.multiples_around finds every region from one integer square
+    root and two floor divisions a message, exact at any size.
     """
     if M > MAX_WINDOWS:
         raise InvalidConfigError(
@@ -234,15 +251,16 @@ def guard_blocks(M: int, N: int, B: int, mu: float, sigma2: float,
         raise InvalidConfigError(
             "detection window collapsed; timing jitter is too large for "
             f"this configuration (B*mu={width}, beta={beta})")
+    # message m's center (m-1)*N*mu + 1 is c/md with c = (m-1)*N*mn + md:
+    # one denominator and one radius, so one square root for every region
     mn, md = mu.numerator, mu.denominator
-    prefix = tuple(range(0, M * N, N))
     layout = Layout(
-        codeword_len=M * N, prefix_slots=prefix, burst_slots=(B,) * M,
+        codeword_len=M * N, prefix_slots=tuple(range(0, M * N, N)),
+        burst_slots=(B,) * M,
         prefix_drift=Drift(mu, nu_sq), burst_drift=Drift(mu, beta_sq),
         window_lens=(window_len,) * M,
-        regions=(range(1, 2),) + tuple(
-            _exact.multiples_in_open(step, (p * mn + md, md), nu_sq)
-            for p in prefix[1:]),
+        regions=(range(1, 2), *_exact.multiples_around(
+            step, range(N * mn + md, M * N * mn + md, N * mn), md, nu_sq)),
         slack=(slack,) * M)
     clear = (N - B) * mu
     return layout, GuardDiagnostics.of(
@@ -261,30 +279,37 @@ class RegionTable:
     """
 
     def __init__(self, layout: Layout):
-        regions = layout.regions
-        sizes = np.array(layout.sizes, dtype=np.int64)
-        self._firsts, self._reach, self._order = layout.spans
+        first, step, n = layout.progressions
+        sizes = n.astype(np.int64)
+        self._firsts, self._reach, self._order = (
+            a.tolist() for a in layout.spans)
         self.last_end = self._reach[-1] if self._reach else 0
         dtype = np.int64 if self.last_end < _INT64_SAFE else object
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
-        # window k of a region starts at first + k * step; an empty region
-        # adds no window and a one-window region no step, so neither puts
-        # a value beyond the table's dtype into these arrays
-        first, step = np.array(
-            [(r.start, r.step if n > 1 else 0) if n else (0, 0)
-             for r, n in zip(regions, layout.sizes)],
-            dtype=dtype).reshape(-1, 2).T
-        k = np.arange(self.bounds[-1]) - np.repeat(self.bounds[:-1], sizes)
-        self.starts = np.repeat(first, sizes) + np.repeat(step, sizes) * k
+        # the messages with a window
+        self.occupied = occupied = np.flatnonzero(sizes)
+        # window k of a region starts at first + k * step, so each start is
+        # the one before it plus its region's step or, at a region's first
+        # window, plus the gap from the last start of the region before:
+        # one running sum, each partial sum a start.  Empty and one-window
+        # regions count step 0, so that no value beyond the table's dtype
+        # enters these arrays
+        step = np.where(sizes > 1, step, 0).astype(dtype)
+        first = first[occupied].astype(dtype)
+        last = first + step[occupied] * (sizes[occupied] - 1)
+        self.starts = np.repeat(step, sizes)
+        self.starts[self.bounds[occupied]] = first - np.concatenate(
+            ([0], last[:-1]))
+        np.cumsum(self.starts, out=self.starts)
         self.lens = np.repeat(np.array(layout.window_lens, dtype=dtype), sizes)
-        self.ends = self.starts + self.lens - 1
-        self.occupied = np.flatnonzero(sizes)  # messages with a window
+        self.ends = self.lens - 1
+        self.ends += self.starts
         # the smallest type that holds a region's firing count
         self.count_dtype = np.min_scalar_type(int(sizes.max()))
         # for contact: each region with its window length, window count
         # and first table index
-        self._regions = list(zip(regions, layout.window_lens, layout.sizes,
-                                 self.bounds.tolist()))
+        self._regions = list(zip(layout.regions, layout.window_lens,
+                                 layout.sizes, self.bounds.tolist()))
 
     def contact(self, a: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         """The windows that share a sample with the burst image a+1 .. a+g,

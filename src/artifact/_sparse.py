@@ -78,7 +78,9 @@ on how the trials are split into blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -348,28 +350,30 @@ class SievePlan(_GaussPlan):
         if self.propose.max() >= 1:
             raise ValueError("the sieve needs n * Q(tau) < 1 in every region")
         self.cells = layout.M
-        # per window count n: each such region, the distinct (s, w) in
-        # lowest terms (s / w fixes the correlations), and which of them
-        # each region has
-        classes: dict[int, tuple[list[int], dict, list[int]]] = {}
-        for r, (region, w, n) in enumerate(zip(
-                layout.regions, layout.window_lens, layout.sizes)):
-            if n:
-                s = region.step if n > 1 else 0
-                g = math.gcd(s, w)
-                regions, keys, which = classes.setdefault(n, ([], {}, []))
-                regions.append(r)
-                which.append(keys.setdefault((s // g, w // g), len(keys)))
-        # per region: its factor transposed and its correlation matrix
-        # (None for an empty region)
-        self.region_factors = [None] * self.sizes.size
-        for n, (regions, keys, which) in classes.items():
-            steps, lens = zip(*keys)
-            corr = window_overlaps(n, steps, lens).astype(np.float64)
+        # each occupied region's key: its window count n and its step s
+        # over its window length w in lowest terms, which fix the
+        # correlations (s = 0 for a single window)
+        _, step, n = layout.progressions
+        occupied = np.flatnonzero(self.sizes)
+        s = np.where(n > 1, step, 0)[occupied]
+        w = np.array(layout.window_lens, dtype=s.dtype)[occupied]
+        g = np.gcd(s, w)
+        keys = list(zip(n[occupied].tolist(), (s // g).tolist(),
+                        (w // g).tolist()))
+        # per distinct key: its factor transposed and its correlation
+        # matrix, from one batched Cholesky call for each n
+        pairs = {}
+        for size, group in itertools.groupby(sorted(set(keys)),
+                                             operator.itemgetter(0)):
+            group = list(group)
+            _, steps, lens = zip(*group)
+            corr = window_overlaps(size, steps, lens).astype(np.float64)
             corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
-            factors = np.linalg.cholesky(corr).transpose(0, 2, 1)
-            for r, key in zip(regions, which):
-                self.region_factors[r] = (factors[key], corr[key])
+            pairs.update(zip(group, zip(
+                np.linalg.cholesky(corr).transpose(0, 2, 1), corr)))
+        # per region: its key's pair (None for an empty region)
+        factors = dict(zip(occupied.tolist(), map(pairs.__getitem__, keys)))
+        self.region_factors = list(map(factors.get, range(self.sizes.size)))
         # per region: its first window and window count, as Python ints
         self.spans = list(zip(self.table.bounds[:-1].tolist(),
                               layout.sizes))
@@ -484,6 +488,13 @@ class DmcPlan(_TrialPlan):
     trial's row holds their letters, one uint8 a cell.  Every window is
     window_len samples long, so window i reads the consecutive cells
     columns[i] .. columns[i] + window_len - 1, also where regions overlap.
+    Both come from the regions' spans (Layout.spans) in closed form: the
+    sorted spans merge into runs of covered samples wherever a region
+    starts within the reach of those before it, positions is each merged
+    span's samples in turn, and window k of a region that starts at first
+    in the merged span from start, whose cells begin at column offset, is
+    column offset + (first - start) + k.  No search over the window
+    starts and no pass over every sample up to the last.
 
     A letter comes from the leading bits of its uniform first (Knuth and
     Yao, 1976).  draw reads ceil(cells / 4) raw 64-bit words as 16-bit
@@ -523,25 +534,39 @@ class DmcPlan(_TrialPlan):
     def __init__(self, params, channel):
         super().__init__(params)
         table, layout = self.table, self.layout
-        if any(r.step != 1 for r, n in zip(layout.regions, layout.sizes)
-               if n > 1):
+        _, step, n = layout.progressions
+        if np.any(step[n > 1] != 1):
             raise ValueError("the DMC plan needs windows one sample apart")
-        # in place: set-up holds two sample-sized arrays fewer at once
-        size = table.last_end + 2
-        depth = np.bincount(table.starts, minlength=size)
-        depth -= np.bincount(table.ends + 1, minlength=size)
-        self.positions = np.flatnonzero(np.cumsum(depth, out=depth) > 0)
+        # the sorted regions' spans, merged: a merged span opens where a
+        # region starts past the reach of those before it, covers start[j]
+        # .. end[j] and takes the columns from offset[j] on
+        firsts, reach, order = (a.astype(np.int64) for a in layout.spans)
+        opens = np.ones(firsts.size, dtype=bool)
+        opens[1:] = firsts[1:] > reach[:-1]
+        closes = np.ones_like(opens)
+        closes[:-1] = opens[1:]
+        start, end = firsts[opens], reach[closes]
+        length = end - start + 1
+        offset = np.cumsum(length) - length
+        self.positions = np.arange(length.sum())
+        self.positions += np.repeat(start - offset, length)
         self.cells = self.positions.size
         self.words = -(-self.cells // 4)
-        self.columns = np.searchsorted(self.positions, table.starts)
+        # window k of region r, the order[i]-th, in merged span j, is
+        # column offset[j] + (first_r - start[j]) + k: its start's, less
+        # start[j] - offset[j]
+        j = np.cumsum(opens) - 1
+        shift = np.zeros(layout.M, dtype=np.int64)
+        shift[order] = start[j] - offset[j]
+        sizes = np.diff(table.bounds)
+        self.columns = table.starts - np.repeat(shift, sizes)
         # each occupied region's run of columns [first, first + n), start
         # and end interleaved, so that runs that overlap or come in any
         # order stay right; reduceat's other sums, between runs, are
         # dropped
         occupied = table.occupied
         first = self.columns[table.bounds[occupied]]
-        self.runs = np.stack(
-            (first, first + np.diff(table.bounds)[occupied]), axis=1).ravel()
+        self.runs = np.stack((first, first + sizes[occupied]), axis=1).ravel()
         self.window_len = w = params.window_len
         self.idle_cdf = _cdf(channel.w[0])
         self.burst_cdf = _cdf(channel.w[params.x_star])

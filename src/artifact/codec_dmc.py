@@ -154,16 +154,39 @@ def _stats_from_counts(counts: np.ndarray, llr, imp1, imp0) -> np.ndarray:
 
 def _count_vectors(total: int, letters: int) -> np.ndarray:
     """Every vector of letters nonnegative counts summing to total, one a
-    column of a (letters, C(total + letters - 1, letters - 1)) array."""
-    heads = np.zeros((0, 1), dtype=np.int32)
-    left = np.array([total], dtype=np.int32)
-    for _ in range(letters - 1):
-        reps = left + 1  # column j splits into one per next count 0..left[j]
-        count = (np.arange(reps.sum())
-                 - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int32)
-        heads = np.vstack((np.repeat(heads, reps, axis=1), count))
-        left = np.repeat(left, reps) - count
-    return np.vstack((heads, left))
+    column of a (letters, C(total + letters - 1, letters - 1)) int32
+    array, in lexicographic order.
+
+    The array is filled in place, one row at a time, with no scratch array
+    larger than a row.  Columns that share the counts of the rows above
+    form groups; in a group that leaves n, row i's count runs 0 .. n, each
+    count c over the C(n - c + k, k) columns that complete it (k = letters
+    - 2 - i).  The last row is total less the others.
+    """
+    out = np.empty((letters, math.comb(total + letters - 1, letters - 1)),
+                   dtype=np.int32)
+    # the groups: their first columns and the total each leaves
+    starts, left = np.zeros(1, dtype=np.int64), np.array([total])
+    for i, row in enumerate(out[:-1]):
+        k = letters - 2 - i
+        if k == 0:   # a column a count: a running sum, reset at each group
+            row.fill(1)
+            row[starts] = -np.concatenate(([0], left[:-1]))
+            np.cumsum(row, out=row)
+        else:
+            reps = left + 1
+            count = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps,
+                                                      reps)
+            left = np.repeat(left, reps) - count
+            size = np.ones_like(left)
+            for j in range(1, k + 1):   # C(left + k, k), exactly
+                size = size * (left + j) // j
+            starts = np.cumsum(size) - size
+            row[:] = np.repeat(count.astype(np.int32), size)
+    out[-1] = total
+    for row in out[:-1]:
+        out[-1] -= row
+    return out
 
 
 def _exact_mass(counts: np.ndarray, total: int, row: np.ndarray) -> Fraction:

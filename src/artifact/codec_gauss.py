@@ -97,11 +97,10 @@ def derive_params(M: int, epsilon: float, delta: float,
 
     layout, diagnostics = guard_blocks(M, N, B, mu, sigma2, epsilon,
                                        step=spacing, slack=spacing)
-    for m, region in enumerate(layout.regions, start=1):
-        if not region:
-            raise InvalidConfigError(
-                f"decision region for message {m} is empty; "
-                "the spacing grid misses the drift interval at this size")
+    if 0 in layout.sizes:
+        raise InvalidConfigError(
+            f"decision region for message {layout.sizes.index(0) + 1} is "
+            "empty; the spacing grid misses the drift interval at this size")
     return GaussSchemeParams(
         M=M, epsilon=float(epsilon), delta=float(delta), mu=float(mu),
         sigma2=float(sigma2), eta2=float(eta2), N=N, B=B,

@@ -138,6 +138,25 @@ def decide(table, fired: np.ndarray) -> int | None:
     return int(table.decide_rows(table.region_counts(fired[None]))[0]) or None
 
 
+def dmc_cells(table) -> dict[str, np.ndarray]:
+    """What a DMC plan (artifact._sparse.DmcPlan) lays out for a region
+    table, by its definition: positions, every sample some window covers
+    (a depth count of window starts and ends over every sample); columns,
+    each window's first cell, searched for its start among them; and runs,
+    each occupied region's columns [first, first + n) as interleaved
+    bounds."""
+    size = table.last_end + 2
+    depth = (np.bincount(table.starts, minlength=size)
+             - np.bincount(table.ends + 1, minlength=size))
+    positions = np.flatnonzero(np.cumsum(depth) > 0)
+    columns = np.searchsorted(positions, table.starts)
+    occupied = table.occupied
+    first = columns[table.bounds[occupied]]
+    runs = np.stack((first, first + np.diff(table.bounds)[occupied]),
+                    axis=1).ravel()
+    return {"positions": positions, "columns": columns, "runs": runs}
+
+
 @dataclass(frozen=True)
 class TraceDiagnostics:
     """What the realized timing states imply for one transmitted message:

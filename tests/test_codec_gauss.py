@@ -12,6 +12,7 @@ follow from the defining formulas:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ def test_zero_jitter_rejected():
     with pytest.raises(InvalidConfigError):
         cg.derive_params(M=16, epsilon=0.2, delta=0.5,
                          idc=StateDistribution.constant(1))
+
+
+def test_an_empty_region_names_its_message(monkeypatch):
+    """A layout with an empty region is refused, naming the first such
+    message."""
+    real = cg.guard_blocks
+
+    def emptied(*args, **kwargs):
+        layout, diagnostics = real(*args, **kwargs)
+        regions = list(layout.regions)
+        regions[4] = regions[6] = range(0)
+        return replace(layout, regions=tuple(regions)), diagnostics
+
+    monkeypatch.setattr(cg, "guard_blocks", emptied)
+    with pytest.raises(InvalidConfigError,
+                       match="region for message 5 is empty"):
+        cg.derive_params(M=16, epsilon=0.2, delta=0.5,
+                         idc=StateDistribution.deletion(0.1))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -256,3 +256,40 @@ def test_multiples_in_open_definition_at_large_magnitudes(step, center,
         radius_sq = (step * (center // step + 2) - center) ** 2
     _check_region(_exact.multiples_in_open(step, center, radius_sq),
                   step, center, radius_sq)
+
+
+@given(st.one_of(st.just(1), st.integers(min_value=2, max_value=7),
+                 st.integers(min_value=2**64, max_value=2**200)),
+       st.lists(st.one_of(st.integers(min_value=-50, max_value=400),
+                          st.integers(min_value=-2**200, max_value=2**200)),
+                max_size=8),
+       st.one_of(st.integers(min_value=1, max_value=12),
+                 st.integers(min_value=2**64, max_value=2**200)),
+       st.one_of(st.just(Fraction(0)), _magnitudes))
+def test_multiples_around_is_multiples_in_open_center_by_center(
+        step, centers, denominator, radius_sq):
+    """One square root for every center over one denominator gives each
+    center's own region, as a (numerator, denominator) pair and as its
+    reduced Fraction, whose root is taken over another denominator."""
+    got = _exact.multiples_around(step, centers, denominator, radius_sq)
+    assert got == [_exact.multiples_in_open(step, (c, denominator), radius_sq)
+                   for c in centers]
+    assert got == [_exact.multiples_in_open(step, Fraction(c, denominator),
+                                            radius_sq) for c in centers]
+
+
+def test_multiples_around_singletons_and_empty_regions():
+    # radius 0: Y = 1 keeps a center that is a multiple, and nothing else
+    assert _exact.multiples_around(3, [45, 50, -15, 2**200 * 15], 5, 0) == [
+        range(9, 12, 3), range(0), range(0),
+        range(3 * 2**200, 3 * 2**200 + 3, 3)]
+    # step 2**70 around 2**71 + 1/3, and centers at or below 0; then a
+    # radius too small to reach a multiple
+    got = _exact.multiples_around(2**70, [2**71 * 3 + 1, -6, 0], 3,
+                                  Fraction(1, 4))
+    assert got == [range(2**71, 2**71 + 2**70, 2**70), range(0), range(0)]
+    assert _exact.multiples_around(2**70, [2**71 * 3 + 7], 3, 1) == [range(0)]
+    with pytest.raises(ValueError):
+        _exact.multiples_around(0, [1], 1, 1)
+    with pytest.raises(ValueError):
+        _exact.multiples_around(1, [1], 0, 1)

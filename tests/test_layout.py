@@ -31,8 +31,7 @@ from artifact import _exact, _layout
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._layout import (Drift, Layout, RegionTable, guard_blocks,
-                              window_count)
+from artifact._layout import Drift, Layout, RegionTable, guard_blocks
 from artifact.channel import Dmc, StateDistribution
 from artifact.errors import InvalidConfigError
 from oracle import (channel, decide, decode, encode, geometry,
@@ -254,18 +253,26 @@ def test_table_flattens_regions_in_message_order():
 
 
 
-def test_window_count_is_len_at_any_size():
-    assert all(window_count(range(a, b, s)) == len(range(a, b, s))
-               for a in range(-3, 4) for b in range(-3, 9) for s in (1, 2, 5))
-    huge = range(1, 3 * 2**70 + 2, 3)
-    assert window_count(huge) == 2**70 + 1 > sys.maxsize
-    # Layout.sizes counts each region the same way, past len()'s range too
+def test_layout_sizes_are_len_at_any_size():
+    """Layout.sizes counts each region as len() does, empty and negative
+    ranges included, and past len()'s range, where the layout's arrays
+    hold Python ints."""
+    small = tuple(range(a, b, s) for a in range(-3, 4) for b in range(-3, 9)
+                  for s in (1, 2, 5))
+    M = len(small)
+    assert Layout(
+        codeword_len=10, prefix_slots=(0,) * M, burst_slots=(1,) * M,
+        prefix_drift=Drift(Fraction(1)), burst_drift=Drift(Fraction(1)),
+        window_lens=(1,) * M, regions=small, slack=(0,) * M,
+    ).sizes == tuple(map(len, small))
     layout = cc.derive_params(M=8, mu1=1.0, mu2=1.0, delta=0.3, epsilon=0.25,
                               sigma2=0.09).layout
     assert layout.sizes == tuple(map(len, layout.regions))
+    huge = range(1, 3 * 2**70 + 2, 3)
     regions = (range(1, 2), range(5, 5), huge, range(2, 12, 3))
-    assert replace(layout, regions=regions + layout.regions[4:]).sizes \
-        == (1, 0, 2**70 + 1, 4) + layout.sizes[4:]
+    sizes = replace(layout, regions=regions + layout.regions[4:]).sizes
+    assert sizes == (1, 0, 2**70 + 1, 4) + layout.sizes[4:]
+    assert sizes[2] > sys.maxsize
 
 
 def test_guard_blocks_rejects_an_overlong_burst_or_an_empty_window(
