@@ -77,18 +77,6 @@ def ge_sum_sqrt(t: Fraction, a: Fraction, b: Fraction) -> bool:
     return s >= 0 and s * s >= 4 * a * b
 
 
-def multiples_in_open(step: int, center: Fraction | tuple[int, int],
-                      radius_sq: Fraction | tuple[int, int]) -> range:
-    """Positive multiples of ``step`` strictly within r of center.
-
-    center and radius_sq are exact rationals (Fractions or ints), or pairs
-    (numerator, denominator) with a positive denominator.  The region is
-    multiples_around's for the one center.
-    """
-    cn, cd = _ratio(center)
-    return multiples_around(step, (cn,), cd, radius_sq)[0]
-
-
 def multiples_around(step: int, centers: Iterable[int], denominator: int,
                      radius_sq: Fraction | tuple[int, int]) -> list[range]:
     """For each integer c of centers, the positive multiples of ``step``

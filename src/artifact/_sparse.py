@@ -57,10 +57,10 @@ Python integers instead (see _layout.RegionTable), through the same numpy
 expressions.
 
 Trials run in blocks (stream_trials).  Each trial of a block draws from
-its own PCG64 state, seated in the calling thread's one generator
-(rng.generator_at), in a fixed order: a, then g, then its row of the plan's
-normals, or the sieve's draws, or the DMC plan's raw words and then its
-tie-breaking uniforms.  Per trial there is one image-contact pass
+its own PCG64 state, seated in the generator the caller passes, in a
+fixed order: a, then g, then its row of the plan's normals, or the
+sieve's draws, or the DMC plan's raw words and then its tie-breaking
+uniforms.  Per trial there is one image-contact pass
 (RegionTable.contact), the windows the burst image touches, before the
 row is drawn; it carries the Gaussian signal and tells the sieve which
 regions to draw in full.  Everything after the draws is array passes over
@@ -90,7 +90,6 @@ from . import codec_dmc
 from ._layout import _INT64_SAFE, MAX_WINDOWS, contact_flags
 from .channel import StateDistribution
 from .errors import InvalidConfigError
-from .rng import generator_at
 
 # numpy's multinomial sampler takes an int64 trial count; beyond that we fall
 # back to a rounded-Gaussian sum whose distributional error is far below
@@ -162,7 +161,6 @@ class _TrialPlan:
     those verdicts and what draw returned for each trial: on a row plan,
     window i's verdict is column columns[i], or column i where columns is
     None, and fired(ms, contacts, draws) gives them from the rows alone.
-    Plans keep no scratch buffers, so threaded blocks can share one.
     """
 
     cells: int
@@ -728,10 +726,11 @@ class TrialBlock:
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
-                  states) -> TrialBlock:
+                  states, gen: np.random.Generator) -> TrialBlock:
     """A block of encode/transmit/decode rounds without materializing any
-    stream: trial t sends message ms[t] and draws from the PCG64 state
-    dict states[t] (see rng.generator_at)."""
+    stream: trial t sends message ms[t] and draws from gen seated at the
+    full PCG64 state dict states[t] (rng.pcg64_states), which then draws
+    what a generator built at that state would."""
     layout, table = plan.layout, plan.table
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
@@ -744,11 +743,11 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         layout.check_message(m)
         approximate += random_states and max(
             prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
-        rng = generator_at(state)
-        a = sample_state_sum(dist, prefix[m - 1], rng)
-        g = sample_state_sum(dist, burst[m - 1], rng)
+        gen.bit_generator.state = state
+        a = sample_state_sum(dist, prefix[m - 1], gen)
+        g = sample_state_sum(dist, burst[m - 1], gen)
         contact = table.contact(a, g)
-        drawn.append(plan.draw(rng, row, m, (a, g), contact))
+        drawn.append(plan.draw(gen, row, m, (a, g), contact))
         images.append((a, g))
         contacts.append(contact)
     prefix_output, burst_output = np.array(images, dtype=object).T

@@ -23,9 +23,9 @@ letters a trial or over _sparse.MAX_CODES codes of a DMC firing table,
 before any table is built or letter drawn.
 run_trials splits the trials, in order, into blocks of the plan's
 block_size, draws each block's messages and trial states as the block is
-taken, runs it through _sparse.stream_trials (one worker thread per block
-at a time), and adds its counts into the report's tallies; no per-trial
-outcome is kept, so memory does not grow with the trial count.
+taken, runs it through _sparse.stream_trials, and adds its counts into
+the report's tallies; no per-trial outcome is kept, so memory does not
+grow with the trial count.
 
 Reproducibility contract: a report is a pure function of its config.  The
 streams are numpy's children of SeedSequence(base_seed), as
@@ -33,10 +33,10 @@ SeedSequence(base_seed).spawn(3) names them: the messages are the draws
 of child 1's stream, and trial t draws from the stream of child 2's
 child t, SeedSequence(base_seed, spawn_key=(2, t)).  No SeedSequence or
 bit generator is built for them: rng.Spawner computes each stream's
-PCG64 state in closed form, bit for bit, and each worker thread seats it
-in its one generator (rng.generator_at).  A trial's outcome does not
-depend on the other trials of its block, so neither the block split nor
-the worker count changes the numbers.
+PCG64 state in closed form, bit for bit, and the report seats it in a
+generator of its own, so reports run at once in several threads share
+no stream.  A trial's outcome does not depend on the other trials of its
+block, so the block split does not change the numbers.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ import csv
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass
 from statistics import NormalDist
 
@@ -70,10 +68,10 @@ MAX_TRIALS = 1 << 64
 _MESSAGE_CHUNK = 1 << 12
 
 _SCHEMES = ("dmc", "gauss", "compound")
-_INT_FIELDS = ("M", "trials", "base_seed", "x_star", "workers")
+_INT_FIELDS = ("M", "trials", "base_seed", "x_star")
 _REAL_FIELDS = ("epsilon", "delta", "eta2", "confidence", "mu1", "mu2",
                 "sigma2_bound")
-_OPTIONAL_FIELDS = ("workers", "mu1", "mu2", "sigma2_bound")
+_OPTIONAL_FIELDS = ("mu1", "mu2", "sigma2_bound")
 
 
 def _is_finite(value) -> bool:
@@ -97,7 +95,6 @@ class ExperimentConfig:
     sigma2_bound: float | None = None
     message_selection: str | int = "uniform"  # or "exhaustive", or a fixed message
     confidence: float = 0.95
-    workers: int | None = None  # threads, at most the usable CPUs; None: 1
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -144,8 +141,14 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise InvalidConfigError("an experiment config must be an object")
+        kwargs = dict(d)
+        # every report runs in one thread; a config may still say so
+        workers = kwargs.pop("workers", 1)
+        if not (is_integer(workers) and workers == 1):
+            raise InvalidConfigError(
+                "workers must be 1: every report runs in one thread")
         fields = cls.__dataclass_fields__
-        extra = set(d) - set(fields)
+        extra = set(kwargs) - set(fields)
         if extra:
             raise InvalidConfigError(
                 f"unknown config keys: {', '.join(sorted(extra))}")
@@ -154,7 +157,6 @@ class ExperimentConfig:
         if missing:
             raise InvalidConfigError(
                 f"missing config keys: {', '.join(missing)}")
-        kwargs = dict(d)
         if not isinstance(kwargs["idc"], dict):
             raise InvalidConfigError("config needs an idc state distribution")
         kwargs["idc"] = state_dist_from_dict(kwargs["idc"])
@@ -173,7 +175,7 @@ class ExperimentConfig:
         }
         if self.dmc is not None:
             d["dmc"] = self.dmc.to_dict()
-        for key in ("mu1", "mu2", "sigma2_bound", "workers"):
+        for key in ("mu1", "mu2", "sigma2_bound"):
             val = getattr(self, key)
             if val is not None:
                 d[key] = val
@@ -261,15 +263,17 @@ def codeword_cost(config: ExperimentConfig, params) -> float:
     return cost
 
 
-def _trial_blocks(config: ExperimentConfig, size: int):
+def _trial_blocks(config: ExperimentConfig, size: int,
+                  gen: np.random.Generator):
     """(messages, trial states) of each block of at most size trials, in
     trial order.  The messages are drawn _MESSAGE_CHUNK at a time (rounded
-    to whole blocks) from one stream, seated for each chunk where the last
-    left off, so every trial gets the message that one draw of them all
-    would give; exhaustive and fixed selections draw nothing, so their
-    stream is never seated.  Each chunk's seed words (32 bytes a trial)
-    are hashed at once and turned into trial states block by block, which
-    hold ~400 bytes a trial only while their block runs."""
+    to whole blocks) from one stream, seated in gen for each chunk where
+    the last left off, so every trial gets the message that one draw of
+    them all would give, whatever gen drew in between; exhaustive and
+    fixed selections draw nothing, so their stream is never seated.  Each
+    chunk's seed words (32 bytes a trial) are hashed at once and turned
+    into trial states block by block, which hold ~400 bytes a trial only
+    while their block runs."""
     root = rng.Spawner(config.base_seed)
     uniform = config.message_selection == "uniform"
     message_state = root.child(1).state() if uniform else None
@@ -277,25 +281,14 @@ def _trial_blocks(config: ExperimentConfig, size: int):
     chunk = size * max(1, _MESSAGE_CHUNK // size)
     for first in range(0, config.trials, chunk):
         n = min(chunk, config.trials - first)
-        gen = rng.generator_at(message_state) if uniform else None
+        if uniform:
+            gen.bit_generator.state = message_state
         messages = _draw_messages(config, gen, first, n)
         if uniform and first + n < config.trials:
             message_state = gen.bit_generator.state
         words = trial_root.child_words(first, n)
         for i in range(0, n, size):
             yield messages[i:i + size], rng.pcg64_states(words[i:i + size])
-
-
-def _lazy_map(pool: ThreadPoolExecutor, fn, items, ahead: int):
-    """pool.map(fn, items), in order, but with at most ahead items
-    submitted and not yet returned, so items are drawn as the work goes."""
-    pending = collections.deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
@@ -330,24 +323,13 @@ def _block_tallies(messages: np.ndarray, block, bounds) -> dict[str, int]:
 def _draw_messages(config: ExperimentConfig, gen, first: int,
                    n: int) -> np.ndarray:
     """Messages of trials first .. first + n - 1, uniform ones the next n
-    draws of gen (None for the other selections): bounded integers chunked
-    in any way equal one draw."""
+    draws of gen (which the other selections leave alone): bounded
+    integers chunked in any way equal one draw."""
     if config.message_selection == "uniform":
         return gen.integers(1, config.M + 1, size=n)
     if config.message_selection == "exhaustive":
         return np.arange(first, first + n, dtype=np.int64) % config.M + 1
     return np.full(n, int(config.message_selection), dtype=np.int64)
-
-
-def _worker_count(config: ExperimentConfig) -> int:
-    """config.workers (None: 1), at most the CPUs this process may run
-    on: a thread without a CPU of its own only adds blocks in flight."""
-    n = 1 if config.workers is None else int(config.workers)
-    if n < 1:
-        raise InvalidConfigError(f"worker count must be positive, got {n}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(n, cpus)
 
 
 def run_trials(config: ExperimentConfig) -> Report:
@@ -356,19 +338,13 @@ def run_trials(config: ExperimentConfig) -> Report:
     params = derive_scheme_params(config)
     cost = codeword_cost(config, params)
     plan = _sparse.plan_for(params, config.dmc)
-
-    def run(block) -> dict[str, int]:
-        messages, states = block
-        return _block_tallies(messages, _sparse.stream_trials(
-            plan, messages, config.idc, states), plan.table.bounds)
-
     tallies = collections.Counter()  # keys in _block_tallies' order
-    blocks = _trial_blocks(config, plan.block_size)
-    workers = _worker_count(config)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in (map(run, blocks) if workers == 1 else
-                     _lazy_map(pool, run, blocks, ahead=2 * workers)):
-            tallies.update(part)
+    # this report's own generator: every stream is seated in it before it
+    # draws, so its seed is never read
+    gen = np.random.Generator(np.random.PCG64(0))
+    for messages, states in _trial_blocks(config, plan.block_size, gen):
+        tallies.update(_block_tallies(messages, _sparse.stream_trials(
+            plan, messages, config.idc, states, gen), plan.table.bounds))
 
     errors = tallies.pop("errors")
     lo, hi = wilson_interval(errors, config.trials, config.confidence)

@@ -12,14 +12,13 @@ descendants of SeedSequence(entropy) in closed form, over a range of
 children at a time, and pcg64_states turns them into the states PCG64
 seeds from them, as state dicts:
 pcg64_states(Spawner(e).child(k).child_words(i, 1)) is
-[PCG64(SeedSequence(e, spawn_key=(k, i))).state], bit for bit.
-generator_at seats such a state in the one generator of the calling
-thread, which then draws what a generator built at that state would.
+[PCG64(SeedSequence(e, spawn_key=(k, i))).state], bit for bit.  They
+are full states, has_uint32 and uinteger included, so a generator seated
+at one (gen.bit_generator.state = state) draws what a generator built at
+that state would, whatever it drew before.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -50,12 +49,6 @@ def as_generator(seed=None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def states_of(seeds) -> list[dict]:
-    """The PCG64 state numpy seeds from each of seeds (an int or a
-    SeedSequence): the per-trial states stream_trials takes."""
-    return [np.random.PCG64(seed).state for seed in seeds]
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -199,18 +192,3 @@ def _pcg64_state(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
 def pcg64_states(words: np.ndarray) -> list[dict]:
     """The PCG64 state numpy seeds from each row of child_words."""
     return [_pcg64_state(*row) for row in words.tolist()]
-
-
-_local = threading.local()
-
-
-def generator_at(state: dict) -> np.random.Generator:
-    """The calling thread's one generator, seated at a full PCG64 state
-    dict (has_uint32 and uinteger included), so that its next draws are
-    those of a generator built at that state.  Seating it again, in the
-    same thread, ends the previous stream."""
-    gen = getattr(_local, "generator", None)
-    if gen is None:
-        gen = _local.generator = np.random.Generator(np.random.PCG64(0))
-    gen.bit_generator.state = state
-    return gen

@@ -15,7 +15,7 @@ Gaussian sieve (criterion 5 at M = 64 and M = 256) and segment plan (a
 jittery M = 16 layout); the DMC letter plan (the dmc-m64 bench config,
 and delta = 2.5); criterion 7's compound layout on the segment plan, and
 a fixed last message whose positions outgrow int64; exhaustive message
-selection; two workers on a short Gaussian layout; a cost-equivalence
+selection; criterion 5 on a short Gaussian layout (M = 16); a cost-equivalence
 check; a DMC layout whose neighbouring regions' windows share
 samples; and one DMC channel for each way a window verdict is reached: a
 three-letter channel (its code looked up in the firing table), a flipped
@@ -61,8 +61,8 @@ REPORTS = {
         base_seed=4111, message_selection=64),
     "dmc-exhaustive-m8": dict(_CRITERION_6, M=8, trials=64, base_seed=3,
                               message_selection="exhaustive"),
-    "gauss-workers-2": dict(_CRITERION_5, M=16, trials=200, base_seed=21,
-                            workers=2),
+    "gauss-criterion5-m16": dict(_CRITERION_5, M=16, trials=200,
+                                 base_seed=21),
     "dmc-overlap-m8": dict(
         scheme="dmc", M=8, epsilon=0.5, delta=0.5, trials=200, base_seed=8,
         idc={"deletion": {"d": 0.01}}, dmc=_BSC_02),

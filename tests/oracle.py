@@ -8,17 +8,20 @@ differ only by sampling noise.  One decoder serves all three schemes:
 given the DMC back end it reads log-likelihood ratios of letter counts,
 otherwise Gaussian window sums.
 
-Positions are 1-based, as in the package.
+Positions are 1-based, as in the package.  Two helpers serve the tests
+alone: states_of, the per-trial states of given seeds, and
+multiples_in_open, one region about one centre.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from artifact import codec_dmc
+from artifact import _exact, codec_dmc
 from artifact._layout import FLAGS, Layout
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.errors import InvalidConfigError
@@ -210,3 +213,21 @@ def trace_diagnostics(m: int, states, layout: Layout) -> TraceDiagnostics:
     return geometry(m, int(states[:prefix].sum()),
                     int(states[prefix:prefix + layout.burst_slots[m - 1]].sum()),
                     layout)
+
+
+def states_of(seeds) -> list[dict]:
+    """The PCG64 state numpy seeds from each of seeds (an int or a
+    SeedSequence): the per-trial states stream_trials takes."""
+    return [np.random.PCG64(seed).state for seed in seeds]
+
+
+def multiples_in_open(step: int, center: Fraction | tuple[int, int],
+                      radius_sq: Fraction | tuple[int, int]) -> range:
+    """Positive multiples of ``step`` strictly within r of center.
+
+    center and radius_sq are exact rationals (Fractions or ints), or pairs
+    (numerator, denominator) with a positive denominator.  The region is
+    _exact.multiples_around's for the one center.
+    """
+    cn, cd = _exact._ratio(center)
+    return _exact.multiples_around(step, (cn,), cd, radius_sq)[0]

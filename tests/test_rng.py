@@ -1,13 +1,14 @@
 """Seed plumbing: as_generator builds default_rng's stream, the closed-form
-trial and message states are the ones numpy seeds, and a seated generator
-draws what a freshly built one would."""
+trial and message states are the ones numpy seeds, and a generator seated
+at one draws what a freshly built one would."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact import rng
-from artifact.rng import as_generator, states_of
+from artifact.rng import as_generator
+from oracle import states_of
 
 
 def test_as_generator_draws_default_rngs_stream():
@@ -53,10 +54,12 @@ def test_seating_drops_the_buffered_half_word():
     next trial's state drops it, so that trial draws what a generator
     built from its seed would."""
     first, second = np.random.SeedSequence(2024).spawn(3)[2].spawn(2)
-    gen = rng.generator_at(states_of([first])[0])
-    gen.integers(0, 2**32, dtype=np.uint32)
-    assert gen.bit_generator.state["has_uint32"] == 1
-    ours = rng.generator_at(states_of([second])[0])
+    ours = np.random.default_rng(0)
+    ours.bit_generator.state = states_of([first])[0]
+    ours.integers(0, 2**32, dtype=np.uint32)
+    assert ours.bit_generator.state["has_uint32"] == 1
+    ours.bit_generator.state = rng.pcg64_states(
+        rng.Spawner(2024).child(2).child_words(1, 1))[0]
     ref = np.random.Generator(np.random.PCG64(second))
     for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
                  lambda g: g.random(4), lambda g: g.standard_normal(4),

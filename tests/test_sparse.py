@@ -24,9 +24,7 @@ from artifact import harness
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
-from artifact._exact import multiples_in_open
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
-from artifact.rng import states_of
 
 # the phases of the tests that draw rows of hundreds of cells: a
 # systematic failure there took over ten minutes to shrink, so they report
@@ -108,8 +106,9 @@ def test_stream_trial_reproducible_and_exact_sums():
     p = equal_rate_params()
     plan = sp.Plan(p)
     one = StateDistribution.constant(1)
-    r1 = sp.stream_trials(plan, [3], one, states_of([11]))
-    r2 = sp.stream_trials(plan, [3], one, states_of([11]))
+    gen = np.random.default_rng(0)
+    r1 = sp.stream_trials(plan, [3], one, oracle.states_of([11]), gen)
+    r2 = sp.stream_trials(plan, [3], one, oracle.states_of([11]), gen)
     assert np.array_equal(r1.decoded, r2.decoded)
     d1, = oracle.block_diagnostics(r1)
     assert d1 == oracle.block_diagnostics(r2)[0]
@@ -303,9 +302,10 @@ def test_stream_agrees_with_materialized_pipeline():
 
     rng = np.random.default_rng(2025)
     stream_err = 0
-    for state in states_of(rng.bit_generator.seed_seq.spawn(trials)):
+    gen = np.random.default_rng(0)
+    for state in oracle.states_of(rng.bit_generator.seed_seq.spawn(trials)):
         m = int(rng.integers(1, 9))
-        if sp.stream_trials(plan, [m], idc, [state]).decoded[0] != m:
+        if sp.stream_trials(plan, [m], idc, [state], gen).decoded[0] != m:
             stream_err += 1
 
     rng = np.random.default_rng(9025)
@@ -329,7 +329,7 @@ def test_big_int_schedule_runs_without_materializing():
                          sigma2=0.25)
     assert p.block_len > 2 ** 62     # far beyond any buffer
     res = sp.stream_trials(sp.Plan(p), [30], StateDistribution.constant(1),
-                           states_of([3]))
+                           oracle.states_of([3]), np.random.default_rng(0))
     assert res.prefix_output[0] == p.offsets[29]
     assert res.burst_output[0] == p.widths[29]
     assert res.decoded[0] in range(0, 33)   # 0: no unique region fired
@@ -348,7 +348,7 @@ def crowded(p, step, slack):
     nu_sq = p.layout.prefix_drift.radius_sq
     prefix = range(0, p.M * n, n)
     regions = (range(1, 2),) + tuple(
-        multiples_in_open(step, k * Fraction(p.mu) + 1, nu_sq)
+        oracle.multiples_in_open(step, k * Fraction(p.mu) + 1, nu_sq)
         for k in prefix[1:])
     layout = replace(p.layout, codeword_len=p.M * n,
                      prefix_slots=tuple(prefix), regions=regions,
@@ -641,8 +641,9 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
     also match the oracle's flags of each trial's image."""
     ms = np.random.default_rng(seed).integers(1, plan.layout.M + 1,
                                               size=trials)
-    states = states_of(np.random.SeedSequence(seed).spawn(trials))
-    block = sp.stream_trials(plan, ms, dist, states)
+    states = oracle.states_of(np.random.SeedSequence(seed).spawn(trials))
+    gen = np.random.default_rng(0)
+    block = sp.stream_trials(plan, ms, dist, states, gen)
     assert block.fired.shape == (trials, plan.table.starts.size)
     # the plan's region counts, gather-free on the DMC plan, are those of
     # the window verdicts
@@ -650,7 +651,7 @@ def assert_block_is_its_trials(plan, dist, trials, seed):
                           plan.table.region_counts(block.fired))
     diags = oracle.block_diagnostics(block)
     for t, (m, state, d) in enumerate(zip(ms, states, diags)):
-        one = sp.stream_trials(plan, [int(m)], dist, [state])
+        one = sp.stream_trials(plan, [int(m)], dist, [state], gen)
         assert np.array_equal(block.fired[t], one.fired[0])
         assert block.decoded[t] == one.decoded[0]
         assert d == oracle.block_diagnostics(one)[0]
@@ -889,10 +890,12 @@ def test_sieve_fires_as_the_segment_plan():
     trials, one = 8000, StateDistribution.constant(1)
     tables = [[], [], []]
     for plan, seed in ((sp.SievePlan(p), 61), (sp.Plan(p), 62)):
-        states = states_of(np.random.SeedSequence(seed).spawn(trials))
+        states = oracle.states_of(np.random.SeedSequence(seed).spawn(trials))
+        gen = np.random.default_rng(0)
         counts, first, own = [], [], []
         for i in range(0, trials, 500):
-            block = sp.stream_trials(plan, [2] * 500, one, states[i:i + 500])
+            block = sp.stream_trials(plan, [2] * 500, one, states[i:i + 500],
+                                     gen)
             assert block.flags["wrong_windows_all_zero"].all()
             counts.append(block.region_fired[:, 2:].ravel())
             first += [lowest_firing(block.fired, lo, hi)
