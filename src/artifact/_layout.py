@@ -34,6 +34,7 @@ from .errors import InvalidConfigError
 
 _INT64_SAFE = 1 << 62
 MAX_WINDOWS = 1 << 22  # most windows a region table may hold
+_NO_INDEX = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -306,44 +307,65 @@ class RegionTable:
         self.ends += self.starts
         # the smallest type that holds a region's firing count
         self.count_dtype = np.min_scalar_type(int(sizes.max()))
-        # for contact: each region with its window length, window count
-        # and first table index
-        self._regions = list(zip(layout.regions, layout.window_lens,
-                                 layout.sizes, self.bounds.tolist()))
+        # per region: first start, step, window length, count, first index
+        self._regions = [(r.start, r.step, w, n, base) for r, w, n, base in
+                         zip(layout.regions, layout.window_lens, layout.sizes,
+                             self.bounds.tolist())]
 
-    def contact(self, a: int, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """The windows that share a sample with the burst image a+1 .. a+g,
-        as ascending table indices, and how many samples each shares.
+    def touching(self, a: int, g: int) -> tuple[int, int, list]:
+        """The burst image a+1 .. a+g as lo .. hi, clamped at last_end + 1
+        (which changes no overlap and keeps int64 safe), and the windows
+        that share a sample with it as sorted runs (i0, i1, r): the table
+        indices i0 .. i1 - 1 of region r.
 
-        Each region is an arithmetic progression, so its contact windows
-        are one run of consecutive indices, found exactly in integers.
-        Regions may overlap or come in any order (a layout failing its
-        guards is still accepted), so the search goes by the regions' own
-        spans (Layout.spans), sorted by first position: it tests every
-        region that starts by the image's end, except a prefix of that
-        order that ends wholly before the image starts.
+        A region is an arithmetic progression, so its contact windows are
+        one run, found in Python ints with no numpy call.  Regions may
+        overlap or come in any order (a layout failing its guards is still
+        accepted), so the search goes by their sorted spans (Layout.spans):
+        every region that starts by hi, less a prefix that ends before lo.
         """
-        none = np.empty(0, dtype=np.int64)
-        if g <= 0:
-            return none, np.empty(0, dtype=self.starts.dtype)
-        # clamping at last_end + 1 changes no overlap and keeps int64 safe
         top = self.last_end + 1
         lo, hi = min(a + 1, top), min(a + g, top)
         runs = []
+        if g <= 0:
+            return lo, hi, runs
         for r in self._order[bisect.bisect_left(self._reach, lo):
                              bisect.bisect_right(self._firsts, hi)]:
-            region, w, n, base = self._regions[r]
-            first, step = region.start, region.step
+            first, step, w, n, base = self._regions[r]
             # windows k0..k1: the first that ends at or after lo through
             # the last that starts at or before hi
             k0 = max(-((first + w - 1 - lo) // step), 0)
             k1 = min((hi - first) // step, n - 1)
             if k0 <= k1:
-                runs.append((base + k0, base + k1 + 1))
-        idx = np.concatenate([np.arange(*run) for run in sorted(runs)]) \
-            if runs else none
-        return idx, np.minimum(self.ends[idx], hi) - np.maximum(
+                runs.append((base + k0, base + k1 + 1, r))
+        runs.sort()
+        return lo, hi, runs
+
+    def overlap(self, idx, lo, hi) -> np.ndarray:
+        """How many samples windows idx (an index array or a slice) share
+        with the images lo .. hi (scalars, or one entry a window)."""
+        return np.minimum(self.ends[idx], hi) - np.maximum(
             self.starts[idx], lo) + 1
+
+    def contacts(self, touches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat (trial, idx, overlap) arrays of a block's contact
+        windows, from each trial's touching(a, g): trial by trial, indices
+        ascending, overlaps in the table's dtype.  One array of the runs,
+        one repeat and one arange."""
+        # per run: its size, trial, first index less its flat offset, image
+        runs, at = [], 0
+        for t, (lo, hi, touched) in enumerate(touches):
+            for i0, i1, _ in touched:
+                runs.append((i1 - i0, t, i0 - at, lo, hi))
+                at += i1 - i0
+        if not runs:
+            return _NO_INDEX, _NO_INDEX, np.empty(0, dtype=self.starts.dtype)
+        rows = np.array(runs, dtype=self.starts.dtype)
+        _, trial, shift, lo, hi = np.repeat(
+            rows, rows[:, 0].astype(np.int64), axis=0).T
+        idx = (np.arange(at) + shift).astype(np.int64, copy=False)
+        return (trial.astype(np.int64, copy=False), idx,
+                self.overlap(idx, lo, hi))
 
     def region_counts(self, fired: np.ndarray) -> np.ndarray:
         """The firing windows of each message's region, for each row of
@@ -379,9 +401,10 @@ FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
 def contact_flags(layout: Layout, ms, a, g, contacts) -> dict[str, np.ndarray]:
     """The flags of FLAGS for a block of trials, each a bool array one
     entry a trial: trial t sends ms[t] with prefix output a[t] and burst
-    image width g[t], and contacts[t] is RegionTable.contact(a[t], g[t]),
-    so windows outside it overlap the image in no sample.  Every flag is a
-    function of where the image lands.
+    image width g[t], and contacts is RegionTable.contacts of the block's
+    touching(a[t], g[t]), the flat (trial, idx, overlap) arrays of every
+    window that shares a sample with its trial's image; no other window
+    does.  Every flag is a function of where the image lands.
 
     prefix_drift_out / burst_spread_out flag the two drift events of the
     layout.  When both are clear, the other flags certify the geometry the
@@ -401,10 +424,7 @@ def contact_flags(layout: Layout, ms, a, g, contacts) -> dict[str, np.ndarray]:
     k = np.array(ks)
     first, stop = table.bounds[k], table.bounds[k + 1]   # own windows
     g = np.asarray(g, dtype=object)
-    # every trial's contact windows in one run, each with its trial
-    trial = np.repeat(np.arange(k.size), [idx.size for idx, _ in contacts])
-    idx = np.concatenate([idx for idx, _ in contacts])
-    overlap = np.concatenate([overlap for _, overlap in contacts])
+    trial, idx, overlap = contacts
     own = (idx >= first[trial]) & (idx < stop[trial])
     wrong = np.bincount(trial[~own], minlength=k.size)
     covers = np.bincount(trial[own & (overlap >= need[trial])],

@@ -60,20 +60,22 @@ Trials run in blocks (stream_trials).  Each trial of a block draws from
 its own PCG64 state, seated in the generator the caller passes, in a
 fixed order: a, then g, then its row of the plan's normals, or the
 sieve's draws, or the DMC plan's raw words and then its tie-breaking
-uniforms.  Per trial there is one image-contact pass
-(RegionTable.contact), the windows the burst image touches, before the
-row is drawn; it carries the Gaussian signal and tells the sieve which
-regions to draw in full.  Everything after the draws is array passes over
-the block: the drift and geometry flags (_layout.contact_flags, from all
-the block's contact windows at once), the window statistics (cumulative
-or sliding sums along the rows; a DMC column's code), the threshold
-(or the DMC firing table) and the unique-region rule; the sieve's rows are already its region counts.  A
-block holds as many rows as fit in BLOCK_BYTES bytes, so trials share
-their numpy calls and the block's set-up: 6 DMC trials of 39,092 uint8
-letters at criterion 6, 85 compound trials of 382 float64 increments at
-criterion 7, 256 sieved trials of M = 256 int32 region counts, and a
-trial of more than 32,768 float64 increments alone.  No result depends
-on how the trials are split into blocks.
+uniforms.  Per trial, before the row is drawn, RegionTable.touching
+finds the windows the burst image touches as runs of table indices, in
+Python ints; the sieve reads its full regions and their signal from them.
+Everything after the draws is array passes over the block: every trial's
+contact windows and overlaps, from all the runs at once
+(RegionTable.contacts), the segment plan's signal, the drift and
+geometry flags (_layout.contact_flags), the window statistics
+(cumulative or sliding sums along the rows; a DMC column's code), the
+threshold (or the DMC firing table) and the unique-region rule; the
+sieve's rows are already its region counts.  A block holds as many rows
+as fit in BLOCK_BYTES bytes, so trials share their numpy calls and the
+block's set-up: 6 DMC trials of 39,092 uint8 letters at criterion 6, 85
+compound trials of 382 float64 increments at criterion 7, 256 sieved
+trials of M = 256 int32 region counts, and a trial of more than 32,768
+float64 increments alone.  No result depends on how the trials are split
+into blocks.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) 
         return n * dist.support[0][0]
     if n <= EXACT_SUM_MAX:
         counts = rng.multinomial(n, dist.probabilities)
-        return int(sum(int(c) * k for c, (k, _) in zip(counts, dist.support)))
+        return sum(map(operator.mul, counts.tolist(), dist.states))
     p, q = dist.mu.as_integer_ratio()
     center = (2 * n * p + q) // (2 * q)  # the integer nearest n * mu
     sd = math.sqrt(n * dist.sigma2)
@@ -150,12 +152,12 @@ class _TrialPlan:
     """What every plan shares: the layout, its region table and threshold.
 
     A trial has a row of cells numbers of type dtype in a block array:
-    draw(rng, row, m, image, contact) fills it for a trial that sends m,
-    whose burst image is image = (a, g) and has that contact
-    (RegionTable.contact), and returns what window_fired needs beyond the
+    draw(rng, row, m, image, touch) fills it for a trial that sends m,
+    whose burst image is image = (a, g) and touches the windows touch
+    (RegionTable.touching), and returns what window_fired needs beyond the
     row (None on the row plans, whose rows settle every window).
     verdicts(ms, contacts, draws) turns a block's rows, with each trial's
-    message and image contact, into the block's verdicts, and
+    message and its contacts (RegionTable.contacts), into its verdicts, and
     region_counts(verdicts) counts each region's firing windows.
     window_fired(verdicts, drawn) gives the verdicts trials x windows from
     those verdicts and what draw returned for each trial: on a row plan,
@@ -247,18 +249,8 @@ class Plan(_GaussPlan):
         self.cells = self.scale.size
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, contact) -> None:
+             image, touch) -> None:
         rng.standard_normal(out=out)
-
-    def signal(self, ms, contacts):
-        """(rows, cols, values): the burst adds amplitude * overlap on the
-        windows its image touches, and on no other."""
-        sizes = [idx.size for idx, _ in contacts]
-        rows = np.repeat(np.arange(len(sizes)), sizes)
-        cols = np.concatenate([idx for idx, _ in contacts])
-        amplitude = np.repeat(self.amplitudes[np.asarray(ms) - 1], sizes)
-        return rows, cols, amplitude * np.concatenate(
-            [overlap for _, overlap in contacts]).astype(np.float64)
 
     def statistics(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
         n = draws.shape[0]
@@ -267,8 +259,11 @@ class Plan(_GaussPlan):
         # np.take, not cum[:, idx]: a third of the time on a one-row block
         stat = (np.take(cum, self.hi_idx, axis=1)
                 - np.take(cum, self.lo_idx, axis=1))
-        rows, cols, signal = self.signal(ms, contacts)
-        stat[rows, cols] += signal
+        # the burst adds amplitude * overlap on the windows its image
+        # touches, and on no other
+        trial, idx, overlap = contacts
+        stat[trial, idx] += (self.amplitudes[np.asarray(ms) - 1][trial]
+                             * overlap.astype(np.float64))
         stat /= self.denom
         return stat
 
@@ -377,26 +372,27 @@ class SievePlan(_GaussPlan):
                               layout.sizes))
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, contact) -> list[tuple[int, np.ndarray]]:
+             image, touch) -> list[tuple[int, np.ndarray]]:
         tau, spans, factors = self.threshold, self.spans, self.region_factors
-        idx, overlap = contact
+        table, amplitude = self.table, self.amplitudes[m - 1]
+        lo, hi, runs = touch
         out.fill(0)
-        # the regions r of the contact windows i: bounds[r] <= i < bounds[r+1]
-        touched = self.table.bounds.searchsorted(idx, side="right") - 1
-        full = sorted({m - 1, *touched.tolist()})
+        # each touched region's run of contact windows
+        touched = {r: (i0, i1) for i0, i1, r in runs}
+        full = sorted({m - 1, *touched})
         z = rng.standard_normal(int(self.sizes[full].sum()))
-        signal = (self.amplitudes[m - 1] * overlap.astype(np.float64)
-                  / self.denom[idx])
-        # region full[j]'s contact windows: idx[lo[j]:hi[j]]
-        lo = touched.searchsorted(full).tolist()
-        hi = touched.searchsorted(full, side="right").tolist()
         drawn, at = [], 0
-        for r, i, j in zip(full, lo, hi):
+        for r in full:
             first, n = spans[r]
             if n:
                 x = z[at:at + n] @ factors[r][0]
                 at += n
-                x[idx[i:j] - first] += signal[i:j]
+                if r in touched:
+                    i0, i1 = touched[r]
+                    overlap = table.overlap(slice(i0, i1), lo, hi)
+                    x[i0 - first:i1 - first] += (
+                        amplitude * overlap.astype(np.float64)
+                        / self.denom[i0:i1])
                 out[r] = np.count_nonzero(x >= tau)
                 drawn.append((r, x))
         proposals = rng.random(len(spans)) < self.propose
@@ -592,7 +588,7 @@ class DmcPlan(_TrialPlan):
                            else None)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, contact) -> None:
+             image, touch) -> None:
         lanes = rng.bit_generator.random_raw(self.words).astype(
             "<u8", copy=False).view("<u2")[:self.cells]
         a, g = image
@@ -734,23 +730,25 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     layout, table = plan.layout, plan.table
     prefix, burst = layout.prefix_slots, layout.burst_slots
     ms = [int(m) for m in ms]
-    draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
-    images, contacts, drawn = [], [], []
+    if not 1 <= min(ms, default=1) <= max(ms, default=1) <= layout.M:
+        for m in ms:   # the first message out of range raises
+            layout.check_message(m)
     # sample_state_sum's rounded-Gaussian path: random states and a run of
     # more than EXACT_SUM_MAX slots
-    approximate, random_states = 0, len(dist.support) > 1
+    approximate = sum(max(prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
+                      for m in ms) if len(dist.support) > 1 else 0
+    draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
+    images, touches, drawn = [], [], []
     for m, state, row in zip(ms, states, draws, strict=True):
-        layout.check_message(m)
-        approximate += random_states and max(
-            prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
         gen.bit_generator.state = state
         a = sample_state_sum(dist, prefix[m - 1], gen)
         g = sample_state_sum(dist, burst[m - 1], gen)
-        contact = table.contact(a, g)
-        drawn.append(plan.draw(gen, row, m, (a, g), contact))
+        touch = table.touching(a, g)
+        drawn.append(plan.draw(gen, row, m, (a, g), touch))
         images.append((a, g))
-        contacts.append(contact)
+        touches.append(touch)
     prefix_output, burst_output = np.array(images, dtype=object).T
+    contacts = table.contacts(touches)
     verdicts = plan.verdicts(ms, contacts, draws)
     counts = plan.region_counts(verdicts)
     return TrialBlock(decoded=table.decide_rows(counts),

@@ -32,8 +32,8 @@ class StateDistribution:
 
     support holds (state, probability) pairs with integer states from 0
     to 2**63 - 1 (the states array is int64).
-    The mean and variance, and the states and probabilities as read-only
-    arrays, are computed once and exposed as fields.
+    The mean and variance, the states and probabilities as read-only
+    arrays, and the states as a tuple, are computed once as fields.
     """
 
     support: tuple[tuple[int, float], ...]
@@ -41,6 +41,7 @@ class StateDistribution:
     sigma2: float = field(init=False)
     values: np.ndarray = field(init=False, repr=False, compare=False)
     probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+    states: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = []
@@ -72,6 +73,7 @@ class StateDistribution:
         second = math.fsum(k * k * p for k, p in pairs)
         object.__setattr__(self, "mu", mean)
         object.__setattr__(self, "sigma2", max(0.0, second - mean * mean))
+        object.__setattr__(self, "states", tuple(k for k, _ in pairs))
         values = np.array([k for k, _ in pairs], dtype=np.int64)
         probabilities = np.array([p for _, p in pairs], dtype=np.float64)
         for name, arr in (("values", values), ("probabilities", probabilities)):

@@ -177,7 +177,8 @@ def geometry(m: int, a: int, g: int, layout: Layout) -> TraceDiagnostics:
     """The drift and geometry flags of sending m when the prefix puts out a
     samples and the burst image a+1 .. a+g is g samples wide, from every
     window's overlap with the image (the package's contact_flags reads
-    only the windows RegionTable.contact finds)."""
+    only the contact windows of RegionTable.contacts, expanded from the
+    runs RegionTable.touching finds)."""
     layout.check_message(m)
     table = layout.table
     # clamping at last_end + 1 changes no overlap and keeps int64 safe

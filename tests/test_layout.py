@@ -8,13 +8,14 @@ and coverage slack; the other sends every message through the test
 oracle without back-end noise, which must decode it whenever neither
 drift event occurs and the layout keeps its promises.
 Two more check the pieces those flags are built from: the integer drift
-test against its Fraction definition, and the image contact of a region
-table against window enumeration on random layouts, overlapping, out of
-order and beyond int64 included.  The guard record's flags are checked
-the same way: regions_disjoint against a sweep over the flat window
-table, window_exceeds_slack against the slack's Fraction definition, and
-the inequality N * mu >= 3 * nu, which the equal-block layouts meet by
-construction, exactly.
+test against its Fraction definition, and the image contacts of a block
+of trials (each trial's touching runs, expanded by the region table's
+block pass) against window enumeration on random layouts, overlapping,
+out of order, with empty regions and beyond int64 included.  The guard
+record's flags are checked the same way: regions_disjoint against a
+sweep over the flat window table, window_exceeds_slack against the
+slack's Fraction definition, and the inequality N * mu >= 3 * nu, which
+the equal-block layouts meet by construction, exactly.
 """
 
 import math
@@ -226,7 +227,8 @@ def test_noiseless_round_trip(sp, seed):
             assert idc.sigma2 > 0
             continue
         assert d.wrong_windows_all_zero and d.full_burst_window_exists
-        _, overlap = lay.table.contact(d.prefix_output, d.burst_output)
+        _, _, overlap = lay.table.contacts(
+            [lay.table.touching(d.prefix_output, d.burst_output)])
         own = fires(int(overlap.max(initial=0)), m)
         promised = fires(math.ceil(lay.window_lens[m - 1] - lay.slack[m - 1]),
                          m)
@@ -391,17 +393,74 @@ def random_layouts(draw):
     return layout, shift
 
 
+def enumerated_contacts(table, images):
+    """Every (trial, window, overlap) of a block of burst images a+1 ..
+    a+g, by testing every window of the table in Python ints."""
+    windows = list(enumerate(zip(table.starts.tolist(),
+                                 table.ends.tolist())))
+    want = []
+    for t, (a, g) in enumerate(images):
+        for i, (start, end) in windows:
+            overlap = min(end, a + g) - max(start, a + 1) + 1
+            if g > 0 and overlap > 0:
+                want.append((t, i, overlap))
+    return want
+
+
+def assert_contacts_enumerate(table, images):
+    """touching's runs and the block's contacts against enumeration: each
+    trial's runs sorted, within their regions, and expanding to its
+    contact windows; the flat arrays int64 indices and overlaps in the
+    table's dtype."""
+    touches = [table.touching(a, g) for a, g in images]
+    want = enumerated_contacts(table, images)
+    bounds = table.bounds.tolist()
+    for t, (_, _, runs) in enumerate(touches):
+        assert runs == sorted(runs)
+        assert all(bounds[r] <= i0 < i1 <= bounds[r + 1] for i0, i1, r in runs)
+        assert [i for i0, i1, _ in runs for i in range(i0, i1)] == [
+            i for trial, i, _ in want if trial == t]
+    trial, idx, overlap = table.contacts(touches)
+    assert trial.dtype == idx.dtype == np.int64
+    assert overlap.dtype == table.starts.dtype
+    assert list(zip(trial.tolist(), idx.tolist(), overlap.tolist())) == want
+
+
 @settings(max_examples=400, deadline=None)
-@given(random_layouts(), st.integers(-5, 260), st.integers(-2, 80))
-def test_contact_matches_window_enumeration(case, a, g):
+@given(random_layouts(), st.data())
+def test_contact_matches_window_enumeration(case, data):
+    """A block of up to eight burst images on a random layout (regions
+    overlapping or not, in any order, some empty, beyond int64 or not):
+    widths g <= 0 included, and images that start or reach past the
+    table's last window end, or sit on a window's edge."""
     layout, shift = case
     table = layout.table
-    a += shift
-    want = [(i, min(end, a + g) - max(start, a + 1) + 1)
-            for i, (start, end) in enumerate(zip(table.starts, table.ends))]
-    want = [(i, ov) for i, ov in want if ov > 0 and g > 0]
-    idx, overlap = table.contact(a, g)
-    assert list(zip(idx.tolist(), overlap.tolist())) == want
+    edges = np.concatenate((table.starts, table.ends)).tolist() or [shift]
+    images = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        g = data.draw(st.integers(-2, 80))
+        a = data.draw(st.sampled_from(edges).map(lambda e: e - shift)
+                      | st.integers(-5, 260)) + shift
+        images.append((a - data.draw(st.integers(0, max(g, 0))), g))
+    assert_contacts_enumerate(table, images)
+
+
+def test_contacts_beyond_int64():
+    """The compound scheme's positions past 2**62: touching's runs and the
+    block's object-dtype overlaps against enumeration, for images on each
+    region's first and last window edges."""
+    p = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
+                         sigma2=0.25)
+    table = p.layout.table
+    assert table.starts.dtype == object
+    assert table.starts[-1] > 1 << 62
+    images = [(table.starts[0] - 1, 0)]
+    for i0, i1 in zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist()):
+        if i1 > i0:
+            start, end = table.starts[i0], table.ends[i1 - 1]
+            images += [(start - 1, 1), (start - 3, 5), (end - 1, 1),
+                       (start, end - start), (end, 2)]
+    assert_contacts_enumerate(table, images)
 
 
 @settings(max_examples=400, deadline=None)

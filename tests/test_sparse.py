@@ -155,7 +155,7 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     tables = cd._llr_tables(channel, 1)
     t = plan.table
     a, g = p.layout.regions[1].start - 1, 4 * p.window_len   # 4 windows' worth
-    contact = t.contact(a, g)
+    touch = t.touching(a, g)
     inside = (t.starts > a) & (t.ends <= a + g)
     outside = (t.ends <= a) | (t.starts > a + g)
     picks = [np.flatnonzero(mask)[disjoint(t.starts[mask], t.ends[mask])]
@@ -169,7 +169,7 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     totals = np.zeros((2, 3), dtype=np.int64)
     forced = {math.inf: 0, -math.inf: 0}
     for _ in range(1500):
-        plan.draw(rng, row[0], 2, (a, g), contact)
+        plan.draw(rng, row[0], 2, (a, g), touch)
         cells[0] += np.bincount(row[0, burst], minlength=3)
         cells[1] += np.bincount(row[0, ~burst], minlength=3)
         counts = code_counts(plan, plan.codes(row)[0, plan.columns], 3)
@@ -191,10 +191,10 @@ def test_dmc_letters_follow_burst_and_idle_rows():
         assert (np.abs(tally / n - row_w) <= 5 * se).all(), (tally / n, row_w)
 
     # a trial's verdicts are these statistics against the threshold
-    plan.draw(np.random.default_rng(5), row[0], 2, (a, g), contact)
+    plan.draw(np.random.default_rng(5), row[0], 2, (a, g), touch)
     stats = cd._stats_from_counts(
         code_counts(plan, plan.codes(row)[:, plan.columns], 3), *tables)
-    fired = plan.fired([2], [contact], row)
+    fired = plan.fired([2], t.contacts([touch]), row)
     assert (fired == (stats >= 0.0)).all()
 
 
@@ -433,7 +433,7 @@ def test_plan_for_picks_the_sieve_for_long_quiet_disjoint_layouts(
 
 def test_region_table_disjoint_reads_the_sorted_spans():
     """Layout.disjoint, which the guard records, plan_for and the region
-    table's contact search read, goes by the regions' sorted spans."""
+    table's touching search read, goes by the regions' sorted spans."""
     p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
     regions = p.layout.regions
@@ -511,7 +511,7 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     rows = np.empty((len(images), plan.cells), dtype=plan.dtype)
     for row, image in zip(rows, images):
-        plan.draw(rng, row, 1, image, t.contact(*image))
+        plan.draw(rng, row, 1, image, t.touching(*image))
     codes = plan.codes(rows)[:, plan.columns]
     assert codes.dtype == np.min_scalar_type((w + 1) ** (letters - 1) - 1)
     assert codes.shape == (len(images), t.starts.size)
@@ -829,7 +829,7 @@ def test_window_statistics_share_the_segment_covariance():
     own = slice(bounds[1], bounds[2])
     assert own.stop - own.start == 39
     trials = 4000
-    none = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    none = p.layout.table.touching(0, 0)
     sieve = sp.SievePlan(replace(p, threshold=40.0))
     rng = np.random.default_rng(41)
     rows = np.empty((trials, own.stop - own.start))
@@ -841,7 +841,8 @@ def test_window_statistics_share_the_segment_covariance():
     assert np.isfinite(rows).all()
     segment = sp.Plan(p)
     draws = np.random.default_rng(42).standard_normal((trials, segment.cells))
-    stat = segment.statistics([2] * trials, [none] * trials, draws)
+    stat = segment.statistics([2] * trials,
+                              segment.table.contacts([none] * trials), draws)
     assert box_m_pvalue(rows, stat[:, own]) > 0.001
 
 
@@ -923,13 +924,58 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
     bounds = table.bounds.tolist()
     for r in (2, 5, 15):
         image = (int(table.starts[bounds[r]]) - 1, 1)
-        contact = table.contact(*image)
-        assert contact[0].tolist() == [bounds[r]]
+        touch = table.touching(*image)
+        assert touch[2] == [(bounds[r], bounds[r] + 1, r)]
         row = np.empty(plan.cells, dtype=plan.dtype)
-        drawn = plan.draw(np.random.default_rng(r), row, 1, image, contact)
+        drawn = plan.draw(np.random.default_rng(r), row, 1, image, touch)
         assert [region for region, _ in drawn] == [0, r]
         for region, x in drawn:
             assert x.size == bounds[region + 1] - bounds[region]
             assert np.isfinite(x).all()
         assert (row == 0).all()
         assert not plan.window_fired(row[None], [drawn]).any()
+
+
+def test_block_contacts_cost_no_per_trial_arrays(monkeypatch):
+    """stream_trials finds each trial's contact in Python ints and expands
+    the block's contacts, signal and flags in one array pass: a block of
+    85 compound trials (criterion 7's block) makes no more np.arange or
+    np.concatenate calls than a block of one."""
+    plan = sp.plan_for(criterion_7_params())
+    assert type(plan) is sp.Plan and plan.block_size == 85
+    dist = StateDistribution.deletion(0.2)
+    states = oracle.states_of(range(85))
+    ms = np.random.default_rng(7).integers(1, 65, size=85)
+    calls = {"arange": 0, "concatenate": 0}
+
+    def counted(name):
+        fn = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    counts = []
+    for n in (1, 85):
+        with monkeypatch.context() as patch:
+            for name in calls:
+                patch.setattr(np, name, counted(name))
+            calls.update(dict.fromkeys(calls, 0))
+            block = sp.stream_trials(plan, ms[:n], dist, states[:n],
+                                     np.random.default_rng(0))
+        counts.append(dict(calls))
+        assert block.decoded.size == n
+    assert counts[1]["arange"] <= counts[0]["arange"]
+    assert counts[1]["concatenate"] <= counts[0]["concatenate"]
+
+
+def test_out_of_range_message_in_a_block_raises():
+    """A block whose messages leave 1..M in the middle raises, before any
+    trial is drawn, the one-line ValueError of the first such message."""
+    plan = sp.Plan(equal_rate_params())
+    dist = StateDistribution.deletion(0.2)
+    states = oracle.states_of(range(4))
+    for ms, bad in (([1, 9, 2, 3], 9), ([2, 0, 9, 1], 0), ([3, 4, 5, -1], -1)):
+        with pytest.raises(ValueError, match=rf"^message {bad} outside 1\.\.8$"):
+            sp.stream_trials(plan, ms, dist, states, np.random.default_rng(0))
