@@ -17,10 +17,11 @@ windows that fire:
   Cholesky factor.  Every other region reads noise alone, and an exact
   union sieve draws its firing pattern from one uniform, plus, with
   probability n * Q(tau), one proposal of n coloured normals (see
-  SievePlan).  It counts each drawn region's firing windows as it draws,
-  so a trial's row is its M region counts, not a row of windows, and its
-  cost follows the regions and the regions that may fire, not the
-  windows.  plan_for picks it when no region
+  SievePlan).  A trial only draws; its block colours every drawn
+  region's normals at once, one matrix product a factor, and counts
+  their firing windows, so a trial's row is its M region counts, not a
+  row of windows, and its cost follows the regions and the regions that
+  may fire, not the windows.  plan_for picks it when no region
   holds more than MAX_FACTOR_WINDOWS windows, the layout has at least
   SIEVE_MIN_WINDOWS windows, every region has n * Q(tau) < 1, the
   sieve's own condition, and every factor exists: the Gaussian scheme
@@ -59,23 +60,26 @@ expressions.
 Trials run in blocks (stream_trials).  Each trial of a block draws from
 its own PCG64 state, seated in the generator the caller passes, in a
 fixed order: a, then g, then its row of the plan's normals, or the
-sieve's draws, or the DMC plan's raw words and then its tie-breaking
+sieve's draws (its full regions' normals, one uniform a region, then
+its proposals' window indices, tail uniforms, keep uniforms and
+normals), or the DMC plan's raw words and then its tie-breaking
 uniforms.  Per trial, before the row is drawn, RegionTable.touching
 finds the windows the burst image touches as runs of table indices, in
-Python ints; the sieve reads its full regions and their signal from them.
-Everything after the draws is array passes over the block: every trial's
-contact windows and overlaps, from all the runs at once
-(RegionTable.contacts), the segment plan's signal, the drift and
-geometry flags (_layout.contact_flags), the window statistics
-(cumulative or sliding sums along the rows; a DMC column's code), the
-threshold (or the DMC firing table) and the unique-region rule; the
-sieve's rows are already its region counts.  A block holds as many rows
+Python ints; the sieve takes its full regions from them.  Everything
+after the draws is array passes over the block: every trial's contact
+windows and overlaps, from all the runs at once (RegionTable.contacts),
+the Gaussian plans' signal, the drift and geometry flags
+(_layout.contact_flags), the window statistics (cumulative or sliding
+sums along the rows; a DMC column's code; the sieve's products, one a
+factor and chunk of rows), the threshold (or the DMC firing table) and
+the unique-region rule.  A block holds as many rows
 as fit in BLOCK_BYTES bytes, so trials share their numpy calls and the
 block's set-up: 6 DMC trials of 39,092 uint8 letters at criterion 6, 85
 compound trials of 382 float64 increments at criterion 7, 256 sieved
 trials of M = 256 int32 region counts, and a trial of more than 32,768
 float64 increments alone.  No result depends on how the trials are split
-into blocks.
+into blocks, except that the sieve's products over a block's rows may
+round a statistic differently in the last bits from products over fewer.
 """
 
 from __future__ import annotations
@@ -108,19 +112,27 @@ BLOCK_BYTES = 1 << 18
 # full, or as a proposal, costs n * n multiply-adds and its factor n * n
 # floats, against a few operations a window on the segment Plan
 MAX_FACTOR_WINDOWS = 256
-# fewest windows for which plan_for picks SievePlan, where the two plans
-# cross: the segment plan ran faster at 1,071 and 1,215 windows (gauss
-# M = 40, epsilon = 0.5: 61 against 78 us a trial; M = 23, epsilon = 0.2:
-# 86 against 93 us), the sieve at 1,326 and 1,354 (M = 24: 94 against
-# 96 us; M = 48, epsilon = 0.5: 78 against 97 us; one BLAS thread, shared
-# 2-core host).  A constant, not block_size, so that a
-# block split never changes the plan.
+# fewest windows for which plan_for picks SievePlan: where the two plans
+# crossed before the sieve coloured its normals once a block.  Since then
+# the sieve wins at all four layouts that placed it (one BLAS thread,
+# shared 2-core host, best of 3 passes of 1,000 trials): gauss M = 40,
+# epsilon = 0.5, 1,071 windows, 31 against 55 us a trial on the segment
+# plan; M = 23, epsilon = 0.2, 1,215 windows, 39 against 74 us; M = 24,
+# 1,326 windows, 40 against 79 us; M = 48, epsilon = 0.5, 1,354 windows,
+# 32 against 81 us.  The plans now cross near 530 to 730 windows.  It
+# stays at 1,280, because moving it would move seeded numbers.  A
+# constant, not block_size, so that a block split never changes the plan.
 SIEVE_MIN_WINDOWS = 1280
+# most floats of rows one product of SievePlan.statistics colours (128
+# KiB): a block's rows of one key go through it in chunks, so that their
+# temporaries stay this small however many trials the block holds
+SIEVE_CHUNK = 1 << 14
 MAX_LETTERS = 1 << 22  # most letters a DMC trial may draw
 MAX_CODES = 1 << 24  # most entries of a DMC plan's firing table
 # values of a 16-bit lane, a letter's leading uniform bits (DmcPlan.draw)
 LANE_VALUES = 1 << 16
 _NO_CELLS = np.empty(0, dtype=np.int64)
+_NO_FLOATS = np.empty(0)
 _NORMAL = NormalDist()  # the standard normal a window's noise is scaled to
 
 
@@ -151,18 +163,18 @@ def sample_state_sum(dist: StateDistribution, n: int, rng: np.random.Generator) 
 class _TrialPlan:
     """What every plan shares: the layout, its region table and threshold.
 
-    A trial has a row of cells numbers of type dtype in a block array:
-    draw(rng, row, m, image, touch) fills it for a trial that sends m,
-    whose burst image is image = (a, g) and touches the windows touch
-    (RegionTable.touching), and returns what window_fired needs beyond the
-    row (None on the row plans, whose rows settle every window).
-    verdicts(ms, contacts, draws) turns a block's rows, with each trial's
-    message and its contacts (RegionTable.contacts), into its verdicts, and
-    region_counts(verdicts) counts each region's firing windows.
-    window_fired(verdicts, drawn) gives the verdicts trials x windows from
-    those verdicts and what draw returned for each trial: on a row plan,
-    window i's verdict is column columns[i], or column i where columns is
-    None, and fired(ms, contacts, draws) gives them from the rows alone.
+    A trial has a row of cells numbers of type dtype in a block array.
+    draw(rng, row, m, image, touch) draws a trial that sends m, whose
+    burst image is image = (a, g) and touches the windows touch
+    (RegionTable.touching): a row plan fills the row and returns None,
+    and the sieve returns its draws, from which verdicts fills the row.
+    verdicts(ms, contacts, draws, drawn) turns a block's rows, with each
+    trial's message, its contacts (RegionTable.contacts) and what draw
+    returned for it, into its verdicts, and region_counts(verdicts)
+    counts each region's firing windows.  window_fired(verdicts) gives
+    the verdicts trials x windows: on a row plan, window i's verdict is
+    column columns[i], or column i where columns is None, and fired(ms,
+    contacts, draws) gives them from the rows alone.
     """
 
     cells: int
@@ -183,12 +195,12 @@ class _TrialPlan:
     def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
         return self.table.region_counts(verdicts)
 
-    def window_fired(self, verdicts: np.ndarray, drawn) -> np.ndarray:
+    def window_fired(self, verdicts: np.ndarray) -> np.ndarray:
         return (verdicts if self.columns is None
                 else np.take(verdicts, self.columns, axis=1))
 
     def fired(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        return self.window_fired(self.verdicts(ms, contacts, draws), None)
+        return self.window_fired(self.verdicts(ms, contacts, draws))
 
 
 class _GaussPlan(_TrialPlan):
@@ -200,9 +212,13 @@ class _GaussPlan(_TrialPlan):
     def __init__(self, params):
         super().__init__(params)
         self.eta = math.sqrt(params.eta2)
-        self.denom = np.sqrt(self.table.lens.astype(np.float64)) * self.eta
         self.amplitudes = np.array([params.amplitude(m)
                                     for m in range(1, params.layout.M + 1)])
+
+    def deviation(self, idx) -> np.ndarray:
+        """The noise deviations of windows idx (an index array or a
+        slice)."""
+        return np.sqrt(self.table.lens[idx].astype(np.float64)) * self.eta
 
 
 class Plan(_GaussPlan):
@@ -225,6 +241,7 @@ class Plan(_GaussPlan):
     def __init__(self, params):
         super().__init__(params)
         table = self.table
+        self.denom = self.deviation(slice(None))
         # the distinct breakpoints and each window's indices into them, by
         # one sort: a breakpoint's index is the count of distinct values
         # before it.  Stable, because starts and ends are each nearly
@@ -267,7 +284,8 @@ class Plan(_GaussPlan):
         stat /= self.denom
         return stat
 
-    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+    def verdicts(self, ms, contacts, draws: np.ndarray,
+                 drawn=None) -> np.ndarray:
         return self.statistics(ms, contacts, draws) >= self.threshold
 
 
@@ -296,11 +314,12 @@ class SievePlan(_GaussPlan):
     independent.  A region drawn in full gets L z, L the Cholesky factor
     of its correlation matrix C (the overlaps over w), plus the burst's
     signal over eta * sqrt(w).  Regions of one size n share one batched
-    Cholesky call, and those with the same ratio s / w one factor; the
-    call raises np.linalg.LinAlgError if a matrix is not positive
-    definite.  Distinct window starts make every one positive definite,
-    but a step tiny against the window length can defeat it in floats;
-    plan_for then keeps the segment Plan.
+    Cholesky call, and those with the same ratio s / w one factor, a key
+    of the plan (keys; region_keys gives each region's, -1 for an empty
+    one); the call raises np.linalg.LinAlgError if a matrix is not
+    positive definite.  Distinct window starts make every one positive
+    definite, but a step tiny against the window length can defeat it in
+    floats; plan_for then keeps the segment Plan.
 
     A region the image does not touch reads noise alone: its statistics X
     are N(0, C), and each of its n windows fires with probability
@@ -322,14 +341,28 @@ class SievePlan(_GaussPlan):
     regions the image touches, and the sent message's) in table order;
     one uniform a region of the table; then, for the proposals in region
     order, their window indices, tail uniforms and keep uniforms, and
-    their normals.  Its row holds, in region order, each full region's
-    count of windows at or above tau, burst signal included, each kept
-    proposal's c, and 0 for every other region; so the verdicts are the
-    rows and so are the region counts.  draw returns the statistics it
-    drew, a (region, X) pair for each full region and kept proposal, from
-    which window_fired builds the window verdicts on demand.  Nothing a
-    trial draws or computes touches another row, so a block equals its
-    trials one at a time.
+    their normals.  draw makes those calls and returns what they drew,
+    (full regions, their normals, proposals, window indices, tail
+    uniforms, keep uniforms, their normals), and computes nothing from
+    it.  The rest is one pass over the block, in verdicts.  rows(drawn)
+    lists the block's drawn regions, a row each, grouped by key (each
+    region's key is set when the plan is built, so no block sorts).
+    statistics colours them a key at a time, at most SIEVE_CHUNK floats
+    of rows a product: Z F over the key's rows, then the burst signal of
+    the block's contact windows (RegionTable.contacts) on the full rows,
+    and on the proposal rows their tails max(-Phi^-1(q (1 - u)), tau)
+    and the conditional step.  verdicts compares each chunk with tau into
+    one boolean array of the block's rows, counts it with one
+    count_nonzero, keeps every full row and each proposal row whose
+    keep * c < 1, and writes those counts into the rows, 0 for every
+    other region: the rows are the region counts.  The verdicts are
+    those rows and the counted regions' windows at or above tau with
+    their (trial, region) ids, from which window_fired builds the window
+    verdicts on access.  No trial's values touch another's, so a block
+    equals its trials one at a time, but for rounding: a product over
+    many rows may differ in its last bits from one over a few, so a
+    verdict can differ only where a statistic lies within that rounding
+    of tau (see the README's BLAS paragraph).
     """
 
     dtype = np.int32   # the region counts as RegionTable.by_message gives
@@ -353,90 +386,144 @@ class SievePlan(_GaussPlan):
         g = np.gcd(s, w)
         keys = list(zip(n[occupied].tolist(), (s // g).tolist(),
                         (w // g).tolist()))
-        # per distinct key: its factor transposed and its correlation
-        # matrix, from one batched Cholesky call for each n
-        pairs = {}
-        for size, group in itertools.groupby(sorted(set(keys)),
+        # per distinct key, in sorted order: (n, its factor transposed,
+        # its correlation matrix), from one batched Cholesky call for
+        # each n
+        distinct = sorted(set(keys))
+        self.keys = []
+        for size, group in itertools.groupby(distinct,
                                              operator.itemgetter(0)):
-            group = list(group)
             _, steps, lens = zip(*group)
             corr = window_overlaps(size, steps, lens).astype(np.float64)
             corr /= np.array(lens, dtype=np.float64).reshape(-1, 1, 1)
-            pairs.update(zip(group, zip(
-                np.linalg.cholesky(corr).transpose(0, 2, 1), corr)))
-        # per region: its key's pair (None for an empty region)
-        factors = dict(zip(occupied.tolist(), map(pairs.__getitem__, keys)))
-        self.region_factors = list(map(factors.get, range(self.sizes.size)))
-        # per region: its first window and window count, as Python ints
-        self.spans = list(zip(self.table.bounds[:-1].tolist(),
-                              layout.sizes))
+            # C-ordered, as a product with many rows runs faster on it
+            factors = np.linalg.cholesky(corr).transpose(0, 2, 1).copy()
+            self.keys += [(size, factor, c)
+                          for factor, c in zip(factors, corr)]
+        index = {key: i for i, key in enumerate(distinct)}
+        self.region_keys = np.full(self.sizes.size, -1)
+        self.region_keys[occupied] = list(map(index.__getitem__, keys))
+        self.width = max(layout.sizes)   # the most windows a region holds
 
     def draw(self, rng: np.random.Generator, out: np.ndarray, m: int,
-             image, touch) -> list[tuple[int, np.ndarray]]:
-        tau, spans, factors = self.threshold, self.spans, self.region_factors
-        table, amplitude = self.table, self.amplitudes[m - 1]
-        lo, hi, runs = touch
-        out.fill(0)
-        # each touched region's run of contact windows
-        touched = {r: (i0, i1) for i0, i1, r in runs}
-        full = sorted({m - 1, *touched})
-        z = rng.standard_normal(int(self.sizes[full].sum()))
-        drawn, at = [], 0
-        for r in full:
-            first, n = spans[r]
-            if n:
-                x = z[at:at + n] @ factors[r][0]
-                at += n
-                if r in touched:
-                    i0, i1 = touched[r]
-                    overlap = table.overlap(slice(i0, i1), lo, hi)
-                    x[i0 - first:i1 - first] += (
-                        amplitude * overlap.astype(np.float64)
-                        / self.denom[i0:i1])
-                out[r] = np.count_nonzero(x >= tau)
-                drawn.append((r, x))
-        proposals = rng.random(len(spans)) < self.propose
-        proposals[full] = False
-        regions = np.flatnonzero(proposals)
-        if not regions.size:
-            return drawn
-        sizes = self.sizes[regions]
-        ks = rng.integers(sizes).tolist()
-        inv_cdf, q = _NORMAL.inv_cdf, self.q
-        tails = [max(-inv_cdf(q * (1.0 - u)), tau)
-                 for u in rng.random(regions.size).tolist()]
-        keeps = rng.random(regions.size).tolist()
-        z = rng.standard_normal(int(sizes.sum()))
-        at = 0
-        for r, k, tail, keep in zip(regions.tolist(), ks, tails, keeps):
-            n = spans[r][1]
-            factor, corr = factors[r]
-            y = z[at:at + n] @ factor
-            at += n
-            x = y + corr[k] * (tail - y[k])
-            x[k] = tail
-            c = np.count_nonzero(x >= tau)
-            if keep * c < 1.0:
-                out[r] = c
-                drawn.append((r, x))
-        return drawn
+             image, touch) -> tuple:
+        """The trial's draws, in the order of the class docstring."""
+        sizes = self.layout.sizes
+        full = sorted({m - 1, *[r for _, _, r in touch[2]]})
+        z = rng.standard_normal(sum([sizes[r] for r in full]))
+        proposals = [r for r in (rng.random(len(sizes)) < self.propose
+                                 ).nonzero()[0].tolist() if r not in full]
+        if not proposals:
+            return (full, z, proposals, _NO_CELLS, _NO_FLOATS, _NO_FLOATS,
+                    _NO_FLOATS)
+        ks = rng.integers(self.sizes[proposals])
+        tails = rng.random(len(proposals))
+        keeps = rng.random(len(proposals))
+        z2 = rng.standard_normal(sum([sizes[r] for r in proposals]))
+        return full, z, proposals, ks, tails, keeps, z2
 
-    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        """The rows: each region's count of firing windows."""
-        return draws
+    def rows(self, drawn) -> tuple:
+        """A block's drawn regions, from what draw returned for each
+        trial, a row each: the full ones trial by trial, then the
+        proposals.  (trial, region, keep, order, groups): per row its
+        trial, its region and its keep uniform (0 for a full row, which
+        always counts); order, the rows grouped by key, an empty region's
+        in none; groups, (key, rows) for each key in that order."""
+        fulls, _, proposals, _, _, keeps, _ = zip(*drawn)
+        per_trial = [*map(len, fulls), *map(len, proposals)]
+        region = np.fromiter(itertools.chain(*fulls, *proposals),
+                             dtype=np.intp, count=sum(per_trial))
+        trial = (np.arange(2 * len(drawn)) % len(drawn)).repeat(per_trial)
+        keep = np.concatenate((np.zeros(sum(map(len, fulls))), *keeps))
+        key = self.region_keys[region]
+        groups = [(k, rows) for k, rows in
+                  enumerate(np.bincount(key + 1).tolist()[1:]) if rows]
+        order = np.concatenate([(key == k).nonzero()[0] for k, _ in groups])
+        return trial, region, keep, order, groups
 
-    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
-        return verdicts
+    def statistics(self, ms, contacts, drawn, rows):
+        """Each row's statistics, a chunk of at most SIEVE_CHUNK floats of
+        one key's rows at a time: yields (lo, hi, x), x the statistics of
+        rows order[lo:hi] (rows as rows(drawn) gives them).  A full row
+        gets the burst signal of its contact windows; a proposal row is
+        the rest given its tail, Y + C[k] (X_k - Y_k)."""
+        _, zs, _, ks, tails, _, z2s = zip(*drawn)
+        trial, region, _, order, groups = rows
+        tau, q = self.threshold, self.q
+        # each row's normals follow the row's before it
+        normals = np.concatenate(zs + z2s)
+        size = self.sizes[region]
+        start = size.cumsum() - size
+        ks = np.concatenate(ks)
+        full = region.size - ks.size   # rows of full regions
+        tails = np.array([max(-_NORMAL.inv_cdf(q * (1.0 - u)), tau)
+                          for u in np.concatenate(tails).tolist()])
+        # each contact window's place in order, its column and its signal:
+        # the contacts and the full rows are both in (trial, region) order
+        place = np.empty(region.size, dtype=np.intp)
+        place[order] = np.arange(order.size)
+        trial_c, idx, overlap = contacts
+        bounds, M = self.table.bounds, self.cells
+        region_c = bounds.searchsorted(idx, "right") - 1
+        place_c = place[(trial[:full] * M + region[:full]).searchsorted(
+            trial_c * M + region_c)]
+        col_c = idx - bounds[region_c]
+        signal = (self.amplitudes[np.asarray(ms) - 1][trial_c]
+                  * overlap.astype(np.float64) / self.deviation(idx))
+        stop = 0
+        for k, count in groups:
+            n, factor, corr = self.keys[k]
+            # row i is normals[i:i + n], a view, so a row's normals are
+            # copied once, into the product's left operand
+            windows = np.ndarray((normals.size - n + 1, n), buffer=normals,
+                                 strides=normals.strides * 2)
+            chunk = max(1, SIEVE_CHUNK // n)
+            first, stop = stop, stop + count
+            for lo in range(first, stop, chunk):
+                hi = min(lo + chunk, stop)
+                at = order[lo:hi]
+                x = windows[start[at]] @ factor
+                row_c = place_c - lo
+                mine = ((row_c >= 0) & (row_c < hi - lo)).nonzero()[0]
+                x[row_c[mine], col_c[mine]] += signal[mine]
+                p = at.searchsorted(full)   # the proposals come last
+                if p < at.size:
+                    j, y = at[p:] - full, x[p:]
+                    r, k_j, tail = np.arange(j.size), ks[j], tails[j]
+                    step = corr[k_j]
+                    step *= (tail - y[r, k_j])[:, None]
+                    y += step
+                    y[r, k_j] = tail
+                yield lo, hi, x
 
-    def window_fired(self, verdicts: np.ndarray, drawn) -> np.ndarray:
-        """Each drawn region's X against tau, and False in every other
-        window."""
-        fired = np.zeros((len(drawn), self.table.starts.size), dtype=bool)
-        for row, regions in zip(fired, drawn):
-            for r, x in regions:
-                first = self.spans[r][0]
-                np.greater_equal(x, self.threshold,
-                                 out=row[first:first + x.size])
+    def verdicts(self, ms, contacts, draws: np.ndarray, drawn) -> tuple:
+        """(draws, (trial, region, hits)): draws filled with the block's
+        region counts, and each counted region's windows at or above tau,
+        hits[i, j] for window j of region region[i] of trial trial[i]
+        (False past the region's windows)."""
+        rows = self.rows(drawn)
+        trial, region, keep, order, _ = rows
+        hits = np.zeros((order.size, self.width), dtype=bool)
+        for lo, hi, x in self.statistics(ms, contacts, drawn, rows):
+            np.greater_equal(x, self.threshold, out=hits[lo:hi, :x.shape[1]])
+        count = np.count_nonzero(hits, axis=1)
+        kept = (keep[order] * count < 1.0).nonzero()[0]
+        counted = order[kept]
+        trial, region = trial[counted], region[counted]
+        draws.fill(0)
+        draws[trial, region] = count[kept]
+        return draws, (trial, region, hits[kept])
+
+    def region_counts(self, verdicts) -> np.ndarray:
+        return verdicts[0]
+
+    def window_fired(self, verdicts) -> np.ndarray:
+        """The counted regions' windows at or above tau, and False in
+        every other window."""
+        rows, (trial, region, hits) = verdicts
+        fired = np.zeros((rows.shape[0], self.table.starts.size), dtype=bool)
+        i, j = np.nonzero(hits)
+        fired[trial[i], self.table.bounds[region[i]] + j] = True
         return fired
 
 
@@ -636,7 +723,8 @@ class DmcPlan(_TrialPlan):
             part = part[:, :-span] + part[:, span:]
             span *= 2
 
-    def verdicts(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
+    def verdicts(self, ms, contacts, draws: np.ndarray,
+                 drawn=None) -> np.ndarray:
         """trials x (columns + 1): each column's verdict, and a last
         column, False, that keeps every run's end in reduceat's range."""
         n = draws.shape[1] - self.window_len + 1
@@ -712,13 +800,12 @@ class TrialBlock:
     region_fired: np.ndarray  # trials x messages: firing windows per region
     approximate_sums: int  # trials that drew a rounded-Gaussian state sum
     plan: _TrialPlan  # the plan that ran the block
-    verdicts: np.ndarray  # the plan's verdicts of the block
-    drawn: tuple  # per trial: what plan.draw returned
+    verdicts: object  # the plan's verdicts of the block
 
     @property
     def fired(self) -> np.ndarray:
         """trials x windows of the region table, built on access."""
-        return self.plan.window_fired(self.verdicts, self.drawn)
+        return self.plan.window_fired(self.verdicts)
 
 
 def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
@@ -749,7 +836,7 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         touches.append(touch)
     prefix_output, burst_output = np.array(images, dtype=object).T
     contacts = table.contacts(touches)
-    verdicts = plan.verdicts(ms, contacts, draws)
+    verdicts = plan.verdicts(ms, contacts, draws, drawn)
     counts = plan.region_counts(verdicts)
     return TrialBlock(decoded=table.decide_rows(counts),
                       flags=contact_flags(layout, ms, prefix_output,
@@ -757,4 +844,4 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
                       prefix_output=prefix_output, burst_output=burst_output,
                       region_fired=counts,
                       approximate_sums=approximate, plan=plan,
-                      verdicts=verdicts, drawn=tuple(drawn))
+                      verdicts=verdicts)

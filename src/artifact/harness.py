@@ -36,7 +36,9 @@ bit generator is built for them: rng.Spawner computes each stream's
 PCG64 state in closed form, bit for bit, and the report seats it in a
 generator of its own, so reports run at once in several threads share
 no stream.  A trial's outcome does not depend on the other trials of its
-block, so the block split does not change the numbers.
+block, so the block split does not change the numbers, but for the
+sieve's rounding: its block products may round a statistic differently
+in the last bits from a product over fewer rows (see _sparse.SievePlan).
 """
 
 from __future__ import annotations

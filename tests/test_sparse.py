@@ -762,28 +762,30 @@ def test_window_factors_match_exact_overlaps(name):
     plan = sp.SievePlan(p)
     table, bounds = plan.table, plan.table.bounds.tolist()
     checked = {}
-    for r, factors in enumerate(plan.region_factors):
+    for r, k in enumerate(plan.region_keys.tolist()):
         starts = table.starts[bounds[r]:bounds[r + 1]].astype(object)
         ends = table.ends[bounds[r]:bounds[r + 1]].astype(object)
-        if factors is None:
+        if k < 0:
             assert starts.size == 0
             continue
-        factor, corr = factors
+        n, factor, corr = plan.keys[k]
+        assert n == starts.size == factor.shape[0] == corr.shape[0]
         w = ends[0] - starts[0] + 1
         step = starts[1] - starts[0] if starts.size > 1 else 0
         assert (ends - starts + 1 == w).all()
         assert (np.diff(starts) == step).all()
         g = math.gcd(step, w)
         key = (starts.size, step // g, w // g)
-        if key in checked:   # the same factor and matrix, not a copy
-            assert all(np.shares_memory(a, b)
-                       for a, b in zip(checked[key], factors))
+        if key in checked:   # the same factor and matrix: one key index
+            assert checked[key] == k
             continue
-        checked[key] = factors
+        checked[key] = k
         low, exact = factor.T, exact_correlation(starts, ends)
         assert (low == np.tril(low)).all()
         assert np.abs(low @ low.T - exact).max() <= 1e-12
         assert np.abs(corr - exact).max() <= 1e-12
+    # one key a distinct window count and step over window length
+    assert sorted(checked.values()) == list(range(len(plan.keys)))
 
 
 def test_window_overlaps_are_exact_integers():
@@ -820,8 +822,9 @@ def test_window_statistics_share_the_segment_covariance():
     """The sieve's noise-only statistics against the segment plan's on one
     small layout: the 39 heavily overlapping windows of message 2's
     region, which the sieve draws in full as the sent message's and
-    returns from draw (no image; tau out of reach, so no other region is
-    drawn).  Box's M at alpha = 0.001, fixed before the test was run."""
+    colours in one block pass (no image; tau out of reach, so no other
+    region is drawn).  Box's M at alpha = 0.001, fixed before the test
+    was run."""
     p = cg.derive_params(M=8, epsilon=0.5, delta=0.5,
                          idc=StateDistribution.deletion(0.2))
     assert p.window_len == 4 * p.spacing    # neighbours share 3/4
@@ -830,20 +833,23 @@ def test_window_statistics_share_the_segment_covariance():
     assert own.stop - own.start == 39
     trials = 4000
     none = p.layout.table.touching(0, 0)
+    contacts = p.layout.table.contacts([none] * trials)
     sieve = sp.SievePlan(replace(p, threshold=40.0))
     rng = np.random.default_rng(41)
-    rows = np.empty((trials, own.stop - own.start))
     counts = np.empty(sieve.cells, dtype=sieve.dtype)
-    for row in rows:
-        (region, x), = sieve.draw(rng, counts, 2, (0, 0), none)
-        assert region == 1
-        row[:] = x
-    assert np.isfinite(rows).all()
+    drawn = [sieve.draw(rng, counts, 2, (0, 0), none) for _ in range(trials)]
+    rows = sieve.rows(drawn)
+    trial, region, _, order, _ = rows
+    assert (region == 1).all() and (order == trial).all()
+    chunks = list(sieve.statistics([2] * trials, contacts, drawn, rows))
+    assert len(chunks) > 1   # the product runs in chunks of rows
+    assert [lo for lo, _, _ in chunks[1:]] == [hi for _, hi, _ in chunks[:-1]]
+    stats = np.concatenate([x for _, _, x in chunks])
+    assert stats.shape == (trials, 39) and np.isfinite(stats).all()
     segment = sp.Plan(p)
     draws = np.random.default_rng(42).standard_normal((trials, segment.cells))
-    stat = segment.statistics([2] * trials,
-                              segment.table.contacts([none] * trials), draws)
-    assert box_m_pvalue(rows, stat[:, own]) > 0.001
+    stat = segment.statistics([2] * trials, contacts, draws)
+    assert box_m_pvalue(stats, stat[:, own]) > 0.001
 
 
 def lowest_firing(fired: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -926,14 +932,18 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
         image = (int(table.starts[bounds[r]]) - 1, 1)
         touch = table.touching(*image)
         assert touch[2] == [(bounds[r], bounds[r] + 1, r)]
-        row = np.empty(plan.cells, dtype=plan.dtype)
-        drawn = plan.draw(np.random.default_rng(r), row, 1, image, touch)
-        assert [region for region, _ in drawn] == [0, r]
-        for region, x in drawn:
-            assert x.size == bounds[region + 1] - bounds[region]
-            assert np.isfinite(x).all()
-        assert (row == 0).all()
-        assert not plan.window_fired(row[None], [drawn]).any()
+        rows = np.empty((1, plan.cells), dtype=plan.dtype)
+        drawn = plan.draw(np.random.default_rng(r), rows[0], 1, image, touch)
+        full, z, proposals = drawn[:3]
+        assert full == [0, r] and proposals == []
+        assert z.size == sum(bounds[k + 1] - bounds[k] for k in full)
+        assert np.isfinite(z).all()
+        verdicts = plan.verdicts([1], table.contacts([touch]), rows, [drawn])
+        counts, (trial, region, hits) = verdicts
+        assert counts is rows and (rows == 0).all()
+        assert trial.tolist() == [0, 0] and region.tolist() == [0, r]
+        assert not hits.any()
+        assert not plan.window_fired(verdicts).any()
 
 
 def test_block_contacts_cost_no_per_trial_arrays(monkeypatch):
@@ -968,6 +978,53 @@ def test_block_contacts_cost_no_per_trial_arrays(monkeypatch):
         assert block.decoded.size == n
     assert counts[1]["arange"] <= counts[0]["arange"]
     assert counts[1]["concatenate"] <= counts[0]["concatenate"]
+
+
+def criterion_5_sieve():
+    """The sieve of criterion 5's layout at M = 256, gauss-m256's."""
+    plan = sp.plan_for(cg.derive_params(M=256, epsilon=0.2, delta=0.5,
+                                        idc=StateDistribution.deletion(0.1)))
+    assert type(plan) is sp.SievePlan and plan.block_size == 256
+    return plan
+
+
+def test_sieve_block_pass_costs_no_per_trial_counts(monkeypatch):
+    """The sieve counts a block's firing windows in one pass over its rows:
+    a block of 256 criterion-5 trials makes no more np.count_nonzero calls
+    than a block of one."""
+    plan = criterion_5_sieve()
+    dist = StateDistribution.deletion(0.1)
+    states = oracle.states_of(range(256))
+    ms = np.random.default_rng(7).integers(1, 257, size=256)
+    calls = []
+    count_nonzero = np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return count_nonzero(*args, **kwargs)
+
+    for n in (1, 256):
+        calls.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "count_nonzero", counted)
+            block = sp.stream_trials(plan, ms[:n], dist, states[:n],
+                                     np.random.default_rng(0))
+        assert block.decoded.size == n
+    assert block.region_fired.any()
+    assert calls[1] <= calls[0]
+
+
+def test_full_sieve_block_is_its_trials():
+    """A full block of gauss-m256's sieve, whose products run over many
+    rows in chunks, against its 256 trials one at a time, whose products
+    run over a row or a few: the same window verdicts, decisions and
+    diagnostics."""
+    plan = criterion_5_sieve()
+    # a full row a trial already fills more than one chunk
+    assert plan.block_size * plan.width > sp.SIEVE_CHUNK
+    diags = assert_block_is_its_trials(
+        plan, StateDistribution.deletion(0.1), plan.block_size, seed=28)
+    assert any(d.full_burst_window_exists for d in diags)
 
 
 def test_out_of_range_message_in_a_block_raises():
