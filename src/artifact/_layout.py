@@ -5,7 +5,7 @@ followed by one burst of burst_slots[m] slots, and the receiver tests
 sliding windows of window_lens[m] samples starting at the positions of
 message m's decision region.  derive_params records that geometry once as
 a Layout; its region sizes, its disjointness, its region table, the
-geometry flags of a block of trials (contact_flags) and the streamed
+contact flags of a block of trials (contact_flags) and the streamed
 simulator read it.  The two equal-block schemes build theirs, drift
 budget included, with guard_blocks, which refuses more than MAX_WINDOWS
 messages before it builds any per-message tuple.  All three schemes
@@ -61,16 +61,16 @@ class Drift:
             q2 * radius.numerator * spread.denominator,
             q2 * spread.numerator * radius.denominator))
 
-    def out(self, n, slots):
-        """Whether n drifts, for Python ints n and slots, or element by
-        element (a bool array) for object arrays of them: one expression,
-        & in place of and, exact at any size."""
+    def out(self, n: int, slots: int) -> bool:
+        """Whether n drifts, for Python ints n and slots: exact at any
+        size.  The streamed trials call it once a trial and event, where
+        their draws already hold a and g as Python ints."""
         # with d = n - (p/q) * slots, radius_sq = rn/rd, spread_sq = sn/sd:
         # d*d < radius_sq + spread_sq * slots**2 exactly when
         # (q*d)**2 * rd * sd < q*q * (rn * sd + sn * rd * slots**2)
         p, q, scale, radius, spread = self._ints
         qd = q * n - p * slots
-        return (qd != 0) & (qd * qd * scale >= radius + spread * slots * slots)
+        return qd != 0 and qd * qd * scale >= radius + spread * slots * slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,17 +341,12 @@ class RegionTable:
         runs.sort()
         return lo, hi, runs
 
-    def overlap(self, idx, lo, hi) -> np.ndarray:
-        """How many samples windows idx (an index array or a slice) share
-        with the images lo .. hi (scalars, or one entry a window)."""
-        return np.minimum(self.ends[idx], hi) - np.maximum(
-            self.starts[idx], lo) + 1
-
     def contacts(self, touches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flat (trial, idx, overlap) arrays of a block's contact
         windows, from each trial's touching(a, g): trial by trial, indices
-        ascending, overlaps in the table's dtype.  One array of the runs,
-        one repeat and one arange."""
+        ascending, overlaps (the samples a window shares with its trial's
+        image lo .. hi) in the table's dtype.  One array of the runs, one
+        repeat and one arange."""
         # per run: its size, trial, first index less its flat offset, image
         runs, at = [], 0
         for t, (lo, hi, touched) in enumerate(touches):
@@ -365,7 +360,8 @@ class RegionTable:
             rows, rows[:, 0].astype(np.int64), axis=0).T
         idx = (np.arange(at) + shift).astype(np.int64, copy=False)
         return (trial.astype(np.int64, copy=False), idx,
-                self.overlap(idx, lo, hi))
+                np.minimum(self.ends[idx], hi)
+                - np.maximum(self.starts[idx], lo) + 1)
 
     def region_counts(self, fired: np.ndarray) -> np.ndarray:
         """The firing windows of each message's region, for each row of
@@ -398,41 +394,37 @@ FLAGS = ("prefix_drift_out", "burst_spread_out", "wrong_windows_all_zero",
          "full_burst_window_exists")
 
 
-def contact_flags(layout: Layout, ms, a, g, contacts) -> dict[str, np.ndarray]:
-    """The flags of FLAGS for a block of trials, each a bool array one
-    entry a trial: trial t sends ms[t] with prefix output a[t] and burst
-    image width g[t], and contacts is RegionTable.contacts of the block's
+def contact_flags(layout: Layout, ms, g, contacts) -> dict[str, np.ndarray]:
+    """The two contact flags of FLAGS for a block of trials, each a bool
+    array one entry a trial: trial t sends ms[t] with burst image width
+    g[t] (an array), and contacts is RegionTable.contacts of the block's
     touching(a[t], g[t]), the flat (trial, idx, overlap) arrays of every
     window that shares a sample with its trial's image; no other window
-    does.  Every flag is a function of where the image lands.
+    does.  Both flags are functions of where the image lands.
 
-    prefix_drift_out / burst_spread_out flag the two drift events of the
-    layout.  When both are clear, the other flags certify the geometry the
-    error analysis relies on: no window of a wrong region overlaps the
-    burst image (wrong_windows_all_zero), and some window of the right
-    region overlaps it in all but at most the layout's slack samples
+    FLAGS' other two, prefix_drift_out / burst_spread_out, flag the two
+    drift events of the layout (Layout.prefix_drift, Layout.burst_drift),
+    and the streamed trials test them trial by trial as they draw a and g.
+    When both are clear, the contact flags certify the geometry the error
+    analysis relies on: no window of a wrong region overlaps the burst
+    image (wrong_windows_all_zero), and some window of the right region
+    overlaps it in all but at most the layout's slack samples
     (full_burst_window_exists; the slack is none for the DMC scheme, the
     region spacing floor(M / log2 M) for the Gaussian one and
     floor(N_m / log2 M) for the compound one).
     """
     table = layout.table
     ks = [m - 1 for m in ms]   # message indices
-    prefix = np.array([layout.prefix_slots[k] for k in ks], dtype=object)
-    burst = np.array([layout.burst_slots[k] for k in ks], dtype=object)
     need = np.array([layout.window_lens[k] - layout.slack[k] for k in ks],
                     dtype=table.starts.dtype)
     k = np.array(ks)
     first, stop = table.bounds[k], table.bounds[k + 1]   # own windows
-    g = np.asarray(g, dtype=object)
     trial, idx, overlap = contacts
     own = (idx >= first[trial]) & (idx < stop[trial])
     wrong = np.bincount(trial[~own], minlength=k.size)
     covers = np.bincount(trial[own & (overlap >= need[trial])],
                          minlength=k.size)
-    return {"prefix_drift_out": layout.prefix_drift.out(
-                np.asarray(a, dtype=object), prefix),
-            "burst_spread_out": layout.burst_drift.out(g, burst),
-            "wrong_windows_all_zero": wrong == 0,
+    return {"wrong_windows_all_zero": wrong == 0,
             # a window in contact covers the image, or, with need <= 0,
             # every own window covers a nonempty one
             "full_burst_window_exists": (covers > 0) | (

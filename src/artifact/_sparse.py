@@ -63,16 +63,18 @@ fixed order: a, then g, then its row of the plan's normals, or the
 sieve's draws (its full regions' normals, one uniform a region, then
 its proposals' window indices, tail uniforms, keep uniforms and
 normals), or the DMC plan's raw words and then its tie-breaking
-uniforms.  Per trial, before the row is drawn, RegionTable.touching
-finds the windows the burst image touches as runs of table indices, in
-Python ints; the sieve takes its full regions from them.  Everything
-after the draws is array passes over the block: every trial's contact
-windows and overlaps, from all the runs at once (RegionTable.contacts),
-the Gaussian plans' signal, the drift and geometry flags
-(_layout.contact_flags), the window statistics (cumulative or sliding
-sums along the rows; a DMC column's code; the sieve's products, one a
-factor and chunk of rows), the threshold (or the DMC firing table) and
-the unique-region rule.  A block holds as many rows
+uniforms.  Per trial, in Python ints and before the row is drawn,
+RegionTable.touching finds the windows the burst image touches as runs
+of table indices, from which the sieve takes its full regions, and the
+layout's two Drift tests flag a and g.  Everything after the draws is
+array passes over the block: every trial's contact windows and
+overlaps, from all the runs at once (RegionTable.contacts); the plan's
+block pass, verdicts, which adds the Gaussian plans' signal, computes
+the window statistics (cumulative or sliding sums along the rows; a DMC
+column's code; the sieve's products, one a factor and chunk of rows),
+applies the threshold (or the DMC firing table) and counts each
+region's firing windows; the two contact flags (_layout.contact_flags);
+and the unique-region rule over the counts.  A block holds as many rows
 as fit in BLOCK_BYTES bytes, so trials share their numpy calls and the
 block's set-up: 6 DMC trials of 39,092 uint8 letters at criterion 6, 85
 compound trials of 382 float64 increments at criterion 7, 256 sieved
@@ -166,20 +168,18 @@ class _TrialPlan:
     A trial has a row of cells numbers of type dtype in a block array.
     draw(rng, row, m, image, touch) draws a trial that sends m, whose
     burst image is image = (a, g) and touches the windows touch
-    (RegionTable.touching): a row plan fills the row and returns None,
-    and the sieve returns its draws, from which verdicts fills the row.
-    verdicts(ms, contacts, draws, drawn) turns a block's rows, with each
-    trial's message, its contacts (RegionTable.contacts) and what draw
-    returned for it, into its verdicts, and region_counts(verdicts)
-    counts each region's firing windows.  window_fired(verdicts) gives
-    the verdicts trials x windows: on a row plan, window i's verdict is
-    column columns[i], or column i where columns is None, and fired(ms,
-    contacts, draws) gives them from the rows alone.
+    (RegionTable.touching), and returns what the block pass needs beyond
+    its row: the sieve's draws, None on the other plans.
+    verdicts(ms, contacts, draws, drawn) is that one pass over a block:
+    from its rows, each trial's message, the block's contacts
+    (RegionTable.contacts) and what draw returned for each trial, it
+    returns (counts, hits), counts the trials x M int32 firing windows of
+    each region, and hits what window_fired(hits) reads to build the
+    verdicts trials x windows.
     """
 
     cells: int
     dtype = np.float64
-    columns = None
 
     def __init__(self, params):
         self.layout = params.layout
@@ -191,16 +191,6 @@ class _TrialPlan:
         """Trials a block holds: as many rows as fill BLOCK_BYTES bytes."""
         row = self.cells * np.dtype(self.dtype).itemsize
         return max(1, BLOCK_BYTES // row)
-
-    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
-        return self.table.region_counts(verdicts)
-
-    def window_fired(self, verdicts: np.ndarray) -> np.ndarray:
-        return (verdicts if self.columns is None
-                else np.take(verdicts, self.columns, axis=1))
-
-    def fired(self, ms, contacts, draws: np.ndarray) -> np.ndarray:
-        return self.window_fired(self.verdicts(ms, contacts, draws))
 
 
 class _GaussPlan(_TrialPlan):
@@ -284,9 +274,13 @@ class Plan(_GaussPlan):
         stat /= self.denom
         return stat
 
-    def verdicts(self, ms, contacts, draws: np.ndarray,
-                 drawn=None) -> np.ndarray:
-        return self.statistics(ms, contacts, draws) >= self.threshold
+    def verdicts(self, ms, contacts, draws: np.ndarray, drawn) -> tuple:
+        """(counts, hits), hits the window verdicts."""
+        hits = self.statistics(ms, contacts, draws) >= self.threshold
+        return self.table.region_counts(hits), hits
+
+    def window_fired(self, hits: np.ndarray) -> np.ndarray:
+        return hits
 
 
 def window_overlaps(n: int, steps, lens) -> np.ndarray:
@@ -355,14 +349,14 @@ class SievePlan(_GaussPlan):
     one boolean array of the block's rows, counts it with one
     count_nonzero, keeps every full row and each proposal row whose
     keep * c < 1, and writes those counts into the rows, 0 for every
-    other region: the rows are the region counts.  The verdicts are
-    those rows and the counted regions' windows at or above tau with
-    their (trial, region) ids, from which window_fired builds the window
-    verdicts on access.  No trial's values touch another's, so a block
-    equals its trials one at a time, but for rounding: a product over
-    many rows may differ in its last bits from one over a few, so a
-    verdict can differ only where a statistic lies within that rounding
-    of tau (see the README's BLAS paragraph).
+    other region: the rows are the region counts.  The hits are the
+    counted regions' windows at or above tau with their (trial, region)
+    ids, from which window_fired builds the window verdicts on access.
+    No trial's values touch another's, so a block equals its trials one
+    at a time, but for rounding: a product over many rows may differ in
+    its last bits from one over a few, so a verdict can differ only
+    where a statistic lies within that rounding of tau (see the README's
+    BLAS paragraph).
     """
 
     dtype = np.int32   # the region counts as RegionTable.by_message gives
@@ -497,10 +491,11 @@ class SievePlan(_GaussPlan):
                 yield lo, hi, x
 
     def verdicts(self, ms, contacts, draws: np.ndarray, drawn) -> tuple:
-        """(draws, (trial, region, hits)): draws filled with the block's
-        region counts, and each counted region's windows at or above tau,
-        hits[i, j] for window j of region region[i] of trial trial[i]
-        (False past the region's windows)."""
+        """(draws, (trials, trial, region, hits)): draws filled with the
+        block's region counts, its number of trials, and each counted
+        region's windows at or above tau, hits[i, j] for window j of
+        region region[i] of trial trial[i] (False past the region's
+        windows)."""
         rows = self.rows(drawn)
         trial, region, keep, order, _ = rows
         hits = np.zeros((order.size, self.width), dtype=bool)
@@ -512,16 +507,13 @@ class SievePlan(_GaussPlan):
         trial, region = trial[counted], region[counted]
         draws.fill(0)
         draws[trial, region] = count[kept]
-        return draws, (trial, region, hits[kept])
+        return draws, (draws.shape[0], trial, region, hits[kept])
 
-    def region_counts(self, verdicts) -> np.ndarray:
-        return verdicts[0]
-
-    def window_fired(self, verdicts) -> np.ndarray:
+    def window_fired(self, hits: tuple) -> np.ndarray:
         """The counted regions' windows at or above tau, and False in
         every other window."""
-        rows, (trial, region, hits) = verdicts
-        fired = np.zeros((rows.shape[0], self.table.starts.size), dtype=bool)
+        trials, trial, region, hits = hits
+        fired = np.zeros((trials, self.table.starts.size), dtype=bool)
         i, j = np.nonzero(hits)
         fired[trial[i], self.table.bounds[region[i]] + j] = True
         return fired
@@ -606,8 +598,9 @@ class DmcPlan(_TrialPlan):
     count of letter 1, a window fires when lo <= code <= hi; otherwise
     its code is looked up in the table.  Window i is column columns[i],
     and a region's windows, one sample apart, are consecutive columns, so
-    region_counts sums each region's run of column verdicts by one
-    reduceat, with no per-window gather.
+    verdicts counts each region's run of column verdicts by one reduceat,
+    with no per-window gather; window_fired gathers the columns on
+    access.
     """
 
     dtype = np.uint8
@@ -723,25 +716,26 @@ class DmcPlan(_TrialPlan):
             part = part[:, :-span] + part[:, span:]
             span *= 2
 
-    def verdicts(self, ms, contacts, draws: np.ndarray,
-                 drawn=None) -> np.ndarray:
-        """trials x (columns + 1): each column's verdict, and a last
-        column, False, that keeps every run's end in reduceat's range."""
+    def verdicts(self, ms, contacts, draws: np.ndarray, drawn) -> tuple:
+        """(counts, hits), hits trials x (columns + 1): each column's
+        verdict, and a last column, False, that keeps every run's end in
+        reduceat's range."""
         n = draws.shape[1] - self.window_len + 1
-        fires = np.zeros((draws.shape[0], n + 1), dtype=bool)
+        hits = np.zeros((draws.shape[0], n + 1), dtype=bool)
         codes = self.codes(draws)
         if self.firing_run is None:
-            np.take(self.firing, codes, out=fires[:, :n])
-            return fires
-        lo, hi = self.firing_run
-        np.greater_equal(codes, lo, out=fires[:, :n])
-        if hi < self.firing.size - 1:  # no window has a larger code
-            fires[:, :n] &= codes <= hi
-        return fires
+            np.take(self.firing, codes, out=hits[:, :n])
+        else:
+            lo, hi = self.firing_run
+            np.greater_equal(codes, lo, out=hits[:, :n])
+            if hi < self.firing.size - 1:  # no window has a larger code
+                hits[:, :n] &= codes <= hi
+        counts = np.add.reduceat(hits, self.runs, axis=1,
+                                 dtype=self.table.count_dtype)[:, ::2]
+        return self.table.by_message(counts), hits
 
-    def region_counts(self, verdicts: np.ndarray) -> np.ndarray:
-        return self.table.by_message(np.add.reduceat(
-            verdicts, self.runs, axis=1, dtype=self.table.count_dtype)[:, ::2])
+    def window_fired(self, hits: np.ndarray) -> np.ndarray:
+        return np.take(hits, self.columns, axis=1)
 
 
 def plan_for(params, channel=None) -> _TrialPlan:
@@ -794,13 +788,13 @@ def plan_for(params, channel=None) -> _TrialPlan:
 @dataclass(frozen=True, eq=False)
 class TrialBlock:
     decoded: np.ndarray  # per trial: the decoded message, 0 for none
-    flags: dict[str, np.ndarray]  # _layout.contact_flags: a bool a trial
+    flags: dict[str, np.ndarray]  # the flags of _layout.FLAGS: a bool a trial
     prefix_output: np.ndarray  # per trial: a, samples the prefix put out
     burst_output: np.ndarray  # per trial: g, the burst image's width
     region_fired: np.ndarray  # trials x messages: firing windows per region
     approximate_sums: int  # trials that drew a rounded-Gaussian state sum
     plan: _TrialPlan  # the plan that ran the block
-    verdicts: object  # the plan's verdicts of the block
+    verdicts: object  # the hits of the plan's verdicts, for window_fired
 
     @property
     def fired(self) -> np.ndarray:
@@ -825,7 +819,7 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
     approximate = sum(max(prefix[m - 1], burst[m - 1]) > EXACT_SUM_MAX
                       for m in ms) if len(dist.support) > 1 else 0
     draws = np.empty((len(ms), plan.cells), dtype=plan.dtype)
-    images, touches, drawn = [], [], []
+    images, touches, drawn, drifts = [], [], [], []
     for m, state, row in zip(ms, states, draws, strict=True):
         gen.bit_generator.state = state
         a = sample_state_sum(dist, prefix[m - 1], gen)
@@ -834,14 +828,18 @@ def stream_trials(plan: _TrialPlan, ms, dist: StateDistribution,
         drawn.append(plan.draw(gen, row, m, (a, g), touch))
         images.append((a, g))
         touches.append(touch)
+        drifts.append((layout.prefix_drift.out(a, prefix[m - 1]),
+                       layout.burst_drift.out(g, burst[m - 1])))
     prefix_output, burst_output = np.array(images, dtype=object).T
+    prefix_out, burst_out = np.array(drifts).T
     contacts = table.contacts(touches)
-    verdicts = plan.verdicts(ms, contacts, draws, drawn)
-    counts = plan.region_counts(verdicts)
+    counts, hits = plan.verdicts(ms, contacts, draws, drawn)
     return TrialBlock(decoded=table.decide_rows(counts),
-                      flags=contact_flags(layout, ms, prefix_output,
-                                          burst_output, contacts),
+                      flags={"prefix_drift_out": prefix_out,
+                             "burst_spread_out": burst_out,
+                             **contact_flags(layout, ms, burst_output,
+                                             contacts)},
                       prefix_output=prefix_output, burst_output=burst_output,
                       region_fired=counts,
                       approximate_sums=approximate, plan=plan,
-                      verdicts=verdicts)
+                      verdicts=hits)

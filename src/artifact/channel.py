@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -187,9 +187,6 @@ class GaussianNoise:
         return math.sqrt(self.eta2)
 
 
-BackEnd = Union[Dmc, GaussianNoise]
-
-
 def is_integer(value) -> bool:
     """An integer of any kind, bools excluded (JSON true is not 1)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -261,7 +258,7 @@ def state_dist_to_dict(dist: StateDistribution) -> dict:
     return {"support": [[k, p] for k, p in dist.support]}
 
 
-def back_end_from_dict(d: Mapping) -> BackEnd:
+def back_end_from_dict(d: Mapping) -> Dmc | GaussianNoise:
     """Build the memoryless back end from {"dmc": {...}} or {"gaussian": {...}}.
 
     A channel file may also hold the timing process under "idc", which

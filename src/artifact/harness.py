@@ -167,20 +167,12 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        d = {
-            "scheme": self.scheme, "M": self.M, "epsilon": self.epsilon,
-            "delta": self.delta, "trials": self.trials,
-            "base_seed": self.base_seed, "idc": state_dist_to_dict(self.idc),
-            "x_star": self.x_star, "eta2": self.eta2,
-            "message_selection": self.message_selection,
-            "confidence": self.confidence,
-        }
+        """Every field that is set, idc and dmc in their JSON forms."""
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__
+             if getattr(self, name) is not None}
+        d["idc"] = state_dist_to_dict(self.idc)
         if self.dmc is not None:
             d["dmc"] = self.dmc.to_dict()
-        for key in ("mu1", "mu2", "sigma2_bound"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
         return d
 
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
-
 _M32 = (1 << 32) - 1
 _M128 = (1 << 128) - 1
 # SeedSequence's hash constants (numpy.random.bit_generator) and pool size

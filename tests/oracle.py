@@ -163,7 +163,10 @@ def dmc_cells(table) -> dict[str, np.ndarray]:
 @dataclass(frozen=True)
 class TraceDiagnostics:
     """What the realized timing states imply for one transmitted message:
-    the flags of _layout.contact_flags and the two output lengths."""
+    the four flags of _layout.FLAGS and the two output lengths.  The
+    package tests the two drift events trial by trial in
+    _sparse.stream_trials' draw loop, and _layout.contact_flags gives the
+    two contact flags of a block."""
 
     prefix_drift_out: bool
     burst_spread_out: bool
@@ -175,10 +178,12 @@ class TraceDiagnostics:
 
 def geometry(m: int, a: int, g: int, layout: Layout) -> TraceDiagnostics:
     """The drift and geometry flags of sending m when the prefix puts out a
-    samples and the burst image a+1 .. a+g is g samples wide, from every
-    window's overlap with the image (the package's contact_flags reads
-    only the contact windows of RegionTable.contacts, expanded from the
-    runs RegionTable.touching finds)."""
+    samples and the burst image a+1 .. a+g is g samples wide: the drift
+    flags by the layout's Drift tests, as the package's trial loop makes
+    them, and the contact flags from every window's overlap with the
+    image (the package's contact_flags reads only the contact windows of
+    RegionTable.contacts, expanded from the runs RegionTable.touching
+    finds)."""
     layout.check_message(m)
     table = layout.table
     # clamping at last_end + 1 changes no overlap and keeps int64 safe

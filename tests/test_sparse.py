@@ -24,6 +24,7 @@ from artifact import harness
 from artifact import codec_compound as cc
 from artifact import codec_dmc as cd
 from artifact import codec_gauss as cg
+from artifact._layout import Drift
 from artifact.channel import Dmc, GaussianNoise, StateDistribution
 
 # the phases of the tests that draw rows of hundreds of cells: a
@@ -194,8 +195,8 @@ def test_dmc_letters_follow_burst_and_idle_rows():
     plan.draw(np.random.default_rng(5), row[0], 2, (a, g), touch)
     stats = cd._stats_from_counts(
         code_counts(plan, plan.codes(row)[:, plan.columns], 3), *tables)
-    fired = plan.fired([2], t.contacts([touch]), row)
-    assert (fired == (stats >= 0.0)).all()
+    _, hits = plan.verdicts([2], t.contacts([touch]), row, [None])
+    assert (plan.window_fired(hits) == (stats >= 0.0)).all()
 
 
 class RawWords:
@@ -522,11 +523,10 @@ def test_letter_counts_match_a_per_window_count(w, overlap, data):
                                   *cd._llr_tables(channel, 1))
     tau = draw(st.sampled_from(np.unique(stats).tolist()))
     plan = sp.DmcPlan(replace(p, threshold=tau), channel)
-    fired = plan.fired(None, None, rows)
+    counts, hits = plan.verdicts(None, None, rows, None)
+    fired = plan.window_fired(hits)
     assert (fired == (stats >= tau)).all()
-    verdicts = plan.verdicts(None, None, rows)
-    assert np.array_equal(plan.region_counts(verdicts),
-                          t.region_counts(fired))
+    assert np.array_equal(counts, t.region_counts(fired))
 
     positions = plan.positions
     radix = (w + 1) ** np.arange(letters - 1)
@@ -938,12 +938,14 @@ def test_sieve_draws_the_regions_the_image_touches_in_full():
         assert full == [0, r] and proposals == []
         assert z.size == sum(bounds[k + 1] - bounds[k] for k in full)
         assert np.isfinite(z).all()
-        verdicts = plan.verdicts([1], table.contacts([touch]), rows, [drawn])
-        counts, (trial, region, hits) = verdicts
+        counts, hits = plan.verdicts([1], table.contacts([touch]), rows,
+                                     [drawn])
+        trials, trial, region, above = hits
         assert counts is rows and (rows == 0).all()
+        assert trials == 1
         assert trial.tolist() == [0, 0] and region.tolist() == [0, r]
-        assert not hits.any()
-        assert not plan.window_fired(verdicts).any()
+        assert not above.any()
+        assert not plan.window_fired(hits).any()
 
 
 def test_block_contacts_cost_no_per_trial_arrays(monkeypatch):
@@ -978,6 +980,46 @@ def test_block_contacts_cost_no_per_trial_arrays(monkeypatch):
         assert block.decoded.size == n
     assert counts[1]["arange"] <= counts[0]["arange"]
     assert counts[1]["concatenate"] <= counts[0]["concatenate"]
+
+
+def test_drift_flags_come_from_the_trial_loop_in_python_ints(monkeypatch):
+    """stream_trials tests each trial's a and g for drift as it draws
+    them: during one block of dmc-m64 (6 trials), of gauss-m256's sieve
+    (256) and of a compound layout past int64, Drift.out only ever
+    receives Python ints, twice a trial, and the block's drift flags are
+    what those calls returned."""
+    dmc = cd.derive_params(M=64, epsilon=0.25, delta=0.5,
+                           idc=StateDistribution.deletion(0.1),
+                           channel=Dmc.bsc(0.2), x_star=1)
+    big = cc.derive_params(M=32, mu1=0.5, mu2=2.0, delta=0.0, epsilon=0.25,
+                           sigma2=0.25)
+    deletion = StateDistribution.deletion(0.1)
+    cases = {"dmc-m64": (sp.plan_for(dmc, Dmc.bsc(0.2)), deletion),
+             "gauss-m256": (criterion_5_sieve(), deletion),
+             "compound beyond int64": (sp.plan_for(big), ERRATIC)}
+    assert cases["compound beyond int64"][0].table.starts.dtype == object
+    out = Drift.out
+    for name, (plan, dist) in cases.items():
+        calls = []
+
+        def recorded(drift, n, slots):
+            calls.append((n, slots, out(drift, n, slots)))
+            return calls[-1][2]
+
+        trials = plan.block_size
+        ms = np.random.default_rng(3).integers(1, plan.layout.M + 1,
+                                               size=trials)
+        with monkeypatch.context() as patch:
+            patch.setattr(Drift, "out", recorded)
+            block = sp.stream_trials(plan, ms, dist,
+                                     oracle.states_of(range(trials)),
+                                     np.random.default_rng(0))
+        assert len(calls) == 2 * trials, name
+        assert all(type(n) is int and type(slots) is int
+                   for n, slots, _ in calls), name
+        results = [got for _, _, got in calls]
+        assert block.flags["prefix_drift_out"].tolist() == results[::2], name
+        assert block.flags["burst_spread_out"].tolist() == results[1::2], name
 
 
 def criterion_5_sieve():
